@@ -17,7 +17,9 @@ format goes in, the analysis verdict and attack vector come out::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
+import signal
 import sys
 from fractions import Fraction
 from typing import List, Optional
@@ -39,8 +41,10 @@ from repro.opf import solve_dc_opf
 #: structurally malformed input vs. well-formed but degenerate case.
 EXIT_INVALID_INPUT = 3
 EXIT_DEGENERATE_CASE = 4
-#: ``sweep`` was interrupted (SIGINT/SIGTERM) after checkpointing the
-#: completed cells; re-running the same sweep resumes from the cache.
+#: ``sweep``/``coordinate`` was interrupted (SIGINT/SIGTERM) after
+#: checkpointing the completed cells; re-running the same command
+#: resumes.  A signal that lands while a finished sweep is still
+#: reporting exits this way too: every cell is already checkpointed.
 EXIT_INTERRUPTED = 5
 #: the guarded linear-algebra layer refused to return an unverified
 #: result (``analyze``/``maximize``): the verdict is *withheld*, not
@@ -467,6 +471,45 @@ def _strict_failures(sweep, self_check: bool) -> int:
                                  "numerical_unstable"))])
 
 
+@contextlib.contextmanager
+def _sigterm_interrupts():
+    """Make SIGTERM raise ``KeyboardInterrupt`` until the block exits.
+
+    The handler stays installed through result reporting, so a SIGTERM
+    at any point inside the block takes the interrupt path instead of
+    killing the process.  It fires once: a second SIGTERM while the
+    first is being handled is ignored.
+    """
+    def _terminate(signum, frame):
+        signal.signal(signal.SIGTERM, signal.SIG_IGN)
+        raise KeyboardInterrupt
+
+    try:
+        previous = signal.signal(signal.SIGTERM, _terminate)
+    except ValueError:
+        previous = None  # not the main thread (embedded use): no swap
+    try:
+        yield
+    finally:
+        if previous is not None:
+            signal.signal(signal.SIGTERM, previous)
+
+
+def _sweep_exit(sweep, cell_count: int, args) -> int:
+    """Print a finished sweep's results; its exit code."""
+    _print_sweep_results(sweep, cell_count, args.trace)
+    if args.strict:
+        # --strict: any non-definitive cell — error, unknown, a rejected
+        # certificate, a rejected *input* (invalid/degenerate), a failed
+        # cache write, or (under --self-check) a cell that somehow
+        # skipped certification — fails the sweep hard.
+        strict_bad = _strict_failures(sweep, args.self_check)
+        if strict_bad:
+            print(f"STRICT: {strict_bad} non-definitive outcome(s)")
+            return 2
+    return 1 if sweep.failures else 0
+
+
 def _cmd_sweep(args) -> int:
     from repro.runner import ResultCache, SweepConfig, SweepEngine
 
@@ -489,49 +532,24 @@ def _cmd_sweep(args) -> int:
         self_check=True if args.self_check else None))
 
     # SIGTERM behaves like SIGINT: the engine checkpoints every
-    # completed cell (including cells salvaged out of an interrupted
-    # warm group) and we exit with the dedicated resumable code.
-    import signal
-
-    def _terminate(signum, frame):
-        raise KeyboardInterrupt
-
-    previous_term = None
-    try:
-        previous_term = signal.signal(signal.SIGTERM, _terminate)
-    except ValueError:
-        pass    # not the main thread (embedded use): no handler swap
-    print(f"sweep: {len(specs)} scenario(s) queued "
-          f"({'serial' if workers == 1 else f'{workers} workers'})",
-          flush=True)
-    try:
-        sweep = engine.run(specs)
-    except KeyboardInterrupt:
-        where = f" under {cache_dir}" if cache_dir else \
-            " (cache disabled: nothing persisted)"
-        print(f"sweep interrupted: completed cells are "
-              f"checkpointed{where}; re-run the same command to "
-              f"resume from the cache", file=sys.stderr)
-        return EXIT_INTERRUPTED
-    finally:
-        if previous_term is not None:
-            signal.signal(signal.SIGTERM, previous_term)
-
-    _print_sweep_results(sweep, len(specs), args.trace)
-    if args.strict:
-        # --strict: any non-definitive cell — error, unknown, a rejected
-        # certificate, a rejected *input* (invalid/degenerate), a failed
-        # cache write, or (under --self-check) a cell that somehow
-        # skipped certification — fails the sweep hard.
-        strict_bad = _strict_failures(sweep, args.self_check)
-        if strict_bad:
-            print(f"STRICT: {strict_bad} non-definitive outcome(s)")
-            return 2
-    return 1 if sweep.failures else 0
+    # completed cell as it finishes (including cells salvaged out of an
+    # interrupted warm group) and we exit with the resumable code.
+    with _sigterm_interrupts():
+        try:
+            print(f"sweep: {len(specs)} scenario(s) queued "
+                  f"({'serial' if workers == 1 else f'{workers} workers'})",
+                  flush=True)
+            return _sweep_exit(engine.run(specs), len(specs), args)
+        except KeyboardInterrupt:
+            where = f" under {cache_dir}" if cache_dir else \
+                " (cache disabled: nothing persisted)"
+            print(f"sweep interrupted: completed cells are "
+                  f"checkpointed{where}; re-run the same command to "
+                  f"resume from the cache", file=sys.stderr)
+            return EXIT_INTERRUPTED
 
 
 def _cmd_coordinate(args) -> int:
-    import signal
     import subprocess
     import time
 
@@ -565,66 +583,48 @@ def _cmd_coordinate(args) -> int:
         return 2
     status = coordinator.status()
     resumed = " (resumed from journal)" if status["resumed"] else ""
-    print(f"repro coordinate listening on {coordinator.url}{resumed}")
-    print(f"grid: {status['cells_total']} cell(s), "
-          f"{status['cells_resolved_at_plan']} already resolved "
-          f"({status['cache_hits']} cache, "
-          f"{status['journal_recovered']} journal), "
-          f"{status['units']} unit(s) to lease; journal {args.journal}",
-          flush=True)
-
     procs = []
-    for _ in range(args.spawn):
-        command = [sys.executable, "-m", "repro", "worker",
-                   "--connect", f"{coordinator.address[0]}:"
-                                f"{coordinator.address[1]}"]
-        if cache_dir:
-            command += ["--cache-dir", cache_dir]
-        else:
-            command += ["--no-cache"]
-        if args.fault_plan:
-            command += ["--fault-plan", args.fault_plan]
-        procs.append(subprocess.Popen(command))
-
-    def _terminate(signum, frame):
-        raise KeyboardInterrupt
-
-    previous_term = None
-    try:
-        previous_term = signal.signal(signal.SIGTERM, _terminate)
-    except ValueError:
-        pass    # not the main thread (embedded use): no handler swap
-    try:
-        coordinator.wait()
-    except KeyboardInterrupt:
-        coordinator.shutdown()
-        for proc in procs:
-            proc.terminate()
-        print(f"coordinate interrupted: committed cells are journaled "
-              f"in {args.journal}; re-run the same command to resume "
-              f"the fleet", file=sys.stderr)
-        return EXIT_INTERRUPTED
-    finally:
-        if previous_term is not None:
-            signal.signal(signal.SIGTERM, previous_term)
-
-    # Grid done: give spawned workers a moment to observe done=true and
-    # exit 0 before the lease endpoint disappears.
-    for proc in procs:
+    with _sigterm_interrupts():
         try:
-            proc.wait(timeout=10.0)
-        except subprocess.TimeoutExpired:
-            proc.terminate()
-    sweep = coordinator.trace(time.monotonic() - started,
-                              workers=args.spawn)
-    coordinator.shutdown()
-    _print_sweep_results(sweep, len(specs), args.trace)
-    if args.strict:
-        strict_bad = _strict_failures(sweep, args.self_check)
-        if strict_bad:
-            print(f"STRICT: {strict_bad} non-definitive outcome(s)")
-            return 2
-    return 1 if sweep.failures else 0
+            print(f"repro coordinate listening on {coordinator.url}"
+                  f"{resumed}")
+            print(f"grid: {status['cells_total']} cell(s), "
+                  f"{status['cells_resolved_at_plan']} already resolved "
+                  f"({status['cache_hits']} cache, "
+                  f"{status['journal_recovered']} journal), "
+                  f"{status['units']} unit(s) to lease; journal "
+                  f"{args.journal}", flush=True)
+            for _ in range(args.spawn):
+                command = [sys.executable, "-m", "repro", "worker",
+                           "--connect", f"{coordinator.address[0]}:"
+                                        f"{coordinator.address[1]}"]
+                if cache_dir:
+                    command += ["--cache-dir", cache_dir]
+                else:
+                    command += ["--no-cache"]
+                if args.fault_plan:
+                    command += ["--fault-plan", args.fault_plan]
+                procs.append(subprocess.Popen(command))
+            coordinator.wait()
+            # Grid done: give spawned workers a moment to observe
+            # done=true and exit 0 before the lease endpoint disappears.
+            for proc in procs:
+                try:
+                    proc.wait(timeout=10.0)
+                except subprocess.TimeoutExpired:
+                    proc.terminate()
+            sweep = coordinator.trace(time.monotonic() - started,
+                                      workers=args.spawn)
+            coordinator.shutdown()
+            return _sweep_exit(sweep, len(specs), args)
+        except KeyboardInterrupt:
+            coordinator.shutdown()
+            for proc in procs:
+                proc.terminate()
+            print(f"coordinate interrupted: committed cells are journaled "
+                  f"in {args.journal}; re-run the same command to resume "
+                  f"the fleet", file=sys.stderr)
+            return EXIT_INTERRUPTED
 
 
 def _cmd_worker(args) -> int:
@@ -674,8 +674,6 @@ def _cmd_cache(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    import signal
-
     from repro.service import ServiceConfig, ServiceServer
 
     config = ServiceConfig(

@@ -2,18 +2,18 @@
 
 One :class:`Coordinator` owns a scenario grid end to end:
 
-1. **Plan** — fingerprint every spec, resolve what needs no worker
-   (preflight rejections, verified cache hits), and partition the rest
-   into warm encoding-group units with the *same*
-   :func:`repro.runner.engine.plan_units` the single-machine sweep
-   uses, capped at ``unit_cells`` so lease durations stay bounded.
+1. **Plan** — the *same* :func:`repro.runner.engine.plan_grid` the
+   single-machine sweep runs: fingerprint every spec, resolve what needs
+   no worker (parse rejections, journal-recovered cells, verified cache
+   hits), and partition the rest into warm encoding-group units, capped
+   at ``unit_cells`` so lease durations stay bounded.
 2. **Serve** — a stdlib ``ThreadingHTTPServer`` hands units out as
    leases (``/fabric/v1/lease``), extends them on heartbeats, and
    accepts commits exactly once (see :mod:`repro.fabric.queue`).
    Committed outcomes are structurally and semantically re-validated —
    the same :meth:`ScenarioOutcome.from_dict` + spec-equality gate the
-   cache path uses — before they can enter the journal, and cacheable
-   ones are checkpointed to the shared result cache write-behind.
+   cache path uses — before they can enter the journal, and are then
+   checkpointed to the shared result cache write-behind.
 3. **Survive** — every plan and commit is journaled durably before it
    is acknowledged, so a coordinator killed at any instant restarts
    with ``--journal`` pointing at the same file: the journal's commits
@@ -30,18 +30,17 @@ outcome payloads).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
 import threading
 import time
-import traceback
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.exceptions import InputFormatError
 from repro.fabric.journal import Journal, read_events
 from repro.fabric.protocol import (
     FABRIC_PROTOCOL_VERSION,
@@ -53,22 +52,10 @@ from repro.fabric.protocol import (
 )
 from repro.fabric.queue import LeaseQueue
 from repro.runner.cache import ResultCache
-from repro.runner.engine import (
-    _rejected_outcome,
-    parse_failure_report,
-    plan_units,
-    verify_cached_outcome,
-)
+from repro.runner.engine import GridPlan, checkpoint, plan_grid, \
+    plan_units
 from repro.runner.spec import ScenarioSpec
-from repro.runner.trace import (
-    CRASHED,
-    ERROR,
-    NUMERICAL_UNSTABLE,
-    OK,
-    REJECTED_STATUSES,
-    ScenarioOutcome,
-    SweepTrace,
-)
+from repro.runner.trace import CRASHED, ScenarioOutcome, SweepTrace
 from repro.service.protocol import MALFORMED
 from repro.smt.certificates import self_check_default
 from repro.testing.faults import FabricFaultPlan
@@ -113,21 +100,6 @@ class CoordinatorConfig:
     #: :class:`FabricFaultPlan` file for the chaos suite.
     fault_plan: Optional[str] = None
     poll_interval: float = 0.1
-
-
-@dataclass
-class _Plan:
-    """Everything the planning pass resolves before serving."""
-
-    grid: str
-    fingerprints: List[str]
-    outcomes: List[Optional[ScenarioOutcome]]
-    units: List[List[int]]
-    cache_hits: int = 0
-    cache_rejected: int = 0
-    journal_recovered: int = 0
-    generation: int = 0
-    resumed: bool = False
 
 
 def grid_fingerprint(specs: Sequence[ScenarioSpec],
@@ -242,7 +214,13 @@ class Coordinator:
             if self.config.use_cache and self.config.cache_dir else None
         self.journal: Optional[Journal] = None
         self.queue: Optional[LeaseQueue] = None
-        self.plan: Optional[_Plan] = None
+        self.plan: Optional[GridPlan] = None
+        self.grid = grid_fingerprint(self.specs, self.config.budget_limits,
+                                     self.config.self_check)
+        #: journal generation being written (0: a fresh run).
+        self.generation = 0
+        self.resumed = False
+        self.journal_recovered = 0
         self._httpd: Optional[ThreadingHTTPServer] = None
         self._serve_thread: Optional[threading.Thread] = None
         self._lock = threading.Lock()
@@ -252,57 +230,20 @@ class Coordinator:
 
     # -- planning ------------------------------------------------------
 
-    def prepare(self) -> _Plan:
+    def prepare(self) -> GridPlan:
         """Resolve, recover, and partition; opens the journal."""
         config = self.config
-        grid = grid_fingerprint(self.specs, config.budget_limits,
-                                config.self_check)
-        fingerprints: List[str] = []
-        outcomes: List[Optional[ScenarioOutcome]] = \
-            [None] * len(self.specs)
-        for idx, spec in enumerate(self.specs):
-            try:
-                fingerprints.append(spec.fingerprint())
-            except InputFormatError as exc:
-                fingerprints.append("")
-                outcomes[idx] = _rejected_outcome(
-                    spec, "", parse_failure_report(spec.case, exc))
-            except Exception as exc:
-                fingerprints.append("")
-                outcomes[idx] = ScenarioOutcome(
-                    spec=spec, fingerprint="", status=ERROR,
-                    error="".join(traceback.format_exception_only(
-                        type(exc), exc)).strip())
-
-        plan = _Plan(grid=grid, fingerprints=fingerprints,
-                     outcomes=outcomes, units=[])
         journal_file = Path(config.journal_path)
-        if journal_file.exists():
-            self._recover(plan, journal_file)
-
-        certify = self_check_default(config.self_check)
-        for idx, fingerprint in enumerate(fingerprints):
-            if plan.outcomes[idx] is not None:
-                continue
-            hit = self.cache.get(fingerprint) if self.cache else None
-            if hit is None:
-                continue
-            try:
-                outcome = ScenarioOutcome.from_dict(hit)
-                verify_cached_outcome(outcome, self.specs[idx],
-                                      require_certified=certify)
-            except ValueError:
-                plan.cache_rejected += 1
-                continue
-            outcome.cache_hit = True
-            plan.outcomes[idx] = outcome
-            plan.cache_hits += 1
-
-        pending = [idx for idx in range(len(self.specs))
-                   if plan.outcomes[idx] is None]
-        plan.units = plan_units(self.specs, pending,
-                                chunks=max(1, config.chunks),
-                                max_cells=config.unit_cells)
+        recovered = self._recover(journal_file) \
+            if journal_file.exists() else {}
+        plan = plan_grid(
+            self.specs, self.cache, self_check_default(config.self_check),
+            functools.partial(plan_units, chunks=max(1, config.chunks),
+                              max_cells=config.unit_cells),
+            known=recovered)
+        self.journal_recovered = sum(
+            plan.outcomes[idx] is outcome
+            for idx, outcome in recovered.items())
         self._open_generation(plan, journal_file)
         self.plan = plan
         self.queue = LeaseQueue(
@@ -313,24 +254,23 @@ class Coordinator:
             backoff_cap=config.backoff_cap, journal=self.journal)
         return plan
 
-    def _recover(self, plan: _Plan, journal_file: Path) -> None:
-        """Fold a previous generation's journal into the plan."""
+    def _recover(self, journal_file: Path) -> Dict[int, ScenarioOutcome]:
+        """The cells a previous generation's journal determined."""
         events = read_events(journal_file)
         plan_event = next((e for e in events if e["event"] == "plan"),
                           None)
+        self.resumed = True
         if plan_event is None:
             # A journal with no plan event recorded nothing durable;
             # treat it as absent (it is rotated away regardless).
-            plan.resumed = True
-            return
-        if plan_event.get("grid") != plan.grid:
+            return {}
+        if plan_event.get("grid") != self.grid:
             raise FabricError(
                 f"journal {journal_file} belongs to a different grid "
                 f"(or different budget/self-check options); refusing "
                 f"to resume — pass a fresh --journal path or rerun the "
                 f"original command line")
-        plan.resumed = True
-        plan.generation = int(plan_event.get("generation", 0)) + 1
+        self.generation = int(plan_event.get("generation", 0)) + 1
         determined: Dict[int, Dict[str, Any]] = {}
         for key, payload in (plan_event.get("resolved") or {}).items():
             determined[int(key)] = payload
@@ -345,20 +285,19 @@ class Coordinator:
             for idx, payload in zip(units[unit_id],
                                     event.get("outcomes") or []):
                 determined[idx] = payload
+        recovered: Dict[int, ScenarioOutcome] = {}
         for idx, payload in determined.items():
-            if not 0 <= idx < len(self.specs) \
-                    or plan.outcomes[idx] is not None:
+            if not 0 <= idx < len(self.specs):
                 continue
             try:
                 outcome = ScenarioOutcome.from_dict(payload)
             except ValueError:
                 continue
-            if outcome.spec.to_dict() != self.specs[idx].to_dict():
-                continue
-            plan.outcomes[idx] = outcome
-            plan.journal_recovered += 1
+            if outcome.spec.to_dict() == self.specs[idx].to_dict():
+                recovered[idx] = outcome
+        return recovered
 
-    def _open_generation(self, plan: _Plan,
+    def _open_generation(self, plan: GridPlan,
                          journal_file: Path) -> None:
         """Rotate any previous journal aside and start a fresh one.
 
@@ -380,8 +319,8 @@ class Coordinator:
             for idx, outcome in enumerate(plan.outcomes)
             if outcome is not None}
         self.journal.append({
-            "event": "plan", "generation": plan.generation,
-            "grid": plan.grid, "cells": len(self.specs),
+            "event": "plan", "generation": self.generation,
+            "grid": self.grid, "cells": len(self.specs),
             "units": [list(unit) for unit in plan.units],
             "resolved": resolved})
 
@@ -476,15 +415,8 @@ class Coordinator:
     def _checkpoint(self, indices: Sequence[int],
                     outcomes: Sequence[ScenarioOutcome]) -> None:
         """Write-behind committed outcomes to the shared cache."""
-        if self.cache is None:
-            return
         for idx, outcome in zip(indices, outcomes):
-            fingerprint = self.plan.fingerprints[idx]
-            cacheable = outcome.status == OK \
-                or outcome.status in REJECTED_STATUSES \
-                or outcome.status == NUMERICAL_UNSTABLE
-            if cacheable and fingerprint:
-                self.cache.try_put(fingerprint, outcome.to_dict())
+            checkpoint(self.cache, self.plan.fingerprints[idx], outcome)
 
     def _maybe_die(self, outcomes: Sequence[ScenarioOutcome]) -> None:
         """Injected COORDINATOR_KILL: die right *after* the journaled
@@ -600,14 +532,14 @@ class Coordinator:
                 "duplicate_commits": self._duplicates,
             })
         stats.update({
-            "grid": self.plan.grid,
-            "generation": self.plan.generation,
-            "resumed": self.plan.resumed,
+            "grid": self.grid,
+            "generation": self.generation,
+            "resumed": self.resumed,
             "cells_total": len(self.specs),
             "cells_resolved_at_plan": sum(
                 1 for o in self.plan.outcomes if o is not None),
             "cache_hits": self.plan.cache_hits,
-            "journal_recovered": self.plan.journal_recovered,
+            "journal_recovered": self.journal_recovered,
             "done": self.queue.done,
         })
         return stats

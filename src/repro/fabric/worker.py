@@ -11,12 +11,13 @@ code 2 instead of spinning.
 Per leased unit the worker:
 
 1. serves any cell the shared result cache already has a verified
-   answer for (read-through — pays off for re-dispatched units whose
-   first copy checkpointed before dying),
+   answer for (the kernel's :func:`~repro.runner.engine.read_through`
+   — pays off for re-dispatched units whose first copy checkpointed
+   before dying),
 2. runs the rest through the same warm
    :func:`~repro.runner.engine.execute_scenario_group` core the
    single-machine sweep uses (one encoding, incremental re-solves),
-3. checkpoints cacheable outcomes to the shared cache *before*
+3. checkpoints computed outcomes to the shared cache *before*
    committing (write-behind: a coordinator killed between our cache
    write and our commit loses nothing — the resume pass read-throughs
    the cache), and
@@ -41,13 +42,10 @@ from typing import Any, Dict, List, Optional
 
 from repro.fabric.protocol import FABRIC_PROTOCOL_VERSION
 from repro.runner.cache import ResultCache
-from repro.runner.engine import (
-    execute_scenario_group,
-    verify_cached_outcome,
-)
+from repro.runner.engine import checkpoint, execute_scenario_group, \
+    read_through
 from repro.runner.spec import ScenarioSpec
-from repro.runner.trace import NUMERICAL_UNSTABLE, OK, \
-    REJECTED_STATUSES, ScenarioOutcome
+from repro.runner.trace import ScenarioOutcome
 from repro.service.client import ServiceClient, ServiceError, \
     ServiceUnavailable
 from repro.smt.certificates import self_check_default
@@ -225,7 +223,6 @@ class FabricWorker:
                                      self_check)
         finally:
             beat.stop()
-        self._write_behind(fingerprints, outcomes)
         body = self.client.request(
             "POST", "/fabric/v1/commit",
             {"worker": config.worker_id, "unit": unit_id,
@@ -242,50 +239,23 @@ class FabricWorker:
                  budget: Optional[Dict[str, Any]],
                  self_check: Optional[bool]
                  ) -> List[ScenarioOutcome]:
-        """Cache read-through, then one warm group over the misses."""
-        outcomes: List[Optional[ScenarioOutcome]] = [None] * len(specs)
+        """Cache read-through, then one warm group over the misses,
+        whose outcomes are checkpointed before the commit call."""
         certify = self_check_default(self_check)
-        if self.cache is not None:
-            for position, (spec, fingerprint) in enumerate(
-                    zip(specs, fingerprints)):
-                hit = self.cache.get(fingerprint) if fingerprint \
-                    else None
-                if hit is None:
-                    continue
-                try:
-                    outcome = ScenarioOutcome.from_dict(hit)
-                    verify_cached_outcome(outcome, spec,
-                                          require_certified=certify)
-                except ValueError:
-                    continue
-                outcome.cache_hit = True
-                outcomes[position] = outcome
-                self.cache_hits += 1
-        misses = [position for position in range(len(specs))
-                  if outcomes[position] is None]
+        outcomes = [read_through(self.cache, fingerprint, spec, certify)[0]
+                    for spec, fingerprint in zip(specs, fingerprints)]
+        misses = [position for position, outcome in enumerate(outcomes)
+                  if outcome is None]
+        self.cache_hits += len(specs) - len(misses)
         if misses:
             computed = execute_scenario_group(
                 [specs[position] for position in misses],
                 [fingerprints[position] for position in misses],
                 budget, self_check=self_check)
             for position, outcome in zip(misses, computed):
+                checkpoint(self.cache, fingerprints[position], outcome)
                 outcomes[position] = outcome
-        return [outcome for outcome in outcomes if outcome is not None]
-
-    def _write_behind(self, fingerprints: List[str],
-                      outcomes: List[ScenarioOutcome]) -> None:
-        """Checkpoint cacheable outcomes *before* the commit call."""
-        if self.cache is None:
-            return
-        for fingerprint, outcome in zip(fingerprints, outcomes):
-            cacheable = outcome.status == OK \
-                or outcome.status in REJECTED_STATUSES \
-                or outcome.status == NUMERICAL_UNSTABLE
-            if cacheable and fingerprint and not outcome.cache_hit:
-                error = self.cache.try_put(fingerprint,
-                                           outcome.to_dict())
-                if error is not None:
-                    outcome.cache_write_error = error
+        return outcomes
 
     def stats(self) -> Dict[str, Any]:
         return {"worker": self.config.worker_id,

@@ -1,25 +1,36 @@
-"""The parallel scenario-sweep engine.
+"""The parallel scenario-sweep engine and the execution kernel it shares.
 
 The paper's evaluation grids — (case × target-% × attacker-scenario)
 cells, each an independent impact analysis — are embarrassingly parallel,
 so :class:`SweepEngine` fans :class:`~repro.runner.spec.ScenarioSpec`
-tasks out over a :class:`~concurrent.futures.ProcessPoolExecutor`:
+tasks out over a :class:`~concurrent.futures.ProcessPoolExecutor`.
 
-* scenarios that share an *encoding group* (same resolved case, analyzer
-  kind and state-infection flag — a Fig. 4-style threshold sweep) are
-  batched into warm units: one worker builds one
+The sweep, the distributed fabric and the analysis service are front ends
+over one kernel defined here:
+
+* :func:`plan_grid` fingerprints a grid, resolves what needs no solver
+  (parse rejections, verified cache hits) and partitions the rest into
+  units with :func:`plan_units`: scenarios that share an *encoding
+  group* (same resolved case, analyzer kind and state-infection flag — a
+  Fig. 4-style threshold sweep) are batched so one worker builds one
   :class:`~repro.core.encoding.AttackModelEncoding` and re-solves each
-  threshold incrementally inside solver ``push()``/``pop()`` scopes,
-  paying ``encode_seconds`` once instead of per scenario.  Groups are
-  split so batching never drops below ``workers``-way parallelism, and
-  verdicts are unchanged (SAT witness *vectors* may differ — any model
-  is valid, and certified mode re-checks each independently);
-* results are served from the on-disk :class:`~repro.runner.cache.
-  ResultCache` when the (case, query, code) fingerprint matches a prior
-  run, so repeated sweeps and benchmark reruns short-circuit;
-* each finished ``ok`` outcome is checkpointed to the cache *as it
-  completes*, so a killed or interrupted sweep resumes from where it
-  left off instead of recomputing;
+  threshold incrementally inside solver ``push()``/``pop()`` scopes.
+  Groups are split so batching never drops below ``workers``-way
+  parallelism, and verdicts are unchanged (SAT witness *vectors* may
+  differ — any model is valid, and certified mode re-checks each
+  independently);
+* every unit, a unit of one cell included, runs through
+  :func:`execute_scenario_group`, which maps analyzer statuses and
+  escaping exceptions onto outcome statuses in one place;
+* :func:`read_through` and :func:`checkpoint` are the only cache
+  consumers: a hit is served only after :func:`verify_cached_outcome`,
+  and only :attr:`ScenarioOutcome.cacheable` outcomes are admitted.
+
+On top of that kernel the engine adds process supervision:
+
+* each finished cacheable outcome is checkpointed *as it completes*, so
+  a killed or interrupted sweep resumes from where it left off instead
+  of recomputing;
 * each task has an optional wall-clock budget (``task_timeout``) that is
   shipped into the worker as an in-solver
   :class:`~repro.smt.budget.SolverBudget` deadline: a solver-bound task
@@ -50,7 +61,8 @@ import traceback
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Mapping, \
+    Optional, Sequence, Tuple
 
 from fractions import Fraction
 
@@ -94,6 +106,10 @@ class GroupInterrupted(BaseException):
     def __init__(self, outcomes: Sequence) -> None:
         super().__init__(f"{len(outcomes)} outcome(s) salvaged")
         self.outcomes = list(outcomes)
+
+
+def _exception_text(exc: BaseException) -> str:
+    return "".join(traceback.format_exception_only(type(exc), exc)).strip()
 
 
 def parse_failure_report(subject: str,
@@ -147,37 +163,69 @@ class SweepConfig:
     self_check: Optional[bool] = None
 
 
+def outcome_from_exception(outcome: ScenarioOutcome, exc: Exception,
+                           started: float) -> ScenarioOutcome:
+    """Record an exception that escaped an analysis on its outcome.
+
+    The one failure mapping of every front end: :class:`BudgetExhausted`
+    outside the analyzers' own loops (e.g. the base OPF while building
+    the analyzer) is ``unknown``, a :class:`NumericalInstability` refusal
+    outside ``analyze()`` is ``numerical_unstable``, anything else is an
+    ``error``.
+    """
+    if isinstance(exc, BudgetExhausted):
+        outcome.status, outcome.error = UNKNOWN, exc.reason
+    elif isinstance(exc, NumericalInstability):
+        outcome.status, outcome.error = NUMERICAL_UNSTABLE, exc.reason
+    else:
+        outcome.status, outcome.error = ERROR, _exception_text(exc)
+    outcome.task_seconds = time.perf_counter() - started
+    return outcome
+
+
+#: analyzer/search degradations -> (outcome status, fallback reason).
+_DEGRADATIONS = {
+    "budget_exhausted": (UNKNOWN, "resource budget exhausted"),
+    # The verdict failed its independent check: never sat/unsat.
+    "certificate_error": (CERTIFICATE_ERROR, "certificate rejected"),
+    # The guarded linear algebra refused to return an unverified result.
+    "numerical_unstable": (NUMERICAL_UNSTABLE, "numerically unstable"),
+}
+
+
+def _apply_result(outcome: ScenarioOutcome, result,
+                  numeric_reason: Optional[str]) -> None:
+    """Status and summary fields of a finished report or I* search.
+
+    The one place :class:`~repro.core.results.ImpactReport` and
+    :class:`~repro.search.MaxImpactResult` statuses map onto outcome
+    statuses: a degradation keeps its reason, a preflight rejection (a
+    deterministic verdict, not an error) lists its fatal codes.
+    """
+    if result.status in _DEGRADATIONS:
+        outcome.status, fallback = _DEGRADATIONS[result.status]
+        reason = {"budget_exhausted": result.budget_reason,
+                  "certificate_error": result.certificate_error,
+                  "numerical_unstable": numeric_reason}[result.status]
+        outcome.error = reason or fallback
+    elif result.is_rejected:
+        outcome.status = result.status
+        if result.diagnostics is not None:
+            outcome.error = "; ".join(
+                d.code for d in result.diagnostics.fatal)
+    outcome.certified = result.certified
+    if result.diagnostics is not None:
+        outcome.diagnostics = result.diagnostics.to_dict()
+    outcome.satisfiable = result.satisfiable
+    outcome.candidates_examined = result.candidates_examined
+    outcome.solver_calls = result.solver_calls
+    outcome.analysis_seconds = result.elapsed_seconds
+
+
 def _outcome_from_report(outcome: ScenarioOutcome, report,
                          started: float) -> ScenarioOutcome:
-    """Fill a scenario outcome from a finished analyzer report.
-
-    The one place the :class:`~repro.core.results.ImpactReport` statuses
-    map onto sweep statuses — shared by the cold per-scenario path and
-    the warm group runner.
-    """
-    if report.status == "budget_exhausted":
-        outcome.status = UNKNOWN
-        outcome.error = report.budget_reason or "resource budget exhausted"
-    elif report.status == "certificate_error":
-        # The verdict failed its independent check: never record it as
-        # sat/unsat.
-        outcome.status = CERTIFICATE_ERROR
-        outcome.error = report.certificate_error or "certificate rejected"
-    elif report.status == "numerical_unstable":
-        # The guarded linear algebra refused to return an unverified
-        # result: a deterministic degradation, never a sat/unsat.
-        outcome.status = NUMERICAL_UNSTABLE
-        outcome.error = report.numeric_reason or "numerically unstable"
-    elif report.is_rejected:
-        # Preflight refused the input: a deterministic verdict with the
-        # findings attached, not an error.
-        outcome.status = report.status
-        outcome.error = "; ".join(
-            d.code for d in report.diagnostics.fatal)
-    outcome.certified = report.certified
-    if report.diagnostics is not None:
-        outcome.diagnostics = report.diagnostics.to_dict()
-    outcome.satisfiable = report.satisfiable
+    """Fill a scenario outcome from a finished analyzer report."""
+    _apply_result(outcome, report, report.numeric_reason)
     outcome.base_cost = str(report.base_cost)
     outcome.threshold = str(report.threshold)
     if report.believed_min_cost is not None:
@@ -185,9 +233,6 @@ def _outcome_from_report(outcome: ScenarioOutcome, report,
     if report.achieved_increase_percent is not None:
         outcome.achieved_increase_percent = float(
             report.achieved_increase_percent)
-    outcome.candidates_examined = report.candidates_examined
-    outcome.solver_calls = report.solver_calls
-    outcome.analysis_seconds = report.elapsed_seconds
     if report.trace is not None:
         outcome.trace = report.trace.to_dict()
     outcome.task_seconds = time.perf_counter() - started
@@ -245,31 +290,12 @@ def _outcome_from_max_result(outcome: ScenarioOutcome,
     arithmetic; the search-specific bracket lives in ``max_impact``.
     """
     source = result.witness_report or result.last_report
-    if result.status == "budget_exhausted":
-        outcome.status = UNKNOWN
-        outcome.error = result.budget_reason or "resource budget exhausted"
-    elif result.status == "certificate_error":
-        outcome.status = CERTIFICATE_ERROR
-        outcome.error = result.certificate_error or "certificate rejected"
-    elif result.status == "numerical_unstable":
-        outcome.status = NUMERICAL_UNSTABLE
-        reason = result.last_report.numeric_reason \
-            if result.last_report is not None else None
-        outcome.error = reason or "numerically unstable analysis"
-    elif result.is_rejected:
-        outcome.status = result.status
-        if result.diagnostics is not None:
-            outcome.error = "; ".join(
-                d.code for d in result.diagnostics.fatal)
+    _apply_result(outcome, result, None if result.last_report is None
+                  else result.last_report.numeric_reason)
     if not result.is_rejected:
         # Partial brackets are worth keeping on unknown/cert-error
         # outcomes too (they are never cached).
         outcome.max_impact = result.to_dict()
-    outcome.certified = result.certified
-    if result.diagnostics is not None:
-        outcome.diagnostics = result.diagnostics.to_dict()
-    outcome.satisfiable = result.satisfiable
-    if not result.is_rejected:
         outcome.base_cost = str(result.base_cost)
         bound = result.lower_bound if result.satisfiable \
             else result.upper_bound
@@ -282,9 +308,6 @@ def _outcome_from_max_result(outcome: ScenarioOutcome,
             result.witness_report.achieved_increase_percent is not None:
         outcome.achieved_increase_percent = float(
             result.witness_report.achieved_increase_percent)
-    outcome.candidates_examined = result.candidates_examined
-    outcome.solver_calls = result.solver_calls
-    outcome.analysis_seconds = result.elapsed_seconds
     if source is not None and source.trace is not None:
         trace = source.trace.to_dict()
         trace.setdefault("session", {})["search"] = {
@@ -316,8 +339,7 @@ def plan_units(specs: Sequence[ScenarioSpec], pending: Sequence[int],
     ``chunks`` pieces (the sweep engine passes its worker count so
     grouping never *reduces* parallelism), and ``max_cells`` additionally
     caps the unit size — the distributed fabric uses that to keep lease
-    durations bounded.  Shared by :class:`SweepEngine` and the fabric
-    coordinator so both plan byte-identical units for one grid.
+    durations bounded.
     """
     groups: Dict[str, List[int]] = {}
     order: List[str] = []
@@ -326,7 +348,7 @@ def plan_units(specs: Sequence[ScenarioSpec], pending: Sequence[int],
             key = specs[idx].encoding_group()
         except Exception:
             # An unresolvable spec cannot be grouped; run it alone so
-            # its error surfaces through the legacy path.
+            # its error surfaces as its own outcome.
             key = f"solo:{idx}"
         if key not in groups:
             groups[key] = []
@@ -365,11 +387,10 @@ def execute_with_analyzer(spec: ScenarioSpec, fingerprint: str,
                           ) -> ScenarioOutcome:
     """Run one scenario on an already-built (possibly warm) analyzer.
 
-    The shared execution core behind the cold per-scenario path, the
-    warm group runner and the analysis-service workers: runs the spec's
-    decision or maximize query, maps analyzer statuses onto sweep
-    statuses, and converts stray :class:`BudgetExhausted`/exceptions
-    into ``unknown``/``error`` outcomes instead of letting them escape.
+    The shared execution core behind the unit runner and the
+    analysis-service workers: runs the spec's decision or maximize
+    query and maps the result (or an escaping exception) onto the
+    outcome instead of letting it escape.
     """
     if started is None:
         started = time.perf_counter()
@@ -385,106 +406,36 @@ def execute_with_analyzer(spec: ScenarioSpec, fingerprint: str,
             return _outcome_from_max_result(outcome, result, started)
         report = analyzer.analyze(
             _analysis_query(spec, kind, budget, self_check))
-    except BudgetExhausted as exc:
-        # The analyzers convert in-loop exhaustion into partial reports;
-        # this catches exhaustion outside those loops (e.g. the base OPF
-        # during analyzer construction).
-        outcome.status = UNKNOWN
-        outcome.error = exc.reason
-        outcome.task_seconds = time.perf_counter() - started
-        return outcome
-    except NumericalInstability as exc:
-        # The session converts in-run instability into degraded reports;
-        # this catches refusals outside analyze() (e.g. warm analyzer
-        # machinery between scenarios).
-        outcome.status = NUMERICAL_UNSTABLE
-        outcome.error = exc.reason
-        outcome.task_seconds = time.perf_counter() - started
-        return outcome
     except Exception as exc:
-        outcome.status = ERROR
-        outcome.error = "".join(traceback.format_exception_only(
-            type(exc), exc)).strip()
-        outcome.task_seconds = time.perf_counter() - started
-        return outcome
-
+        return outcome_from_exception(outcome, exc, started)
     return _outcome_from_report(outcome, report, started)
 
 
-def execute_scenario(spec: ScenarioSpec, fingerprint: str = "",
-                     budget: Optional[SolverBudget] = None,
-                     self_check: Optional[bool] = None
-                     ) -> ScenarioOutcome:
-    """Run one scenario in-process and record its outcome + trace."""
-    started = time.perf_counter()
-    outcome = ScenarioOutcome(spec=spec, fingerprint=fingerprint,
-                              worker_pid=os.getpid())
-    try:
-        if budget is not None:
-            budget.start()   # the deadline covers case build + analysis
-        try:
-            case = spec.resolve_case()
-        except InputFormatError as exc:
-            # A deterministic verdict about the input, not a runtime
-            # failure: reject with a structured diagnostic.
-            rejected = _rejected_outcome(
-                spec, fingerprint, parse_failure_report(spec.case, exc))
-            rejected.worker_pid = os.getpid()
-            rejected.task_seconds = time.perf_counter() - started
-            return rejected
-        kind = spec.resolved_analyzer(case)
-        # Maximize mode re-solves the same encoding at many thresholds,
-        # so warm incremental mode pays off even within one scenario;
-        # decision mode keeps the cold single-shot path (bit-identical
-        # witnesses).
-        analyzer = build_analyzer(case, kind,
-                                  warm=spec.search == "maximize",
-                                  backend=spec.resolved_backend(case))
-    except BudgetExhausted as exc:
-        outcome.status = UNKNOWN
-        outcome.error = exc.reason
-        outcome.task_seconds = time.perf_counter() - started
-        return outcome
-    except NumericalInstability as exc:
-        outcome.status = NUMERICAL_UNSTABLE
-        outcome.error = exc.reason
-        outcome.task_seconds = time.perf_counter() - started
-        return outcome
-    except Exception as exc:
-        outcome.status = ERROR
-        outcome.error = "".join(traceback.format_exception_only(
-            type(exc), exc)).strip()
-        outcome.task_seconds = time.perf_counter() - started
-        return outcome
-
-    return execute_with_analyzer(spec, fingerprint, analyzer, kind,
-                                 budget, self_check, started=started,
-                                 outcome=outcome)
-
-
-def execute_scenario_group(specs: Sequence[ScenarioSpec],
-                           fingerprints: Sequence[str],
-                           budget_limits: Optional[Dict[str, Any]] = None,
-                           self_check: Optional[bool] = None
-                           ) -> List[ScenarioOutcome]:
-    """Run scenarios sharing one encoding group through a warm analyzer.
+def iter_scenario_group(specs: Sequence[ScenarioSpec],
+                        fingerprints: Sequence[str],
+                        budget_limits: Optional[Dict[str, Any]] = None,
+                        self_check: Optional[bool] = None
+                        ) -> Iterator[ScenarioOutcome]:
+    """Run one execution unit, yielding each outcome as it finishes.
 
     All specs must have equal :meth:`ScenarioSpec.encoding_group` keys —
     same resolved case, analyzer kind and state-infection flag, varying
     only per-query parameters (the target threshold, candidate caps,
-    sampling seeds).  One analyzer is built for the whole group: the SMT
-    strategy in incremental mode re-solves each threshold inside a
-    solver ``push()``/``pop()`` scope of one
-    :class:`~repro.core.encoding.AttackModelEncoding`; the fast
-    strategy's PTDF factorization is per-case anyway.  Each scenario
-    still gets a *fresh* budget built from ``budget_limits`` and its
-    own outcome with per-scenario timings.
+    sampling seeds).  One analyzer is built for the whole unit.  It is
+    warm (the SMT strategy re-solves each threshold inside a solver
+    ``push()``/``pop()`` scope of one
+    :class:`~repro.core.encoding.AttackModelEncoding`) when the unit has
+    more than one spec or the spec is a maximize search, which re-solves
+    one encoding at many thresholds; a single decision cell stays on the
+    cold single-shot path (bit-identical witnesses).  Each scenario
+    gets a *fresh* budget built from ``budget_limits`` — armed before
+    the case is built, so the deadline covers case build and analysis —
+    and its own outcome with per-scenario timings.
 
     Verdicts are deterministic either way; SAT *witness vectors* may
     depend on the warm solver's accumulated learned clauses (any model
     is valid, and certified mode re-checks each one independently).
     """
-    outcomes: List[ScenarioOutcome] = []
     analyzer = None
     for spec, fingerprint in zip(specs, fingerprints):
         started = time.perf_counter()
@@ -495,76 +446,77 @@ def execute_scenario_group(specs: Sequence[ScenarioSpec],
         try:
             if budget is not None:
                 budget.start()
-            try:
-                case = spec.resolve_case()
-            except InputFormatError as exc:
-                rejected = _rejected_outcome(
-                    spec, fingerprint,
-                    parse_failure_report(spec.case, exc))
-                rejected.worker_pid = os.getpid()
-                rejected.task_seconds = time.perf_counter() - started
-                outcomes.append(rejected)
-                continue
+            case = spec.resolve_case()
             kind = spec.resolved_analyzer(case)
             if analyzer is None:
                 analyzer = build_analyzer(
-                    case, kind, warm=True,
+                    case, kind,
+                    warm=len(specs) > 1 or spec.search == "maximize",
                     backend=spec.resolved_backend(case))
-        except KeyboardInterrupt:
-            # A SIGINT/SIGTERM mid-unit: hand the completed outcomes
-            # back so the engine checkpoints them before re-raising —
-            # per-cell resumability must not depend on unit boundaries.
-            raise GroupInterrupted(outcomes)
-        except BudgetExhausted as exc:
-            outcome.status = UNKNOWN
-            outcome.error = exc.reason
+        except InputFormatError as exc:
+            # A deterministic verdict about the input, not a runtime
+            # failure: reject with a structured diagnostic.
+            outcome = _rejected_outcome(
+                spec, fingerprint, parse_failure_report(spec.case, exc))
+            outcome.worker_pid = os.getpid()
             outcome.task_seconds = time.perf_counter() - started
-            outcomes.append(outcome)
-            continue
-        except NumericalInstability as exc:
-            outcome.status = NUMERICAL_UNSTABLE
-            outcome.error = exc.reason
-            outcome.task_seconds = time.perf_counter() - started
-            outcomes.append(outcome)
-            continue
         except Exception as exc:
-            outcome.status = ERROR
-            outcome.error = "".join(traceback.format_exception_only(
-                type(exc), exc)).strip()
-            outcome.task_seconds = time.perf_counter() - started
-            outcomes.append(outcome)
+            outcome = outcome_from_exception(outcome, exc, started)
+        else:
+            outcome = execute_with_analyzer(
+                spec, fingerprint, analyzer, kind, budget, self_check,
+                started=started, outcome=outcome)
+        if outcome.status == ERROR:
             # The warm solver state may be mid-scope after an arbitrary
             # failure; rebuild for the remaining scenarios.
             analyzer = None
-            continue
-        try:
-            finished = execute_with_analyzer(
-                spec, fingerprint, analyzer, kind, budget, self_check,
-                started=started, outcome=outcome)
-        except KeyboardInterrupt:
-            raise GroupInterrupted(outcomes)
-        outcomes.append(finished)
-        if finished.status == ERROR:
-            analyzer = None
+        yield outcome
+
+
+def execute_scenario_group(specs: Sequence[ScenarioSpec],
+                           fingerprints: Sequence[str],
+                           budget_limits: Optional[Dict[str, Any]] = None,
+                           self_check: Optional[bool] = None
+                           ) -> List[ScenarioOutcome]:
+    """Run one execution unit (see :func:`iter_scenario_group`).
+
+    A SIGINT/SIGTERM mid-unit raises :class:`GroupInterrupted` carrying
+    the outcomes completed so far, so the engine checkpoints them —
+    per-cell resumability must not depend on unit boundaries.
+    """
+    outcomes: List[ScenarioOutcome] = []
+    try:
+        for outcome in iter_scenario_group(specs, fingerprints,
+                                           budget_limits, self_check):
+            outcomes.append(outcome)
+    except KeyboardInterrupt:
+        raise GroupInterrupted(outcomes)
     return outcomes
 
 
-def _worker_entry(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Top-level (picklable) process-pool entry point."""
-    spec = ScenarioSpec.from_dict(payload["spec"])
-    budget_spec = payload.get("budget")
-    budget = SolverBudget.from_dict(budget_spec) if budget_spec else None
-    return execute_scenario(spec, payload["fingerprint"], budget,
-                            self_check=payload.get("self_check")).to_dict()
+def execute_scenario(spec: ScenarioSpec, fingerprint: str = "",
+                     budget: Optional[SolverBudget] = None,
+                     self_check: Optional[bool] = None
+                     ) -> ScenarioOutcome:
+    """Run one scenario in-process: a one-cell unit of the group path."""
+    limits = budget.to_dict() if budget is not None else None
+    return next(iter_scenario_group([spec], [fingerprint], limits,
+                                    self_check))
+
+
+def _unit_args(payload: Mapping[str, Any]) -> Tuple:
+    """The :func:`iter_scenario_group` arguments a unit payload carries."""
+    return ([ScenarioSpec.from_dict(s) for s in payload["specs"]],
+            payload["fingerprints"], payload.get("budget"),
+            payload.get("self_check"))
 
 
 def _group_worker_entry(payload: Dict[str, Any]) -> List[Dict[str, Any]]:
-    """Top-level (picklable) pool entry point for a warm scenario group."""
-    specs = [ScenarioSpec.from_dict(s) for s in payload["specs"]]
-    outcomes = execute_scenario_group(
-        specs, payload["fingerprints"], payload.get("budget"),
-        self_check=payload.get("self_check"))
-    return [outcome.to_dict() for outcome in outcomes]
+    """Top-level (picklable) pool entry point: runs one unit payload
+    ``{"specs", "fingerprints", "budget"?, "self_check"?}`` and returns
+    one outcome payload per cell."""
+    return [outcome.to_dict()
+            for outcome in execute_scenario_group(*_unit_args(payload))]
 
 
 def _verify_cached_max_impact(outcome: ScenarioOutcome,
@@ -737,17 +689,117 @@ def verify_cached_outcome(outcome: ScenarioOutcome, spec: ScenarioSpec,
             "certificates verified")
 
 
+def read_through(cache: Optional[ResultCache], fingerprint: str,
+                 spec: ScenarioSpec, certify: bool
+                 ) -> Tuple[Optional[ScenarioOutcome], bool]:
+    """A verified cache hit for one cell: ``(hit or None, rejected)``.
+
+    Every cache consumer reads through here.  A cached payload is served
+    only if it rebuilds (:meth:`ScenarioOutcome.from_dict`) and passes
+    :func:`verify_cached_outcome` (``certify``: certified outcomes only);
+    a malformed, stale or semantically inconsistent entry is a miss with
+    ``rejected`` set, so the caller can count it — the cell recomputes
+    and its checkpoint overwrites the bad entry.
+    """
+    payload = cache.get(fingerprint) \
+        if cache is not None and fingerprint else None
+    if payload is None:
+        return None, False
+    try:
+        outcome = ScenarioOutcome.from_dict(payload)
+        verify_cached_outcome(outcome, spec, require_certified=certify)
+    except ValueError:
+        return None, True
+    outcome.cache_hit = True
+    return outcome, False
+
+
+def checkpoint(cache: Optional[ResultCache], fingerprint: str,
+               outcome: ScenarioOutcome) -> None:
+    """Admit an outcome to the cache if :attr:`~ScenarioOutcome.cacheable`.
+
+    A failed write (full disk, permissions) does not raise: it degrades
+    to the outcome's ``cache_write_error``.
+    """
+    if cache is None or not fingerprint or not outcome.cacheable:
+        return
+    error = cache.try_put(fingerprint, outcome.to_dict())
+    if error is not None:
+        outcome.cache_write_error = error
+
+
+@dataclass
+class GridPlan:
+    """A planned grid: per-cell fingerprints, the cells resolved without
+    a solver, and execution units (lists of indices) over the rest."""
+
+    fingerprints: List[str]
+    outcomes: List[Optional[ScenarioOutcome]]
+    units: List[List[int]]
+    #: cells served by verified cache hits.
+    cache_hits: int = 0
+    #: cache entries that failed re-verification (recomputed instead).
+    cache_rejected: int = 0
+
+
+def plan_grid(specs: Sequence[ScenarioSpec],
+              cache: Optional[ResultCache], certify: bool,
+              partition: Optional[Callable[[Sequence[ScenarioSpec],
+                                            List[int]],
+                                           List[List[int]]]] = None,
+              known: Optional[Mapping[int, ScenarioOutcome]] = None
+              ) -> GridPlan:
+    """Plan a grid: the one prelude of the sweep, fabric and service.
+
+    Per cell: fingerprinting resolves the case, so a case text that does
+    not parse becomes a rejection (no fingerprint, hence never cached)
+    and any other failure (unknown case name, ...) an ``error`` outcome
+    instead of aborting the grid; a cell still open takes its ``known``
+    outcome (the fabric's journal-recovered cells) or else a verified
+    cache hit (:func:`read_through`).  ``partition(specs, pending)``
+    splits the remaining indices into units (default: one cell each).
+    """
+    known = known or {}
+    plan = GridPlan(fingerprints=[], outcomes=[], units=[])
+    for idx, spec in enumerate(specs):
+        fingerprint, outcome = "", None
+        try:
+            fingerprint = spec.fingerprint()
+        except InputFormatError as exc:
+            outcome = _rejected_outcome(
+                spec, "", parse_failure_report(spec.case, exc))
+        except Exception as exc:
+            outcome = ScenarioOutcome(spec=spec, fingerprint="",
+                                      status=ERROR,
+                                      error=_exception_text(exc))
+        if outcome is None:
+            outcome = known.get(idx)
+        if outcome is None:
+            outcome, stale = read_through(cache, fingerprint, spec,
+                                          certify)
+            plan.cache_hits += outcome is not None
+            plan.cache_rejected += stale
+        plan.fingerprints.append(fingerprint)
+        plan.outcomes.append(outcome)
+    pending = [idx for idx, outcome in enumerate(plan.outcomes)
+               if outcome is None]
+    plan.units = partition(specs, pending) if partition is not None \
+        else [[idx] for idx in pending]
+    return plan
+
+
 class SweepEngine:
     """Runs scenario grids with caching, parallelism and retry."""
 
     def __init__(self, config: Optional[SweepConfig] = None,
                  task: Optional[Callable[[Dict[str, Any]],
-                                         Dict[str, Any]]] = None,
+                                         List[Dict[str, Any]]]] = None,
                  cache: Optional[ResultCache] = None) -> None:
         self.config = config or SweepConfig()
-        #: injectable for tests (e.g. a crashing task); must be a
+        #: injectable for tests (e.g. a crashing task): takes a unit
+        #: payload, returns one outcome payload per cell, and must be a
         #: module-level callable so worker processes can unpickle it.
-        self._task = task or _worker_entry
+        self._task = task or _group_worker_entry
         #: injectable for tests (e.g. a cache whose writes fail).
         self._cache = cache
 
@@ -761,70 +813,23 @@ class SweepEngine:
         else:
             cache = ResultCache(config.cache_dir) \
                 if config.use_cache and config.cache_dir else None
-
-        # Fingerprinting resolves the case; a spec that cannot resolve
-        # (unknown name, unparsable text) is recorded as an error outcome
-        # rather than aborting the whole sweep.
-        fingerprints: List[str] = []
-        outcomes: List[Optional[ScenarioOutcome]] = [None] * len(specs)
-        for idx, spec in enumerate(specs):
-            try:
-                fingerprints.append(spec.fingerprint())
-            except InputFormatError as exc:
-                # The case text does not parse: a deterministic verdict
-                # about the input (no fingerprint, so never cached).
-                fingerprints.append("")
-                outcomes[idx] = _rejected_outcome(
-                    spec, "", parse_failure_report(spec.case, exc))
-            except Exception as exc:
-                fingerprints.append("")
-                outcomes[idx] = ScenarioOutcome(
-                    spec=spec, fingerprint="", status=ERROR,
-                    error="".join(traceback.format_exception_only(
-                        type(exc), exc)).strip())
-        certify = self_check_default(config.self_check)
-        cache_rejected = 0
-        pending: List[int] = []
-        for idx, fingerprint in enumerate(fingerprints):
-            if outcomes[idx] is not None:
-                continue
-            hit = cache.get(fingerprint) if cache else None
-            if hit is None:
-                pending.append(idx)
-                continue
-            try:
-                outcome = ScenarioOutcome.from_dict(hit)
-                verify_cached_outcome(outcome, specs[idx],
-                                      require_certified=certify)
-            except ValueError:
-                # Malformed, stale or semantically inconsistent cached
-                # payload: a miss — recompute (and overwrite the bad
-                # entry on completion).
-                cache_rejected += 1
-                pending.append(idx)
-                continue
-            outcome.cache_hit = True
-            outcomes[idx] = outcome
-
+        plan = plan_grid(specs, cache, self_check_default(config.self_check),
+                         self._plan_units)
         mode = "serial"
-        if pending:
-            units = self._plan_units(specs, pending)
-            if config.workers > 1 and len(units) > 1:
-                if self._run_parallel(specs, fingerprints, units,
-                                      outcomes, cache):
-                    mode = "parallel"
-                # else: _run_parallel already fell back to serial
-            else:
-                self._run_serial(specs, fingerprints, units, outcomes,
-                                 cache)
+        if config.workers > 1 and len(plan.units) > 1:
+            if self._run_parallel(specs, plan, cache):
+                mode = "parallel"
+            # else: _run_parallel already fell back to serial
+        elif plan.units:
+            self._run_serial(specs, plan, plan.units, cache)
 
         return SweepTrace(
-            outcomes=[o for o in outcomes if o is not None],
+            outcomes=[o for o in plan.outcomes if o is not None],
             wall_seconds=time.perf_counter() - started,
             workers=config.workers if mode == "parallel" else 1,
             mode=mode,
             cache_dir=str(cache.root) if cache else None,
-            cache_rejected=cache_rejected)
+            cache_rejected=plan.cache_rejected)
 
     # -- unit planning ----------------------------------------------------
 
@@ -832,11 +837,10 @@ class SweepEngine:
                     pending: Sequence[int]) -> List[List[int]]:
         """Execution units for this engine (see :func:`plan_units`).
 
-        Singleton units keep the exact legacy per-scenario protocol, and
-        an injected ``task`` (test seams, fault injection) only speaks
-        that protocol, so it always gets singleton units.
+        An injected ``task`` (test seams, fault injection) gets one-cell
+        units, so a fault it injects is attributed to exactly one cell.
         """
-        if self._task is not _worker_entry:
+        if self._task is not _group_worker_entry:
             return [[idx] for idx in pending]
         return plan_units(specs, pending,
                           chunks=max(1, self.config.workers))
@@ -854,19 +858,9 @@ class SweepEngine:
                 else min(wall, config.task_timeout)
         return limits or None
 
-    def _task_payload(self, spec: ScenarioSpec,
-                      fingerprint: str) -> Dict[str, Any]:
-        payload = {"spec": spec.to_dict(), "fingerprint": fingerprint}
-        budget = self._task_budget()
-        if budget is not None:
-            payload["budget"] = budget
-        if self.config.self_check is not None:
-            payload["self_check"] = self.config.self_check
-        return payload
-
-    def _group_payload(self, unit: Sequence[int], specs,
-                       fingerprints) -> Dict[str, Any]:
-        """Like :meth:`_task_payload`, for a multi-scenario warm unit."""
+    def _unit_payload(self, unit: Sequence[int], specs,
+                      fingerprints) -> Dict[str, Any]:
+        """The picklable payload :func:`_group_worker_entry` runs."""
         payload = {
             "specs": [specs[idx].to_dict() for idx in unit],
             "fingerprints": [fingerprints[idx] for idx in unit],
@@ -877,16 +871,6 @@ class SweepEngine:
         if self.config.self_check is not None:
             payload["self_check"] = self.config.self_check
         return payload
-
-    def _execute_unit(self, unit: Sequence[int], specs,
-                      fingerprints) -> List[Dict[str, Any]]:
-        """Run one unit in-process: one outcome payload per index."""
-        if len(unit) == 1:
-            idx = unit[0]
-            return [self._task(self._task_payload(
-                specs[idx], fingerprints[idx]))]
-        return _group_worker_entry(
-            self._group_payload(unit, specs, fingerprints))
 
     def _pool_wait(self, size: int = 1) -> Optional[float]:
         """Pool-level wait: the in-solver deadline plus grace, so a
@@ -900,31 +884,38 @@ class SweepEngine:
             return None
         return timeout * 1.25 * max(1, size) + 0.25
 
-    def _record(self, idx: int, outcome: ScenarioOutcome, spec,
-                fingerprints, outcomes,
+    def _record(self, specs, plan: GridPlan, idx: int,
+                outcome: ScenarioOutcome,
                 cache: Optional[ResultCache]) -> None:
         """Commit an outcome and checkpoint it to the cache immediately.
 
-        Definitive ``ok`` outcomes, deterministic preflight rejections
-        (``invalid_input``/``degenerate_case``) and numeric refusals
-        (``numerical_unstable`` — deterministic for a given case and
-        numerics policy, and the policy is part of the fingerprint) are
-        cached; budget-dependent (``unknown``/``timeout``) and transient
-        failures must recompute next run.  The outcome's spec must equal the
-        submitted spec — a worker that analyzed something else (fault
-        injection, memory corruption) must not poison the submitted
-        spec's cache slot.  A failed write degrades to
-        ``cache_write_error``.
+        The outcome's spec must equal the submitted spec — a worker that
+        analyzed something else (fault injection, memory corruption)
+        must not poison the submitted spec's cache slot.
         """
-        outcomes[idx] = outcome
-        cacheable = outcome.status == OK \
-            or outcome.status in REJECTED_STATUSES \
-            or outcome.status == NUMERICAL_UNSTABLE
-        if cache is not None and cacheable and fingerprints[idx] \
-                and outcome.spec.to_dict() == spec.to_dict():
-            error = cache.try_put(fingerprints[idx], outcome.to_dict())
-            if error is not None:
-                outcome.cache_write_error = error
+        plan.outcomes[idx] = outcome
+        if cache is not None \
+                and outcome.spec.to_dict() == specs[idx].to_dict():
+            checkpoint(cache, plan.fingerprints[idx], outcome)
+
+    def _record_unit(self, specs, plan: GridPlan, unit: Sequence[int],
+                     outcomes, cache: Optional[ResultCache],
+                     attempts: Optional[int] = None) -> None:
+        """:meth:`_record` each cell of a unit as its outcome arrives."""
+        for idx, outcome in zip(unit, outcomes):
+            if attempts is not None:
+                outcome.attempts = attempts
+            self._record(specs, plan, idx, outcome, cache)
+
+    def _fail_unit(self, specs, plan: GridPlan, unit: Sequence[int],
+                   cache: Optional[ResultCache], status: str, error: str,
+                   attempts: int = 1) -> None:
+        """Record one ``status`` outcome per cell of a failed unit."""
+        self._record_unit(specs, plan, unit, [
+            ScenarioOutcome(spec=specs[idx],
+                            fingerprint=plan.fingerprints[idx],
+                            status=status, attempts=attempts, error=error)
+            for idx in unit], cache)
 
     # -- execution strategies -------------------------------------------
 
@@ -938,46 +929,78 @@ class SweepEngine:
                     f"{len(unit)} scenarios")
             return [ScenarioOutcome.from_dict(p) for p in payloads]
         except Exception as exc:
-            message = "".join(traceback.format_exception_only(
-                type(exc), exc)).strip()
+            message = _exception_text(exc)
             return [ScenarioOutcome(
                 spec=specs[idx], fingerprint=fingerprints[idx],
                 status=ERROR, error=message) for idx in unit]
 
-    def _run_serial(self, specs, fingerprints, units, outcomes,
-                    cache) -> None:
+    def _run_serial(self, specs, plan: GridPlan, units,
+                    cache: Optional[ResultCache]) -> None:
         for unit in units:
+            payload = self._unit_payload(unit, specs, plan.fingerprints)
             try:
-                payloads = self._execute_unit(unit, specs, fingerprints)
-                parsed = self._parse_unit_payloads(
-                    unit, payloads, specs, fingerprints)
+                if self._task is _group_worker_entry:
+                    # In-process: each cell is checkpointed the moment it
+                    # finishes, so an interrupt (KeyboardInterrupt
+                    # deliberately propagates) loses only the cell in
+                    # flight and the sweep resumes from the cache.
+                    outcomes = iter_scenario_group(*_unit_args(payload))
+                else:
+                    outcomes = self._parse_unit_payloads(
+                        unit, self._task(payload), specs,
+                        plan.fingerprints)
+                self._record_unit(specs, plan, unit, outcomes, cache)
             except GroupInterrupted as exc:
-                # Checkpoint what the interrupted warm unit completed,
-                # then propagate as the interrupt it is: the sweep stays
-                # resumable at per-cell granularity.
-                for idx, outcome in zip(unit, exc.outcomes):
-                    self._record(idx, outcome, specs[idx], fingerprints,
-                                 outcomes, cache)
+                # Checkpoint what the interrupted unit completed, then
+                # propagate as the interrupt it is.
+                self._record_unit(specs, plan, unit, exc.outcomes, cache)
                 raise KeyboardInterrupt from None
             except Exception as exc:
-                # KeyboardInterrupt deliberately propagates: completed
-                # outcomes are already checkpointed, so an interrupted
-                # sweep resumes from the cache.
-                message = "".join(traceback.format_exception_only(
-                    type(exc), exc)).strip()
-                parsed = [ScenarioOutcome(
-                    spec=specs[idx], fingerprint=fingerprints[idx],
-                    status=ERROR, error=message) for idx in unit]
-            for idx, outcome in zip(unit, parsed):
-                self._record(idx, outcome, specs[idx], fingerprints,
-                             outcomes, cache)
+                self._fail_unit(
+                    specs, plan,
+                    [idx for idx in unit if plan.outcomes[idx] is None],
+                    cache, ERROR, _exception_text(exc))
 
-    def _run_parallel(self, specs, fingerprints, units, outcomes,
-                      cache) -> bool:
+    def _settle(self, specs, plan: GridPlan, unit: Sequence[int], future,
+                attempts: int, cache: Optional[ResultCache]
+                ) -> Optional[BaseException]:
+        """Wait for a unit's future and record what it came to.
+
+        A result, a raising call (``error``) and a pool-level timeout
+        (``timeout``) are recorded here; an interrupted unit's salvaged
+        outcomes are recorded before re-raising ``KeyboardInterrupt``.
+        Returns the timeout or pool-breakage exception — the caller's
+        cue to migrate, retry or convict — and None otherwise.
+        """
+        try:
+            payloads = future.result(timeout=self._pool_wait(len(unit)))
+        except GroupInterrupted as exc:
+            # A signal reached the worker (e.g. Ctrl-C to the process
+            # group): checkpoint what the unit completed.
+            self._record_unit(specs, plan, unit, exc.outcomes, cache)
+            raise KeyboardInterrupt from None
+        except FuturesTimeoutError as exc:
+            future.cancel()
+            self._fail_unit(specs, plan, unit, cache, TIMEOUT,
+                            f"exceeded {self.config.task_timeout}s task "
+                            f"budget", attempts)
+            return exc
+        except BrokenExecutor as exc:
+            return exc
+        except Exception as exc:  # pickling and kin
+            self._fail_unit(specs, plan, unit, cache, ERROR,
+                            _exception_text(exc), attempts)
+            return None
+        self._record_unit(specs, plan, unit, self._parse_unit_payloads(
+            unit, payloads, specs, plan.fingerprints), cache, attempts)
+        return None
+
+    def _run_parallel(self, specs, plan: GridPlan,
+                      cache: Optional[ResultCache]) -> bool:
         """Returns False when it had to degrade to serial execution."""
         config = self.config
-        attempts = {tuple(unit): 0 for unit in units}
-        to_run = [list(unit) for unit in units]
+        attempts = {tuple(unit): 0 for unit in plan.units}
+        to_run = [list(unit) for unit in plan.units]
         while to_run:
             try:
                 pool = ProcessPoolExecutor(
@@ -985,8 +1008,7 @@ class SweepEngine:
             except (OSError, ValueError, ImportError):
                 # No usable multiprocessing primitives here (sandboxes,
                 # missing /dev/shm, ...): degrade to serial.
-                self._run_serial(specs, fingerprints, to_run, outcomes,
-                                 cache)
+                self._run_serial(specs, plan, to_run, cache)
                 return False
             next_round: List[List[int]] = []
             suspects: List[Tuple[List[int], BaseException]] = []
@@ -995,15 +1017,8 @@ class SweepEngine:
                 for unit in to_run:
                     key = tuple(unit)
                     attempts[key] += 1
-                    if len(unit) == 1:
-                        idx = unit[0]
-                        futures[key] = pool.submit(
-                            self._task, self._task_payload(
-                                specs[idx], fingerprints[idx]))
-                    else:
-                        futures[key] = pool.submit(
-                            _group_worker_entry, self._group_payload(
-                                unit, specs, fingerprints))
+                    futures[key] = pool.submit(self._task, self._unit_payload(
+                        unit, specs, plan.fingerprints))
                 # Waiting in submission order gives every unit up to
                 # the pool wait of dedicated time on top of whatever
                 # overlap it had with earlier waits — an approximate but
@@ -1026,30 +1041,11 @@ class SweepEngine:
                         attempts[key] -= 1
                         next_round.append(unit)
                         continue
-                    try:
-                        payload = future.result(
-                            timeout=self._pool_wait(len(unit)))
-                    except GroupInterrupted as exc:
-                        # A signal reached the worker (e.g. Ctrl-C to
-                        # the process group): checkpoint what the unit
-                        # completed and surface the interrupt.
-                        for idx, outcome in zip(unit, exc.outcomes):
-                            self._record(idx, outcome, specs[idx],
-                                         fingerprints, outcomes, cache)
-                        raise KeyboardInterrupt from None
-                    except FuturesTimeoutError:
+                    failure = self._settle(specs, plan, unit, future,
+                                           attempts[key], cache)
+                    if isinstance(failure, FuturesTimeoutError):
                         timed_out = True
-                        future.cancel()
-                        for idx in unit:
-                            self._record(idx, ScenarioOutcome(
-                                spec=specs[idx],
-                                fingerprint=fingerprints[idx],
-                                status=TIMEOUT, attempts=attempts[key],
-                                error=f"exceeded {config.task_timeout}s "
-                                      f"task budget"),
-                                specs[idx], fingerprints, outcomes,
-                                cache)
-                    except BrokenExecutor as exc:
+                    elif failure is not None:
                         if attempts[key] <= config.retries:
                             next_round.append(unit)
                         else:
@@ -1059,38 +1055,18 @@ class SweepEngine:
                             # collateral without ever crashing itself.
                             # Decide with one isolated dispatch below
                             # (own pool: breakage is unambiguous).
-                            suspects.append((unit, exc))
-                    except Exception as exc:  # pickling and kin
-                        message = "".join(
-                            traceback.format_exception_only(
-                                type(exc), exc)).strip()
-                        for idx in unit:
-                            self._record(idx, ScenarioOutcome(
-                                spec=specs[idx],
-                                fingerprint=fingerprints[idx],
-                                status=ERROR, attempts=attempts[key],
-                                error=message),
-                                specs[idx], fingerprints, outcomes,
-                                cache)
-                    else:
-                        payloads = [payload] if len(unit) == 1 \
-                            else payload
-                        parsed = self._parse_unit_payloads(
-                            unit, payloads, specs, fingerprints)
-                        for idx, outcome in zip(unit, parsed):
-                            outcome.attempts = attempts[key]
-                            self._record(idx, outcome, specs[idx],
-                                         fingerprints, outcomes, cache)
+                            suspects.append((unit, failure))
             finally:
                 pool.shutdown(wait=False, cancel_futures=True)
             for unit, exc in suspects:
-                self._isolated_attempt(unit, exc, attempts, specs,
-                                       fingerprints, outcomes, cache)
+                self._isolated_attempt(specs, plan, unit, exc,
+                                       attempts[tuple(unit)], cache)
             to_run = next_round
         return True
 
-    def _isolated_attempt(self, unit, exc, attempts, specs,
-                          fingerprints, outcomes, cache) -> None:
+    def _isolated_attempt(self, specs, plan: GridPlan, unit, exc,
+                          attempts: int,
+                          cache: Optional[ResultCache]) -> None:
         """Last-chance dispatch for a unit whose pool broke with its
         retry budget already spent.
 
@@ -1100,69 +1076,21 @@ class SweepEngine:
         single-worker pool makes breakage unambiguous: success clears
         the unit, a second breakage convicts it as ``crashed``.
         """
-        key = tuple(unit)
-
-        def convict(error: str) -> None:
-            for idx in unit:
-                self._record(idx, ScenarioOutcome(
-                    spec=specs[idx], fingerprint=fingerprints[idx],
-                    status=CRASHED, attempts=attempts[key],
-                    error=error or "worker process died"),
-                    specs[idx], fingerprints, outcomes, cache)
-
         try:
             pool = ProcessPoolExecutor(max_workers=1)
         except (OSError, ValueError, ImportError):
             # No pool, no safe way to re-run a suspected crasher
             # in-process: keep the conviction.
-            convict(str(exc))
-            return
-        try:
-            if len(unit) == 1:
-                idx = unit[0]
-                future = pool.submit(self._task, self._task_payload(
-                    specs[idx], fingerprints[idx]))
-            else:
-                future = pool.submit(
-                    _group_worker_entry,
-                    self._group_payload(unit, specs, fingerprints))
+            failure: Optional[BaseException] = exc
+        else:
             try:
-                payload = future.result(
-                    timeout=self._pool_wait(len(unit)))
-            except GroupInterrupted as interrupted:
-                for idx, outcome in zip(unit, interrupted.outcomes):
-                    self._record(idx, outcome, specs[idx],
-                                 fingerprints, outcomes, cache)
-                raise KeyboardInterrupt from None
-            except FuturesTimeoutError:
-                future.cancel()
-                for idx in unit:
-                    self._record(idx, ScenarioOutcome(
-                        spec=specs[idx],
-                        fingerprint=fingerprints[idx],
-                        status=TIMEOUT, attempts=attempts[key],
-                        error=f"exceeded {self.config.task_timeout}s "
-                              f"task budget"),
-                        specs[idx], fingerprints, outcomes, cache)
-            except BrokenExecutor as broken:
-                convict(str(broken))
-            except Exception as error:  # pickling and kin
-                message = "".join(traceback.format_exception_only(
-                    type(error), error)).strip()
-                for idx in unit:
-                    self._record(idx, ScenarioOutcome(
-                        spec=specs[idx],
-                        fingerprint=fingerprints[idx],
-                        status=ERROR, attempts=attempts[key],
-                        error=message),
-                        specs[idx], fingerprints, outcomes, cache)
-            else:
-                payloads = [payload] if len(unit) == 1 else payload
-                parsed = self._parse_unit_payloads(
-                    unit, payloads, specs, fingerprints)
-                for idx, outcome in zip(unit, parsed):
-                    outcome.attempts = attempts[key]
-                    self._record(idx, outcome, specs[idx],
-                                 fingerprints, outcomes, cache)
-        finally:
-            pool.shutdown(wait=False, cancel_futures=True)
+                future = pool.submit(self._task, self._unit_payload(
+                    unit, specs, plan.fingerprints))
+                failure = self._settle(specs, plan, unit, future,
+                                       attempts, cache)
+            finally:
+                pool.shutdown(wait=False, cancel_futures=True)
+        if isinstance(failure, BrokenExecutor):
+            self._fail_unit(specs, plan, unit, cache, CRASHED,
+                            str(failure) or "worker process died",
+                            attempts)

@@ -92,6 +92,18 @@ class ScenarioOutcome:
             return self.status
         return "sat" if self.satisfiable else "unsat"
 
+    @property
+    def cacheable(self) -> bool:
+        """The result-cache admission rule.
+
+        Definitive ``ok`` outcomes, preflight rejections and numeric
+        refusals are deterministic for a fingerprint (the numerics
+        policy is part of it); budget-dependent (``unknown``/``timeout``)
+        and transient failures must recompute next run.
+        """
+        return self.status == OK or self.status in REJECTED_STATUSES \
+            or self.status == NUMERICAL_UNSTABLE
+
     def diagnostics_report(self) -> Optional[ValidationReport]:
         """The findings as a :class:`ValidationReport` (None if absent)."""
         if self.diagnostics is None:

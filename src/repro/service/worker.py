@@ -27,22 +27,19 @@ from __future__ import annotations
 
 import os
 import time
-import traceback
 from collections import OrderedDict
 from typing import Any, Dict, Optional, Tuple
 
-from repro.exceptions import InputFormatError
 from repro.runner.cache import ResultCache
 from repro.runner.engine import (
-    _rejected_outcome,
     build_analyzer,
+    checkpoint,
     execute_with_analyzer,
-    parse_failure_report,
-    verify_cached_outcome,
+    outcome_from_exception,
+    plan_grid,
 )
 from repro.runner.spec import ScenarioSpec
-from repro.runner.trace import ERROR, NUMERICAL_UNSTABLE, OK, \
-    REJECTED_STATUSES, ScenarioOutcome
+from repro.runner.trace import ERROR, ScenarioOutcome
 from repro.smt.budget import SolverBudget
 from repro.smt.certificates import self_check_default
 from repro.testing.faults import ServiceFaultPlan
@@ -175,53 +172,36 @@ class ServiceWorker:
         if plan is not None:
             plan.apply_worker_fault(spec.label)
 
-        outcome = ScenarioOutcome(spec=spec, fingerprint="",
-                                  worker_pid=os.getpid())
         budget = self._budget(message)
         self_check = message.get("self_check", self._self_check_default)
-        certify = self_check_default(self_check)
+        if budget is not None:
+            budget.start()   # covers fingerprint + case build too
+        cache = self._cache if message.get("use_cache", True) else None
+        if plan is not None:
+            cache = plan.wrap_cache(spec.label, cache)
+        grid = plan_grid([spec], cache, self_check_default(self_check))
+        resolved = grid.outcomes[0]
+        if resolved is not None:
+            if resolved.cache_hit:
+                self.cache_hits += 1
+            else:
+                # Rejected or failed while fingerprinting: nothing to run.
+                resolved.worker_pid = os.getpid()
+                resolved.task_seconds = time.perf_counter() - started
+            return resolved
+        if cache is not None:
+            self.cache_misses += 1
+        fingerprint = grid.fingerprints[0]
+        outcome = ScenarioOutcome(spec=spec, fingerprint=fingerprint,
+                                  worker_pid=os.getpid())
         try:
-            if budget is not None:
-                budget.start()   # covers fingerprint + case build too
-            try:
-                fingerprint = spec.fingerprint()
-            except InputFormatError as exc:
-                rejected = _rejected_outcome(
-                    spec, "", parse_failure_report(spec.case, exc))
-                rejected.worker_pid = os.getpid()
-                rejected.task_seconds = time.perf_counter() - started
-                return rejected
-            outcome.fingerprint = fingerprint
-
-            cache = self._cache if message.get("use_cache", True) \
-                else None
-            if plan is not None:
-                cache = plan.wrap_cache(spec.label, cache)
-            if cache is not None:
-                hit = cache.get(fingerprint)
-                if hit is not None:
-                    try:
-                        served = ScenarioOutcome.from_dict(hit)
-                        verify_cached_outcome(served, spec,
-                                              require_certified=certify)
-                        served.cache_hit = True
-                        self.cache_hits += 1
-                        return served
-                    except ValueError:
-                        pass    # stale/corrupt: recompute + overwrite
-                self.cache_misses += 1
-
             case = spec.resolve_case()
             kind = spec.resolved_analyzer(case)
             group = spec.encoding_group()
             analyzer, kind = self.pool.acquire(
                 group, case, kind, backend=spec.resolved_backend(case))
         except Exception as exc:
-            outcome.status = ERROR
-            outcome.error = "".join(traceback.format_exception_only(
-                type(exc), exc)).strip()
-            outcome.task_seconds = time.perf_counter() - started
-            return outcome
+            return outcome_from_exception(outcome, exc, started)
 
         finished = execute_with_analyzer(
             spec, fingerprint, analyzer, kind, budget, self_check,
@@ -230,14 +210,9 @@ class ServiceWorker:
             # The warm solver may be mid-scope after an arbitrary
             # failure: evict so the next request re-encodes cleanly.
             self.pool.invalidate(group)
-        cacheable = finished.status == OK \
-            or finished.status in REJECTED_STATUSES \
-            or finished.status == NUMERICAL_UNSTABLE
-        if cache is not None and cacheable:
-            error = cache.try_put(fingerprint, finished.to_dict())
-            if error is not None:
-                finished.cache_write_error = error
-                self.cache_write_errors += 1
+        checkpoint(cache, fingerprint, finished)
+        if finished.cache_write_error is not None:
+            self.cache_write_errors += 1
         return finished
 
 

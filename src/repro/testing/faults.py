@@ -40,7 +40,7 @@ import random
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterable, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.runner.cache import ResultCache
 
@@ -199,8 +199,14 @@ class FaultPlan:
         return functools.partial(faulty_worker, self)
 
 
-def apply_fault(fault: Fault, payload: Dict[str, Any]) -> None:
-    """Mutate *payload* / the process according to *fault*."""
+def apply_fault(fault: Fault, payload: Dict[str, Any],
+                position: int = 0) -> None:
+    """Mutate the unit *payload* (its cell at *position*) or the
+    process according to *fault*.
+
+    ``EXHAUST_BUDGET`` replaces the budget of the whole unit; the engine
+    hands injected tasks one-cell units, so that is the faulted cell's.
+    """
     if fault.kind == CRASH_WORKER:
         # A hard death (no exception, no cleanup) — what an OOM kill or a
         # native-library segfault looks like to the pool.
@@ -208,25 +214,27 @@ def apply_fault(fault: Fault, payload: Dict[str, Any]) -> None:
     elif fault.kind == HANG_WORKER:
         time.sleep(fault.sleep_seconds)
     elif fault.kind == RAISE_ERROR:
-        raise InjectedFault(
-            f"injected failure for {payload['spec'].get('label', '?')}")
+        label = payload["specs"][position].get("label", "?")
+        raise InjectedFault(f"injected failure for {label}")
     elif fault.kind == CORRUPT_CASE:
-        payload["spec"] = dict(payload["spec"])
-        payload["spec"]["case_text"] = _GARBAGE_CASE
+        specs = list(payload["specs"])
+        specs[position] = dict(specs[position], case_text=_GARBAGE_CASE)
+        payload["specs"] = specs
     elif fault.kind == EXHAUST_BUDGET:
         payload["budget"] = dict(_EXHAUSTED_BUDGET)
 
 
 def faulty_worker(plan: FaultPlan,
-                  payload: Dict[str, Any]) -> Dict[str, Any]:
+                  payload: Dict[str, Any]) -> List[Dict[str, Any]]:
     """Module-level (picklable) worker: maybe fault, then run for real."""
-    from repro.runner.engine import _worker_entry
-    label = payload["spec"].get("label", "")
-    attempt = plan.record_attempt(label)
-    fault = plan.fault_for(label)
-    if fault is not None and attempt <= fault.times:
-        apply_fault(fault, payload)
-    return _worker_entry(payload)
+    from repro.runner.engine import _group_worker_entry
+    for position, spec in enumerate(payload["specs"]):
+        label = spec.get("label", "")
+        attempt = plan.record_attempt(label)
+        fault = plan.fault_for(label)
+        if fault is not None and attempt <= fault.times:
+            apply_fault(fault, payload, position)
+    return _group_worker_entry(payload)
 
 
 @dataclass(frozen=True)
@@ -433,23 +441,23 @@ class FabricFaultPlan(ServiceFaultPlan):
 
 
 def interrupting_worker(state_dir: str, limit: int,
-                        payload: Dict[str, Any]) -> Dict[str, Any]:
+                        payload: Dict[str, Any]) -> List[Dict[str, Any]]:
     """Serial-mode worker that raises KeyboardInterrupt after *limit*
-    completed tasks (simulating a user hitting Ctrl-C mid-sweep)."""
-    from repro.runner.engine import _worker_entry
+    completed units (simulating a user hitting Ctrl-C mid-sweep)."""
+    from repro.runner.engine import _group_worker_entry
     marker = Path(state_dir) / "interrupt.count"
     marker.parent.mkdir(parents=True, exist_ok=True)
     done = marker.stat().st_size if marker.exists() else 0
     if done >= limit:
         raise KeyboardInterrupt
-    result = _worker_entry(payload)
+    result = _group_worker_entry(payload)
     with open(marker, "a") as handle:
         handle.write(".")
     return result
 
 
 def interrupt_after(state_dir, limit: int):
-    """A picklable task that completes *limit* scenarios then interrupts."""
+    """A picklable task that completes *limit* units then interrupts."""
     return functools.partial(interrupting_worker, str(state_dir), limit)
 
 

@@ -66,7 +66,7 @@ class TestFaultPlan:
 
 class TestApplyFault:
     def test_exhaust_budget_overrides_payload_budget(self):
-        payload = {"spec": {"label": "x"}, "fingerprint": "fp",
+        payload = {"specs": [{"label": "x"}], "fingerprints": ["fp"],
                    "budget": {"wall_seconds": 60.0}}
         apply_fault(Fault(EXHAUST_BUDGET), payload)
         assert payload["budget"]["wall_seconds"] == 0.0
@@ -74,20 +74,20 @@ class TestApplyFault:
 
     def test_corrupt_case_replaces_case_text(self):
         spec = {"label": "x", "case_text": "good"}
-        payload = {"spec": spec, "fingerprint": "fp"}
+        payload = {"specs": [spec], "fingerprints": ["fp"]}
         apply_fault(Fault(CORRUPT_CASE), payload)
-        assert "not a case file" in payload["spec"]["case_text"]
+        assert "not a case file" in payload["specs"][0]["case_text"]
         assert spec["case_text"] == "good"   # original spec untouched
 
     def test_raise_error_is_distinguishable(self):
         with pytest.raises(InjectedFault):
-            apply_fault(Fault(RAISE_ERROR), {"spec": {"label": "x"}})
+            apply_fault(Fault(RAISE_ERROR), {"specs": [{"label": "x"}]})
 
     def test_hang_sleeps_for_configured_time(self):
         import time
         started = time.perf_counter()
         apply_fault(Fault(HANG_WORKER, sleep_seconds=0.05),
-                    {"spec": {"label": "x"}})
+                    {"specs": [{"label": "x"}]})
         assert time.perf_counter() - started >= 0.05
 
 

@@ -239,12 +239,18 @@ def test_sweep_sigterm_checkpoints_and_exits_resumable(tmp_path):
                             env=subprocess_env(),
                             stdout=subprocess.PIPE,
                             stderr=subprocess.PIPE, text=True)
-    # The start banner prints after the SIGTERM handler is installed:
-    # reading it removes the startup race, then the signal lands a few
-    # cells into the ~4s sweep.
+    # The start banner prints after the SIGTERM handler is installed,
+    # and the handler stays until the command returns; waiting for the
+    # first checkpoint file means the signal lands with at least one
+    # cell saved, whether the rest of the ~4s sweep is running or done.
     banner = proc.stdout.readline()
     assert "scenario(s) queued" in banner, banner
-    time.sleep(1.0)
+    results = Path(cache_dir) / "results"
+    deadline = time.monotonic() + 60
+    while not any(results.rglob("*.json")):
+        assert proc.poll() is None, proc.communicate()
+        assert time.monotonic() < deadline, "no checkpoint within 60s"
+        time.sleep(0.02)
     proc.send_signal(signal.SIGTERM)
     stdout, stderr = proc.communicate(timeout=120)
     assert proc.returncode == 5, (proc.returncode, stdout, stderr)

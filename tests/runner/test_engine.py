@@ -33,20 +33,24 @@ def _engine(tmp_path, **overrides):
 
 
 # -- injectable worker tasks (module level: picklable) ------------------
+#
+# Each takes a unit payload ({"specs", "fingerprints", ...}; the engine
+# hands injected tasks one-cell units) and returns one outcome payload
+# per cell.
 
 def _stub_outcome(payload, **fields):
-    spec = ScenarioSpec.from_dict(payload["spec"])
-    outcome = ScenarioOutcome(spec=spec,
-                              fingerprint=payload["fingerprint"],
-                              satisfiable=True, worker_pid=os.getpid(),
-                              **fields)
-    return outcome.to_dict()
+    """One satisfiable outcome payload per cell of a unit payload."""
+    return [ScenarioOutcome(spec=ScenarioSpec.from_dict(spec),
+                            fingerprint=fingerprint, satisfiable=True,
+                            worker_pid=os.getpid(), **fields).to_dict()
+            for spec, fingerprint in zip(payload["specs"],
+                                         payload["fingerprints"])]
 
 
 def _crash_once(payload):
     """Kill the worker on the first attempt per scenario, then succeed."""
     marker = Path(os.environ["REPRO_TEST_MARKER_DIR"]) \
-        / payload["fingerprint"]
+        / payload["fingerprints"][0]
     if not marker.exists():
         marker.write_text("seen")
         os._exit(1)
@@ -59,7 +63,7 @@ def _always_crash(payload):
 
 def _study2_crashes(payload):
     """Crash 5bus-study2's worker; the other unit is slow but fine."""
-    if payload["spec"]["case"].endswith("study2"):
+    if payload["specs"][0]["case"].endswith("study2"):
         os._exit(1)
     time.sleep(1.0)
     return _stub_outcome(payload)
@@ -72,7 +76,7 @@ def _sleep_forever(payload):
 
 def _hang_if_labelled(payload):
     """Hang long (3s) only for specs whose label starts with 'hang'."""
-    if payload["spec"]["label"].startswith("hang"):
+    if payload["specs"][0]["label"].startswith("hang"):
         time.sleep(3.0)
     return _stub_outcome(payload)
 

@@ -3,15 +3,15 @@
 A Fig. 4-style threshold sweep re-analyzes one case at many targets; the
 engine must batch those scenarios onto a warm analyzer so the attack
 encoding is built exactly once per worker, while scenarios with
-different encodings (other cases, state infection, injected test tasks)
-keep the legacy one-scenario-per-task path.
+different encodings (other cases, state infection) and injected test
+tasks run as one-cell units of the same protocol.
 """
 
 from repro.grid.caseio import write_case
 from repro.grid.cases import get_case
 from repro.runner import ScenarioSpec, SweepConfig, SweepEngine
 from repro.runner.engine import (
-    _worker_entry,
+    _group_worker_entry,
     execute_scenario,
     execute_scenario_group,
 )
@@ -64,7 +64,7 @@ class TestUnitPlanning:
         assert units == [[i] for i in range(len(TARGETS))]
 
     def test_default_task_is_groupable(self):
-        assert SweepEngine(SweepConfig())._task is _worker_entry
+        assert SweepEngine(SweepConfig())._task is _group_worker_entry
 
 
 class TestWarmSweep:
