@@ -1,8 +1,9 @@
 """CDCL SAT solver with a DPLL(T) theory hook.
 
 A conventional conflict-driven clause-learning solver: two-watched-literal
-propagation, first-UIP conflict analysis, VSIDS branching with phase saving,
-Luby restarts, and assumption-based incremental solving (a la MiniSat).
+propagation, first-UIP conflict analysis, VSIDS branching from a lazy
+activity heap with phase saving, Luby restarts, and assumption-based
+incremental solving (a la MiniSat).
 
 Theory integration follows the lazy DPLL(T) recipe: the solver notifies an
 attached :class:`TheoryListener` of every assignment/unassignment of a
@@ -15,8 +16,9 @@ solver learns the corresponding clause and resumes.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.exceptions import SolverError
 from repro.smt.budget import SolverBudget
@@ -98,6 +100,11 @@ class SatSolver:
         self.reasons: List[Optional[_Clause]] = [None]
         self.saved_phase: List[int] = [FALSE]
         self.activity: List[float] = [0.0]
+        # VSIDS order: a lazy heap of (-activity, var).  Every unassigned
+        # var has an entry holding its current activity; entries of
+        # assigned vars or of outdated activities are dropped when they
+        # reach the top.
+        self._order: List[Tuple[float, int]] = []
         self.trail: List[int] = []
         self.trail_lim: List[int] = []
         self.qhead = 0
@@ -120,7 +127,6 @@ class SatSolver:
         #: allocation-free.
         self.proof: Optional[ProofLog] = None
         self.stats = SatStats()
-        self._order_dirty: List[int] = []
 
     # ------------------------------------------------------------------
     # Variable / clause management
@@ -134,6 +140,7 @@ class SatSolver:
         self.reasons.append(None)
         self.saved_phase.append(FALSE)
         self.activity.append(0.0)
+        heapq.heappush(self._order, (0.0, var))
         self.watches[var] = []
         self.watches[-var] = []
         return var
@@ -211,6 +218,7 @@ class SatSolver:
         if self.decision_level <= level:
             return
         limit = self.trail_lim[level]
+        order, activity = self._order, self.activity
         for i in range(len(self.trail) - 1, limit - 1, -1):
             lit = self.trail[i]
             var = abs(lit)
@@ -220,10 +228,15 @@ class SatSolver:
             self.values[var] = UNASSIGNED
             self.reasons[var] = None
             self.levels[var] = -1
+            heapq.heappush(order, (-activity[var], var))
         del self.trail[limit:]
         del self.trail_lim[level:]
         self.qhead = min(self.qhead, len(self.trail))
         self.theory_qhead = min(self.theory_qhead, len(self.trail))
+        if len(order) > 2 * self.num_vars:
+            # Entries outnumber the variables twice over: drop the dead
+            # ones (amortized over the pushes that created them).
+            self._rebuild_order()
 
     # ------------------------------------------------------------------
     # Propagation
@@ -371,11 +384,15 @@ class SatSolver:
         return learnt, back_level
 
     def _bump_var(self, var: int) -> None:
-        self.activity[var] += self.var_inc
-        if self.activity[var] > 1e100:
+        activity = self.activity[var] + self.var_inc
+        self.activity[var] = activity
+        if activity > 1e100:
             for v in range(1, self.num_vars + 1):
                 self.activity[v] *= 1e-100
             self.var_inc *= 1e-100
+            self._rebuild_order()
+        elif self.values[var] == UNASSIGNED:
+            heapq.heappush(self._order, (-activity, var))
 
     def _bump_clause(self, clause: _Clause) -> None:
         clause.activity += self.cla_inc
@@ -414,14 +431,28 @@ class SatSolver:
     # Branching
     # ------------------------------------------------------------------
 
+    def _rebuild_order(self) -> None:
+        """One live heap entry per unassigned variable, nothing else."""
+        activity, values = self.activity, self.values
+        self._order = [(-activity[v], v) for v in range(1, self.num_vars + 1)
+                       if values[v] == UNASSIGNED]
+        heapq.heapify(self._order)
+
     def _pick_branch_var(self) -> int:
-        best = 0
-        best_act = -1.0
-        for var in range(1, self.num_vars + 1):
-            if self.values[var] == UNASSIGNED and self.activity[var] > best_act:
-                best = var
-                best_act = self.activity[var]
-        return best
+        """The unassigned variable of highest activity, the smallest index
+        on ties; 0 when every variable is assigned.
+
+        Peeks at the first live entry and never pops it: a budget may
+        abort the decision right after this pick, and the variable must
+        still be in the order when the search resumes.
+        """
+        order, values, activity = self._order, self.values, self.activity
+        while order:
+            negated, var = order[0]
+            if values[var] == UNASSIGNED and -negated == activity[var]:
+                return var
+            heapq.heappop(order)
+        return 0
 
     # ------------------------------------------------------------------
     # Main search

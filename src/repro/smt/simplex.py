@@ -7,6 +7,19 @@ the SAT search.  Strict bounds are represented with
 :class:`~repro.smt.rational.DeltaRational` infinitesimals, so all reasoning
 is exact.
 
+Tableau rows are integer-scaled: ``rows[b]`` maps each nonbasic variable
+to an integer numerator and ``den[b]`` is the row's positive common
+denominator, so ``b = sum(num * x for x, num in rows[b].items()) / den[b]``
+with ``gcd(den[b], *rows[b].values()) == 1``.  Pivoting substitutes in
+integers; :class:`~fractions.Fraction` coefficients appear only where a row
+meets an assignment, a bound or a Farkas witness.
+
+Bound violations are tracked rather than rescanned: ``_touched`` holds
+every basic variable whose value or bounds changed since it was last seen
+inside its bounds, a superset of the violated ones.  ``check`` scans it in
+index order, so Bland's smallest-index choice is the one a scan of the
+whole tableau would make.
+
 Key operations:
 
 ``assert_upper`` / ``assert_lower``
@@ -27,6 +40,7 @@ Key operations:
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.exceptions import SolverError, UnboundedError
@@ -41,8 +55,10 @@ class Simplex:
 
     def __init__(self) -> None:
         self.num_vars = 0
-        # Tableau: basic var -> {nonbasic var -> coefficient}.
-        self.rows: Dict[int, Dict[int, Fraction]] = {}
+        # Tableau: basic var -> {nonbasic var -> integer numerator}, over
+        # the row's common denominator den[basic] > 0.
+        self.rows: Dict[int, Dict[int, int]] = {}
+        self.den: Dict[int, int] = {}
         # nonbasic var -> set of basic vars whose row mentions it.
         self.cols: Dict[int, Set[int]] = {}
         self.assign: List[DeltaRational] = []
@@ -50,6 +66,9 @@ class Simplex:
         self.upper: List[Optional[DeltaRational]] = []
         self.lower_lit: List[int] = []
         self.upper_lit: List[int] = []
+        # Basic vars that may violate a bound (plus stale entries that
+        # check() drops): every violated basic var is in here.
+        self._touched: Set[int] = set()
         # Undo log: one entry per assert_* call.
         self._log: List[Tuple] = []
         self.needs_check = False
@@ -94,12 +113,17 @@ class Simplex:
             if coeff == 0:
                 continue
             if var in self.rows:
-                for inner, inner_coeff in self.rows[var].items():
-                    row[inner] = row.get(inner, Fraction(0)) + coeff * inner_coeff
+                den = self.den[var]
+                for inner, num in self.rows[var].items():
+                    row[inner] = row.get(inner, Fraction(0)) \
+                        + coeff * Fraction(num, den)
             else:
                 row[var] = row.get(var, Fraction(0)) + coeff
         row = {v: c for v, c in row.items() if c != 0}
-        self.rows[s] = row
+        den = lcm(*(c.denominator for c in row.values()))
+        self.rows[s] = {v: c.numerator * (den // c.denominator)
+                        for v, c in row.items()}
+        self.den[s] = den
         for var in row:
             self.cols[var].add(s)
         # Initialize the assignment consistently with the row.
@@ -111,6 +135,10 @@ class Simplex:
 
     def is_basic(self, var: int) -> bool:
         return var in self.rows
+
+    def _coeff(self, basic: int, var: int) -> Fraction:
+        """The rational coefficient of *var* in the row of *basic*."""
+        return Fraction(self.rows[basic][var], self.den[basic])
 
     # ------------------------------------------------------------------
     # Incremental bound assertion
@@ -135,7 +163,9 @@ class Simplex:
         self._log.append(("upper", var, current, self.upper_lit[var]))
         self.upper[var] = bound
         self.upper_lit[var] = lit
-        if not self.is_basic(var) and self.assign[var] > bound:
+        if self.is_basic(var):
+            self._touched.add(var)
+        elif self.assign[var] > bound:
             self._update(var, bound)
         self.needs_check = True
         return None
@@ -159,7 +189,9 @@ class Simplex:
         self._log.append(("lower", var, current, self.lower_lit[var]))
         self.lower[var] = bound
         self.lower_lit[var] = lit
-        if not self.is_basic(var) and self.assign[var] < bound:
+        if self.is_basic(var):
+            self._touched.add(var)
+        elif self.assign[var] < bound:
             self._update(var, bound)
         self.needs_check = True
         return None
@@ -191,9 +223,11 @@ class Simplex:
 
     def _update(self, nonbasic: int, value: DeltaRational) -> None:
         delta = value - self.assign[nonbasic]
-        for basic in self.cols[nonbasic]:
-            coeff = self.rows[basic][nonbasic]
-            self.assign[basic] = self.assign[basic] + delta * coeff
+        column = self.cols[nonbasic]
+        for basic in column:
+            self.assign[basic] = self.assign[basic] \
+                + delta * self._coeff(basic, nonbasic)
+        self._touched.update(column)
         self.assign[nonbasic] = value
 
     def _pivot(self, basic: int, nonbasic: int) -> None:
@@ -201,44 +235,78 @@ class Simplex:
         if self.budget is not None:
             self.budget.on_pivot()
         self.pivots += 1
-        row = self.rows.pop(basic)
+        rows, den, cols = self.rows, self.den, self.cols
+        row = rows.pop(basic)
+        d = den.pop(basic)
         a = row.pop(nonbasic)
         for var in row:
-            self.cols[var].discard(basic)
-        self.cols[nonbasic].discard(basic)
-        # nonbasic = (basic - sum(other terms)) / a
-        new_row: Dict[int, Fraction] = {basic: Fraction(1) / a}
-        for var, coeff in row.items():
-            new_row[var] = -coeff / a
-        # Substitute into every other row mentioning `nonbasic`.
-        for other in list(self.cols[nonbasic]):
-            other_row = self.rows[other]
+            cols[var].discard(basic)
+        cols[nonbasic].discard(basic)
+        # nonbasic = (d * basic - sum(other terms)) / a, with the sign
+        # moved onto the numerators so the denominator stays positive
+        # (already in lowest terms: gcd(d, a, *row) == 1).
+        if a > 0:
+            new_row = {basic: d}
+            for var, num in row.items():
+                new_row[var] = -num
+            new_den = a
+        else:
+            new_row = {basic: -d}
+            new_row.update(row)
+            new_den = -a
+        # Substitute into every other row mentioning `nonbasic`, in place:
+        # surviving entries keep their positions, new ones append in
+        # new_row order.
+        column = cols[nonbasic]
+        for other in list(column):
+            other_row = rows[other]
             factor = other_row.pop(nonbasic)
-            self.cols[nonbasic].discard(other)
-            for var, coeff in new_row.items():
-                updated = other_row.get(var, Fraction(0)) + factor * coeff
+            column.discard(other)
+            # other = (o_row + factor * new_row / new_den) / o_den
+            #       = (scale * o_row + factor' * new_row) / (o_den * scale)
+            shared = gcd(factor, new_den)
+            scale = new_den // shared
+            factor //= shared
+            if scale != 1:
+                for var in other_row:
+                    other_row[var] *= scale
+            for var, num in new_row.items():
+                updated = other_row.get(var, 0) + factor * num
                 if updated == 0:
                     if var in other_row:
                         del other_row[var]
-                        self.cols[var].discard(other)
+                        cols[var].discard(other)
                 else:
                     if var not in other_row:
-                        self.cols[var].add(other)
+                        cols[var].add(other)
                     other_row[var] = updated
-        self.rows[nonbasic] = new_row
+            other_den = den[other] * scale
+            common = gcd(other_den, *other_row.values())
+            if common != 1:
+                for var in other_row:
+                    other_row[var] //= common
+                other_den //= common
+            den[other] = other_den
+        rows[nonbasic] = new_row
+        den[nonbasic] = new_den
         for var in new_row:
-            self.cols[var].add(nonbasic)
+            cols[var].add(nonbasic)
+        self._touched.add(nonbasic)
 
     def _pivot_and_update(self, basic: int, nonbasic: int,
                           value: DeltaRational) -> None:
-        a = self.rows[basic][nonbasic]
-        theta = (value - self.assign[basic]) / a
+        theta = (value - self.assign[basic]) / self._coeff(basic, nonbasic)
         self.assign[basic] = value
         self.assign[nonbasic] = self.assign[nonbasic] + theta
-        for other in self.cols[nonbasic]:
+        column = self.cols[nonbasic]
+        for other in column:
             if other != basic:
-                coeff = self.rows[other][nonbasic]
-                self.assign[other] = self.assign[other] + theta * coeff
+                self.assign[other] = self.assign[other] \
+                    + theta * self._coeff(other, nonbasic)
+        self._touched.update(column)
+        # The entering variable becomes basic at a value its own bounds
+        # may not allow; it is not in its own column, so add it here.
+        self._touched.add(nonbasic)
         self._pivot(basic, nonbasic)
 
     # ------------------------------------------------------------------
@@ -249,19 +317,23 @@ class Simplex:
         """Pivot to feasibility; returns a conflict explanation or None."""
         if not self.needs_check:
             return None
+        rows, touched = self.rows, self._touched
+        assign, lower, upper = self.assign, self.lower, self.upper
         while True:
             violated = None
             below = False
-            for var in sorted(self.rows):  # Bland's rule: smallest index
-                value = self.assign[var]
-                lo = self.lower[var]
-                if lo is not None and value < lo:
-                    violated, below = var, True
-                    break
-                hi = self.upper[var]
-                if hi is not None and value > hi:
-                    violated, below = var, False
-                    break
+            for var in sorted(touched):  # Bland's rule: smallest index
+                if var in rows:
+                    value = assign[var]
+                    lo = lower[var]
+                    if lo is not None and value < lo:
+                        violated, below = var, True
+                        break
+                    hi = upper[var]
+                    if hi is not None and value > hi:
+                        violated, below = var, False
+                        break
+                touched.discard(var)
             if violated is None:
                 self.needs_check = False
                 return None
@@ -292,6 +364,7 @@ class Simplex:
             explanation.append(bound_lit)
         if witness is not None:
             witness.append((bound_lit, 1))
+        den = self.den[basic]
         for nonbasic, coeff in row.items():
             if below:
                 lit = self.upper_lit[nonbasic] if coeff > 0 \
@@ -302,7 +375,7 @@ class Simplex:
             if lit != NO_LIT:
                 explanation.append(lit)
             if witness is not None:
-                witness.append((lit, abs(coeff)))
+                witness.append((lit, Fraction(abs(coeff), den)))
         if witness is not None:
             self._set_witness(witness)
         return explanation
@@ -396,38 +469,28 @@ class Simplex:
         # Ties broken toward the smallest variable index (Bland) to avoid
         # cycling on degenerate vertices.
         for basic in sorted(self.cols[entering]):
-            coeff = self.rows[basic][entering]
             # d(basic) = coeff * direction per unit of theta.
-            slope = coeff * direction
-            if slope > 0:
-                bound = self.upper[basic]
-                if bound is None:
-                    continue
-                theta = (bound - self.assign[basic]) / slope
-            else:
-                bound = self.lower[basic]
-                if bound is None:
-                    continue
-                theta = (bound - self.assign[basic]) / slope
+            slope = self._coeff(basic, entering) * direction
+            bound = self.upper[basic] if slope > 0 else self.lower[basic]
+            if bound is None:
+                continue
+            theta = (bound - self.assign[basic]) / slope
             if best_theta is None or theta < best_theta:
                 best_theta = theta
                 limiting = basic
         if best_theta is None:
             raise UnboundedError("objective is unbounded below")
-        if limiting is None:
-            # The entering variable hits its own bound: plain update.
+        if limiting is None or limiting == objective:
+            # The entering variable hits its own bound (or, degenerate,
+            # the objective row limits itself): plain update.
             new_value = self.assign[entering] + best_theta * direction
             self._update(entering, new_value)
         else:
             slope = self.rows[limiting][entering] * direction
-            target = self.upper[limiting] if slope > 0 else self.lower[limiting]
+            target = self.upper[limiting] if slope > 0 \
+                else self.lower[limiting]
             assert target is not None
-            if limiting == objective:
-                # Degenerate: the objective row limits itself; just update.
-                new_value = self.assign[entering] + best_theta * direction
-                self._update(entering, new_value)
-            else:
-                self._pivot_and_update(limiting, entering, target)
+            self._pivot_and_update(limiting, entering, target)
 
     # ------------------------------------------------------------------
     # Model extraction

@@ -1,0 +1,70 @@
+"""Pinned search trajectories of the exact path.
+
+The SAT and simplex kernels may get cheaper, but the search they run must
+not change: these cells make exactly the decisions, conflicts,
+propagations and simplex pivots the solver has always made on them.  A
+kernel change that moves any of these counts changed a branching or
+pivoting choice: that is a change of behaviour, not an optimisation, and
+needs its own review.  Every cell runs certified.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from repro.core.encoding import OpfModelEncoding
+from repro.grid.cases import get_case
+from repro.opf import solve_dc_opf
+from repro.runner import ScenarioSpec
+from repro.runner.engine import execute_scenario
+from repro.smt.certificates import verify_sat
+
+#: (case, target %, state infection, satisfiable,
+#:  (decisions, conflicts, propagations, simplex pivots))
+SCENARIOS = [
+    ("5bus-study1", 3, False, True, (1125, 22, 1780, 58)),
+    ("5bus-study2", 6, True, True, (1955, 42, 4290, 85)),
+    ("5bus-study2", 40, True, False, (9300, 103, 20873, 130)),
+]
+
+#: Fig. 5(a) on ieee14: threshold / optimum -> (propagations, pivots)
+OPF_CHECKS = [
+    (Fraction(101, 100), (96, 57)),
+    (Fraction(3, 2), (96, 56)),
+]
+
+
+@pytest.mark.parametrize(
+    "case, target, states, satisfiable, counts", SCENARIOS,
+    ids=["study1-t3", "study2-states-t6", "study2-states-t40"])
+def test_scenario_search_is_pinned(case, target, states, satisfiable,
+                                   counts):
+    spec = ScenarioSpec.build(case, analyzer="smt", target=target,
+                              with_state_infection=states)
+    outcome = execute_scenario(spec, self_check=True)
+    assert outcome.status == "ok"
+    assert outcome.certified is True
+    assert outcome.satisfiable is satisfiable
+    smt = outcome.trace["smt"]
+    assert (smt["decisions"], smt["conflicts"], smt["propagations"],
+            smt["simplex_pivots"]) == counts
+
+
+@pytest.fixture(scope="module")
+def ieee14_opf():
+    grid = get_case("ieee14").build_grid()
+    loads = {bus: load.existing for bus, load in grid.loads.items()}
+    topology = [line.index for line in grid.lines if line.in_service]
+    optimum = solve_dc_opf(grid, method="highs").require_feasible().cost
+    return grid, topology, loads, optimum
+
+
+@pytest.mark.parametrize("factor, counts", OPF_CHECKS,
+                         ids=["x1.01", "x1.5"])
+def test_opf_model_search_is_pinned(ieee14_opf, factor, counts):
+    grid, topology, loads, optimum = ieee14_opf
+    encoding = OpfModelEncoding(grid, topology, loads, certify=True)
+    assert encoding.check(optimum * factor)
+    verify_sat(encoding.solver)
+    stats = encoding.solver.stats
+    assert (stats.propagations, stats.simplex_pivots) == counts
