@@ -1,10 +1,11 @@
-"""Sparse vs. auto backend on the repository benchmark's fast cells.
+"""Forced sparse vs. the size rule on the repository benchmark's fast cells.
 
 Evidence for deciding whether the dense production backend can go: every
 fast-analyzer cell of the ``perfbench`` workloads (``fast``, ``sweep-2w``
 and the ``ieee30`` cells of ``serve-2c``) runs serially in this process
-twice — once as written (``backend`` unset: ``auto``, which is dense
-below 300 buses) and once with ``backend="sparse"`` — and each outcome is
+twice — once under the size rule (``auto``: dense below
+``SPARSE_AUTO_MIN_BUSES`` = 300 buses) and once with sparse forced by
+lowering that threshold to 0 for this process — and each outcome is
 checked against the committed reference answer with
 ``perfbench.reference.check``.  Prints one JSON object per workload:
 cells checked, cells matching the reference per backend, the differing
@@ -21,10 +22,12 @@ import time
 
 from perfbench import cells as cellmod
 from perfbench import reference
+from repro.numerics import backend as backend_rule
 from repro.runner import ScenarioSpec, execute_scenario
 from repro.runner.trace import deterministic_outcome_view
 
-BACKENDS = (None, "sparse")
+#: run name -> the bus count from which sparse is used.
+THRESHOLDS = {"auto": backend_rule.SPARSE_AUTO_MIN_BUSES, "sparse": 0}
 
 
 def _fast_cells(workload: str, seed: int):
@@ -33,10 +36,11 @@ def _fast_cells(workload: str, seed: int):
             and reference.result_kind(cell) == "fast"]
 
 
-def _run(cells, backend):
+def _run(cells, threshold):
+    backend_rule.SPARSE_AUTO_MIN_BUSES = threshold
     outcomes, started = [], time.perf_counter()
     for cell in cells:
-        spec = ScenarioSpec.build(**dict(cell.spec, backend=backend))
+        spec = ScenarioSpec.build(**cell.spec)
         outcomes.append(execute_scenario(spec, "").to_dict())
     return outcomes, time.perf_counter() - started
 
@@ -46,9 +50,8 @@ def compare(workload: str, seed: int):
     cells = _fast_cells(workload, seed)
     report = {"workload": workload, "seed": seed, "cells": len(cells)}
     runs = {}
-    for backend in BACKENDS:
-        name = backend or "auto"
-        outcomes, seconds = _run(cells, backend)
+    for name, threshold in THRESHOLDS.items():
+        outcomes, seconds = _run(cells, threshold)
         runs[name] = outcomes
         report[f"{name}_seconds"] = round(seconds, 2)
         report[f"{name}_matching"] = sum(

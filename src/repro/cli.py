@@ -106,7 +106,7 @@ def _cmd_analyze(args) -> int:
 
     self_check = True if args.self_check else None
     if args.fast:
-        analyzer = FastImpactAnalyzer(case, backend=args.backend)
+        analyzer = FastImpactAnalyzer(case)
         report = analyzer.analyze(FastQuery(
             target_increase_percent=target,
             with_state_infection=args.with_states,
@@ -186,7 +186,7 @@ def _cmd_maximize(args) -> int:
         attrs = {"with_state_infection": args.with_states,
                  "max_candidates": args.max_candidates}
     else:
-        analyzer = FastImpactAnalyzer(case, backend=args.backend)
+        analyzer = FastImpactAnalyzer(case)
         attrs = {"with_state_infection": args.with_states,
                  "seed": args.seed}
     try:
@@ -382,8 +382,7 @@ def _grid_specs(args) -> List:
                         max_candidates=args.max_candidates,
                         state_samples=args.state_samples,
                         sample_seed=args.seed,
-                        search=args.search, tolerance=tolerance,
-                        backend=getattr(args, "backend", None)))
+                        search=args.search, tolerance=tolerance))
                 except (ValueError, ZeroDivisionError):
                     raise SystemExit(
                         f"--targets: {target!r} is not a number or "
@@ -758,11 +757,6 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--fast", action="store_true",
                          help="use the LODF/LCDF fast analyzer "
                               "(single-line attacks; 30+ bus systems)")
-    analyze.add_argument("--backend",
-                         choices=("auto", "dense", "sparse"),
-                         default=None,
-                         help="linear-algebra backend for the fast "
-                              "analyzer (auto: sparse at >= 300 buses)")
     analyze.add_argument("--verify-smt", action="store_true",
                          help="confirm the verdict with the SMT OPF "
                               "model (paper Eq. 37/38)")
@@ -787,12 +781,6 @@ def build_parser() -> argparse.ArgumentParser:
                           default="auto",
                           help="auto picks SMT up to 14 buses, fast "
                                "above")
-    maximize.add_argument("--backend",
-                          choices=("auto", "dense", "sparse"),
-                          default=None,
-                          help="linear-algebra backend for the fast "
-                               "analyzer (auto: sparse at >= 300 "
-                               "buses)")
     maximize.add_argument("--cold", action="store_true",
                           help="rebuild the encoding per probe instead "
                                "of warm incremental re-solving (same "
@@ -905,11 +893,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--analyzer",
                        choices=("auto", "smt", "fast"), default="auto",
                        help="auto picks SMT up to 14 buses, fast above")
-        p.add_argument("--backend",
-                       choices=("auto", "dense", "sparse"), default=None,
-                       help="linear-algebra backend for the fast "
-                            "analyzer (auto: sparse at >= 300 buses); "
-                            "folded into cache fingerprints")
         p.add_argument("--timeout", type=float, default=None,
                        help="per-task wall-clock budget in seconds, "
                             "enforced inside the solvers; exhausted "

@@ -165,17 +165,12 @@ class AnalysisSession:
     """Owns one case's full analysis lifecycle for a plugged-in strategy."""
 
     def __init__(self, case, strategy: SearchStrategy,
-                 preflight: bool = True,
-                 backend: Optional[str] = None) -> None:
+                 preflight: bool = True) -> None:
         self.case = case
         self.strategy = strategy
-        #: linear-algebra backend requested for this session (None/auto
-        #: resolve per problem size); threaded through preflight so the
-        #: observability check scales with the case.
-        self.backend = backend
         #: preflight findings; fatal ones mean :meth:`analyze` returns a
         #: rejected report instead of touching the strategy's machinery.
-        self.preflight = validate_case(case, backend=backend) if preflight \
+        self.preflight = validate_case(case) if preflight \
             else ValidationReport(subject=case.name)
         self._rejection = self.preflight.fatal_status()
         self.grid = None

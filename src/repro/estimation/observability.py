@@ -25,22 +25,23 @@ from repro.numerics import guarded_rank, resolve_backend
 
 def is_numerically_observable(plan: MeasurementPlan,
                               topology: Optional[Iterable[int]] = None,
-                              taken: Optional[Iterable[int]] = None,
-                              backend: Optional[str] = None) -> bool:
+                              taken: Optional[Iterable[int]] = None
+                              ) -> bool:
     """Rank test: do the taken measurements determine all states?
 
     Uses the guarded, matrix-scaled rank so a *near*-rank-deficient
     configuration (which would estimate garbage) reads as unobservable
     instead of slipping past numpy's machine-epsilon tolerance.  On the
-    sparse backend the rank is taken on the gain matrix H^T H (same
-    rank as H for real entries), which keeps the test sparse end to end.
+    sparse backend (picked by bus count) the rank is taken on the gain
+    matrix H^T H (same rank as H for real entries), which keeps the test
+    sparse end to end.
     """
     grid = plan.grid
     taken_list = sorted(taken) if taken is not None else plan.taken_indices()
     if not taken_list:
         return grid.num_buses <= 1
     rows = [i - 1 for i in taken_list]
-    if resolve_backend(backend, grid.num_buses) == "sparse":
+    if resolve_backend(None, grid.num_buses) == "sparse":
         H = measurement_matrix(grid, topology,
                                backend="sparse").select_rows(rows)
         rank = guarded_rank(H.gram(), context="measurement matrix")

@@ -68,6 +68,12 @@ MAX_BODY_BYTES = 32 << 20
 #: lease-poll hint when nothing is leasable right now.
 IDLE_RETRY_AFTER = 0.2
 
+#: encoding groups are split into at least this many units.
+UNIT_CHUNKS = 2
+
+#: seconds between lease-expiry sweeps while waiting for the grid.
+POLL_INTERVAL = 0.1
+
 
 class FabricError(Exception):
     """A coordinator-level refusal (e.g. resuming a different grid)."""
@@ -90,8 +96,6 @@ class CoordinatorConfig:
     backoff_cap: float = 10.0
     #: cap on cells per unit (bounds lease duration); None: group size.
     unit_cells: Optional[int] = 8
-    #: encoding groups are split into at least this many pieces.
-    chunks: int = 2
     cache_dir: Optional[str] = None
     use_cache: bool = True
     #: SolverBudget limits shipped to workers per scenario.
@@ -99,7 +103,6 @@ class CoordinatorConfig:
     self_check: Optional[bool] = None
     #: :class:`FabricFaultPlan` file for the chaos suite.
     fault_plan: Optional[str] = None
-    poll_interval: float = 0.1
 
 
 def grid_fingerprint(specs: Sequence[ScenarioSpec],
@@ -238,7 +241,7 @@ class Coordinator:
             if journal_file.exists() else {}
         plan = plan_grid(
             self.specs, self.cache, self_check_default(config.self_check),
-            functools.partial(plan_units, chunks=max(1, config.chunks),
+            functools.partial(plan_units, chunks=UNIT_CHUNKS,
                               max_cells=config.unit_cells),
             known=recovered)
         self.journal_recovered = sum(
@@ -474,7 +477,7 @@ class Coordinator:
             if deadline is not None and time.monotonic() >= deadline:
                 return False
             self.queue.expire_overdue()
-            time.sleep(self.config.poll_interval)
+            time.sleep(POLL_INTERVAL)
         return True
 
     def shutdown(self) -> None:

@@ -66,6 +66,11 @@ EXIT_DONE = 0
 #: retries against the coordinator exhausted: it is gone.
 EXIT_COORDINATOR_GONE = 2
 
+#: ceiling on the heartbeat period (the grant's TTL/3 caps it too).
+HEARTBEAT_INTERVAL = 5.0
+#: seconds to wait before re-polling when the coordinator gives no hint.
+IDLE_SLEEP = 0.2
+
 
 @dataclass
 class WorkerConfig:
@@ -74,9 +79,6 @@ class WorkerConfig:
     worker_id: str = ""
     cache_dir: Optional[str] = None
     use_cache: bool = True
-    #: ceiling on the heartbeat period (the grant's TTL/3 caps it too).
-    heartbeat_interval: float = 5.0
-    idle_sleep: float = 0.2
     #: :class:`FabricFaultPlan` file (chaos suite only).
     fault_plan: Optional[str] = None
     #: stop after this many leased units (tests; None: run to done).
@@ -170,8 +172,7 @@ class FabricWorker:
             if unit is None:
                 if body.get("done"):
                     return EXIT_DONE
-                time.sleep(float(body.get("retry_after")
-                                 or config.idle_sleep))
+                time.sleep(float(body.get("retry_after") or IDLE_SLEEP))
                 continue
             try:
                 self._work_unit(unit)
@@ -209,7 +210,7 @@ class FabricWorker:
 
         ttl = float(unit.get("deadline_seconds") or 15.0)
         beat = _Heartbeat(self.beat_client, config.worker_id, unit_id,
-                          min(config.heartbeat_interval,
+                          min(HEARTBEAT_INTERVAL,
                               max(0.05, ttl / 3.0))).start()
         if fault is not None and fault.kind == PARTITION:
             beat.suppressed = True

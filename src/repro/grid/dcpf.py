@@ -70,8 +70,7 @@ def net_injections(grid: Grid,
 def solve_dc_power_flow(grid: Grid,
                         dispatch: Optional[Dict[int, float]] = None,
                         loads: Optional[Dict[int, float]] = None,
-                        line_indices: Optional[Iterable[int]] = None,
-                        backend: Optional[str] = None
+                        line_indices: Optional[Iterable[int]] = None
                         ) -> DcPowerFlowResult:
     """Solve the DC power flow for the given dispatch and topology.
 
@@ -86,8 +85,8 @@ def solve_dc_power_flow(grid: Grid,
     injections = net_injections(grid, dispatch, loads)
     ref = grid.reference_bus - 1
     keep = [i for i in range(grid.num_buses) if i != ref]
-    resolved = resolve_backend(backend, grid.num_buses)
-    B = susceptance_matrix(grid, lines, reduced=True, backend=resolved)
+    B = susceptance_matrix(grid, lines, reduced=True,
+                           backend=resolve_backend(None, grid.num_buses))
     try:
         theta_reduced = guarded_solve(B, injections[keep],
                                       context="DC power flow "

@@ -302,8 +302,8 @@ def compute_ptdf(grid: Grid,
                  backend: Optional[str] = None) -> SensitivityFactors:
     """Power Transfer Distribution Factors for a base topology.
 
-    ``backend`` picks the linear-algebra path (``dense``/``sparse``;
-    ``None``/``auto`` resolve by grid size).  The heavy work — one
+    ``backend`` forces the linear-algebra path (``dense``/``sparse``);
+    ``None`` picks it from the bus count.  The heavy work — one
     condition-guarded factorization of the reduced susceptance matrix —
     happens here; individual factors are lazy solves on the result.
     """

@@ -11,14 +11,7 @@ instead of trusting silently-garbage floating point near the paper's
 Eq. 37 decision boundaries.
 """
 
-from repro.numerics.backend import (
-    BACKENDS,
-    SPARSE_AUTO_MIN_BUSES,
-    default_backend,
-    normalize_backend,
-    resolve_backend,
-    set_default_backend,
-)
+from repro.numerics.backend import SPARSE_AUTO_MIN_BUSES, resolve_backend
 from repro.numerics.diagnostics import (
     FATAL,
     WARNING,
@@ -41,7 +34,6 @@ from repro.numerics.sparse import (
 )
 
 __all__ = [
-    "BACKENDS",
     "FATAL",
     "SPARSE_AUTO_MIN_BUSES",
     "WARNING",
@@ -53,14 +45,11 @@ __all__ = [
     "SparseLU",
     "UpdatedSolver",
     "collect_diagnostics",
-    "default_backend",
     "default_policy",
     "guarded_inverse",
     "guarded_rank",
     "guarded_solve",
-    "normalize_backend",
     "rcm_ordering",
     "resolve_backend",
-    "set_default_backend",
     "set_policy",
 ]

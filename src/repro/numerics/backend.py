@@ -1,66 +1,33 @@
-"""The dense/sparse linear-algebra backend knob.
-
-Every matrix-building layer (grid matrices, sensitivities, estimation,
-OPF) accepts a ``backend`` argument:
+"""Which linear-algebra path a problem of a given size runs on.
 
 * ``"dense"``  — the original numpy arrays and LAPACK factorizations.
 * ``"sparse"`` — the in-repo CSR structures and sparse LU of
   :mod:`repro.numerics.sparse`.
-* ``"auto"``   — pick per problem size: sparse at or above
-  :data:`SPARSE_AUTO_MIN_BUSES` buses, dense below.
 
-``None`` means "use the process default", which is ``auto`` unless the
-``REPRO_BACKEND`` environment variable or :func:`set_default_backend`
-says otherwise.  The *resolved* backend (never ``auto``) is folded into
-scenario fingerprints so cached results from the two numerical paths
-are never conflated.
+The choice is made from the bus count alone: sparse at or above
+:data:`SPARSE_AUTO_MIN_BUSES` buses, dense below.  Only the leaf
+kernels (matrix builders, sensitivities, WLS, shift-factor OPF) accept
+an explicit backend, so the dense/sparse parity suites can run both
+paths on the same input.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Optional
 
-BACKENDS = ("dense", "sparse", "auto")
-
-#: Bus count at or above which ``auto`` resolves to the sparse backend.
+#: Bus count at or above which the sparse backend is used.
 SPARSE_AUTO_MIN_BUSES = 300
-
-_default: Optional[str] = None
-
-
-def _env_default() -> str:
-    value = os.environ.get("REPRO_BACKEND", "").strip().lower()
-    return value if value in BACKENDS else "auto"
-
-
-def default_backend() -> str:
-    """The process-wide backend default (``dense``/``sparse``/``auto``)."""
-    return _default if _default is not None else _env_default()
-
-
-def set_default_backend(backend: Optional[str]) -> None:
-    """Override the process default (``None`` restores env/auto)."""
-    if backend is not None and backend not in BACKENDS:
-        raise ValueError(f"unknown backend {backend!r}; "
-                         f"expected one of {BACKENDS}")
-    global _default
-    _default = backend
-
-
-def normalize_backend(backend: Optional[str]) -> str:
-    """Map ``None`` to the process default and validate the name."""
-    if backend is None:
-        return default_backend()
-    if backend not in BACKENDS:
-        raise ValueError(f"unknown backend {backend!r}; "
-                         f"expected one of {BACKENDS}")
-    return backend
 
 
 def resolve_backend(backend: Optional[str], num_buses: int) -> str:
-    """The concrete backend (``dense`` or ``sparse``) for a problem size."""
-    choice = normalize_backend(backend)
-    if choice == "auto":
+    """The concrete backend (``dense`` or ``sparse``) for a problem size.
+
+    ``None`` applies the size rule; an explicit ``"dense"``/``"sparse"``
+    is returned as is.
+    """
+    if backend is None:
         return "sparse" if num_buses >= SPARSE_AUTO_MIN_BUSES else "dense"
-    return choice
+    if backend not in ("dense", "sparse"):
+        raise ValueError(f"unknown backend {backend!r}; "
+                         f"expected 'dense' or 'sparse'")
+    return backend

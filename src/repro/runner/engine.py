@@ -366,16 +366,11 @@ def plan_units(specs: Sequence[ScenarioSpec], pending: Sequence[int],
     return units
 
 
-def build_analyzer(case, kind: str, warm: bool = False,
-                   backend: Optional[str] = None):
-    """The analyzer a resolved case runs on (warm = incremental SMT).
-
-    ``backend`` picks the fast analyzer's linear-algebra path; the SMT
-    analyzer works in exact rationals and ignores it.
-    """
+def build_analyzer(case, kind: str, warm: bool = False):
+    """The analyzer a resolved case runs on (warm = incremental SMT)."""
     if kind == "smt":
         return ImpactAnalyzer(case, incremental=warm)
-    return FastImpactAnalyzer(case, backend=backend)
+    return FastImpactAnalyzer(case)
 
 
 def execute_with_analyzer(spec: ScenarioSpec, fingerprint: str,
@@ -451,8 +446,7 @@ def iter_scenario_group(specs: Sequence[ScenarioSpec],
             if analyzer is None:
                 analyzer = build_analyzer(
                     case, kind,
-                    warm=len(specs) > 1 or spec.search == "maximize",
-                    backend=spec.resolved_backend(case))
+                    warm=len(specs) > 1 or spec.search == "maximize")
         except InputFormatError as exc:
             # A deterministic verdict about the input, not a runtime
             # failure: reject with a structured diagnostic.

@@ -64,6 +64,11 @@ _BUDGET_FIELDS = ("wall_seconds", "max_conflicts", "max_decisions",
 
 _SPEC_FIELDS = {f.name: f for f in dataclass_fields(ScenarioSpec)}
 
+#: spec fields that must arrive as JSON integers (``attacker_seed`` may
+#: also be null); never coerced from bools, floats or strings.
+_SPEC_INT_FIELDS = ("max_candidates", "state_samples", "sample_seed",
+                    "attacker_seed")
+
 
 class ProtocolError(Exception):
     """A request the protocol refuses; carries the diagnostics."""
@@ -115,6 +120,22 @@ def _check_unknown(payload: Dict[str, Any], known, report,
             hint="remove the field(s) or upgrade the server")
 
 
+def _check_spec_types(payload: Dict[str, Any],
+                      report: ValidationReport) -> None:
+    """Reject spec flags and counts that are not JSON bools / ints."""
+    if not isinstance(payload.get("with_state_infection", False), bool):
+        report.add(BAD_FIELD, FATAL,
+                   "spec.with_state_infection must be a boolean",
+                   ["field:with_state_infection"])
+    for name in _SPEC_INT_FIELDS:
+        value = payload.get(name, 0)
+        if value is None and name == "attacker_seed":
+            continue
+        if not isinstance(value, int) or isinstance(value, bool):
+            report.add(BAD_FIELD, FATAL, f"spec.{name} must be an integer",
+                       [f"field:{name}"])
+
+
 def _parse_spec(payload: Any, kind: str,
                 report: ValidationReport) -> Optional[ScenarioSpec]:
     if not isinstance(payload, dict):
@@ -123,6 +144,7 @@ def _parse_spec(payload: Any, kind: str,
                    ["field:spec"])
         return None
     _check_unknown(payload, _SPEC_FIELDS, report, "spec")
+    _check_spec_types(payload, report)
     if not isinstance(payload.get("case"), str) or not payload["case"]:
         report.add(BAD_FIELD, FATAL,
                    "spec.case must be a non-empty string "
@@ -150,11 +172,10 @@ def _parse_spec(payload: Any, kind: str,
             case_text=data.pop("case_text", None),
             attacker_seed=data.pop("attacker_seed", None),
             target=data.pop("target", None),
-            with_state_infection=bool(
-                data.pop("with_state_infection", False)),
-            max_candidates=int(data.pop("max_candidates", 60)),
-            state_samples=int(data.pop("state_samples", 24)),
-            sample_seed=int(data.pop("sample_seed", 0)),
+            with_state_infection=data.pop("with_state_infection", False),
+            max_candidates=data.pop("max_candidates", 60),
+            state_samples=data.pop("state_samples", 24),
+            sample_seed=data.pop("sample_seed", 0),
             search=data.pop("search"),
             tolerance=data.pop("tolerance", None),
             label=str(data.pop("label", "") or ""))

@@ -50,6 +50,12 @@ from repro.service.worker import worker_main
 #: that never reaches a budget hook (e.g. a sleep in C, a real hang).
 HANG_MULTIPLIER = 1.25
 
+#: seconds the dispatch loop sleeps/polls between scheduling passes.
+POLL_INTERVAL = 0.05
+
+#: ceiling on a crashed worker's exponential restart backoff.
+RESTART_BACKOFF_CAP = 2.0
+
 
 class QueueFull(Exception):
     """Load shed: the bounded queue is at capacity (HTTP 429)."""
@@ -80,7 +86,6 @@ class ServiceConfig:
     session_limit: int = 8
     self_check: Optional[bool] = None
     restart_backoff: float = 0.05
-    restart_backoff_cap: float = 2.0
     #: seconds a restarted worker must stay alive before its restart
     #: *backoff* resets to the base value (the lifetime ``restarts``
     #: counter is untouched).  Without this, backoff grows monotonically
@@ -89,8 +94,6 @@ class ServiceConfig:
     healthy_reset: float = 30.0
     #: path to a ServiceFaultPlan JSON file (chaos testing only).
     fault_plan: Optional[str] = None
-    start_method: Optional[str] = None
-    poll_interval: float = 0.05
     drain_timeout: float = 30.0
 
     def worker_options(self) -> Dict[str, Any]:
@@ -262,9 +265,7 @@ class Supervisor:
             raise ValueError("need at least one worker")
         if self.config.queue_limit < 1:
             raise ValueError("queue_limit must be >= 1")
-        method = self.config.start_method
-        self._ctx = multiprocessing.get_context(method) if method \
-            else multiprocessing.get_context()
+        self._ctx = multiprocessing.get_context()
         self._workers: List[WorkerHandle] = []
         self._pending: "collections.deque[ServiceJob]" = \
             collections.deque()
@@ -337,7 +338,7 @@ class Supervisor:
             if queued == 0 and busy == 0:
                 self.stop()
                 return True
-            time.sleep(self.config.poll_interval)
+            time.sleep(POLL_INTERVAL)
         self.stop()
         return False
 
@@ -395,7 +396,7 @@ class Supervisor:
             except Exception:
                 # The loop must never die: a wedged dispatcher is the
                 # one failure the service cannot recover from.
-                time.sleep(self.config.poll_interval)
+                time.sleep(POLL_INTERVAL)
 
     def _respawn_due(self) -> None:
         now = time.monotonic()
@@ -423,10 +424,10 @@ class Supervisor:
         conns = {handle.conn: handle for handle in self._workers
                  if handle.conn is not None}
         if not conns:
-            time.sleep(self.config.poll_interval)
+            time.sleep(POLL_INTERVAL)
             return
         ready = multiprocessing.connection.wait(
-            list(conns), timeout=self.config.poll_interval)
+            list(conns), timeout=POLL_INTERVAL)
         for conn in ready:
             handle = conns[conn]
             try:
@@ -500,7 +501,7 @@ class Supervisor:
         # Exponential backoff over the *recent* failure burst only: the
         # level resets after a healthy interval, so a worker that
         # crashed repeatedly last week still restarts promptly today.
-        backoff = min(self.config.restart_backoff_cap,
+        backoff = min(RESTART_BACKOFF_CAP,
                       self.config.restart_backoff
                       * (2 ** min(handle.backoff_level, 10)))
         handle.backoff_level += 1

@@ -64,21 +64,15 @@ class SessionPool:
     def __len__(self) -> int:
         return len(self._sessions)
 
-    def acquire(self, key: str, case, kind: str,
-                backend: Optional[str] = None) -> Tuple[Any, str]:
-        """The warm (analyzer, kind) for *key*, building on first use.
-
-        ``key`` (the encoding group) already folds in the resolved
-        backend, so two backends of the same case never share a session.
-        """
+    def acquire(self, key: str, case, kind: str) -> Tuple[Any, str]:
+        """The warm (analyzer, kind) for *key*, building on first use."""
         entry = self._sessions.get(key)
         if entry is not None:
             self._sessions.move_to_end(key)
             self.hits += 1
             return entry
         self.misses += 1
-        entry = (build_analyzer(case, kind, warm=True, backend=backend),
-                 kind)
+        entry = (build_analyzer(case, kind, warm=True), kind)
         self._sessions[key] = entry
         while len(self._sessions) > self.limit:
             self._sessions.popitem(last=False)
@@ -198,8 +192,7 @@ class ServiceWorker:
             case = spec.resolve_case()
             kind = spec.resolved_analyzer(case)
             group = spec.encoding_group()
-            analyzer, kind = self.pool.acquire(
-                group, case, kind, backend=spec.resolved_backend(case))
+            analyzer, kind = self.pool.acquire(group, case, kind)
         except Exception as exc:
             return outcome_from_exception(outcome, exc, started)
 

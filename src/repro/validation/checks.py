@@ -253,8 +253,7 @@ def check_feasibility(case: CaseDefinition) -> ValidationReport:
 # ---------------------------------------------------------------------------
 
 def check_measurements(case: CaseDefinition,
-                       observability: bool = True,
-                       backend=None) -> ValidationReport:
+                       observability: bool = True) -> ValidationReport:
     """Sensor references, duplicates and (optionally) observability."""
     report = ValidationReport(subject=case.name)
     expected = case.num_potential_measurements
@@ -294,19 +293,18 @@ def check_measurements(case: CaseDefinition,
                    "no measurement is taken; the estimator sees nothing")
     elif observability and report.ok \
             and len(specs) == expected:
-        report.extend(_check_observability(case, backend=backend))
+        report.extend(_check_observability(case))
     return report
 
 
-def _check_observability(case: CaseDefinition,
-                         backend=None) -> ValidationReport:
+def _check_observability(case: CaseDefinition) -> ValidationReport:
     """Numerical observability of the taken set (needs a sound case)."""
     from repro.estimation.measurement import MeasurementPlan
     from repro.estimation.observability import is_numerically_observable
     report = ValidationReport(subject=case.name)
     try:
         plan = MeasurementPlan.from_case(case)
-        observable = is_numerically_observable(plan, backend=backend)
+        observable = is_numerically_observable(plan)
     except Exception:
         # Structure problems are reported by their own checks; the
         # observability probe never escalates them into a crash.
@@ -365,8 +363,7 @@ def check_attack_spec(case: CaseDefinition) -> ValidationReport:
 # ---------------------------------------------------------------------------
 
 def validate_case(case: CaseDefinition,
-                  observability: bool = True,
-                  backend=None) -> ValidationReport:
+                  observability: bool = True) -> ValidationReport:
     """Full preflight: structure, then degeneracy/measurements/attack.
 
     Topology, feasibility and measurement checks only run when the
@@ -378,8 +375,7 @@ def validate_case(case: CaseDefinition,
         report.extend(check_topology(case))
         report.extend(check_feasibility(case))
         report.extend(check_measurements(case,
-                                         observability=observability,
-                                         backend=backend))
+                                         observability=observability))
     report.extend(check_attack_spec(case))
     return report
 

@@ -177,9 +177,9 @@ def test_only_maximize_cells_run_warm(search, expect_warm, monkeypatch):
     # many thresholds, so even a single cell runs warm.
     built = []
 
-    def spy(case, kind, warm=False, backend=None):
+    def spy(case, kind, warm=False):
         built.append(warm)
-        return build_analyzer(case, kind, warm=warm, backend=backend)
+        return build_analyzer(case, kind, warm=warm)
 
     monkeypatch.setattr(engine_mod, "build_analyzer", spy)
     spec = ScenarioSpec.build(

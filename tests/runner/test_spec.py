@@ -35,6 +35,17 @@ class TestBuild:
                                   with_state_infection=True)
         assert ScenarioSpec.from_dict(spec.to_dict()) == spec
 
+    @pytest.mark.parametrize("payload", [
+        ["5bus-study1"],
+        {"case": "5bus-study1", "not_a_field": 1},
+        # A cache-format-v7 spec: the backend knob no longer exists, so
+        # a stale entry is recomputed rather than served.
+        dict(ScenarioSpec.build("synth300").to_dict(), backend="dense"),
+    ])
+    def test_from_dict_rejects_unknown_payloads(self, payload):
+        with pytest.raises(ValueError):
+            ScenarioSpec.from_dict(payload)
+
 
 class TestResolution:
     def test_bundled_case(self):

@@ -64,6 +64,43 @@ class TestParseRequest:
         assert UNKNOWN_FIELD in codes(err.value)
         assert "field:not_a_field" in fields(err.value)
 
+    def test_spec_backend_is_an_unknown_field(self):
+        spec = {"case": "synth300", "backend": "dense"}
+        with pytest.raises(ProtocolError) as err:
+            parse_request({"spec": spec}, "analyze")
+        assert codes(err.value) == [UNKNOWN_FIELD]
+        assert fields(err.value) == ["field:backend"]
+
+    @pytest.mark.parametrize("field,value", [
+        ("with_state_infection", "false"),
+        ("with_state_infection", 1),
+        ("with_state_infection", None),
+        ("max_candidates", 7.9),
+        ("max_candidates", True),
+        ("max_candidates", "7"),
+        ("state_samples", 24.0),
+        ("state_samples", None),
+        ("sample_seed", True),
+        ("sample_seed", "0"),
+        ("attacker_seed", 1.5),
+        ("attacker_seed", False),
+    ])
+    def test_spec_fields_are_never_coerced(self, field, value):
+        spec = {"case": "synth300", field: value}
+        with pytest.raises(ProtocolError) as err:
+            parse_request({"spec": spec}, "analyze")
+        assert codes(err.value) == [BAD_FIELD]
+        assert fields(err.value) == [f"field:{field}"]
+
+    def test_typed_spec_fields_pass_through(self):
+        spec = {"case": "synth300", "with_state_infection": True,
+                "max_candidates": 7, "state_samples": 3, "sample_seed": 2,
+                "attacker_seed": None}
+        parsed = parse_request({"spec": spec}, "analyze").spec
+        assert (parsed.with_state_infection, parsed.max_candidates,
+                parsed.state_samples, parsed.sample_seed,
+                parsed.attacker_seed) == (True, 7, 3, 2, None)
+
     def test_search_conflicting_with_endpoint_rejected(self):
         spec = dict(GOOD_SPEC, search="maximize")
         with pytest.raises(ProtocolError) as err:
