@@ -50,8 +50,7 @@ def combined_analysis(name: str, seed: int, with_state: bool,
         analyzer = ImpactAnalyzer(case)
         return analyzer.analyze(ImpactQuery(
             target_increase_percent=percent,
-            with_state_infection=with_state,
-            max_candidates=20))
+            with_state_infection=with_state))
     analyzer = FastImpactAnalyzer(case)
     return analyzer.analyze(FastQuery(
         target_increase_percent=percent,

@@ -15,8 +15,6 @@ impact landscape around it:
 Run:  python examples/case_study_2.py
 """
 
-from fractions import Fraction
-
 from repro.core import ImpactAnalyzer, ImpactQuery
 from repro.estimation import MeasurementPlan
 from repro.grid.cases import get_case
@@ -33,34 +31,27 @@ def main() -> None:
     print(report.render(plan))
 
     # How far can each attack class push the cost?
-    print("\nimpact ceilings (largest satisfiable target):")
-    pure_pct, _ = analyzer.max_achievable_increase(
-        with_state_infection=False, percent_grid=range(1, 13))
-    print(f"  topology attack alone        : {float(pure_pct):.0f}%")
-    combined_pct, _ = analyzer.max_achievable_increase(
-        with_state_infection=True, percent_grid=range(1, 13))
-    print(f"  topology + state infection   : {float(combined_pct):.0f}%")
-
-    ufdi_best = Fraction(0)
-    for pct in range(1, 13):
-        ufdi = analyzer.analyze(ImpactQuery(
-            target_increase_percent=Fraction(pct),
-            with_state_infection=True,
-            allow_topology_attack=False))
-        if not ufdi.satisfiable:
-            break
-        ufdi_best = Fraction(pct)
-    print(f"  UFDI (state) attack alone    : {float(ufdi_best):.0f}%")
+    print("\nimpact ceilings I* (bisected to 1/8 percentage point):")
+    ceilings = {}
+    for label, attrs in (
+            ("topology attack alone", {"with_state_infection": False}),
+            ("topology + state infection", {"with_state_infection": True}),
+            ("UFDI (state) attack alone", {"with_state_infection": True,
+                                           "allow_topology_attack": False})):
+        result = analyzer.max_impact(query_attrs=attrs)
+        ceilings[label] = result
+        print(f"  {label:<28} : {float(result.max_increase_percent):.2f}% "
+              f"(I* in [{result.lower_bound}, {result.upper_bound}))")
+    pure = ceilings["topology attack alone"]
+    combined = ceilings["topology + state infection"]
+    ufdi = ceilings["UFDI (state) attack alone"]
 
     print("\npaper's qualitative claims, checked:")
     print(f"  combined > topology-only     : "
-          f"{combined_pct > pure_pct}")
-    print(f"  UFDI alone misses the 6% goal: {ufdi_best < 6}")
-    beyond = analyzer.analyze(ImpactQuery(
-        target_increase_percent=combined_pct + 1,
-        with_state_infection=True))
-    print(f"  {float(combined_pct + 1):.0f}% is unsatisfiable"
-          f"          : {not beyond.satisfiable}")
+          f"{combined.lower_bound > pure.upper_bound}")
+    print(f"  UFDI alone misses the 6% goal: {ufdi.upper_bound <= 6}")
+    print(f"  no attack reaches {combined.upper_bound}%     : "
+          f"{combined.verdict_basis}")
 
 
 if __name__ == "__main__":

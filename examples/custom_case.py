@@ -60,7 +60,7 @@ def main() -> None:
     analyzer = ImpactAnalyzer(case)
     print(f"attack-free optimal cost: ${float(analyzer.base_cost):.2f}")
 
-    report = analyzer.analyze(ImpactQuery(max_candidates=30))
+    report = analyzer.analyze(ImpactQuery())
     print(report.render(MeasurementPlan.from_case(case)))
 
     # Round-trip the case and the result to files, as the original tool

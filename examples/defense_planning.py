@@ -38,7 +38,7 @@ from repro.defense import (          # noqa: F401
 
 def main() -> None:
     base_case = get_case("5bus-study1")
-    planner = DefensePlanner(base_case, target=3, max_candidates=20)
+    planner = DefensePlanner(base_case, target=3)
 
     survives = planner.attack_survives(base_case)
     print(f"undefended: attack {'succeeds' if survives else 'fails'}")

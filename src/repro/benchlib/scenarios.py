@@ -57,7 +57,7 @@ def randomize_attacker(case: CaseDefinition, seed: int) -> CaseDefinition:
 
 def combined_spec(name: str, seed: Optional[int], with_state: bool,
                   percent, analyzer: str = "auto",
-                  max_candidates: int = 20, state_samples: int = 8):
+                  state_samples: int = 8):
     """A sweep-engine :class:`~repro.runner.spec.ScenarioSpec` for one
     Fig.-4 cell: bundled case *name*, attacker randomized with *seed*
     (None: as-is), at impact target *percent*.
@@ -69,6 +69,5 @@ def combined_spec(name: str, seed: Optional[int], with_state: bool,
     from repro.runner.spec import ScenarioSpec
     return ScenarioSpec.build(
         name, analyzer=analyzer, attacker_seed=seed, target=percent,
-        with_state_infection=with_state, max_candidates=max_candidates,
-        state_samples=state_samples,
+        with_state_infection=with_state, state_samples=state_samples,
         sample_seed=0 if seed is None else seed)

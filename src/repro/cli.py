@@ -118,7 +118,6 @@ def _cmd_analyze(args) -> int:
             target_increase_percent=target,
             with_state_infection=args.with_states,
             verify_with_smt_opf=args.verify_smt,
-            max_candidates=args.max_candidates,
             self_check=self_check))
 
     plan = None
@@ -183,8 +182,7 @@ def _cmd_maximize(args) -> int:
     kind = _resolved_kind(args, case)
     if kind == "smt":
         analyzer = ImpactAnalyzer(case, incremental=not args.cold)
-        attrs = {"with_state_infection": args.with_states,
-                 "max_candidates": args.max_candidates}
+        attrs = {"with_state_infection": args.with_states}
     else:
         analyzer = FastImpactAnalyzer(case)
         attrs = {"with_state_infection": args.with_states,
@@ -230,6 +228,8 @@ def _cmd_maximize(args) -> int:
             anchor = result.upper_bound
             print(f"  no attack achieves the bracket anchor "
                   f"({anchor}%): I* < {anchor}%")
+        if result.verdict_basis is not None:
+            print(f"  verdict basis: {result.verdict_basis}")
         if result.status == "budget_exhausted":
             lo = "?" if result.lower_bound is None else result.lower_bound
             hi = "?" if result.upper_bound is None else result.upper_bound
@@ -269,8 +269,7 @@ def _cmd_defend(args) -> int:
     )
 
     kind = _resolved_kind(args, case)
-    attrs = {"max_candidates": args.max_candidates} if kind == "smt" \
-        else {"seed": args.seed}
+    attrs = {} if kind == "smt" else {"seed": args.seed}
     target = None if args.target is None \
         else _fraction_arg(args.target, "--target")
     planner = DefensePlanner(
@@ -379,7 +378,6 @@ def _grid_specs(args) -> List:
                         name, analyzer=args.analyzer, attacker_seed=seed,
                         target=target,
                         with_state_infection=args.with_states,
-                        max_candidates=args.max_candidates,
                         state_samples=args.state_samples,
                         sample_seed=args.seed,
                         search=args.search, tolerance=tolerance))
@@ -760,7 +758,6 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--verify-smt", action="store_true",
                          help="confirm the verdict with the SMT OPF "
                               "model (paper Eq. 37/38)")
-    analyze.add_argument("--max-candidates", type=int, default=60)
     analyze.add_argument("--seed", type=int, default=0,
                          help="seed for the fast analyzer's sampling")
     analyze.add_argument("--output", help="write the report to a file "
@@ -796,7 +793,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "(default 64)")
     maximize.add_argument("--with-states", action="store_true",
                           help="allow UFDI state infection")
-    maximize.add_argument("--max-candidates", type=int, default=60)
     maximize.add_argument("--seed", type=int, default=0,
                           help="seed for the fast analyzer's sampling")
     maximize.add_argument("--timeout", type=float, default=None,
@@ -837,7 +833,6 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="MEASUREMENTS,BUSES",
                         help="candidate: tighten the attacker resource "
                              "budgets (repeatable)")
-    defend.add_argument("--max-candidates", type=int, default=60)
     defend.add_argument("--seed", type=int, default=0,
                         help="seed for the fast analyzer's sampling")
     defend.add_argument("--timeout", type=float, default=None,
@@ -920,7 +915,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="bisection tolerance for --search "
                             "maximize, as an exact fraction "
                             "(default 1/8)")
-        p.add_argument("--max-candidates", type=int, default=60)
         p.add_argument("--state-samples", type=int, default=24)
         p.add_argument("--seed", type=int, default=0,
                        help="fast-analyzer sampling seed")

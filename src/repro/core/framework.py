@@ -8,7 +8,9 @@ The loop couples the two SMT models:
    than ``threshold = base_optimal * (1 + I/100)`` (paper Eq. 37) while a
    dispatch does exist at higher cost (Eq. 38);
 4. on failure, block the attack vector at 2-decimal precision (the
-   paper's scalability idea 1) and iterate.
+   paper's scalability idea 1) and iterate until the attack model is
+   unsat (the attack space is exhausted) or the query's budget runs out,
+   which ends in a ``budget_exhausted`` partial report, never an unsat.
 
 Step 3's universal quantification is discharged by *minimizing* the
 believed system's cost exactly (the in-repo rational LP) and comparing to
@@ -46,7 +48,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.core.encoding import (
     AttackEncodingConfig,
@@ -60,7 +62,6 @@ from repro.exceptions import ModelError
 from repro.grid.caseio import CaseDefinition
 from repro.opf.dcopf import DcOpfResult, solve_dc_opf
 from repro.smt import Not, SolverBudget, maximize, minimize
-from repro.smt.rational import to_fraction
 
 
 @dataclass
@@ -77,13 +78,12 @@ class ImpactQuery:
     #: set False for the paper's "UFDI attacks alone" comparison: the
     #: topology stays faithful and only state infection is allowed.
     allow_topology_attack: bool = True
-    max_candidates: int = 60
     precision: int = 2
     verify_with_smt_opf: bool = False
     opf_method: str = "exact"
     extremize_structures: bool = True
     #: optional resource budget spanning the whole analysis (SMT search,
-    #: optimizer iterations and exact-OPF pivots all draw from it).  On
+    #: optimizer iterations and exact-OPF pivots) and its only bound.  On
     #: exhaustion ``analyze`` returns a *partial* report with
     #: ``status="budget_exhausted"`` instead of raising.
     budget: Optional[SolverBudget] = None
@@ -237,8 +237,7 @@ class SmtSearchStrategy(SearchStrategy):
         encoding = self._encoding
         budget = query.budget
         session = self.session
-        structures = 0
-        while structures < query.max_candidates:
+        while True:
             if budget is not None:
                 budget.check_wall()
             solution = encoding.solve()
@@ -246,7 +245,6 @@ class SmtSearchStrategy(SearchStrategy):
                 session.certify_unsat(encoding.solver)
                 return SearchOutcome(satisfiable=False)
             session.certify_model(encoding.solver)
-            structures += 1
             success, believed_min = self._evaluate(solution, threshold,
                                                    query.opf_method,
                                                    budget)
@@ -266,7 +264,6 @@ class SmtSearchStrategy(SearchStrategy):
                 encoding.block_structure(solution)
             else:
                 encoding.block(solution, query.precision)
-        return SearchOutcome(satisfiable=False)
 
     def _success(self, solution: AttackVectorSolution,
                  believed_min: Fraction, threshold: Fraction,
@@ -494,32 +491,3 @@ class ImpactAnalyzer:
                   ) -> Tuple[bool, Optional[Fraction]]:
         return self._strategy._evaluate(solution, threshold, opf_method,
                                         budget)
-
-    # ------------------------------------------------------------------
-    # Convenience queries
-    # ------------------------------------------------------------------
-
-    def max_achievable_increase(self,
-                                with_state_infection: bool = False,
-                                percent_grid: Sequence[int] = range(1, 26),
-                                max_candidates: int = 40
-                                ) -> Tuple[Fraction, Optional[ImpactReport]]:
-        """Largest target percentage that is still satisfiable.
-
-        Walks the given percentage grid upward and returns the last
-        satisfiable report (mirrors the paper's "we cannot increase the
-        cost more than 8%" analysis).
-        """
-        best_percent = Fraction(0)
-        best_report: Optional[ImpactReport] = None
-        for percent in percent_grid:
-            query = ImpactQuery(
-                target_increase_percent=to_fraction(percent),
-                with_state_infection=with_state_infection,
-                max_candidates=max_candidates)
-            report = self.analyze(query)
-            if not report.satisfiable:
-                break
-            best_percent = to_fraction(percent)
-            best_report = report
-        return best_percent, best_report

@@ -105,6 +105,11 @@ class ImpactReport:
     #: preflight findings — always populated for rejected reports, and
     #: also carries degraded/warning findings of accepted runs.
     diagnostics: Optional[ValidationReport] = None
+    #: what a ``complete`` verdict rests on, else None: ``"proved"`` (a
+    #: sat with its witness, or an exhausted SMT search), ``"restricted"``
+    #: (fast unsat: single-line attacks only, as in arXiv:1506.04303) or
+    #: ``"sampled"`` (fast unsat with states: ``state_samples`` only).
+    verdict_basis: Optional[str] = None
 
     @classmethod
     def rejected(cls, report: ValidationReport,
@@ -177,6 +182,9 @@ class ImpactReport:
         else:
             lines.append(f"verdict                  : "
                          f"{'sat' if self.satisfiable else 'unsat'}")
+            if self.verdict_basis is not None:
+                lines.append(f"verdict basis            : "
+                             f"{self.verdict_basis}")
             if self.certified is not None:
                 lines.append(f"certificates             : "
                              f"{'verified' if self.certified else 'FAILED'}")

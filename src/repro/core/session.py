@@ -305,7 +305,8 @@ class AnalysisSession:
                 return self._certificate_error_report(
                     threshold, percent, started, str(exc))
         self._note_numeric_warnings(numeric_notes)
-        return self._outcome_report(outcome, threshold, percent, started)
+        return self._outcome_report(outcome, query, threshold, percent,
+                                    started)
 
     def solve_at(self, percent=None, **attrs) -> ImpactReport:
         """Analyze at a new threshold, reusing the warm encoding.
@@ -504,8 +505,18 @@ class AnalysisSession:
                 "boundary_escalations": self._boundary_escalations,
             })
 
-    def _outcome_report(self, outcome: SearchOutcome, threshold: Fraction,
-                        percent: Fraction, started: float) -> ImpactReport:
+    def _verdict_basis(self, outcome: SearchOutcome,
+                       query) -> Optional[str]:
+        """See :attr:`ImpactReport.verdict_basis`."""
+        if outcome.status != "complete":
+            return None
+        if outcome.satisfiable or self.strategy.kind == "smt":
+            return "proved"
+        return "sampled" if query.with_state_infection else "restricted"
+
+    def _outcome_report(self, outcome: SearchOutcome, query,
+                        threshold: Fraction, percent: Fraction,
+                        started: float) -> ImpactReport:
         """Success, definitive unsat, or budget-exhausted partial.
 
         On exhaustion ``satisfiable`` stays whatever the strategy proved
@@ -529,7 +540,8 @@ class AnalysisSession:
             status=outcome.status,
             budget_reason=outcome.budget_reason,
             certified=True if self._certify else None,
-            diagnostics=self._diagnostics())
+            diagnostics=self._diagnostics(),
+            verdict_basis=self._verdict_basis(outcome, query))
 
     def _numeric_report(self, threshold: Optional[Fraction],
                         percent: Fraction, started: float,

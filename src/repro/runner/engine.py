@@ -248,9 +248,7 @@ def _query_attrs(spec: ScenarioSpec, kind: str,
         "budget": budget,
         "self_check": self_check,
     }
-    if kind == "smt":
-        attrs["max_candidates"] = spec.max_candidates
-    else:
+    if kind == "fast":
         attrs["state_samples"] = spec.state_samples
         attrs["seed"] = spec.sample_seed
     return attrs

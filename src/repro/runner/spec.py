@@ -51,7 +51,10 @@ from repro.smt.rational import to_fraction
 #: carries.  A v7 spec payload that still names ``backend`` fails
 #: :meth:`ScenarioSpec.from_dict`, so its entry is recomputed, never
 #: served.
-CACHE_FORMAT_VERSION = 8
+#: v9: specs and keys drop the SMT candidate cap, so a v8 SMT unsat may
+#: be a capped, unproved verdict; a v8 spec still names the cap, fails
+#: :meth:`ScenarioSpec.from_dict`, and its entry is recomputed.
+CACHE_FORMAT_VERSION = 9
 
 #: bus count at and below which ``analyzer="auto"`` picks the full SMT
 #: framework (mirrors the paper's Section IV-A hybrid).
@@ -122,7 +125,6 @@ class ScenarioSpec:
     #: this is the bisection bracket's *anchor* ``lo`` (None: 0).
     target: Optional[str] = None
     with_state_infection: bool = False
-    max_candidates: int = 60
     state_samples: int = 24
     sample_seed: int = 0                 # fast-analyzer sampling seed
     #: "decision" answers the spec's threshold query; "maximize" bisects
@@ -138,7 +140,7 @@ class ScenarioSpec:
               case_text: Optional[str] = None,
               attacker_seed: Optional[int] = None,
               target=None, with_state_infection: bool = False,
-              max_candidates: int = 60, state_samples: int = 24,
+              state_samples: int = 24,
               sample_seed: int = 0, search: str = "decision",
               tolerance=None, label: str = "") -> "ScenarioSpec":
         """Constructor accepting any rational-ish ``target``."""
@@ -169,7 +171,6 @@ class ScenarioSpec:
         return cls(case=case, analyzer=analyzer, case_text=case_text,
                    attacker_seed=attacker_seed, target=target_str,
                    with_state_infection=with_state_infection,
-                   max_candidates=max_candidates,
                    state_samples=state_samples, sample_seed=sample_seed,
                    search=search, tolerance=tolerance_str, label=label)
 
@@ -229,8 +230,8 @@ class ScenarioSpec:
 
         Narrower than :meth:`fingerprint`: only the resolved case text,
         the analyzer kind and the state-infection flag shape the attack
-        encoding — the target threshold, candidate caps and sampling
-        seeds are per-query.  Scenarios with equal groups can share one
+        encoding — the target threshold and sampling seeds are
+        per-query.  Scenarios with equal groups can share one
         warm analyzer (the engine re-solves them incrementally inside
         solver scopes instead of re-encoding per scenario).
         """
@@ -256,7 +257,6 @@ class ScenarioSpec:
             "analyzer": self.resolved_analyzer(case),
             "target": self.target,
             "with_state_infection": self.with_state_infection,
-            "max_candidates": self.max_candidates,
             "state_samples": self.state_samples,
             "sample_seed": self.sample_seed,
             "search": self.search,

@@ -21,9 +21,9 @@ Exactness: every bound and midpoint is a :class:`~fractions.Fraction`
 and the session's threshold derivation (``base * (1 + I/100)``) is
 exact rational arithmetic, so the reported I* never disagrees with a
 subsequent decision query: ``solve_at(I*)`` is satisfiable and
-``solve_at(I* + tolerance)`` is not (both verdicts were *proved* during
-the search — with ``self_check`` they carry a checked SAT model and a
-checked UNSAT proof respectively).  The default bounds and tolerance
+``solve_at(I* + tolerance)`` is not (both verdicts were reached during
+the search; :attr:`MaxImpactResult.verdict_basis` says if the unsat end
+is a proof).  The default bounds and tolerance
 are dyadic rationals, so bisection midpoints stay exactly representable
 as floats and the fast analyzer's float target conversion is lossless.
 
@@ -69,8 +69,10 @@ class MaxImpactResult:
     """What the bisection proved about the maximum achievable impact.
 
     ``lower_bound`` is the largest percentage *proved satisfiable* (its
-    witness is attached), ``upper_bound`` the smallest *proved
-    unsatisfiable*; I* lies in ``[lower_bound, upper_bound)``.  With
+    witness is attached), ``upper_bound`` the smallest found unsat, a
+    proof only when :attr:`verdict_basis` is ``"proved"`` (fast-analyzer
+    unsats bound I* over the attacks that analyzer searches); I* lies in
+    ``[lower_bound, upper_bound)``.  With
     ``status="complete"`` the bracket is at most ``tolerance`` wide and
     :attr:`max_increase_percent` reports I* = ``lower_bound``; a
     budget-exhausted search reports whatever partial bracket it reached
@@ -87,6 +89,8 @@ class MaxImpactResult:
     witness_cost: Optional[Fraction] = None
     #: the full report of the probe that established ``lower_bound``.
     witness_report: Optional[ImpactReport] = None
+    #: the full report of the probe that established ``upper_bound``.
+    upper_report: Optional[ImpactReport] = None
     #: the last probe's report (trace/source even when no witness exists).
     last_report: Optional[ImpactReport] = None
     #: one entry per ``solve_at`` probe, in execution order.
@@ -106,6 +110,12 @@ class MaxImpactResult:
     def max_increase_percent(self) -> Optional[Fraction]:
         """I* (the bracket's proved-satisfiable end), None without one."""
         return self.lower_bound if self.satisfiable else None
+
+    @property
+    def verdict_basis(self) -> Optional[str]:
+        """The basis of ``upper_bound``'s probe, else of the witness."""
+        report = self.upper_report or self.witness_report
+        return None if report is None else report.verdict_basis
 
     @property
     def is_rejected(self) -> bool:
@@ -164,7 +174,7 @@ class MaxImpactSearch:
     :class:`~repro.core.fast.FastImpactAnalyzer`, or a bare
     :class:`~repro.core.session.AnalysisSession`.  The search itself is
     analyzer-agnostic; extra per-query fields (``with_state_infection``,
-    ``max_candidates``, ``state_samples`` ...) pass through
+    ``state_samples``, ``seed`` ...) pass through
     :meth:`run`'s keyword arguments.
     """
 
@@ -203,6 +213,7 @@ class MaxImpactSearch:
         self._lo: Optional[Fraction] = None    # proved satisfiable
         self._hi: Optional[Fraction] = None    # proved unsatisfiable
         self._sat_report: Optional[ImpactReport] = None
+        self._unsat_report: Optional[ImpactReport] = None
         self._last_report: Optional[ImpactReport] = None
         self._abort: Optional[ImpactReport] = None
         self._certified_all = True
@@ -292,6 +303,7 @@ class MaxImpactSearch:
         elif definitive and not report.satisfiable:
             if self._hi is None or percent < self._hi:
                 self._hi = percent
+                self._unsat_report = report
         if not definitive:
             self._abort = report
             return None
@@ -333,6 +345,7 @@ class MaxImpactSearch:
             witness_cost=None if witness is None
                 else witness.believed_min_cost,
             witness_report=witness,
+            upper_report=self._unsat_report,
             last_report=self._last_report,
             probes=self._probes,
             solve_at_calls=self._counters["solve_at_calls"],

@@ -66,8 +66,7 @@ _SPEC_FIELDS = {f.name: f for f in dataclass_fields(ScenarioSpec)}
 
 #: spec fields that must arrive as JSON integers (``attacker_seed`` may
 #: also be null); never coerced from bools, floats or strings.
-_SPEC_INT_FIELDS = ("max_candidates", "state_samples", "sample_seed",
-                    "attacker_seed")
+_SPEC_INT_FIELDS = ("state_samples", "sample_seed", "attacker_seed")
 
 
 class ProtocolError(Exception):
@@ -173,7 +172,6 @@ def _parse_spec(payload: Any, kind: str,
             attacker_seed=data.pop("attacker_seed", None),
             target=data.pop("target", None),
             with_state_infection=data.pop("with_state_infection", False),
-            max_candidates=data.pop("max_candidates", 60),
             state_samples=data.pop("state_samples", 24),
             sample_seed=data.pop("sample_seed", 0),
             search=data.pop("search"),

@@ -42,6 +42,11 @@ ESCAPE = "escape"
 _GARBAGE_TOKENS = ("0", "-1", "1/0", "nan", "bogus", "97", "999999",
                    "-3/7", "0.0.1", "")
 
+#: limits of the fresh SolverBudget each SMT-analyzed mutant gets: a
+#: decision count, not a wall clock, so a seeded run tallies the same
+#: statuses on any machine.
+MUTANT_BUDGET = {"max_decisions": 100_000}
+
 
 def _data_indices(rows: List[str]) -> List[int]:
     return [i for i, row in enumerate(rows)
@@ -210,7 +215,6 @@ class CaseFuzzer:
 # -- driving mutants through the analyze path ---------------------------
 
 def analyze_text(text: str, *, analyzer: str = "fast",
-                 max_candidates: int = 8,
                  state_samples: int = 2) -> Tuple[str, Optional[str]]:
     """Drive one case text through parse → preflight → analysis.
 
@@ -230,8 +234,9 @@ def analyze_text(text: str, *, analyzer: str = "fast",
             FastQuery(state_samples=state_samples))
     else:
         from repro.core import ImpactAnalyzer, ImpactQuery
+        from repro.smt import SolverBudget
         report = ImpactAnalyzer(case).analyze(
-            ImpactQuery(max_candidates=max_candidates))
+            ImpactQuery(budget=SolverBudget(**MUTANT_BUDGET)))
     if report.status == "complete":
         return ("sat" if report.satisfiable else "unsat"), None
     detail = None

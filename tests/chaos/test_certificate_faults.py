@@ -42,14 +42,13 @@ from repro.testing import (
 
 def _fast_spec(label="cert-cell", target=1):
     return ScenarioSpec.build("5bus-study1", analyzer="fast",
-                              target=target, max_candidates=10,
-                              state_samples=4, label=label)
+                              target=target, state_samples=4,
+                              label=label)
 
 
 def _smt_spec(label="cert-smt", target=3):
     return ScenarioSpec.build("5bus-study1", analyzer="smt",
-                              target=target, max_candidates=20,
-                              label=label)
+                              target=target, label=label)
 
 
 class TestBitFlippedModels:

@@ -41,15 +41,14 @@ def _specs(n=4):
     return [
         ScenarioSpec.build("5bus-study1" if i % 2 == 0 else "5bus-study2",
                            analyzer="fast", target=1 + i // 2,
-                           max_candidates=10, state_samples=4,
-                           label=f"cell-{i}")
+                           state_samples=4, label=f"cell-{i}")
         for i in range(n)
     ]
 
 
 def _smt_spec(label="smt-cell"):
     return ScenarioSpec.build("5bus-study1", analyzer="smt", target=1,
-                              max_candidates=20, label=label)
+                              label=label)
 
 
 class TestSeededChaos:

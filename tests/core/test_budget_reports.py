@@ -144,3 +144,71 @@ class TestEncodingUnknownSurfacing:
         # UNKNOWN must never be conflated with "no attack exists".
         with pytest.raises(BudgetExhausted):
             encoding.solve()
+
+
+def _exhaustive_query(precision, budget=None):
+    """Case study 2 with states at an unreachable 40%, per-vector
+    blocking only: the search must run the attack space dry."""
+    return ImpactQuery(target_increase_percent=Fraction(40),
+                       with_state_infection=True, precision=precision,
+                       extremize_structures=False, self_check=True,
+                       budget=budget)
+
+
+class TestUnsatMeansExhausted:
+    def test_unsat_runs_to_a_checked_unsat_proof(self):
+        # 68 vectors exist at 2-digit precision; a search that stopped
+        # early would report unsat without ever checking an UNSAT proof.
+        report = ImpactAnalyzer(get_case("5bus-study2")).analyze(
+            _exhaustive_query(precision=2))
+        assert report.satisfiable is False
+        assert report.status == "complete"
+        assert report.certified is True
+        assert report.candidates_examined == 68
+        assert report.trace.certificates["unsat_checked"] >= 1
+        assert report.verdict_basis == "proved"
+
+    def test_stopped_search_is_never_a_complete_unsat(self):
+        report = ImpactAnalyzer(get_case("5bus-study2")).analyze(
+            _exhaustive_query(precision=3,
+                              budget=SolverBudget(max_conflicts=200)))
+        assert report.satisfiable is False
+        assert report.status == "budget_exhausted"
+        assert "conflict budget" in report.budget_reason
+        assert report.verdict_basis is None
+
+
+class TestVerdictBasis:
+    def test_smt_verdicts_are_proved(self):
+        analyzer = ImpactAnalyzer(get_case("5bus-study1"))
+        sat = analyzer.analyze(ImpactQuery())
+        unsat = analyzer.analyze(
+            ImpactQuery(target_increase_percent=Fraction(50)))
+        assert (sat.satisfiable, unsat.satisfiable) == (True, False)
+        assert sat.verdict_basis == unsat.verdict_basis == "proved"
+        assert "verdict basis            : proved" in unsat.render()
+
+    @pytest.mark.parametrize("with_states,basis", [
+        (False, "restricted"),
+        (True, "sampled"),
+    ])
+    def test_fast_unsat_says_what_it_searched(self, with_states, basis):
+        report = FastImpactAnalyzer(get_case("5bus-study1")).analyze(
+            FastQuery(target_increase_percent=Fraction(50),
+                      with_state_infection=with_states,
+                      state_samples=4))
+        assert report.status == "complete"
+        assert report.satisfiable is False
+        assert report.verdict_basis == basis
+
+    def test_fast_sat_is_proved(self):
+        report = FastImpactAnalyzer(get_case("5bus-study1")).analyze(
+            FastQuery(target_increase_percent=Fraction(1)))
+        assert report.satisfiable is True
+        assert report.verdict_basis == "proved"
+
+    def test_partial_report_has_no_basis(self):
+        report = ImpactAnalyzer(get_case("5bus-study1")).analyze(
+            ImpactQuery(budget=SolverBudget(max_decisions=1)))
+        assert report.status == "budget_exhausted"
+        assert report.verdict_basis is None

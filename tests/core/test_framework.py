@@ -98,11 +98,14 @@ class TestCaseStudy2:
 
     def test_state_attack_beats_pure_topology(self, analyzer2):
         """The combined attack reaches strictly higher impact."""
-        pure, _ = analyzer2.max_achievable_increase(
-            with_state_infection=False, percent_grid=range(1, 12))
-        combined, _ = analyzer2.max_achievable_increase(
-            with_state_infection=True, percent_grid=range(1, 12))
-        assert combined > pure
+        pure = analyzer2.max_impact(
+            query_attrs={"with_state_infection": False})
+        combined = analyzer2.max_impact(
+            query_attrs={"with_state_infection": True})
+        assert pure.status == combined.status == "complete"
+        # Both brackets are proved: I* in [35/8, 9/2) without states,
+        # in [83/8, 21/2) with them.
+        assert combined.lower_bound > pure.upper_bound
 
     def test_ufdi_alone_cannot_reach_target(self, analyzer2):
         """Paper: without topology attacks the 6% objective fails."""

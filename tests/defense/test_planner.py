@@ -114,8 +114,7 @@ class TestDefaultCandidates:
 
 class TestPlannerOnCaseStudy:
     def test_secured_line_kills_the_case_study_attack(self):
-        planner = DefensePlanner(get_case("5bus-study1"), target=3,
-                                 max_candidates=20)
+        planner = DefensePlanner(get_case("5bus-study1"), target=3)
         plan = planner.plan([SecureLineStatus(6), SecureMeasurement(7)])
         assert plan.status == "blocked"
         assert [c.label for c in plan.selected] == ["secure-line-6"]
@@ -123,7 +122,7 @@ class TestPlannerOnCaseStudy:
 
     def test_selected_set_is_one_minimal(self):
         case = get_case("5bus-study1")
-        planner = DefensePlanner(case, target=3, max_candidates=20)
+        planner = DefensePlanner(case, target=3)
         candidates = [SecureLineStatus(6), SecureMeasurement(6),
                       SecureMeasurement(17), SecureMeasurement(7)]
         plan = planner.plan(candidates)
@@ -142,15 +141,13 @@ class TestPlannerOnCaseStudy:
         secure = DefensePlanner(case, target=50).plan()
         assert secure.status == "already_secure"
         assert secure.selected == ()
-        hopeless = DefensePlanner(case, target=3,
-                                  max_candidates=20).plan([])
+        hopeless = DefensePlanner(case, target=3).plan([])
         assert hopeless.status == "unblockable"
 
     def test_warm_sessions_are_reused_across_repeat_probes(self):
         # With a single candidate, the greedy elimination re-probes the
         # undefended case — that must hit the session pool, not rebuild.
-        planner = DefensePlanner(get_case("5bus-study1"), target=3,
-                                 max_candidates=20)
+        planner = DefensePlanner(get_case("5bus-study1"), target=3)
         plan = planner.plan([SecureLineStatus(6)])
         assert plan.status == "blocked"
         assert plan.sessions_reused >= 1

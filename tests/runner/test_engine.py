@@ -19,9 +19,9 @@ def _fast_specs():
     """Two cheap fast-analyzer scenarios."""
     return [
         ScenarioSpec.build("5bus-study1", analyzer="fast", target=1,
-                           max_candidates=10, state_samples=4),
+                           state_samples=4),
         ScenarioSpec.build("5bus-study2", analyzer="fast", target=1,
-                           max_candidates=10, state_samples=4),
+                           state_samples=4),
     ]
 
 
@@ -86,7 +86,7 @@ def _hang_if_labelled(payload):
 class TestExecuteScenario:
     def test_smt_outcome_carries_trace(self):
         spec = ScenarioSpec.build("5bus-study1", analyzer="smt",
-                                  target=1, max_candidates=20)
+                                  target=1)
         outcome = execute_scenario(spec, "fp")
         assert outcome.status == OK
         assert outcome.satisfiable is True

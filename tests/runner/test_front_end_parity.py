@@ -55,11 +55,10 @@ def _inline(label, text, **kwargs):
 #: cannot make any cell warmer on one front end than on another.
 SPECS = {
     "smt-decision": ScenarioSpec.build(
-        "5bus-study2", analyzer="smt", target=1, max_candidates=20,
-        label="smt-decision"),
+        "5bus-study2", analyzer="smt", target=1, label="smt-decision"),
     "fast-decision": ScenarioSpec.build(
-        "5bus-study1", analyzer="fast", target=1, max_candidates=10,
-        state_samples=4, label="fast-decision"),
+        "5bus-study1", analyzer="fast", target=1, state_samples=4,
+        label="fast-decision"),
     "maximize": ScenarioSpec.build(
         "5bus-study1", analyzer="smt", search="maximize",
         tolerance="1/2", label="maximize"),

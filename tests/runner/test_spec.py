@@ -41,6 +41,10 @@ class TestBuild:
         # A cache-format-v7 spec: the backend knob no longer exists, so
         # a stale entry is recomputed rather than served.
         dict(ScenarioSpec.build("synth300").to_dict(), backend="dense"),
+        # A cache-format-v8 spec: the SMT search lost its candidate cap,
+        # so a capped (unproved) unsat is recomputed rather than served.
+        dict(ScenarioSpec.build("5bus-study1").to_dict(),
+             max_candidates=60),
     ])
     def test_from_dict_rejects_unknown_payloads(self, payload):
         with pytest.raises(ValueError):

@@ -71,13 +71,22 @@ class TestParseRequest:
         assert codes(err.value) == [UNKNOWN_FIELD]
         assert fields(err.value) == ["field:backend"]
 
+    def test_spec_max_candidates_is_an_unknown_field(self):
+        # The SMT search has no candidate cap: its budget is the only
+        # bound, so a client still sending the old knob is told so.
+        spec = {"case": "5bus-study1", "max_candidates": 60}
+        with pytest.raises(ProtocolError) as err:
+            parse_request({"spec": spec}, "analyze")
+        assert codes(err.value) == [UNKNOWN_FIELD]
+        assert fields(err.value) == ["field:max_candidates"]
+
     @pytest.mark.parametrize("field,value", [
         ("with_state_infection", "false"),
         ("with_state_infection", 1),
         ("with_state_infection", None),
-        ("max_candidates", 7.9),
-        ("max_candidates", True),
-        ("max_candidates", "7"),
+        ("state_samples", 7.9),
+        ("state_samples", True),
+        ("state_samples", "7"),
         ("state_samples", 24.0),
         ("state_samples", None),
         ("sample_seed", True),
@@ -94,12 +103,12 @@ class TestParseRequest:
 
     def test_typed_spec_fields_pass_through(self):
         spec = {"case": "synth300", "with_state_infection": True,
-                "max_candidates": 7, "state_samples": 3, "sample_seed": 2,
+                "state_samples": 3, "sample_seed": 2,
                 "attacker_seed": None}
         parsed = parse_request({"spec": spec}, "analyze").spec
-        assert (parsed.with_state_infection, parsed.max_candidates,
-                parsed.state_samples, parsed.sample_seed,
-                parsed.attacker_seed) == (True, 7, 3, 2, None)
+        assert (parsed.with_state_infection, parsed.state_samples,
+                parsed.sample_seed,
+                parsed.attacker_seed) == (True, 3, 2, None)
 
     def test_search_conflicting_with_endpoint_rejected(self):
         spec = dict(GOOD_SPEC, search="maximize")
