@@ -7,11 +7,16 @@ LODF/LCDF evaluation — and exploits problem structure:
 
 * For a pure (no state infection) single-line attack the believed-load
   vector is a **one-parameter family**: both endpoint loads shift by the
-  attacked line's flow ``f``.  The attacker-reachable range of ``f`` is
-  an interval (an LP over operating points), the believed system's
-  feasible range of ``f`` is an interval (parametric LP), and the
-  believed optimal cost is convex in ``f`` — so the worst case sits at an
-  interval endpoint, found by bisection + two OPF evaluations.
+  attacked line's flow ``f``.  The Eq.-36 load windows of the two
+  endpoint buses bound ``f`` without any LP, so a candidate whose
+  endpoint carries no load is dropped before anything is solved.  The
+  attacker-reachable range of ``f`` is an interval: two LPs (min and max
+  ``f``) over the case's operating polytope, which is built once per
+  case.  The believed system's feasible set of ``f`` is an interval too
+  and the believed optimal cost is convex in ``f``, so the worst case
+  sits on a boundary of that set.  A feasible endpoint is its own
+  boundary; only toward an infeasible endpoint is the boundary located
+  by bisection.  Each distinct ``f`` costs one OPF solve.
 
 * OPF evaluations use the PTDF-based formulation with LODF/LCDF
   corrections (:class:`~repro.opf.shift_factor.ShiftFactorOpf`), so the
@@ -30,7 +35,9 @@ bookkeeping, run notes and report assembly live once in
 :class:`FastImpactAnalyzer` facade wires the two together.  The PTDF
 factorization is inherently per-case, so the fast strategy is "warm"
 from its second query onward — its ``encode_seconds`` is the one-time
-pipeline build.
+pipeline build.  Reachable ranges and per-candidate maxima do not
+depend on the target either, so the strategy keeps them across queries
+(a sweep unit or a warm service session re-solves only what changes).
 """
 
 from __future__ import annotations
@@ -116,6 +123,17 @@ class FastSearchStrategy(SearchStrategy):
         self._analyses = 0
         self._opf_calls_before = 0
         self._opf_seconds_before = 0.0
+        # Case-level inputs of the candidate kernels, built in prepare().
+        self._existing_loads: Dict[int, float] = {}
+        self._demand = np.zeros(0)
+        self._operating_lp: Dict = {}
+        # Target-independent results kept across queries (see _memoised):
+        # reachable flow ranges per (kind, line) and interval maxima per
+        # (kind, line, bisection tolerance).
+        self._ranges: Dict[Tuple[str, int],
+                           Optional[Tuple[float, float]]] = {}
+        self._maxima: Dict[Tuple[str, int, float],
+                           Optional[Tuple[float, Fraction, Dict]]] = {}
 
     @property
     def grid(self):
@@ -138,6 +156,9 @@ class FastSearchStrategy(SearchStrategy):
         self.base_topology = [l.index for l in grid.lines if l.in_service]
         self._sf_opf = ShiftFactorOpf(grid, self.base_topology)
         base = self._sf_opf.solve()
+        self._existing_loads = {bus: float(load.existing)
+                                for bus, load in grid.loads.items()}
+        self._demand, self._operating_lp = self._operating_polytope()
         self._prepare_seconds = time.perf_counter() - built
         if not base.feasible:
             self.session.note_base_infeasible(
@@ -175,7 +196,7 @@ class FastSearchStrategy(SearchStrategy):
                     budget_reason = budget.exhausted_reason
                     break
                 evaluation = self._evaluate_candidate(
-                    kind, line_index, threshold, query)
+                    kind, line_index, query)
                 self.evaluations.append(evaluation)
                 session.record_candidate()
                 if evaluation.best_increase_percent is None:
@@ -361,7 +382,6 @@ class FastSearchStrategy(SearchStrategy):
         self.session.note_islanding(excluded, included)
 
     def _evaluate_candidate(self, kind: str, line_index: int,
-                            threshold: Fraction,
                             query: FastQuery) -> CandidateEvaluation:
         # Post-attack revalidation *before* the PTDF/LODF pipeline: a
         # bridge-line exclusion makes the believed susceptance matrix
@@ -377,32 +397,38 @@ class FastSearchStrategy(SearchStrategy):
             return CandidateEvaluation(kind, line_index, False, problems)
         altered = problems
 
-        flow_range = self._reachable_flow_range(kind, line_index)
+        # Believability bounds on the endpoint loads (Eq. 36) shrink the
+        # usable flow range.  They need no LP, so an endpoint without
+        # load headroom drops the candidate before the range LPs run.
+        line = self.grid.line(line_index)
+        sign = 1.0 if kind == "exclude" else -1.0
+        from_window = self._load_window(line.from_bus, sign)
+        if from_window is None:
+            return CandidateEvaluation(kind, line_index, False,
+                                       "from-bus has no load headroom")
+        to_window = self._load_window(line.to_bus, -sign)
+        if to_window is None:
+            return CandidateEvaluation(kind, line_index, False,
+                                       "to-bus has no load headroom")
+
+        flow_range = self._memoised(
+            self._ranges, (kind, line_index),
+            lambda: self._reachable_flow_range(kind, line_index))
         if flow_range is None:
             return CandidateEvaluation(kind, line_index, False,
                                        "flow unreachable in operation")
         lo, hi = flow_range
-
-        # Believability bounds on the endpoint loads (Eq. 36) shrink the
-        # usable flow range.
-        line = self.grid.line(line_index)
-        sign = 1.0 if kind == "exclude" else -1.0
-        window = self._load_window(line.from_bus, sign)
-        if window is None:
-            return CandidateEvaluation(kind, line_index, False,
-                                       "from-bus has no load headroom")
-        lo, hi = max(lo, window[0]), min(hi, window[1])
-        window = self._load_window(line.to_bus, -sign)
-        if window is None:
-            return CandidateEvaluation(kind, line_index, False,
-                                       "to-bus has no load headroom")
-        lo, hi = max(lo, window[0]), min(hi, window[1])
+        lo, hi = max(lo, from_window[0]), min(hi, from_window[1])
+        lo, hi = max(lo, to_window[0]), min(hi, to_window[1])
         if lo > hi:
             return CandidateEvaluation(kind, line_index, False,
                                        "believability bounds empty")
 
-        best = self._maximize_over_interval(kind, line_index, lo, hi,
-                                            query.bisection_tolerance)
+        tolerance = query.bisection_tolerance
+        best = self._memoised(
+            self._maxima, (kind, line_index, tolerance),
+            lambda: self._maximize_over_interval(kind, line_index, lo, hi,
+                                                 tolerance))
         if best is None:
             return CandidateEvaluation(kind, line_index, False,
                                        "believed OPF never converges")
@@ -412,17 +438,32 @@ class FastSearchStrategy(SearchStrategy):
         evaluation = CandidateEvaluation(
             kind, line_index, True,
             best_increase_percent=increase,
-            believed_loads=loads,
+            believed_loads=dict(loads),
             altered_measurements=sorted(altered))
 
         if query.with_state_infection:
-            sampled = self._state_infection_samples(
-                kind, line_index, threshold, query)
+            sampled = self._state_infection_samples(kind, line_index, query)
             if sampled is not None and sampled[0] > increase:
                 evaluation.best_increase_percent = sampled[0]
                 evaluation.believed_loads = sampled[1]
                 evaluation.altered_measurements = sampled[2]
         return evaluation
+
+    @staticmethod
+    def _memoised(memo: Dict, key, compute):
+        """``memo[key]``, computed on a miss.
+
+        A value computed under numerical warnings is not stored: the next
+        query recomputes it, so it sees (and escalates on) the same
+        warnings a cold query would.
+        """
+        if key in memo:
+            return memo[key]
+        with collect_diagnostics() as warnings:
+            value = compute()
+        if not warnings:
+            memo[key] = value
+        return value
 
     def _required_alterations(self, kind: str, line_index: int):
         """Measurements a nonzero-flow single-line attack must alter."""
@@ -442,17 +483,35 @@ class FastSearchStrategy(SearchStrategy):
             return "; ".join(problems)
         return needed
 
-    def _reachable_flow_range(self, kind: str, line_index: int
-                              ) -> Optional[Tuple[float, float]]:
-        """Range of the attacked line's (would-be) flow over feasible
-        operating points — an LP over dispatches."""
+    def _operating_polytope(self) -> Tuple[np.ndarray, Dict]:
+        """The existing demand vector and the ``linprog`` constraints of
+        the case's feasible operating points over generator outputs:
+        every base-topology line capacity, power balance and dispatch
+        limits at that demand."""
         grid = self.grid
-        gens = sorted(grid.generators)
         factors = self._sf_opf.factors
         demand = np.zeros(grid.num_buses)
         for load in grid.loads.values():
             demand[load.bus - 1] = float(load.existing)
+        M = self._sf_opf.gen_flow_matrix()
+        base = factors.flows_for_injections(-demand)
+        capacities = np.array([float(grid.line(i).capacity)
+                               for i in factors.lines])
+        gens = self._sf_opf.gen_buses
+        lp = {"A_ub": np.vstack([M, -M]),
+              "b_ub": np.concatenate([capacities - base, capacities + base]),
+              "A_eq": np.ones((1, len(gens))),
+              "b_eq": np.array([float(demand.sum())]),
+              "bounds": [(float(grid.generators[b].p_min),
+                          float(grid.generators[b].p_max)) for b in gens],
+              "method": "highs"}
+        return demand, lp
 
+    def _reachable_flow_range(self, kind: str, line_index: int
+                              ) -> Optional[Tuple[float, float]]:
+        """Range of the attacked line's (would-be) flow over feasible
+        operating points — two LPs over the operating polytope."""
+        factors = self._sf_opf.factors
         if kind == "exclude":
             row = factors.row(line_index)
         else:
@@ -460,26 +519,12 @@ class FastSearchStrategy(SearchStrategy):
             # a cached factorized solve on the base susceptance matrix.
             row = factors.open_line_flow_row(line_index)
 
-        flow_gen = np.array([row[bus - 1] for bus in gens])
-        flow_const = -float(row @ demand)
-
-        # Operating constraints: all base-topology line capacities.
-        M = self._sf_opf.gen_flow_matrix()
-        base = factors.flows_for_injections(-demand)
-        capacities = np.array([float(grid.line(i).capacity)
-                               for i in factors.lines])
-        A_ub = np.vstack([M, -M])
-        b_ub = np.concatenate([capacities - base, capacities + base])
-        A_eq = np.ones((1, len(gens)))
-        b_eq = np.array([float(demand.sum())])
-        bounds = [(float(grid.generators[b].p_min),
-                   float(grid.generators[b].p_max)) for b in gens]
-
+        flow_gen = np.array([row[bus - 1]
+                             for bus in self._sf_opf.gen_buses])
+        flow_const = -float(row @ self._demand)
         extremes = []
         for direction in (1.0, -1.0):
-            result = linprog(direction * flow_gen, A_ub=A_ub, b_ub=b_ub,
-                             A_eq=A_eq, b_eq=b_eq, bounds=bounds,
-                             method="highs")
+            result = linprog(direction * flow_gen, **self._operating_lp)
             if not result.success:
                 return None
             extremes.append(float(flow_gen @ result.x) + flow_const)
@@ -501,18 +546,22 @@ class FastSearchStrategy(SearchStrategy):
             return low, high
         return -high, -low
 
-    def _believed_cost(self, kind: str, line_index: int,
-                       f: float) -> Optional[Fraction]:
+    def _believed_loads(self, kind: str, line_index: int,
+                        f: float) -> Dict[int, float]:
+        """The existing loads with both endpoints shifted by flow ``f``."""
         line = self.grid.line(line_index)
         sign = 1.0 if kind == "exclude" else -1.0
-        loads = {bus: float(load.existing)
-                 for bus, load in self.grid.loads.items()}
+        loads = dict(self._existing_loads)
         loads[line.from_bus] = loads.get(line.from_bus, 0.0) + sign * f
         loads[line.to_bus] = loads.get(line.to_bus, 0.0) - sign * f
-        change = TopologyChange(kind, line_index)
+        return loads
+
+    def _believed_cost(self, kind: str, line_index: int,
+                       f: float) -> Optional[Fraction]:
+        loads = self._believed_loads(kind, line_index, f)
         result = self._sf_opf.solve(
-            loads={b: to_fraction(round(v, 9)) for b, v in loads.items()},
-            change=change)
+            loads={b: round(v, 9) for b, v in loads.items()},
+            change=TopologyChange(kind, line_index))
         if not result.feasible:
             return None
         return result.cost
@@ -520,53 +569,50 @@ class FastSearchStrategy(SearchStrategy):
     def _maximize_over_interval(self, kind: str, line_index: int,
                                 lo: float, hi: float, tolerance: float
                                 ) -> Optional[Tuple[float, Fraction, Dict]]:
-        """Max believed cost over the flow interval (convex => endpoints).
+        """Max believed cost over the flow interval (convex => boundary).
 
-        The believed system's feasible flow-set is itself an interval; its
-        boundaries are located by bisection before evaluating the cost at
-        the two boundary points.
+        The believed system's feasible flow set is itself an interval,
+        so the maximum sits on one of its two boundaries.  A feasible
+        endpoint is its own boundary; toward an infeasible one the
+        boundary is bisected from a feasible anchor — ``lo`` or ``hi``
+        when one is feasible, else the midpoint, else the first feasible
+        point of a 9-point scan.  Each distinct ``f`` is solved once, so
+        two feasible endpoints cost exactly two OPF solves.
         """
-        feasible_points = [f for f in (lo, hi, 0.5 * (lo + hi))
-                           if self._believed_cost(kind, line_index, f)
-                           is not None]
-        if not feasible_points:
+        solved: Dict[float, Optional[Fraction]] = {}
+
+        def cost(f: float) -> Optional[Fraction]:
+            if f not in solved:
+                solved[f] = self._believed_cost(kind, line_index, f)
+            return solved[f]
+
+        anchor = next((f for f in (lo, hi, 0.5 * (lo + hi))
+                       if cost(f) is not None), None)
+        if anchor is None:
             # Scan for any feasible point before giving up.
-            probes = np.linspace(lo, hi, 9)
-            feasible_points = [
-                float(f) for f in probes
-                if self._believed_cost(kind, line_index, float(f))
-                is not None]
-            if not feasible_points:
+            anchor = next((float(f) for f in np.linspace(lo, hi, 9)
+                           if cost(float(f)) is not None), None)
+            if anchor is None:
                 return None
-        anchor = feasible_points[0]
 
         def boundary(toward: float) -> float:
-            good, bad = anchor, toward
-            if self._believed_cost(kind, line_index, toward) is not None:
+            if cost(toward) is not None:
                 return toward
+            good, bad = anchor, toward
             while abs(bad - good) > tolerance:
                 mid = 0.5 * (good + bad)
-                if self._believed_cost(kind, line_index, mid) is not None:
+                if cost(mid) is not None:
                     good = mid
                 else:
                     bad = mid
             return good
 
-        left = boundary(lo)
-        right = boundary(hi)
         best = None
-        for f in {left, right}:
-            cost = self._believed_cost(kind, line_index, f)
-            if cost is None:
-                continue
-            if best is None or cost > best[1]:
-                line = self.grid.line(line_index)
-                sign = 1.0 if kind == "exclude" else -1.0
-                loads = {bus: float(load.existing)
-                         for bus, load in self.grid.loads.items()}
-                loads[line.from_bus] += sign * f
-                loads[line.to_bus] -= sign * f
-                best = (f, cost, loads)
+        # boundary() only returns feasible points.
+        for f in {boundary(lo), boundary(hi)}:
+            if best is None or cost(f) > best[1]:
+                best = (f, cost(f),
+                        self._believed_loads(kind, line_index, f))
         return best
 
     # ------------------------------------------------------------------
@@ -574,7 +620,7 @@ class FastSearchStrategy(SearchStrategy):
     # ------------------------------------------------------------------
 
     def _state_infection_samples(self, kind: str, line_index: int,
-                                 threshold: Fraction, query: FastQuery
+                                 query: FastQuery
                                  ) -> Optional[Tuple[float, Dict, List[int]]]:
         """Seeded boundary samples of the believed-load box.
 
@@ -670,8 +716,7 @@ class FastSearchStrategy(SearchStrategy):
             loads = {bus: float(load.existing) + delta_b[bus - 1]
                      for bus, load in grid.loads.items()}
             result = self._sf_opf.solve(
-                loads={b: to_fraction(round(v, 9))
-                       for b, v in loads.items()},
+                loads={b: round(v, 9) for b, v in loads.items()},
                 change=TopologyChange(kind, line_index))
             if not result.feasible:
                 continue

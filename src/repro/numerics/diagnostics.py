@@ -67,4 +67,7 @@ class collect_diagnostics:
         return self.sink
 
     def __exit__(self, *exc_info) -> None:
-        _sinks.remove(self.sink)
+        # By identity: nested sinks that saw the same warnings compare
+        # equal, and list.remove() would unregister the outer one.
+        del _sinks[next(i for i, sink in enumerate(_sinks)
+                        if sink is self.sink)]

@@ -26,9 +26,9 @@ violation-free optimum is the true optimum.)
 from __future__ import annotations
 
 import time
+from collections.abc import Mapping
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 from scipy.optimize import linprog
@@ -61,6 +61,64 @@ class TopologyChange:
             raise ModelError(f"unknown topology change kind {self.kind!r}")
 
 
+class _LazyMap(Mapping):
+    """A read-only mapping built by ``build()`` on its first read."""
+
+    def __init__(self, build: Callable[[], Dict]) -> None:
+        self._build: Optional[Callable[[], Dict]] = build
+        self._built: Optional[Dict] = None
+
+    def _map(self) -> Dict:
+        if self._built is None:
+            self._built = self._build()
+            self._build = None
+        return self._built
+
+    def __getitem__(self, key):
+        return self._map()[key]
+
+    def __iter__(self):
+        return iter(self._map())
+
+    def __len__(self) -> int:
+        return len(self._map())
+
+    def __repr__(self) -> str:
+        return repr(self._map())
+
+    def __reduce__(self):
+        return dict, (self._map(),)
+
+
+class _ChangeModel:
+    """The demand-independent half of one topology's flow model:
+    ``flows = flow_gen @ p + flow_base(...)`` for generator outputs
+    ``p``, rows in ``lines`` order."""
+
+    def __init__(self, grid: Grid, flow_gen: np.ndarray, lines: List[int],
+                 column: Optional[np.ndarray] = None, row: int = -1,
+                 scale: float = 0.0,
+                 dtheta: Optional[np.ndarray] = None) -> None:
+        self.flow_gen = flow_gen
+        self.lines = lines
+        self.capacities = np.array([float(grid.line(i).capacity)
+                                    for i in lines])
+        self._column = column      # LODF (exclusion) or LCDF column
+        self._row = row            # outaged row (exclusion)
+        self._scale = scale        # closure factor (inclusion)
+        self._dtheta = dtheta      # open-line flow row (inclusion)
+
+    def flow_base(self, base: np.ndarray, demand: np.ndarray) -> np.ndarray:
+        """Demand-driven flows, given the base topology's ``base``."""
+        if self._column is None:
+            return base
+        if self._dtheta is None:
+            k = self._row
+            return np.delete(base + self._column * base[k], k)
+        new_base = self._scale * float(self._dtheta @ (-demand))
+        return np.append(base + self._column * new_base, new_base)
+
+
 class ShiftFactorOpf:
     """Reusable PTDF-based OPF for one base topology.
 
@@ -78,6 +136,12 @@ class ShiftFactorOpf:
         self.factors = compute_ptdf(grid, self.base_lines,
                                     backend=self.backend)
         self.gen_buses = sorted(grid.generators)
+        generators = [grid.generators[b] for b in self.gen_buses]
+        self._cost = np.array([float(g.cost_beta) for g in generators])
+        self._bounds = [(float(g.p_min), float(g.p_max))
+                        for g in generators]
+        self._alpha = sum(float(g.cost_alpha)
+                          for g in grid.generators.values())
         #: cumulative work counters for sweep traces.
         self.solve_calls = 0
         self.solve_seconds = 0.0
@@ -85,6 +149,11 @@ class ShiftFactorOpf:
         self.rows_generated = 0
         self._row_generation = self.backend == "sparse"
         self._gen_flow: Optional[np.ndarray] = None
+        self._ones = np.ones((1, len(self.gen_buses)))
+        # (change key, model) of the last topology change: consecutive
+        # solves of one candidate reuse its flow model.
+        self._last_change: Optional[Tuple[Optional[Tuple[str, int]],
+                                          Optional[_ChangeModel]]] = None
         # Warm-started active sets per topology change, so bisection
         # loops re-solve with yesterday's binding rows already present.
         self._active_rows: Dict[Optional[Tuple[str, int]],
@@ -98,32 +167,38 @@ class ShiftFactorOpf:
             self._gen_flow = self.factors.columns(self.gen_buses)
         return self._gen_flow
 
-    def _flow_model(self, change: Optional[TopologyChange],
-                    demand: np.ndarray
-                    ) -> Tuple[np.ndarray, np.ndarray, List[int]]:
-        """``(flow_gen, flow_base, line order)`` for a topology change.
+    def _topology(self, change: Optional[TopologyChange]
+                  ) -> Optional[_ChangeModel]:
+        """The demand-independent flow model of ``change``, cached for
+        the last change key (None when the exclusion islands the grid).
 
-        ``flows = flow_gen @ p + flow_base`` for generator outputs
-        ``p``.  The base model is one batched solve for the generator
-        columns plus one solve for the demand; changes are rank-1
-        LODF/LCDF corrections of those vectors — never a new
+        The base model is one batched solve for the generator columns;
+        changes are rank-1 LODF/LCDF corrections of it — never a new
         factorization.
         """
+        key = (change.kind, change.line_index) if change else None
+        if self._last_change is None or self._last_change[0] != key:
+            self._last_change = (key, self._build_topology(change))
+        return self._last_change[1]
+
+    def _build_topology(self, change: Optional[TopologyChange]
+                        ) -> Optional[_ChangeModel]:
         flow_gen = self.gen_flow_matrix()
-        flow_base = self.factors.flows_for_injections(-demand)
         lines = list(self.factors.lines)
         if change is None:
-            return flow_gen, flow_base, lines
+            return _ChangeModel(self.grid, flow_gen, lines)
         if change.kind == "exclude":
+            remaining = [i for i in self.base_lines
+                         if i != change.line_index]
+            if not self.grid.is_connected(remaining):
+                return None
             k = self.factors.row_of(change.line_index)
             column = lodf_column(self.factors, change.line_index)
             # flow_i' = flow_i + LODF_i * flow_k ; row k removed.
             flow_gen = flow_gen + np.outer(column, flow_gen[k])
-            flow_base = flow_base + column * flow_base[k]
             flow_gen = np.delete(flow_gen, k, axis=0)
-            flow_base = np.delete(flow_base, k)
             lines.pop(k)
-            return flow_gen, flow_base, lines
+            return _ChangeModel(self.grid, flow_gen, lines, column, row=k)
         # Inclusion: the closed line's flow as a linear operator over
         # injections, from the cached base factorization.
         if change.line_index in self.factors.lines:
@@ -138,21 +213,20 @@ class ShiftFactorOpf:
         dtheta = self.factors.open_line_flow_row(change.line_index)
         new_row_gen = scale * np.array(
             [dtheta[bus - 1] for bus in self.gen_buses])
-        new_base = scale * float(dtheta @ (-demand))
         column = lcdf_column(self.factors, change.line_index)
         flow_gen = flow_gen + np.outer(column, new_row_gen)
-        flow_base = flow_base + column * new_base
         flow_gen = np.vstack([flow_gen, new_row_gen])
-        flow_base = np.append(flow_base, new_base)
         lines.append(change.line_index)
-        return flow_gen, flow_base, lines
+        return _ChangeModel(self.grid, flow_gen, lines, column,
+                            scale=scale, dtheta=dtheta)
 
     # -- solve ------------------------------------------------------------
 
-    def solve(self, loads: Optional[Dict[int, Fraction]] = None,
+    def solve(self, loads: Optional[Dict[int, float]] = None,
               change: Optional[TopologyChange] = None,
               binding_tolerance: float = 1e-6) -> DcOpfResult:
-        """OPF for the given loads and optional single-line change."""
+        """OPF for the given loads (floats or Fractions) and optional
+        single-line change."""
         started = time.perf_counter()
         try:
             return self._solve(loads, change, binding_tolerance)
@@ -160,15 +234,13 @@ class ShiftFactorOpf:
             self.solve_calls += 1
             self.solve_seconds += time.perf_counter() - started
 
-    def _solve(self, loads: Optional[Dict[int, Fraction]],
+    def _solve(self, loads: Optional[Dict[int, float]],
                change: Optional[TopologyChange],
                binding_tolerance: float) -> DcOpfResult:
         grid = self.grid
-        if change is not None and change.kind == "exclude":
-            remaining = [i for i in self.base_lines
-                         if i != change.line_index]
-            if not grid.is_connected(remaining):
-                return DcOpfResult(False, None)
+        model = self._topology(change)
+        if model is None:
+            return DcOpfResult(False, None)
 
         demand = np.zeros(grid.num_buses)
         if loads is None:
@@ -178,43 +250,42 @@ class ShiftFactorOpf:
             for bus, value in loads.items():
                 demand[bus - 1] = float(value)
 
-        flow_gen, flow_base, line_order = self._flow_model(change, demand)
-
-        num_gens = len(self.gen_buses)
-        c = np.array([float(grid.generators[b].cost_beta)
-                      for b in self.gen_buses])
-        bounds = [(float(grid.generators[b].p_min),
-                   float(grid.generators[b].p_max))
-                  for b in self.gen_buses]
-        capacities = np.array([float(grid.line(i).capacity)
-                               for i in line_order])
-        A_eq = np.ones((1, num_gens))
+        flow_gen = model.flow_gen
+        flow_base = model.flow_base(
+            self.factors.flows_for_injections(-demand), demand)
+        line_order = model.lines
+        capacities = model.capacities
         b_eq = np.array([float(demand.sum())])
 
         if self._row_generation:
             result = self._solve_with_row_generation(
-                change, c, bounds, A_eq, b_eq,
+                change, self._cost, self._bounds, self._ones, b_eq,
                 flow_gen, flow_base, capacities)
         else:
             A_ub = np.vstack([flow_gen, -flow_gen])
             b_ub = np.concatenate([capacities - flow_base,
                                    capacities + flow_base])
-            result = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-                             bounds=bounds, method="highs")
+            result = linprog(self._cost, A_ub=A_ub, b_ub=b_ub,
+                             A_eq=self._ones, b_eq=b_eq,
+                             bounds=self._bounds, method="highs")
         if result is None or not result.success:
             return DcOpfResult(False, None)
 
-        constant = sum(float(g.cost_alpha) for g in grid.generators.values())
-        dispatch = {bus: to_fraction(round(result.x[k], 12))
-                    for k, bus in enumerate(self.gen_buses)}
-        flow_values = flow_gen @ result.x + flow_base
-        flows = {line_index: to_fraction(round(float(flow_values[r]), 12))
-                 for r, line_index in enumerate(line_order)}
+        x = result.x
+        flow_values = flow_gen @ x + flow_base
         binding = [line_index for r, line_index in enumerate(line_order)
                    if abs(capacities[r] - abs(flow_values[r]))
                    <= binding_tolerance]
+        # The exact dispatch and flow maps are packed on first read: the
+        # fast analyzer only ever reads the cost.
+        dispatch = _LazyMap(lambda: {
+            bus: to_fraction(round(x[k], 12))
+            for k, bus in enumerate(self.gen_buses)})
+        flows = _LazyMap(lambda: {
+            line_index: to_fraction(round(float(flow_values[r]), 12))
+            for r, line_index in enumerate(line_order)})
         return DcOpfResult(True,
-                           to_fraction(round(result.fun + constant, 9)),
+                           to_fraction(round(result.fun + self._alpha, 9)),
                            dispatch, flows, {}, binding)
 
     def _solve_with_row_generation(self, change: Optional[TopologyChange],

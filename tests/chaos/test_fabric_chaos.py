@@ -99,7 +99,7 @@ def test_fault_storm_fleet_matches_serial(tmp_path):
 
     config = CoordinatorConfig(
         journal_path=str(tmp_path / "j.jsonl"), cache_dir=None,
-        use_cache=False, unit_cells=1, lease_ttl=1.5, steal_after=1.0,
+        use_cache=False, unit_cells=1, lease_ttl=1.5, steal_after=2.0,
         backoff_base=0.05, backoff_cap=0.5)
     coordinator = Coordinator(specs, config).start()
     procs = []

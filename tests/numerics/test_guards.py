@@ -160,6 +160,16 @@ class TestPolicy:
         with pytest.raises(NumericalInstability):
             guarded_solve(a, np.ones(2))
 
+    def test_nested_collectors_unregister_their_own_sink(self):
+        set_policy(NumericsPolicy(condition_warn=1e2))
+        with collect_diagnostics() as outer:
+            with collect_diagnostics() as inner:
+                guarded_solve(np.diag([1.0, 1e-4]), np.ones(2))
+            assert inner == outer          # equal, but distinct sinks
+            guarded_solve(np.diag([1.0, 1e-4]), np.ones(2))
+        assert len(inner) == 1
+        assert len(outer) == 2
+
     def test_diagnostics_round_trip(self):
         set_policy(NumericsPolicy(condition_warn=1e2))
         with collect_diagnostics() as notes:

@@ -7,15 +7,24 @@ different encodings (other cases, state infection) and injected test
 tasks run as one-cell units of the same protocol.
 """
 
+from fractions import Fraction
+
+from repro.core.fast import FastImpactAnalyzer, FastQuery, FastSearchStrategy
 from repro.grid.caseio import write_case
 from repro.grid.cases import get_case
+from repro.numerics.diagnostics import WARNING, NumericalDiagnostic, emit
 from repro.runner import ScenarioSpec, SweepConfig, SweepEngine
 from repro.runner.engine import (
     _group_worker_entry,
     execute_scenario,
     execute_scenario_group,
 )
-from repro.runner.trace import ERROR, OK, UNKNOWN
+from repro.runner.trace import (
+    ERROR,
+    OK,
+    UNKNOWN,
+    deterministic_outcome_view,
+)
 
 TARGETS = (1, 2, 3, 4, 5, 6)
 
@@ -137,6 +146,85 @@ class TestWarmSweep:
         totals = parallel.to_dict()["totals"]
         if parallel.mode == "parallel":
             assert totals["encodings_built"] == 2
+
+
+def _report_view(report):
+    attack = report.attack
+    return (report.status, report.satisfiable,
+            report.achieved_increase_percent, report.believed_min_cost,
+            report.candidates_examined,
+            None if attack is None else (attack.excluded, attack.included,
+                                         attack.altered_measurements,
+                                         attack.believed_loads),
+            [(d.code, d.message) for d in report.diagnostics.diagnostics]
+            if report.diagnostics is not None else [])
+
+
+class TestFastWarmMemo:
+    """The fast strategy keeps target-independent kernel results (flow
+    ranges, interval maxima) across the queries of one analyzer; a warm
+    query must answer exactly as a cold one."""
+
+    def test_fast_unit_matches_cold_cells(self):
+        targets = ["1/2"] + list(range(1, 9))
+        specs = [ScenarioSpec.build("ieee30", analyzer="fast", target=t,
+                                    label=f"ieee30/t{t}")
+                 for t in targets]
+        fingerprints = [f"fp{i}" for i in range(len(specs))]
+        warm = execute_scenario_group(specs, fingerprints)
+        assert [o.status for o in warm] == [OK] * len(specs)
+        assert warm[0].satisfiable and not warm[1].satisfiable
+        for spec, fingerprint, outcome in zip(specs, fingerprints, warm):
+            cold = execute_scenario(spec, fingerprint)
+            assert deterministic_outcome_view(outcome.to_dict()) == \
+                deterministic_outcome_view(cold.to_dict())
+        # Targets 2..n were answered from the memo alone.
+        assert [o.trace["opf"]["solves"] for o in warm[1:]] == \
+            [0] * (len(specs) - 1)
+
+    def test_bisection_tolerance_keys_the_memo(self):
+        warm = FastImpactAnalyzer(get_case("ieee30"))
+        for tolerance in (1e-4, 1e-2, 1e-4):
+            for target in (Fraction(1, 2), Fraction(2)):
+                query = dict(target_increase_percent=target,
+                             bisection_tolerance=tolerance)
+                cold = FastImpactAnalyzer(get_case("ieee30"))
+                assert _report_view(warm.analyze(FastQuery(**query))) == \
+                    _report_view(cold.analyze(FastQuery(**query)))
+        assert {key[2] for key in warm._strategy._maxima} == {1e-4, 1e-2}
+
+    def test_warned_entry_is_recomputed(self, monkeypatch):
+        """A range computed under a numerical warning is not memoised:
+        the next query recomputes it, warns again and escalates exactly
+        as a cold query does."""
+        warned = ("exclude", 11)
+        computed = []
+        original = FastSearchStrategy._reachable_flow_range
+
+        def warning_range(self, kind, line_index):
+            computed.append((kind, line_index))
+            if (kind, line_index) == warned:
+                emit(NumericalDiagnostic(
+                    "solve", "test matrix", WARNING, "injected warning"))
+            return original(self, kind, line_index)
+
+        monkeypatch.setattr(FastSearchStrategy, "_reachable_flow_range",
+                            warning_range)
+        query = FastQuery(target_increase_percent=Fraction(2))
+        warm = FastImpactAnalyzer(get_case("ieee30"))
+        warm.analyze(query)
+        ranges = warm._strategy._ranges
+        assert warned in computed and warned not in ranges
+        assert set(computed) - {warned} <= set(ranges)
+
+        computed.clear()
+        report = warm.analyze(query)
+        assert computed == [warned]
+        cold = FastImpactAnalyzer(get_case("ieee30")).analyze(query)
+        assert _report_view(report) == _report_view(cold)
+        codes = {d.code for d in report.diagnostics.diagnostics}
+        assert {"numeric.ill_conditioned",
+                "numeric.boundary_escalated"} <= codes
 
 
 class TestGroupErrorPropagation:
