@@ -324,18 +324,11 @@ def _cmd_defend(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
-    if args.degenerate:
-        from repro.testing.degenerate import fuzz_degenerate_case
-        report = fuzz_degenerate_case(
-            args.case, seed=args.seed, iterations=args.iterations,
-            max_mutations=args.max_mutations,
-            time_limit=args.time_limit)
-    else:
-        from repro.testing.fuzz import fuzz_bundled_case
-        report = fuzz_bundled_case(
-            args.case, seed=args.seed, iterations=args.iterations,
-            analyzer=args.analyzer, max_mutations=args.max_mutations,
-            time_limit=args.time_limit)
+    from repro.testing.fuzz import fuzz_bundled_case
+    report = fuzz_bundled_case(
+        args.case, seed=args.seed, iterations=args.iterations,
+        analyzer=args.analyzer, max_mutations=args.max_mutations,
+        time_limit=args.time_limit)
     print(report.render())
     return 0 if report.ok else 1
 
@@ -847,30 +840,26 @@ def build_parser() -> argparse.ArgumentParser:
     defend.set_defaults(func=_cmd_defend)
 
     fuzz = sub.add_parser(
-        "fuzz", help="drive seeded case mutants through the analyze "
+        "fuzz", help="drive seeded case mutants (corrupted text or "
+                     "ill-conditioned numbers) through the analyze "
                      "path; exit 1 if any escapes as an uncaught "
-                     "exception")
+                     "exception or the float and exact verdicts "
+                     "silently disagree")
     fuzz.add_argument("--case", default="5bus-study1",
                       help="bundled case to mutate (default: "
                            "5bus-study1)")
     fuzz.add_argument("--iterations", type=int, default=200,
                       help="number of mutants to generate (default 200)")
     fuzz.add_argument("--seed", type=int, default=0,
-                      help="mutation seed; (case, seed, iteration) "
-                           "fully determines each mutant")
+                      help="mutation seed; (case, seed, max mutations, "
+                           "iteration) fully determines each mutant")
     fuzz.add_argument("--analyzer", choices=("fast", "smt"),
                       default="fast")
     fuzz.add_argument("--max-mutations", type=int, default=3,
-                      help="max corruptions applied per mutant")
+                      help="max mutations applied per mutant")
     fuzz.add_argument("--time-limit", type=float, default=None,
                       help="abort (exit 1) if the run exceeds this many "
                            "seconds")
-    fuzz.add_argument("--degenerate", action="store_true",
-                      help="fuzz case numerics instead of case text: "
-                           "seeded ill-conditioned mutants (near-"
-                           "singular B, extreme admittance ratios, "
-                           "near-redundant measurements) checked for "
-                           "silent float/exact disagreements")
     fuzz.set_defaults(func=_cmd_fuzz)
 
     def add_grid_args(p, trace_default):

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.exceptions import CaseFieldError, InputFormatError, ModelError
@@ -304,8 +305,25 @@ def parse_case(text: str, name: str = "case") -> CaseDefinition:
         raise CaseFieldError("case", str(exc)) from exc
 
 
+@lru_cache(maxsize=4096, typed=True)
+def _number(value: Fraction) -> str:
+    """``value`` as case text: ``:g`` when that is exact, else ``p/q``.
+
+    Cached: fingerprinting writes the same case values once per
+    scenario, and the exactness check re-parses the text.
+    """
+    text = f"{float(value):g}"
+    return text if Fraction(text) == value else str(value)
+
+
 def write_case(case: CaseDefinition) -> str:
-    """Serialize a case back to the paper's input format."""
+    """Serialize a case back to the paper's input format, losslessly.
+
+    Every number that ``:g`` renders exactly (all bundled cases) is
+    written that way; any other value is written as the exact fraction
+    ``p/q`` the parser reads back, so ``parse_case(write_case(c))``
+    reproduces every value of ``c``.
+    """
     out: List[str] = []
     out.append("# Topology (Line) Information")
     out.append("# (line no, from bus, to bus, admittance, line capacity, "
@@ -313,7 +331,7 @@ def write_case(case: CaseDefinition) -> str:
                "can alter?)")
     for s in case.line_specs:
         out.append(f"{s.index} {s.from_bus} {s.to_bus} "
-                   f"{float(s.admittance):g} {float(s.capacity):g} "
+                   f"{_number(s.admittance)} {_number(s.capacity)} "
                    f"{int(s.knowledge)} {int(s.in_true_topology)} "
                    f"{int(s.in_core)} {int(s.status_secured)} "
                    f"{int(s.status_alterable)}")
@@ -331,15 +349,15 @@ def write_case(case: CaseDefinition) -> str:
     out.append("# Generator Information (bus no, max generation, "
                "min generation, cost coefficient)")
     for g in case.generators:
-        out.append(f"{g.bus} {float(g.p_max):g} {float(g.p_min):g} "
-                   f"{float(g.cost_alpha):g} {float(g.cost_beta):g}")
+        out.append(f"{g.bus} {_number(g.p_max)} {_number(g.p_min)} "
+                   f"{_number(g.cost_alpha)} {_number(g.cost_beta)}")
     out.append("# Load Information (bus no, existing load, max load, "
                "min load)")
     for l in case.loads:
-        out.append(f"{l.bus} {float(l.existing):g} {float(l.p_max):g} "
-                   f"{float(l.p_min):g}")
+        out.append(f"{l.bus} {_number(l.existing)} {_number(l.p_max)} "
+                   f"{_number(l.p_min)}")
     out.append("# Cost Constraint, Minimum Cost Increase by Attack "
                "(in percentage)")
-    out.append(f"{float(case.base_cost):g} "
-               f"{float(case.min_increase_percent):g}")
+    out.append(f"{_number(case.base_cost)} "
+               f"{_number(case.min_increase_percent)}")
     return "\n".join(out) + "\n"

@@ -11,15 +11,14 @@ with one outcome per scenario and that corrupted certificates are never
 silently accepted.
 
 :mod:`repro.testing.fuzz` complements the fault harness with seeded
-text-level *input* fuzzing: corrupted case files driven through the
-parse → preflight → analyze path to prove no malformed input escapes as
-an uncaught exception (``python -m repro fuzz``).
-
-:mod:`repro.testing.degenerate` fuzzes case *numerics* instead of case
-text: seeded ill-conditioned mutants (near-singular B matrices, extreme
-admittance ratios, near-redundant measurement sets) driven through both
-the float and the exact verdict paths to prove they never silently
-disagree (``python -m repro fuzz --degenerate``).
+*input* fuzzing: one mutator whose mutants either corrupt the case text
+(against the preflight boundary) or make the case's numbers
+ill-conditioned (near-singular B matrices, extreme admittance ratios,
+near-redundant measurement sets).  Every mutant is a case text driven
+through the parse → preflight → analyze path and checked by one
+oracle: no uncaught exception, and on the fast analyzer no silent
+disagreement between the float and the exact verdict paths
+(``python -m repro fuzz``).
 """
 
 from repro.testing.fuzz import (
@@ -31,15 +30,6 @@ from repro.testing.fuzz import (
     analyze_text,
     fuzz_bundled_case,
     run_fuzz,
-)
-from repro.testing.degenerate import (
-    SILENT_DISAGREEMENT,
-    DegenerateFuzzer,
-    DegenerateMutant,
-    DegenerateRecord,
-    DegenerateReport,
-    fuzz_degenerate_case,
-    run_degenerate_fuzz,
 )
 from repro.testing.faults import (
     COORDINATOR_KILL,
@@ -80,13 +70,6 @@ __all__ = [
     "analyze_text",
     "fuzz_bundled_case",
     "run_fuzz",
-    "SILENT_DISAGREEMENT",
-    "DegenerateFuzzer",
-    "DegenerateMutant",
-    "DegenerateRecord",
-    "DegenerateReport",
-    "fuzz_degenerate_case",
-    "run_degenerate_fuzz",
     "COORDINATOR_KILL",
     "CRASH_WORKER",
     "CORRUPT_CASE",

@@ -1,5 +1,6 @@
 """Tests for the case-definition format: parsing, writing, round-trips."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -164,6 +165,18 @@ class TestRoundTrip:
         for a, b in zip(parsed.generators, original.generators):
             assert a.bus == b.bus
             assert float(a.cost_beta) == pytest.approx(float(b.cost_beta))
+
+    def test_values_beyond_six_digits_round_trip_exactly(self):
+        # ``:g`` carries six significant digits; a value it cannot
+        # render exactly is written as ``p/q`` and must parse back as
+        # the very same Fraction.
+        original = get_case("5bus-study1")
+        original.line_specs[2] = replace(
+            original.line_specs[2], admittance=Fraction("5.0500004"),
+            capacity=Fraction(1, 35))
+        text = write_case(original)
+        assert "5.0500004" not in text and "1/35" in text
+        assert parse_case(text, original.name) == original
 
 
 class TestCaseRegistry:

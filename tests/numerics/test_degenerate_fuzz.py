@@ -1,16 +1,12 @@
-"""Degeneracy-fuzzer smoke tests plus the targeted ill-conditioning
-escalation behaviors the fuzzer's invariant rests on."""
-
-import pytest
+"""Numeric-family fuzzer checks plus the targeted ill-conditioning
+escalation behaviors the case fuzzer's float/exact oracle rests on (the
+rest of the fuzzer is tested in ``tests/chaos/test_fuzz_invariants.py``)."""
 
 from repro.core import FastImpactAnalyzer, FastQuery
 from repro.grid.caseio import parse_case, write_case
 from repro.grid.cases import get_case
-from repro.testing.degenerate import (
-    DegenerateFuzzer,
-    fuzz_degenerate_case,
-    run_degenerate_fuzz,
-)
+from repro.testing import CaseFuzzer
+from repro.testing.fuzz import NUMERIC, run_fuzz
 
 
 def _scaled_case(factor, line_row="3 2 3 5.05 0.05 1 1 1 1 1",
@@ -23,45 +19,28 @@ def _scaled_case(factor, line_row="3 2 3 5.05 0.05 1 1 1 1 1",
 
 class TestFuzzerDeterminism:
     def test_mutants_are_iteration_addressable(self):
-        base = get_case("5bus-study1")
-        first = DegenerateFuzzer(base, seed=3).mutant(17)
-        again = DegenerateFuzzer(base, seed=3).mutant(17)
-        assert first.mutations == again.mutations
-        assert [s.admittance for s in first.case.line_specs] == \
-            [s.admittance for s in again.case.line_specs]
-
-    def test_mutations_do_not_leak_into_base(self):
-        base = get_case("5bus-study1")
-        before = [s.admittance for s in base.line_specs]
-        DegenerateFuzzer(base, seed=0).mutant(0)
-        assert [s.admittance for s in base.line_specs] == before
+        # A numeric mutant drawn on its own equals the one at the same
+        # position of the stream, down to the parsed admittances.
+        text = write_case(get_case("5bus-study1"))
+        streamed = [m for m in CaseFuzzer(text, seed=3).mutants(40)
+                    if m.family == NUMERIC]
+        assert streamed
+        for mutant in streamed:
+            alone = CaseFuzzer(text, seed=3).mutant(mutant.iteration)
+            assert alone == mutant
+            assert [s.admittance for s in parse_case(alone.text).line_specs] \
+                == [s.admittance for s in parse_case(mutant.text).line_specs]
 
 
 class TestFuzzSmoke:
-    def test_no_escape_no_silent_disagreement(self):
-        report = run_degenerate_fuzz(get_case("5bus-study1"),
-                                     case="5bus-study1", seed=0,
-                                     iterations=40)
-        assert report.ok, report.render()
-        assert report.iterations == 40
-        assert sum(report.counts.values()) == 40
-        # The stream must actually exercise analysis, not only rejection.
-        assert report.counts.get("sat", 0) \
-            + report.counts.get("unsat", 0) > 0
-
-    def test_bundled_entry_point_and_render(self):
-        report = fuzz_degenerate_case("5bus-study2", seed=7,
-                                      iterations=15)
-        assert report.ok, report.render()
-        text = report.render()
-        assert "degenerate fuzz 5bus-study2" in text
-        assert "never silently disagreed" in text
-
     def test_time_limit_truncates(self):
-        report = run_degenerate_fuzz(get_case("5bus-study1"), seed=0,
-                                     iterations=10_000, time_limit=1.0)
+        report = run_fuzz(write_case(get_case("5bus-study1")), seed=0,
+                          iterations=10_000, time_limit=1.0)
         assert report.truncated
-        assert report.iterations < 10_000
+        assert not report.ok
+        assert report.requested == 10_000
+        assert 0 < report.iterations < 10_000
+        assert sum(report.counts.values()) == report.iterations
 
 
 class TestIllConditioningEscalation:

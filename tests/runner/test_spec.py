@@ -7,7 +7,19 @@ import pytest
 from repro.exceptions import ModelError
 from repro.grid import write_case
 from repro.grid.cases import get_case
-from repro.runner import ScenarioSpec, code_fingerprint
+from repro.runner import (ScenarioSpec, SweepConfig, SweepEngine,
+                          code_fingerprint)
+
+
+def _near_equal_inline_specs():
+    """5bus-study1 inline, line 3's admittance 5.05 vs 5.0500004."""
+    text = write_case(get_case("5bus-study1"))
+    row = "3 2 3 5.05 0.05 1 1 1 1 1"
+    assert row in text
+    return [ScenarioSpec.build(
+        label, analyzer="fast", target=1, state_samples=4,
+        case_text=text.replace(row, row.replace("5.05", admittance)))
+        for label, admittance in (("a", "5.05"), ("b", "5.0500004"))]
 
 
 class TestBuild:
@@ -96,6 +108,28 @@ class TestFingerprint:
         a = ScenarioSpec.build("5bus-study1")
         b = ScenarioSpec.build("5bus-study2")
         assert a.fingerprint() != b.fingerprint()
+
+    def test_inline_digits_beyond_six_change_fingerprint(self):
+        # Two inline cases that differ only past the sixth significant
+        # digit are different cases: neither the cache key nor the warm
+        # encoding group may merge them.
+        a, b = _near_equal_inline_specs()
+        assert a.fingerprint() != b.fingerprint()
+        assert a.encoding_group() != b.encoding_group()
+
+    def test_near_equal_inline_cases_get_their_own_answers(self):
+        # A serial run batches equal encoding groups onto one warm
+        # analyzer built from the unit's first case, so a merged group
+        # would hand the second case the first case's answer.
+        specs = _near_equal_inline_specs()
+
+        def run(batch):
+            engine = SweepEngine(SweepConfig(workers=1, use_cache=False))
+            return [o.achieved_increase_percent
+                    for o in engine.run(batch).outcomes]
+        alone = [run([spec])[0] for spec in specs]
+        assert alone[0] != alone[1]
+        assert run(specs) == alone
 
     def test_attacker_seed_changes_fingerprint(self):
         a = ScenarioSpec.build("ieee14", attacker_seed=2014)

@@ -61,6 +61,23 @@ class TestAnalyze:
         assert "UFDI attack on state(s) [3]" in out
 
 
+class TestFuzz:
+    def test_seeded_run_examines_every_mutant(self, capsys):
+        assert main(["fuzz", "--iterations", "20", "--seed", "5"]) == 0
+        out = capsys.readouterr().out
+        assert "20 of 20 mutants" in out
+        assert "oracle held on every mutant" in out
+
+    def test_truncated_run_exits_one(self, capsys):
+        # --time-limit promises exit 1 when the run is cut short; a
+        # truncated run has not checked the stream it was asked to.
+        assert main(["fuzz", "--iterations", "1000",
+                     "--time-limit", "0"]) == 1
+        out = capsys.readouterr().out
+        assert "[truncated by time limit]" in out
+        assert "after 0 of 1000 requested mutants" in out
+
+
 class TestSweep:
     def _run(self, tmp_path, extra=(), capsys=None):
         args = ["sweep", "--cases", "5bus-study1,5bus-study2",
