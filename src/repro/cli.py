@@ -508,7 +508,6 @@ def _cmd_sweep(args) -> int:
     if args.clear_cache and cache_dir:
         removed = ResultCache(cache_dir).clear()
         print(f"cleared {removed} cached result(s) from {cache_dir}")
-    workers = 1 if args.serial else args.workers
     budget = None
     if args.max_conflicts or args.max_decisions or args.max_pivots:
         from repro.smt import SolverBudget
@@ -516,18 +515,18 @@ def _cmd_sweep(args) -> int:
                               max_decisions=args.max_decisions,
                               max_pivots=args.max_pivots)
     engine = SweepEngine(SweepConfig(
-        workers=workers, task_timeout=args.timeout,
+        workers=args.workers, task_timeout=args.timeout,
         retries=args.retries, cache_dir=cache_dir,
         use_cache=cache_dir is not None, budget=budget,
         self_check=True if args.self_check else None))
 
-    # SIGTERM behaves like SIGINT: the engine checkpoints every
-    # completed cell as it finishes (including cells salvaged out of an
-    # interrupted warm group) and we exit with the resumable code.
+    # SIGTERM behaves like SIGINT: every completed cell was checkpointed
+    # as it finished (by the supervised workers in parallel mode), the
+    # engine stops its workers, and we exit with the resumable code.
+    mode = "serial" if args.workers <= 1 else f"{args.workers} workers"
     with _sigterm_interrupts():
         try:
-            print(f"sweep: {len(specs)} scenario(s) queued "
-                  f"({'serial' if workers == 1 else f'{workers} workers'})",
+            print(f"sweep: {len(specs)} scenario(s) queued ({mode})",
                   flush=True)
             return _sweep_exit(engine.run(specs), len(specs), args)
         except KeyboardInterrupt:
@@ -927,10 +926,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--workers", type=int,
                        default=min(4, os.cpu_count() or 1),
                        help="worker processes (default: min(4, cpus))")
-    sweep.add_argument("--serial", action="store_true",
-                       help="force in-process serial execution")
     sweep.add_argument("--retries", type=int, default=1,
-                       help="resubmissions after a worker crash")
+                       help="re-dispatches after a worker crash or hang")
     sweep.add_argument("--clear-cache", action="store_true",
                        help="drop cached results before running")
     sweep.set_defaults(func=_cmd_sweep)

@@ -8,21 +8,23 @@ process, a dropped connection — are retried; only *exhausted* retries
 mean the coordinator is gone, and the worker then exits cleanly with
 code 2 instead of spinning.
 
-Per leased unit the worker:
+Per leased unit the worker runs the cells through the kernel's
+:func:`~repro.runner.engine.run_unit` — the unit runner the supervised
+sweep and the analysis service use — on its own warm
+:class:`~repro.service.worker.SessionPool`, which per cell
 
 1. serves any cell the shared result cache already has a verified
-   answer for (the kernel's :func:`~repro.runner.engine.read_through`
-   — pays off for re-dispatched units whose first copy checkpointed
-   before dying),
-2. runs the rest through the same warm
-   :func:`~repro.runner.engine.execute_scenario_group` core the
-   single-machine sweep uses (one encoding, incremental re-solves),
-3. checkpoints computed outcomes to the shared cache *before*
-   committing (write-behind: a coordinator killed between our cache
-   write and our commit loses nothing — the resume pass read-throughs
-   the cache), and
-4. commits the unit's outcomes.  A ``duplicate`` acknowledgement means
-   a speculative copy won the race — success, just not ours.
+   answer for (pays off for re-dispatched units whose first copy
+   checkpointed before dying),
+2. runs the rest on a warm analyzer (one encoding per group,
+   incremental re-solves), and
+3. checkpoints each computed outcome to the shared cache *before* the
+   commit (write-behind: a coordinator killed between our cache write
+   and our commit loses nothing — the resume pass read-throughs the
+   cache).
+
+It then commits the unit's outcomes.  A ``duplicate`` acknowledgement
+means a speculative copy won the race — success, just not ours.
 
 A background thread heartbeats each held lease at a third of its TTL.
 The chaos suite injects faults via :class:`FabricFaultPlan`
@@ -42,13 +44,12 @@ from typing import Any, Dict, List, Optional
 
 from repro.fabric.protocol import FABRIC_PROTOCOL_VERSION
 from repro.runner.cache import ResultCache
-from repro.runner.engine import checkpoint, execute_scenario_group, \
-    read_through
+from repro.runner.engine import run_unit
 from repro.runner.spec import ScenarioSpec
 from repro.runner.trace import ScenarioOutcome
 from repro.service.client import ServiceClient, ServiceError, \
     ServiceUnavailable
-from repro.smt.certificates import self_check_default
+from repro.service.worker import SessionPool
 from repro.testing.faults import (
     CRASH_WORKER,
     HANG_WORKER,
@@ -143,6 +144,7 @@ class FabricWorker:
         self.beat_client = ServiceClient(base_url, retries=0)
         self.cache = ResultCache(self.config.cache_dir) \
             if self.config.use_cache and self.config.cache_dir else None
+        self.sessions = SessionPool()
         self.units_done = 0
         self.cells_done = 0
         self.duplicates = 0
@@ -240,22 +242,10 @@ class FabricWorker:
                  budget: Optional[Dict[str, Any]],
                  self_check: Optional[bool]
                  ) -> List[ScenarioOutcome]:
-        """Cache read-through, then one warm group over the misses,
-        whose outcomes are checkpointed before the commit call."""
-        certify = self_check_default(self_check)
-        outcomes = [read_through(self.cache, fingerprint, spec, certify)[0]
-                    for spec, fingerprint in zip(specs, fingerprints)]
-        misses = [position for position, outcome in enumerate(outcomes)
-                  if outcome is None]
-        self.cache_hits += len(specs) - len(misses)
-        if misses:
-            computed = execute_scenario_group(
-                [specs[position] for position in misses],
-                [fingerprints[position] for position in misses],
-                budget, self_check=self_check)
-            for position, outcome in zip(misses, computed):
-                checkpoint(self.cache, fingerprints[position], outcome)
-                outcomes[position] = outcome
+        """The unit's outcomes, each checkpointed before the commit."""
+        outcomes = list(run_unit(specs, fingerprints, self.cache, budget,
+                                 self_check, sessions=self.sessions))
+        self.cache_hits += sum(outcome.cache_hit for outcome in outcomes)
         return outcomes
 
     def stats(self) -> Dict[str, Any]:

@@ -5,11 +5,14 @@ warning-level findings (ill-conditioned but still usable) are delivered
 to whoever registered a sink via :func:`collect_diagnostics` — the
 analysis session uses this to convert them into run-notes on the
 :class:`~repro.core.results.ImpactReport`.  With no sink registered,
-warnings are dropped (fail-level findings still raise).
+warnings are dropped (fail-level findings still raise).  Sinks are per
+thread, so concurrent analyses (thread-mode supervisor workers) never
+see each other's warnings.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Optional
 
@@ -41,12 +44,20 @@ class NumericalDiagnostic:
         return " ".join(parts)
 
 
-_sinks: List[List[NumericalDiagnostic]] = []
+class _ThreadSinks(threading.local):
+    """Each thread's own stack of registered sinks."""
+
+    def __init__(self) -> None:
+        self.stack: List[List[NumericalDiagnostic]] = []
+
+
+_sinks = _ThreadSinks()
 
 
 def emit(diagnostic: NumericalDiagnostic) -> None:
-    """Deliver a warning-level diagnostic to every registered sink."""
-    for sink in _sinks:
+    """Deliver a warning-level diagnostic to every sink this thread
+    registered."""
+    for sink in _sinks.stack:
         sink.append(diagnostic)
 
 
@@ -63,11 +74,12 @@ class collect_diagnostics:
             sink if sink is not None else []
 
     def __enter__(self) -> List[NumericalDiagnostic]:
-        _sinks.append(self.sink)
+        _sinks.stack.append(self.sink)
         return self.sink
 
     def __exit__(self, *exc_info) -> None:
         # By identity: nested sinks that saw the same warnings compare
         # equal, and list.remove() would unregister the outer one.
-        del _sinks[next(i for i, sink in enumerate(_sinks)
-                        if sink is self.sink)]
+        stack = _sinks.stack
+        del stack[next(i for i, sink in enumerate(stack)
+                       if sink is self.sink)]

@@ -2,8 +2,11 @@
 
 * :mod:`repro.runner.spec` — declarative :class:`ScenarioSpec` with
   deterministic fingerprinting (case content + query + code version),
-* :mod:`repro.runner.engine` — :class:`SweepEngine`: process-pool
-  fan-out with per-task timeouts, crash retry and serial fallback,
+* :mod:`repro.runner.engine` — the execution kernel (grid planning, the
+  :func:`~repro.runner.engine.run_unit` unit runner, the cache policy)
+  and :class:`SweepEngine`, which runs units in-process or as jobs on
+  the service :class:`~repro.service.supervisor.Supervisor` (per-task
+  timeouts, retry of dead or hung workers, thread fallback),
 * :mod:`repro.runner.cache` — the on-disk JSON result cache under
   ``.repro-cache/``,
 * :mod:`repro.runner.trace` — per-scenario and per-sweep trace records

@@ -1,9 +1,11 @@
-"""The parallel scenario-sweep engine and the execution kernel it shares.
+"""The scenario-sweep engine and the execution kernel it shares.
 
 The paper's evaluation grids — (case × target-% × attacker-scenario)
 cells, each an independent impact analysis — are embarrassingly parallel,
 so :class:`SweepEngine` fans :class:`~repro.runner.spec.ScenarioSpec`
-tasks out over a :class:`~concurrent.futures.ProcessPoolExecutor`.
+units out to the workers of the analysis service's
+:class:`~repro.service.supervisor.Supervisor`, the one local process
+supervisor.
 
 The sweep, the distributed fabric and the analysis service are front ends
 over one kernel defined here:
@@ -20,35 +22,33 @@ over one kernel defined here:
   differ — any model is valid, and certified mode re-checks each
   independently);
 * every unit, a unit of one cell included, runs through
-  :func:`execute_scenario_group`, which maps analyzer statuses and
-  escaping exceptions onto outcome statuses in one place;
+  :func:`run_unit` — in the serial sweep, in every supervised worker and
+  in the fabric worker — which maps analyzer statuses and escaping
+  exceptions onto outcome statuses in one place and checkpoints each
+  cell as it finishes;
 * :func:`read_through` and :func:`checkpoint` are the only cache
   consumers: a hit is served only after :func:`verify_cached_outcome`,
   and only :attr:`ScenarioOutcome.cacheable` outcomes are admitted.
 
-On top of that kernel the engine adds process supervision:
+With ``workers > 1`` and more than one unit, the engine submits each
+unit as one supervisor job, and the supervisor's failure policy is the
+sweep's:
 
-* each finished cacheable outcome is checkpointed *as it completes*, so
-  a killed or interrupted sweep resumes from where it left off instead
-  of recomputing;
-* each task has an optional wall-clock budget (``task_timeout``) that is
-  shipped into the worker as an in-solver
-  :class:`~repro.smt.budget.SolverBudget` deadline: a solver-bound task
-  comes back as ``unknown`` with partial statistics.  The pool-level
-  ``timeout`` verdict remains as a backstop for tasks stuck outside the
-  solvers; when it fires, pending tasks are migrated to a fresh pool so
-  hung workers cannot starve the rest of the sweep;
-* a worker-process crash (OOM kill, segfault in a native library) breaks
-  the pool — the engine rebuilds it and retries the affected scenarios up
-  to ``retries`` times; a unit whose budget runs out gets one *isolated*
-  dispatch (own single-worker pool) before being recorded as ``crashed``,
-  because a shared-pool breakage fails every in-flight future and the
-  victim may never have crashed itself;
-* when process pools are unavailable (restricted environments) or
-  ``workers <= 1``, the engine degrades gracefully to in-process serial
-  execution with identical results (including budget enforcement — the
-  in-solver deadline works the same in-process).
+* each task has an optional wall-clock budget (``task_timeout``) that
+  reaches the worker as an in-solver
+  :class:`~repro.smt.budget.SolverBudget` deadline: a solver-bound cell
+  comes back as ``unknown`` with partial statistics.  A worker stuck
+  outside the solvers is hard-killed at the unit's kill horizon;
+* a unit whose worker dies (OOM kill, segfault in a native library) or
+  hangs is re-dispatched up to ``retries`` times, then every cell of it
+  is recorded as ``crashed`` or ``timeout``.  Each worker has its own
+  pipe, so a failure is charged to the unit that worker held and never
+  to a neighbour;
+* where processes cannot be spawned (restricted environments) the
+  supervisor runs its workers as threads, with identical results.
 
+With ``workers <= 1`` (or a single unit) the engine runs in-process,
+including budget enforcement — the in-solver deadline works the same.
 Execution is deterministic per scenario, so parallel and serial runs are
 interchangeable; only wall-clock differs.
 """
@@ -58,8 +58,6 @@ from __future__ import annotations
 import os
 import time
 import traceback
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FuturesTimeoutError
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterator, List, Mapping, \
     Optional, Sequence, Tuple
@@ -90,22 +88,6 @@ from repro.search import DEFAULT_TOLERANCE, MaxImpactResult, \
 from repro.smt.budget import SolverBudget
 from repro.smt.certificates import self_check_default
 from repro.validation import FATAL, ValidationReport, validate_case
-
-
-class GroupInterrupted(BaseException):
-    """A warm unit was interrupted (SIGINT/SIGTERM) mid-run.
-
-    Carries the outcomes completed *before* the interrupt so the engine
-    can checkpoint them to the cache before re-raising
-    :class:`KeyboardInterrupt` — a supervised sweep stays resumable at
-    per-cell granularity even when cells are batched into warm units.
-    Derives from ``BaseException`` so generic worker error handling
-    cannot swallow it.
-    """
-
-    def __init__(self, outcomes: Sequence) -> None:
-        super().__init__(f"{len(outcomes)} outcome(s) salvaged")
-        self.outcomes = list(outcomes)
 
 
 def _exception_text(exc: BaseException) -> str:
@@ -144,9 +126,10 @@ class SweepConfig:
     #: per-task wall-clock budget in seconds (None: unlimited).  Enforced
     #: cooperatively inside the solvers in *both* modes (tasks come back
     #: ``unknown`` with partial statistics); parallel mode additionally
-    #: keeps the pool-level wait as a backstop for hung workers.
+    #: hard-kills a worker stuck past its unit's kill horizon.
     task_timeout: Optional[float] = None
-    #: how many times a scenario is resubmitted after its worker crashed.
+    #: how many times a unit is re-dispatched after its worker died or
+    #: hung (parallel mode).
     retries: int = 1
     cache_dir: Optional[str] = DEFAULT_CACHE_DIR
     use_cache: bool = True
@@ -404,44 +387,70 @@ def execute_with_analyzer(spec: ScenarioSpec, fingerprint: str,
     return _outcome_from_report(outcome, report, started)
 
 
-def iter_scenario_group(specs: Sequence[ScenarioSpec],
-                        fingerprints: Sequence[str],
-                        budget_limits: Optional[Dict[str, Any]] = None,
-                        self_check: Optional[bool] = None
-                        ) -> Iterator[ScenarioOutcome]:
+def run_unit(specs: Sequence[ScenarioSpec],
+             fingerprints: Optional[Sequence[str]] = None,
+             cache: Optional[ResultCache] = None,
+             budget_limits: Optional[Dict[str, Any]] = None,
+             self_check: Optional[bool] = None,
+             sessions=None) -> Iterator[ScenarioOutcome]:
     """Run one execution unit, yielding each outcome as it finishes.
 
-    All specs must have equal :meth:`ScenarioSpec.encoding_group` keys —
-    same resolved case, analyzer kind and state-infection flag, varying
-    only per-query parameters (the target threshold, candidate caps,
-    sampling seeds).  One analyzer is built for the whole unit.  It is
-    warm (the SMT strategy re-solves each threshold inside a solver
-    ``push()``/``pop()`` scope of one
-    :class:`~repro.core.encoding.AttackModelEncoding`) when the unit has
-    more than one spec or the spec is a maximize search, which re-solves
-    one encoding at many thresholds; a single decision cell stays on the
-    cold single-shot path (bit-identical witnesses).  Each scenario
-    gets a *fresh* budget built from ``budget_limits`` — armed before
-    the case is built, so the deadline covers case build and analysis —
-    and its own outcome with per-scenario timings.
+    The one unit runner of every front end: the serial sweep, the
+    supervised sweep and service workers, and the fabric worker.  Per
+    cell it
+
+    1. arms a *fresh* budget built from ``budget_limits`` (so the
+       deadline covers fingerprinting and case build too);
+    2. plans the cell: without ``fingerprints`` the runner fingerprints
+       the spec itself (:func:`plan_grid` — a case text that does not
+       parse becomes a rejection, and the fingerprint is always the one
+       of the spec actually analysed); with them, the caller's are
+       trusted.  A verified cache hit (:func:`read_through`) is served;
+    3. takes an analyzer — from ``sessions`` (a
+       :class:`~repro.service.worker.SessionPool`, keyed by encoding
+       group) when given, else one built for the unit: warm when the
+       unit has more than one cell or the cell is a maximize search
+       (which re-solves one encoding at many thresholds), so a single
+       decision cell stays on the cold single-shot path;
+    4. runs :func:`execute_with_analyzer` and checkpoints the outcome
+       the moment it finishes, so an interrupt loses only the cell in
+       flight.
 
     Verdicts are deterministic either way; SAT *witness vectors* may
     depend on the warm solver's accumulated learned clauses (any model
     is valid, and certified mode re-checks each one independently).
     """
+    certify = self_check_default(self_check)
     analyzer = None
-    for spec, fingerprint in zip(specs, fingerprints):
+    for position, spec in enumerate(specs):
         started = time.perf_counter()
         budget = SolverBudget.from_dict(budget_limits) \
             if budget_limits else None
+        if budget is not None:
+            budget.start()
+        if fingerprints is None:
+            grid = plan_grid([spec], cache, certify)
+            fingerprint, resolved = grid.fingerprints[0], grid.outcomes[0]
+            if resolved is not None and not resolved.cache_hit:
+                # Rejected or failed while fingerprinting.
+                resolved.worker_pid = os.getpid()
+                resolved.task_seconds = time.perf_counter() - started
+        else:
+            fingerprint = fingerprints[position]
+            resolved = read_through(cache, fingerprint, spec, certify)[0]
+        if resolved is not None:
+            yield resolved
+            continue
         outcome = ScenarioOutcome(spec=spec, fingerprint=fingerprint,
                                   worker_pid=os.getpid())
+        group = None
         try:
-            if budget is not None:
-                budget.start()
             case = spec.resolve_case()
             kind = spec.resolved_analyzer(case)
-            if analyzer is None:
+            if sessions is not None:
+                group = spec.encoding_group(case)
+                analyzer, kind = sessions.acquire(group, case, kind)
+            elif analyzer is None:
                 analyzer = build_analyzer(
                     case, kind,
                     warm=len(specs) > 1 or spec.search == "maximize")
@@ -462,53 +471,20 @@ def iter_scenario_group(specs: Sequence[ScenarioSpec],
             # The warm solver state may be mid-scope after an arbitrary
             # failure; rebuild for the remaining scenarios.
             analyzer = None
+            if group is not None:
+                sessions.invalidate(group)
+        checkpoint(cache, fingerprint, outcome)
         yield outcome
-
-
-def execute_scenario_group(specs: Sequence[ScenarioSpec],
-                           fingerprints: Sequence[str],
-                           budget_limits: Optional[Dict[str, Any]] = None,
-                           self_check: Optional[bool] = None
-                           ) -> List[ScenarioOutcome]:
-    """Run one execution unit (see :func:`iter_scenario_group`).
-
-    A SIGINT/SIGTERM mid-unit raises :class:`GroupInterrupted` carrying
-    the outcomes completed so far, so the engine checkpoints them —
-    per-cell resumability must not depend on unit boundaries.
-    """
-    outcomes: List[ScenarioOutcome] = []
-    try:
-        for outcome in iter_scenario_group(specs, fingerprints,
-                                           budget_limits, self_check):
-            outcomes.append(outcome)
-    except KeyboardInterrupt:
-        raise GroupInterrupted(outcomes)
-    return outcomes
 
 
 def execute_scenario(spec: ScenarioSpec, fingerprint: str = "",
                      budget: Optional[SolverBudget] = None,
                      self_check: Optional[bool] = None
                      ) -> ScenarioOutcome:
-    """Run one scenario in-process: a one-cell unit of the group path."""
+    """Run one scenario in-process and uncached: a one-cell unit."""
     limits = budget.to_dict() if budget is not None else None
-    return next(iter_scenario_group([spec], [fingerprint], limits,
-                                    self_check))
-
-
-def _unit_args(payload: Mapping[str, Any]) -> Tuple:
-    """The :func:`iter_scenario_group` arguments a unit payload carries."""
-    return ([ScenarioSpec.from_dict(s) for s in payload["specs"]],
-            payload["fingerprints"], payload.get("budget"),
-            payload.get("self_check"))
-
-
-def _group_worker_entry(payload: Dict[str, Any]) -> List[Dict[str, Any]]:
-    """Top-level (picklable) pool entry point: runs one unit payload
-    ``{"specs", "fingerprints", "budget"?, "self_check"?}`` and returns
-    one outcome payload per cell."""
-    return [outcome.to_dict()
-            for outcome in execute_scenario_group(*_unit_args(payload))]
+    return next(run_unit([spec], [fingerprint], budget_limits=limits,
+                         self_check=self_check))
 
 
 def _verify_cached_max_impact(outcome: ScenarioOutcome,
@@ -784,15 +760,10 @@ class SweepEngine:
     """Runs scenario grids with caching, parallelism and retry."""
 
     def __init__(self, config: Optional[SweepConfig] = None,
-                 task: Optional[Callable[[Dict[str, Any]],
-                                         List[Dict[str, Any]]]] = None,
                  cache: Optional[ResultCache] = None) -> None:
         self.config = config or SweepConfig()
-        #: injectable for tests (e.g. a crashing task): takes a unit
-        #: payload, returns one outcome payload per cell, and must be a
-        #: module-level callable so worker processes can unpickle it.
-        self._task = task or _group_worker_entry
-        #: injectable for tests (e.g. a cache whose writes fail).
+        #: injectable for tests (e.g. a cache whose writes fail); serial
+        #: runs use it as is, supervised workers open its directory.
         self._cache = cache
 
     # -- public API -----------------------------------------------------
@@ -807,19 +778,17 @@ class SweepEngine:
                 if config.use_cache and config.cache_dir else None
         plan = plan_grid(specs, cache, self_check_default(config.self_check),
                          self._plan_units)
-        mode = "serial"
+        workers = 1
         if config.workers > 1 and len(plan.units) > 1:
-            if self._run_parallel(specs, plan, cache):
-                mode = "parallel"
-            # else: _run_parallel already fell back to serial
-        elif plan.units:
-            self._run_serial(specs, plan, plan.units, cache)
+            workers = self._run_supervised(specs, plan, cache)
+        else:
+            self._run_serial(specs, plan, cache)
 
         return SweepTrace(
             outcomes=[o for o in plan.outcomes if o is not None],
             wall_seconds=time.perf_counter() - started,
-            workers=config.workers if mode == "parallel" else 1,
-            mode=mode,
+            workers=workers,
+            mode="parallel" if workers > 1 else "serial",
             cache_dir=str(cache.root) if cache else None,
             cache_rejected=plan.cache_rejected)
 
@@ -827,13 +796,7 @@ class SweepEngine:
 
     def _plan_units(self, specs: Sequence[ScenarioSpec],
                     pending: Sequence[int]) -> List[List[int]]:
-        """Execution units for this engine (see :func:`plan_units`).
-
-        An injected ``task`` (test seams, fault injection) gets one-cell
-        units, so a fault it injects is attributed to exactly one cell.
-        """
-        if self._task is not _group_worker_entry:
-            return [[idx] for idx in pending]
+        """Execution units for this engine (see :func:`plan_units`)."""
         return plan_units(specs, pending,
                           chunks=max(1, self.config.workers))
 
@@ -852,64 +815,16 @@ class SweepEngine:
 
     def _unit_payload(self, unit: Sequence[int], specs,
                       fingerprints) -> Dict[str, Any]:
-        """The picklable payload :func:`_group_worker_entry` runs."""
-        payload = {
+        """The job a supervised worker runs for one unit."""
+        payload: Dict[str, Any] = {
             "specs": [specs[idx].to_dict() for idx in unit],
-            "fingerprints": [fingerprints[idx] for idx in unit],
-        }
+            "fingerprints": [fingerprints[idx] for idx in unit]}
         budget = self._task_budget()
         if budget is not None:
             payload["budget"] = budget
         if self.config.self_check is not None:
             payload["self_check"] = self.config.self_check
         return payload
-
-    def _pool_wait(self, size: int = 1) -> Optional[float]:
-        """Pool-level wait: the in-solver deadline plus grace, so a
-        solver-bound task reports ``unknown`` (with statistics) before
-        the blunt pool ``timeout`` backstop fires.  A multi-scenario
-        warm unit runs its scenarios sequentially, each with its own
-        fresh in-solver deadline, so the unit's wait scales with its
-        size."""
-        timeout = self.config.task_timeout
-        if timeout is None:
-            return None
-        return timeout * 1.25 * max(1, size) + 0.25
-
-    def _record(self, specs, plan: GridPlan, idx: int,
-                outcome: ScenarioOutcome,
-                cache: Optional[ResultCache]) -> None:
-        """Commit an outcome and checkpoint it to the cache immediately.
-
-        The outcome's spec must equal the submitted spec — a worker that
-        analyzed something else (fault injection, memory corruption)
-        must not poison the submitted spec's cache slot.
-        """
-        plan.outcomes[idx] = outcome
-        if cache is not None \
-                and outcome.spec.to_dict() == specs[idx].to_dict():
-            checkpoint(cache, plan.fingerprints[idx], outcome)
-
-    def _record_unit(self, specs, plan: GridPlan, unit: Sequence[int],
-                     outcomes, cache: Optional[ResultCache],
-                     attempts: Optional[int] = None) -> None:
-        """:meth:`_record` each cell of a unit as its outcome arrives."""
-        for idx, outcome in zip(unit, outcomes):
-            if attempts is not None:
-                outcome.attempts = attempts
-            self._record(specs, plan, idx, outcome, cache)
-
-    def _fail_unit(self, specs, plan: GridPlan, unit: Sequence[int],
-                   cache: Optional[ResultCache], status: str, error: str,
-                   attempts: int = 1) -> None:
-        """Record one ``status`` outcome per cell of a failed unit."""
-        self._record_unit(specs, plan, unit, [
-            ScenarioOutcome(spec=specs[idx],
-                            fingerprint=plan.fingerprints[idx],
-                            status=status, attempts=attempts, error=error)
-            for idx in unit], cache)
-
-    # -- execution strategies -------------------------------------------
 
     def _parse_unit_payloads(self, unit, payloads, specs,
                              fingerprints) -> List[ScenarioOutcome]:
@@ -926,163 +841,82 @@ class SweepEngine:
                 spec=specs[idx], fingerprint=fingerprints[idx],
                 status=ERROR, error=message) for idx in unit]
 
-    def _run_serial(self, specs, plan: GridPlan, units,
-                    cache: Optional[ResultCache]) -> None:
-        for unit in units:
-            payload = self._unit_payload(unit, specs, plan.fingerprints)
-            try:
-                if self._task is _group_worker_entry:
-                    # In-process: each cell is checkpointed the moment it
-                    # finishes, so an interrupt (KeyboardInterrupt
-                    # deliberately propagates) loses only the cell in
-                    # flight and the sweep resumes from the cache.
-                    outcomes = iter_scenario_group(*_unit_args(payload))
-                else:
-                    outcomes = self._parse_unit_payloads(
-                        unit, self._task(payload), specs,
-                        plan.fingerprints)
-                self._record_unit(specs, plan, unit, outcomes, cache)
-            except GroupInterrupted as exc:
-                # Checkpoint what the interrupted unit completed, then
-                # propagate as the interrupt it is.
-                self._record_unit(specs, plan, unit, exc.outcomes, cache)
-                raise KeyboardInterrupt from None
-            except Exception as exc:
-                self._fail_unit(
-                    specs, plan,
-                    [idx for idx in unit if plan.outcomes[idx] is None],
-                    cache, ERROR, _exception_text(exc))
+    def _settle(self, specs, plan: GridPlan, unit: Sequence[int],
+                job) -> List[ScenarioOutcome]:
+        """The per-cell outcomes a finished supervisor job came to.
 
-    def _settle(self, specs, plan: GridPlan, unit: Sequence[int], future,
-                attempts: int, cache: Optional[ResultCache]
-                ) -> Optional[BaseException]:
-        """Wait for a unit's future and record what it came to.
-
-        A result, a raising call (``error``) and a pool-level timeout
-        (``timeout``) are recorded here; an interrupted unit's salvaged
-        outcomes are recorded before re-raising ``KeyboardInterrupt``.
-        Returns the timeout or pool-breakage exception — the caller's
-        cue to migrate, retry or convict — and None otherwise.
+        A job whose every attempt failed turns each of its cells into
+        ``timeout`` (the last attempt hung past the kill horizon) or
+        ``crashed`` (it died); either way ``attempts`` is the job's.
         """
-        try:
-            payloads = future.result(timeout=self._pool_wait(len(unit)))
-        except GroupInterrupted as exc:
-            # A signal reached the worker (e.g. Ctrl-C to the process
-            # group): checkpoint what the unit completed.
-            self._record_unit(specs, plan, unit, exc.outcomes, cache)
-            raise KeyboardInterrupt from None
-        except FuturesTimeoutError as exc:
-            future.cancel()
-            self._fail_unit(specs, plan, unit, cache, TIMEOUT,
-                            f"exceeded {self.config.task_timeout}s task "
-                            f"budget", attempts)
-            return exc
-        except BrokenExecutor as exc:
-            return exc
-        except Exception as exc:  # pickling and kin
-            self._fail_unit(specs, plan, unit, cache, ERROR,
-                            _exception_text(exc), attempts)
-            return None
-        self._record_unit(specs, plan, unit, self._parse_unit_payloads(
-            unit, payloads, specs, plan.fingerprints), cache, attempts)
-        return None
-
-    def _run_parallel(self, specs, plan: GridPlan,
-                      cache: Optional[ResultCache]) -> bool:
-        """Returns False when it had to degrade to serial execution."""
-        config = self.config
-        attempts = {tuple(unit): 0 for unit in plan.units}
-        to_run = [list(unit) for unit in plan.units]
-        while to_run:
-            try:
-                pool = ProcessPoolExecutor(
-                    max_workers=min(config.workers, len(to_run)))
-            except (OSError, ValueError, ImportError):
-                # No usable multiprocessing primitives here (sandboxes,
-                # missing /dev/shm, ...): degrade to serial.
-                self._run_serial(specs, plan, to_run, cache)
-                return False
-            next_round: List[List[int]] = []
-            suspects: List[Tuple[List[int], BaseException]] = []
-            try:
-                futures = {}
-                for unit in to_run:
-                    key = tuple(unit)
-                    attempts[key] += 1
-                    futures[key] = pool.submit(self._task, self._unit_payload(
-                        unit, specs, plan.fingerprints))
-                # Waiting in submission order gives every unit up to
-                # the pool wait of dedicated time on top of whatever
-                # overlap it had with earlier waits — an approximate but
-                # cheap per-task budget.
-                timed_out = False
-                for unit in to_run:
-                    key = tuple(unit)
-                    future = futures[key]
-                    if timed_out and not future.done():
-                        # A timeout poisoned this pool: hung workers
-                        # cannot be cancelled, and tasks queued behind
-                        # them (already handed to the call queue, so
-                        # cancel() fails for them too) would inherit the
-                        # dead slots.  Reschedule everything unfinished
-                        # on a fresh pool — tasks are deterministic and
-                        # workers side-effect-free, so the possible
-                        # double execution of a genuinely-running task
-                        # is safe.
-                        future.cancel()
-                        attempts[key] -= 1
-                        next_round.append(unit)
-                        continue
-                    failure = self._settle(specs, plan, unit, future,
-                                           attempts[key], cache)
-                    if isinstance(failure, FuturesTimeoutError):
-                        timed_out = True
-                    elif failure is not None:
-                        if attempts[key] <= config.retries:
-                            next_round.append(unit)
-                        else:
-                            # One worker death fails every in-flight
-                            # future of the shared pool, so this unit
-                            # may have exhausted its budget as
-                            # collateral without ever crashing itself.
-                            # Decide with one isolated dispatch below
-                            # (own pool: breakage is unambiguous).
-                            suspects.append((unit, failure))
-            finally:
-                pool.shutdown(wait=False, cancel_futures=True)
-            for unit, exc in suspects:
-                self._isolated_attempt(specs, plan, unit, exc,
-                                       attempts[tuple(unit)], cache)
-            to_run = next_round
-        return True
-
-    def _isolated_attempt(self, specs, plan: GridPlan, unit, exc,
-                          attempts: int,
-                          cache: Optional[ResultCache]) -> None:
-        """Last-chance dispatch for a unit whose pool broke with its
-        retry budget already spent.
-
-        A single worker death fails every in-flight future of the
-        shared pool, so a unit can exhaust its budget without ever
-        having crashed itself.  Re-running it alone in a fresh
-        single-worker pool makes breakage unambiguous: success clears
-        the unit, a second breakage convicts it as ``crashed``.
-        """
-        try:
-            pool = ProcessPoolExecutor(max_workers=1)
-        except (OSError, ValueError, ImportError):
-            # No pool, no safe way to re-run a suspected crasher
-            # in-process: keep the conviction.
-            failure: Optional[BaseException] = exc
+        if job.failure is None:
+            outcomes = self._parse_unit_payloads(
+                unit, (job.result or {}).get("outcomes"), specs,
+                plan.fingerprints)
         else:
-            try:
-                future = pool.submit(self._task, self._unit_payload(
-                    unit, specs, plan.fingerprints))
-                failure = self._settle(specs, plan, unit, future,
-                                       attempts, cache)
-            finally:
-                pool.shutdown(wait=False, cancel_futures=True)
-        if isinstance(failure, BrokenExecutor):
-            self._fail_unit(specs, plan, unit, cache, CRASHED,
-                            str(failure) or "worker process died",
-                            attempts)
+            code, message = job.failure
+            if code != "worker_failed":
+                status, error = ERROR, message
+            elif job.hung:
+                status, error = TIMEOUT, \
+                    f"exceeded {self.config.task_timeout}s task budget"
+            else:
+                status, error = CRASHED, message
+            outcomes = [ScenarioOutcome(
+                spec=specs[idx], fingerprint=plan.fingerprints[idx],
+                status=status, error=error) for idx in unit]
+        for outcome in outcomes:
+            outcome.attempts = job.attempts
+        return outcomes
+
+    # -- execution strategies -------------------------------------------
+
+    def _run_serial(self, specs, plan: GridPlan,
+                    cache: Optional[ResultCache]) -> None:
+        """In-process: each cell is checkpointed the moment it finishes,
+        so an interrupt (KeyboardInterrupt deliberately propagates)
+        loses only the cell in flight and the sweep resumes from the
+        cache."""
+        for unit in plan.units:
+            outcomes = run_unit([specs[idx] for idx in unit],
+                                [plan.fingerprints[idx] for idx in unit],
+                                cache, self._task_budget(),
+                                self.config.self_check)
+            for idx, outcome in zip(unit, outcomes):
+                plan.outcomes[idx] = outcome
+
+    def _run_supervised(self, specs, plan: GridPlan,
+                        cache: Optional[ResultCache]) -> int:
+        """Run every unit as one job on a
+        :class:`~repro.service.supervisor.Supervisor`; returns the
+        number of workers it ran.
+
+        Workers checkpoint each cell as it finishes.  A unit whose
+        worker dies or hangs is re-dispatched up to ``retries`` times;
+        with ``task_timeout`` t, a unit of k cells is hard-killed after
+        t × 1.25 × k + 0.25 s (each cell's own in-solver deadline is t,
+        so a solver-bound cell comes back ``unknown`` first), and
+        without one it is never killed.
+        """
+        from repro.service.supervisor import ServiceConfig, Supervisor
+        config = self.config
+        supervisor = Supervisor(ServiceConfig(
+            workers=min(config.workers, len(plan.units)),
+            queue_limit=len(plan.units),
+            hang_grace=0.25,
+            retry_limit=config.retries,
+            cache_dir=str(cache.root) if cache is not None else None,
+            use_cache=cache is not None,
+            self_check=config.self_check)).start()
+        try:
+            jobs = [supervisor.submit_unit(
+                self._unit_payload(unit, specs, plan.fingerprints),
+                config.task_timeout) for unit in plan.units]
+            for unit, job in zip(plan.units, jobs):
+                supervisor.wait(job)
+                for idx, outcome in zip(unit, self._settle(specs, plan,
+                                                           unit, job)):
+                    plan.outcomes[idx] = outcome
+        finally:
+            supervisor.stop()
+        return supervisor.config.workers

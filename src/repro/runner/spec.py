@@ -225,7 +225,8 @@ class ScenarioSpec:
         except TypeError as exc:
             raise ValueError(f"malformed scenario spec: {exc}") from exc
 
-    def encoding_group(self) -> str:
+    def encoding_group(self, case: Optional[CaseDefinition] = None
+                       ) -> str:
         """Identity of the *encoding* this scenario solves against.
 
         Narrower than :meth:`fingerprint`: only the resolved case text,
@@ -233,9 +234,11 @@ class ScenarioSpec:
         encoding — the target threshold and sampling seeds are
         per-query.  Scenarios with equal groups can share one
         warm analyzer (the engine re-solves them incrementally inside
-        solver scopes instead of re-encoding per scenario).
+        solver scopes instead of re-encoding per scenario).  *case* is
+        this spec's :meth:`resolve_case`, when the caller already has it.
         """
-        case = self.resolve_case()
+        if case is None:
+            case = self.resolve_case()
         key = {
             "case_text": write_case(case),
             "analyzer": self.resolved_analyzer(case),

@@ -94,8 +94,8 @@ class ServiceRequest:
         return self.spec.label
 
     def job_payload(self) -> Dict[str, Any]:
-        """The message a worker executes (JSON/pickle-clean)."""
-        payload: Dict[str, Any] = {"spec": self.spec.to_dict(),
+        """The unit of one cell a worker executes (JSON/pickle-clean)."""
+        payload: Dict[str, Any] = {"specs": [self.spec.to_dict()],
                                    "use_cache": self.use_cache}
         if self.budget is not None:
             payload["budget"] = dict(self.budget)

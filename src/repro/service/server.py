@@ -264,8 +264,9 @@ class ServiceServer:
                 else None
             return 503, error_body(code, message,
                                    retry_after=retry), retry
-        result = job.result or {}
-        body = {"outcome": result.get("outcome"),
+        # A request is a unit of one cell.
+        outcomes = (job.result or {}).get("outcomes") or [None]
+        body = {"outcome": outcomes[0],
                 "served_by": job.worker_id,
                 "attempts": job.attempts,
                 "protocol_version": PROTOCOL_VERSION}

@@ -15,7 +15,10 @@ failure boring:
 * a worker that **hangs** past its job's deadline (plus slack for the
   budget's own cooperative degrade) is killed and treated the same —
   the in-band :meth:`~repro.smt.budget.SolverBudget.clamped` wall
-  budget is the soft limit, the supervisor's kill is the hard one;
+  budget is the soft limit, the supervisor's kill is the hard one.  A
+  job is a *unit* of one or more cells run back to back, each with the
+  job's deadline, so the kill horizon scales with the cell count; a job
+  without a deadline is never killed;
 * the queue is **bounded**: once ``queue_limit`` jobs are pending or
   in flight, :meth:`submit` raises :class:`QueueFull` and the acceptor
   sheds the request with 429 + ``Retry-After`` rather than building an
@@ -24,11 +27,13 @@ failure boring:
   (503 upstream) while in-flight and queued jobs run to completion and
   checkpoint into the shared cache, then workers shut down cleanly.
 
-If worker *processes* cannot be spawned at all (restricted sandboxes),
-the supervisor degrades to daemon *threads* running the same
-``worker_main`` loop: full functionality, reduced isolation (a hung
-thread can only be abandoned, not killed — the pipe is severed and a
-fresh worker thread takes its slot).
+The service submits one request per job; ``repro sweep --workers N``
+submits one planned unit per job and maps a job's failure onto its
+cells.  If worker *processes* cannot be spawned at all (restricted
+sandboxes), the supervisor degrades to daemon *threads* running the
+same ``worker_main`` loop: full functionality, reduced isolation (a
+hung thread can only be abandoned, not killed — the pipe is severed
+and a fresh worker thread takes its slot).
 """
 
 from __future__ import annotations
@@ -104,22 +109,25 @@ class ServiceConfig:
 
 
 class ServiceJob:
-    """One queued/in-flight request and its completion latch."""
+    """One queued/in-flight unit of cells and its completion latch."""
 
-    __slots__ = ("id", "request", "payload", "deadline", "attempts",
-                 "done", "result", "failure", "worker_id")
+    __slots__ = ("id", "payload", "deadline", "cells", "attempts",
+                 "done", "result", "failure", "hung", "worker_id")
 
-    def __init__(self, job_id: int, request: ServiceRequest,
-                 deadline: float) -> None:
+    def __init__(self, job_id: int, payload: Dict[str, Any],
+                 deadline: Optional[float]) -> None:
         self.id = job_id
-        self.request = request
-        self.payload = dict(request.job_payload(), op="job", id=job_id,
+        self.payload = dict(payload, op="job", id=job_id,
                             deadline=deadline)
+        #: per-cell seconds (None: the job is never hard-killed).
         self.deadline = deadline
+        self.cells = max(1, len(payload.get("specs") or ()))
         self.attempts = 0
         self.done = threading.Event()
         self.result: Optional[Dict[str, Any]] = None
         self.failure: Optional[Tuple[str, str]] = None
+        #: whether the last failed attempt hung (killed) or died.
+        self.hung = False
         self.worker_id: Optional[int] = None
 
     def finish(self, result: Dict[str, Any]) -> None:
@@ -130,8 +138,10 @@ class ServiceJob:
         self.failure = (code, message)
         self.done.set()
 
-    def kill_after(self, hang_grace: float) -> float:
-        return self.deadline * HANG_MULTIPLIER + hang_grace
+    def kill_after(self, hang_grace: float) -> Optional[float]:
+        if self.deadline is None:
+            return None
+        return self.deadline * HANG_MULTIPLIER * self.cells + hang_grace
 
 
 class WorkerHandle:
@@ -315,11 +325,15 @@ class Supervisor:
             job.fail("service_stopped", "service shut down before "
                                         "the job was dispatched")
         for handle in self._workers:
-            if handle.busy is not None:
-                handle.busy.fail("service_stopped",
-                                 "service shut down mid-job")
-                handle.busy = None
-            handle.shutdown()
+            if handle.busy is None:
+                handle.shutdown()
+                continue
+            # A busy worker would not read a shutdown message before its
+            # job ends: kill it now.
+            handle.busy.fail("service_stopped",
+                             "service shut down mid-job")
+            handle.busy = None
+            handle.kill()
         self._workers = []
 
     def begin_drain(self) -> None:
@@ -350,19 +364,27 @@ class Supervisor:
 
     def submit(self, request: ServiceRequest) -> ServiceJob:
         """Queue one request; raises QueueFull/ServiceDraining to shed."""
-        if self._draining.is_set():
-            raise ServiceDraining("service is draining")
         deadline = request.deadline_seconds \
             if request.deadline_seconds is not None \
             else self.config.request_timeout
+        return self.submit_unit(request.job_payload(), deadline)
+
+    def submit_unit(self, payload: Dict[str, Any],
+                    deadline: Optional[float]) -> ServiceJob:
+        """Queue one unit ``{"specs", "budget"?, "self_check"?,
+        "use_cache"?}`` whose cells each get *deadline* seconds (None:
+        never killed); raises QueueFull/ServiceDraining to shed."""
+        if self._draining.is_set():
+            raise ServiceDraining("service is draining")
         with self._lock:
             in_flight = sum(1 for h in self._workers
                             if h.busy is not None)
             if len(self._pending) + in_flight >= self.config.queue_limit:
                 self.shed += 1
                 raise QueueFull(retry_after=max(
-                    0.5, deadline / max(1, self.config.workers)))
-            job = ServiceJob(self._job_ids(), request, deadline)
+                    0.5, (deadline or self.config.request_timeout)
+                    / max(1, self.config.workers)))
+            job = ServiceJob(self._job_ids(), payload, deadline)
             self._pending.append(job)
             self.submitted += 1
         return job
@@ -370,11 +392,11 @@ class Supervisor:
     def wait(self, job: ServiceJob,
              timeout: Optional[float] = None) -> ServiceJob:
         """Block until *job* finishes (or the safety timeout trips)."""
-        if timeout is None:
+        per_attempt = job.kill_after(self.config.hang_grace)
+        if timeout is None and per_attempt is not None:
             # Generous backstop: every allowed attempt at its hard-kill
             # horizon, plus queueing/restart slack.  The dispatcher
             # should always beat this.
-            per_attempt = job.kill_after(self.config.hang_grace)
             timeout = (self.config.retry_limit + 1) * per_attempt \
                 + self.config.drain_timeout
         if not job.done.wait(timeout):
@@ -458,9 +480,10 @@ class Supervisor:
                 self._worker_failed(handle, requeue=True)
                 continue
             job = handle.busy
-            if job is not None and handle.dispatched_at is not None \
-                    and now - handle.dispatched_at \
-                    > job.kill_after(self.config.hang_grace):
+            horizon = None if job is None \
+                else job.kill_after(self.config.hang_grace)
+            if horizon is not None and handle.dispatched_at is not None \
+                    and now - handle.dispatched_at > horizon:
                 self._worker_failed(handle, requeue=True, hung=True)
 
     def _reset_recovered_backoff(self) -> None:
@@ -508,6 +531,7 @@ class Supervisor:
         handle.respawn_at = time.monotonic() + backoff
         if job is None or not requeue:
             return
+        job.hung = hung
         why = "hung past its deadline" if hung else "died"
         if job.attempts <= self.config.retry_limit:
             with self._lock:

@@ -6,19 +6,24 @@ the same grouping the sweep engine batches warm units by, so repeated
 requests against one (case, analyzer, state-infection) encoding re-solve
 incrementally inside solver scopes instead of re-encoding per request.
 
-Workers are crash-disposable by design: all durable state lives in the
-shared on-disk result cache (read-through before computing, checkpoint
-after), so the supervisor can kill and restart a worker at any moment
-and lose nothing but warmth.  Each job's deadline is clamped into its
-:class:`~repro.smt.budget.SolverBudget` wall budget, so a slow solve
-degrades to a ``budget_exhausted`` partial outcome *inside* the
+A job is a unit of one or more cells (a service request is a unit of
+one; a supervised sweep sends a planned unit), and every cell runs
+through the kernel's :func:`~repro.runner.engine.run_unit` on this
+pool.  Workers are crash-disposable by design: all durable state lives
+in the shared on-disk result cache (read-through before computing, a
+checkpoint as each cell finishes), so the supervisor can kill and
+restart a worker at any moment and lose nothing but warmth and the cell
+in flight.  Each cell gets a fresh :class:`~repro.smt.budget.SolverBudget`
+with its wall limit clamped to the job's per-cell deadline, so a slow
+solve degrades to a ``budget_exhausted`` partial outcome *inside* the
 deadline — the supervisor's hard kill is the backstop, not the norm.
 
 The pipe protocol (parent <-> worker) is tiny::
 
-    {"op": "job", "id", "spec", "budget"?, "self_check"?, "deadline"?,
-     "use_cache"?}                      -> {"op": "result", "id",
-                                            "outcome", "stats"}
+    {"op": "job", "id", "specs", "fingerprints"?, "budget"?,
+     "self_check"?, "deadline"?, "use_cache"?}
+                                        -> {"op": "result", "id",
+                                            "outcomes", "stats"}
     {"op": "ping", "id"}                -> {"op": "pong", "id", "stats"}
     {"op": "shutdown"}                  -> (worker exits 0)
 """
@@ -26,26 +31,19 @@ The pipe protocol (parent <-> worker) is tiny::
 from __future__ import annotations
 
 import os
+import signal
+import threading
 import time
 from collections import OrderedDict
 from typing import Any, Dict, Optional, Tuple
 
 from repro.runner.cache import ResultCache
-from repro.runner.engine import (
-    build_analyzer,
-    checkpoint,
-    execute_with_analyzer,
-    outcome_from_exception,
-    plan_grid,
-)
+from repro.runner.engine import build_analyzer, outcome_from_exception, \
+    run_unit
 from repro.runner.spec import ScenarioSpec
 from repro.runner.trace import ERROR, ScenarioOutcome
 from repro.smt.budget import SolverBudget
-from repro.smt.certificates import self_check_default
-from repro.testing.faults import ServiceFaultPlan
-
-#: os._exit code for a worker told to shut down while mid-recv.
-_CLEAN_EXIT = 0
+from repro.testing.faults import InjectedFault, ServiceFaultPlan
 
 
 class SessionPool:
@@ -132,86 +130,79 @@ class ServiceWorker:
     # -- job execution --------------------------------------------------
 
     def run_job(self, message: Dict[str, Any]) -> Dict[str, Any]:
-        """Execute one job message; always returns a result message."""
-        outcome = self._execute(message)
-        self._absorb(outcome)
+        """Execute one job message; always returns a result message
+        with one outcome per cell of the job."""
+        specs = message.get("specs") or []
+        fingerprints = message.get("fingerprints") or [None] * len(specs)
+        outcomes = [self._execute(payload, message, fingerprint)
+                    for payload, fingerprint in zip(specs, fingerprints)]
+        for outcome in outcomes:
+            self._absorb(outcome)
         return {"op": "result", "id": message.get("id"),
-                "outcome": outcome.to_dict(), "stats": self.stats()}
+                "outcomes": [outcome.to_dict() for outcome in outcomes],
+                "stats": self.stats()}
 
-    def _budget(self, message: Dict[str, Any]) -> Optional[SolverBudget]:
-        limits = message.get("budget")
-        deadline = message.get("deadline")
-        if limits is None and deadline is None:
-            return None
-        budget = SolverBudget.from_dict(limits) if limits \
-            else SolverBudget()
-        return budget.clamped(deadline)
+    def _execute(self, payload: Any, message: Dict[str, Any],
+                 fingerprint: Optional[str]) -> ScenarioOutcome:
+        """One cell of a job: fault injection (chaos plans only), then
+        the unit runner on this worker's warm session pool.
 
-    def _execute(self, message: Dict[str, Any]) -> ScenarioOutcome:
+        A sweep unit carries the fingerprints its planner computed; a
+        cell without one (a service request) is fingerprinted here.
+        """
         started = time.perf_counter()
         try:
-            spec = ScenarioSpec.from_dict(message.get("spec") or {})
+            spec = ScenarioSpec.from_dict(payload)
         except ValueError as exc:
             # The protocol layer rejects these before dispatch; this is
             # the defensive belt for direct pipe speakers.
             return ScenarioOutcome(
                 spec=ScenarioSpec(case="<malformed>"), fingerprint="",
                 status=ERROR, error=str(exc), worker_pid=os.getpid())
-
-        plan = None
+        limits = message.get("budget")
+        deadline = message.get("deadline")
+        if deadline is not None:
+            limits = (SolverBudget.from_dict(limits) if limits
+                      else SolverBudget()).clamped(deadline).to_dict()
+        cache = self._cache if message.get("use_cache", True) else None
         try:
             plan = ServiceFaultPlan.load(self._fault_plan)
         except (OSError, ValueError, KeyError):
             plan = None
         if plan is not None:
-            plan.apply_worker_fault(spec.label)
-
-        budget = self._budget(message)
-        self_check = message.get("self_check", self._self_check_default)
-        if budget is not None:
-            budget.start()   # covers fingerprint + case build too
-        cache = self._cache if message.get("use_cache", True) else None
-        if plan is not None:
-            cache = plan.wrap_cache(spec.label, cache)
-        grid = plan_grid([spec], cache, self_check_default(self_check))
-        resolved = grid.outcomes[0]
-        if resolved is not None:
-            if resolved.cache_hit:
-                self.cache_hits += 1
-            else:
-                # Rejected or failed while fingerprinting: nothing to run.
-                resolved.worker_pid = os.getpid()
-                resolved.task_seconds = time.perf_counter() - started
-            return resolved
-        if cache is not None:
+            try:
+                injected, limits, cache = plan.inject(spec, limits, cache)
+            except InjectedFault as exc:
+                return outcome_from_exception(ScenarioOutcome(
+                    spec=spec, fingerprint="", worker_pid=os.getpid()),
+                    exc, started)
+            if injected is not spec:
+                # The planned fingerprint keys the submitted spec, not
+                # the one analysed now: never cache under it.
+                spec, fingerprint = injected, None
+        [outcome] = run_unit(
+            [spec], None if fingerprint is None else [fingerprint],
+            cache=cache, budget_limits=limits,
+            self_check=message.get("self_check", self._self_check_default),
+            sessions=self.pool)
+        if outcome.cache_hit:
+            self.cache_hits += 1
+        elif cache is not None and outcome.fingerprint:
             self.cache_misses += 1
-        fingerprint = grid.fingerprints[0]
-        outcome = ScenarioOutcome(spec=spec, fingerprint=fingerprint,
-                                  worker_pid=os.getpid())
-        try:
-            case = spec.resolve_case()
-            kind = spec.resolved_analyzer(case)
-            group = spec.encoding_group()
-            analyzer, kind = self.pool.acquire(group, case, kind)
-        except Exception as exc:
-            return outcome_from_exception(outcome, exc, started)
-
-        finished = execute_with_analyzer(
-            spec, fingerprint, analyzer, kind, budget, self_check,
-            started=started, outcome=outcome)
-        if finished.status == ERROR:
-            # The warm solver may be mid-scope after an arbitrary
-            # failure: evict so the next request re-encodes cleanly.
-            self.pool.invalidate(group)
-        checkpoint(cache, fingerprint, finished)
-        if finished.cache_write_error is not None:
+        if outcome.cache_write_error is not None:
             self.cache_write_errors += 1
-        return finished
+        return outcome
 
 
 def worker_main(conn, worker_id: int,
                 options: Optional[Dict[str, Any]] = None) -> None:
     """Process entry point: serve jobs from the pipe until shutdown."""
+    if threading.current_thread() is threading.main_thread():
+        # A worker process: the supervisor owns interrupts (Ctrl-C
+        # reaches the whole process group) and stops workers with
+        # SIGTERM, which must kill, not run an inherited handler.
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
     worker = ServiceWorker(worker_id, options)
     try:
         while True:

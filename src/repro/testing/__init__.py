@@ -1,14 +1,14 @@
 """Deterministic fault injection for robustness testing.
 
-:mod:`repro.testing.faults` provides picklable fault plans that make
-sweep workers crash, hang, error, corrupt their inputs or exhaust their
-solver budgets on demand — plus cache doubles whose writes fail or whose
-entries are corrupted, and certificate-corruption helpers (tampered
-models, truncated/corrupted UNSAT proofs, semantically stale cache
-entries) for certified-mode testing.  The chaos suite (``tests/chaos/``)
-drives the sweep engine through these to assert it always terminates
-with one outcome per scenario and that corrupted certificates are never
-silently accepted.
+:mod:`repro.testing.faults` provides file-based fault plans that make
+the supervised workers (service and ``sweep --workers N``) crash, hang,
+error, corrupt their inputs or exhaust their solver budgets on demand —
+plus cache doubles whose writes fail or whose entries are corrupted,
+and certificate-corruption helpers (tampered models, truncated/corrupted
+UNSAT proofs, semantically stale cache entries) for certified-mode
+testing.  The chaos suite (``tests/chaos/``) drives the sweep engine
+through these to assert it always terminates with one outcome per
+scenario and that corrupted certificates are never silently accepted.
 
 :mod:`repro.testing.fuzz` complements the fault harness with seeded
 *input* fuzzing: one mutator whose mutants either corrupt the case text
@@ -48,14 +48,12 @@ from repro.testing.faults import (
     STRAGGLER,
     FabricFaultPlan,
     Fault,
-    FaultPlan,
     FlakyResultCache,
     InjectedFault,
     PlannedFlakyCache,
     ServiceFaultPlan,
     corrupt_cached_outcome,
     corrupt_proof,
-    interrupt_after,
     tamper_model,
     truncate_proof,
     write_stale_cache_entry,
@@ -86,14 +84,12 @@ __all__ = [
     "STRAGGLER",
     "FabricFaultPlan",
     "Fault",
-    "FaultPlan",
     "FlakyResultCache",
     "InjectedFault",
     "PlannedFlakyCache",
     "ServiceFaultPlan",
     "corrupt_cached_outcome",
     "corrupt_proof",
-    "interrupt_after",
     "tamper_model",
     "truncate_proof",
     "write_stale_cache_entry",

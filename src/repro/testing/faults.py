@@ -1,21 +1,24 @@
-"""Seeded, picklable fault injection for the sweep engine.
+"""Seeded, file-based fault injection for the supervised workers.
 
-The harness wraps the engine's real worker entry point: a
-:class:`FaultPlan` maps scenario labels to :class:`Fault` actions, and
-:meth:`FaultPlan.task` yields a module-level partial that the engine can
-ship to worker processes.  Before delegating to the real worker, the
-wrapper consults the plan and — for the first ``fault.times`` attempts of
-a faulted scenario — crashes the process, hangs, raises, corrupts the
-case text, or replaces the task budget with an instantly-exhausted one.
+A :class:`ServiceFaultPlan` maps scenario labels to :class:`Fault`
+actions.  Tests write it to a file (:meth:`ServiceFaultPlan.to_file`) and
+hand the path to the workers through ``ServiceConfig.fault_plan`` or the
+``REPRO_SERVICE_FAULTS`` environment variable, so the same plan reaches
+the analysis service's workers and the ``sweep --workers N`` workers
+(both run on the service :class:`~repro.service.supervisor.Supervisor`).
+Inside the real worker, for the first ``fault.times`` attempts of a
+faulted cell, :meth:`ServiceFaultPlan.inject` crashes the process,
+hangs, raises, corrupts the case text, replaces the cell's budget with
+an instantly-exhausted one or makes its cache writes fail.
 
 Determinism: plans are frozen values built either explicitly
-(:meth:`FaultPlan.single`) or from a seed (:meth:`FaultPlan.seeded`), and
-attempt counting survives process boundaries via per-label marker files
-under ``state_dir`` (one byte appended per attempt; ``O_APPEND`` keeps
-concurrent workers consistent).  The same plan therefore injects the same
-faults on every run.
+(:meth:`ServiceFaultPlan.single`) or from a seed
+(:meth:`ServiceFaultPlan.seeded`), and attempt counting survives process
+boundaries via per-label marker files under ``state_dir`` (one byte
+appended per attempt; ``O_APPEND`` keeps concurrent workers consistent).
+The same plan therefore injects the same faults on every run.
 
-Cache-side faults do not live in workers: :class:`FlakyResultCache` fails
+Cache-side faults for in-process runs: :class:`FlakyResultCache` fails
 its first N writes with ``ENOSPC`` and :func:`corrupt_cached_outcome`
 mangles an entry in place, exercising the engine's degraded paths.
 
@@ -32,7 +35,7 @@ accepted as sat/unsat.
 
 from __future__ import annotations
 
-import functools
+import dataclasses
 import hashlib
 import json
 import os
@@ -40,12 +43,12 @@ import random
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Optional, Sequence, Tuple
 
 from repro.runner.cache import ResultCache
 
 #: fault kinds.
-CRASH_WORKER = "crash_worker"       # os._exit: the pool sees a dead worker
+CRASH_WORKER = "crash_worker"       # os._exit: the worker process dies
 HANG_WORKER = "hang_worker"         # sleep past the task timeout
 RAISE_ERROR = "raise_error"         # deterministic in-task exception
 CORRUPT_CASE = "corrupt_case"       # unparsable case text reaches the task
@@ -60,17 +63,21 @@ PARTITION = "partition"             # heartbeats suppressed; work goes on
 LEASE_LOSS = "lease_loss"           # unit silently abandoned, no commit
 COORDINATOR_KILL = "coordinator_kill"  # coordinator dies post-commit
 
-#: kinds a worker-side plan can apply.  CRASH_WORKER is excluded from
-#: seeded defaults: in serial mode it would kill the host process.
+#: kinds a seeded plan draws from by default.  CRASH_WORKER is
+#: excluded: under the supervisor's thread fallback it would kill the
+#: host process.
 WORKER_KINDS = (HANG_WORKER, RAISE_ERROR, CORRUPT_CASE, EXHAUST_BUDGET)
 
 #: kinds a :class:`ServiceFaultPlan` can apply — crash/hang target the
-#: service's worker processes, slow-response delays an answer without
+#: supervised worker processes, slow-response delays an answer without
 #: corrupting it, drop-connection severs the client's socket (the
-#: client must retry), and fail-cache-write injects ENOSPC into the
-#: worker's checkpoint writes (the bounded retry must absorb it).
+#: client must retry), fail-cache-write injects ENOSPC into the
+#: worker's checkpoint writes (the bounded retry must absorb it), and
+#: the payload kinds make one cell raise, analyse a corrupted case or
+#: run on an exhausted budget.
 SERVICE_KINDS = (CRASH_WORKER, HANG_WORKER, SLOW_RESPONSE,
-                 DROP_CONNECTION, FAIL_CACHE_WRITE)
+                 DROP_CONNECTION, FAIL_CACHE_WRITE, RAISE_ERROR,
+                 CORRUPT_CASE, EXHAUST_BUDGET)
 
 #: kinds a :class:`FabricFaultPlan` can apply — crash/hang target a
 #: fabric worker mid-unit, ``straggler`` holds a leased unit idle long
@@ -148,115 +155,27 @@ class Fault:
 
 
 @dataclass(frozen=True)
-class FaultPlan:
-    """Frozen label -> fault mapping with cross-process attempt counts."""
-
-    state_dir: str
-    faults: Tuple[Tuple[str, Fault], ...] = ()
-
-    # -- construction ----------------------------------------------------
-
-    @classmethod
-    def single(cls, state_dir, label: str, fault: Fault) -> "FaultPlan":
-        return cls(state_dir=str(state_dir), faults=((label, fault),))
-
-    @classmethod
-    def seeded(cls, state_dir, labels: Iterable[str], seed: int,
-               rate: float = 0.5,
-               kinds: Sequence[str] = WORKER_KINDS) -> "FaultPlan":
-        """Deterministically fault a ``rate`` fraction of *labels*."""
-        rng = random.Random(seed)
-        faults = []
-        for label in labels:
-            if rng.random() < rate:
-                kind = rng.choice(list(kinds))
-                faults.append((label, Fault(kind, times=1,
-                                            sleep_seconds=0.5)))
-        return cls(state_dir=str(state_dir), faults=tuple(faults))
-
-    # -- plan queries ----------------------------------------------------
-
-    def fault_for(self, label: str) -> Optional[Fault]:
-        for name, fault in self.faults:
-            if name == label:
-                return fault
-        return None
-
-    def _marker(self, label: str) -> Path:
-        return _attempt_marker(self.state_dir, label)
-
-    def record_attempt(self, label: str) -> int:
-        """Count this attempt; returns the 1-based attempt number."""
-        return _record_attempt(self.state_dir, label)
-
-    def attempts(self, label: str) -> int:
-        return _count_attempts(self.state_dir, label)
-
-    # -- engine integration ----------------------------------------------
-
-    def task(self):
-        """A picklable SweepEngine task wrapping the real worker."""
-        return functools.partial(faulty_worker, self)
-
-
-def apply_fault(fault: Fault, payload: Dict[str, Any],
-                position: int = 0) -> None:
-    """Mutate the unit *payload* (its cell at *position*) or the
-    process according to *fault*.
-
-    ``EXHAUST_BUDGET`` replaces the budget of the whole unit; the engine
-    hands injected tasks one-cell units, so that is the faulted cell's.
-    """
-    if fault.kind == CRASH_WORKER:
-        # A hard death (no exception, no cleanup) — what an OOM kill or a
-        # native-library segfault looks like to the pool.
-        os._exit(23)
-    elif fault.kind == HANG_WORKER:
-        time.sleep(fault.sleep_seconds)
-    elif fault.kind == RAISE_ERROR:
-        label = payload["specs"][position].get("label", "?")
-        raise InjectedFault(f"injected failure for {label}")
-    elif fault.kind == CORRUPT_CASE:
-        specs = list(payload["specs"])
-        specs[position] = dict(specs[position], case_text=_GARBAGE_CASE)
-        payload["specs"] = specs
-    elif fault.kind == EXHAUST_BUDGET:
-        payload["budget"] = dict(_EXHAUSTED_BUDGET)
-
-
-def faulty_worker(plan: FaultPlan,
-                  payload: Dict[str, Any]) -> List[Dict[str, Any]]:
-    """Module-level (picklable) worker: maybe fault, then run for real."""
-    from repro.runner.engine import _group_worker_entry
-    for position, spec in enumerate(payload["specs"]):
-        label = spec.get("label", "")
-        attempt = plan.record_attempt(label)
-        fault = plan.fault_for(label)
-        if fault is not None and attempt <= fault.times:
-            apply_fault(fault, payload, position)
-    return _group_worker_entry(payload)
-
-
-@dataclass(frozen=True)
 class ServiceFaultPlan:
-    """Frozen fault plan for the analysis service's chaos suite.
+    """Frozen fault plan for the supervised workers' chaos suites.
 
-    Unlike :class:`FaultPlan` (which wraps the sweep engine's picklable
-    task), a service plan crosses *process* boundaries by file: tests
-    write it with :meth:`to_file` and hand the path to the server via
+    A plan crosses *process* boundaries by file: tests write it with
+    :meth:`to_file` and hand the path to the workers via
     ``ServiceConfig.fault_plan`` (or the ``REPRO_SERVICE_FAULTS``
-    environment variable); workers and the acceptor re-read it per
-    request.  Attempt counting shares the sweep harness's marker-file
-    ledger, so a fault scheduled for the first N attempts of a label
-    stays exhausted across worker restarts — exactly what "crash once,
-    then succeed on retry" scenarios need.
+    environment variable, which ``sweep --workers N`` workers inherit);
+    workers and the acceptor re-read it per cell.  Attempt counting
+    lives in a marker-file ledger, so a fault scheduled for the first N
+    attempts of a label stays exhausted across worker restarts —
+    exactly what "crash once, then succeed on retry" scenarios need.
 
-    Worker-side kinds: ``crash_worker`` (``os._exit`` mid-request),
-    ``hang_worker`` (sleep past the supervisor's hang deadline),
-    ``slow_response`` (sleep, then answer correctly) and
-    ``fail_cache_write`` (ENOSPC injected into checkpoint writes).
-    Acceptor-side: ``drop_connection`` (the response socket is severed,
-    so the client's retry loop must recover).
+    Worker-side kinds (:meth:`inject`): ``crash_worker`` (``os._exit``
+    mid-cell), ``hang_worker`` (sleep past the supervisor's hang
+    deadline), ``slow_response`` (sleep, then answer correctly),
+    ``fail_cache_write`` (ENOSPC injected into checkpoint writes),
+    ``raise_error`` (:class:`InjectedFault`), ``corrupt_case`` (garbage
+    case text reaches the runner) and ``exhaust_budget`` (an
+    instantly-exhausted solver budget).  Acceptor-side:
+    ``drop_connection`` (the response socket is severed, so the
+    client's retry loop must recover).
     """
 
     state_dir: str
@@ -281,6 +200,19 @@ class ServiceFaultPlan:
     def single(cls, state_dir, label: str,
                fault: Fault) -> "ServiceFaultPlan":
         return cls.build(state_dir, {label: fault})
+
+    @classmethod
+    def seeded(cls, state_dir, labels: Iterable[str], seed: int,
+               rate: float = 0.5,
+               kinds: Sequence[str] = WORKER_KINDS) -> "ServiceFaultPlan":
+        """Deterministically fault a ``rate`` fraction of *labels*."""
+        rng = random.Random(seed)
+        faults = {}
+        for label in labels:
+            if rng.random() < rate:
+                faults[label] = Fault(rng.choice(list(kinds)), times=1,
+                                      sleep_seconds=0.5)
+        return cls.build(state_dir, faults)
 
     # -- file round-trip (crosses the daemon's process boundaries) -----
 
@@ -330,22 +262,38 @@ class ServiceFaultPlan:
         attempt = _record_attempt(self.state_dir, label + channel)
         return attempt <= fault.times
 
-    def apply_worker_fault(self, label: str) -> None:
-        """Crash/hang/slow this worker per the plan (called per job)."""
-        fault = self.fault_for(
-            label, (CRASH_WORKER, HANG_WORKER, SLOW_RESPONSE))
-        if fault is None or not self.should_fire(label, fault):
-            return
-        if fault.kind == CRASH_WORKER:
-            os._exit(23)
-        time.sleep(fault.sleep_seconds)     # hang or slow-response
+    def inject(self, spec, limits: Optional[Dict[str, Any]], cache):
+        """Apply the plan's worker-side fault to one cell.
 
-    def wrap_cache(self, label: str, cache):
-        """The job's cache, flaky per the plan (or unchanged)."""
-        fault = self.fault_for(label, (FAIL_CACHE_WRITE,))
-        if fault is None or cache is None:
-            return cache
-        return PlannedFlakyCache(cache.root, self, label, fault.times)
+        Returns the ``(spec, budget limits, cache)`` the cell runs with;
+        a firing ``crash_worker`` never returns, ``raise_error`` raises
+        :class:`InjectedFault`.
+        """
+        label = spec.label
+        fault = self.fault_for(label)
+        if fault is None or fault.kind == DROP_CONNECTION:
+            return spec, limits, cache
+        if fault.kind == FAIL_CACHE_WRITE:
+            # Counted per write, not per cell: see PlannedFlakyCache.
+            if cache is not None:
+                cache = PlannedFlakyCache(cache.root, self, label,
+                                          fault.times)
+            return spec, limits, cache
+        if not self.should_fire(label, fault):
+            return spec, limits, cache
+        if fault.kind == CRASH_WORKER:
+            # A hard death (no exception, no cleanup) — what an OOM kill
+            # or a native-library segfault looks like to the supervisor.
+            os._exit(23)
+        elif fault.kind == RAISE_ERROR:
+            raise InjectedFault(f"injected failure for {label}")
+        elif fault.kind == CORRUPT_CASE:
+            spec = dataclasses.replace(spec, case_text=_GARBAGE_CASE)
+        elif fault.kind == EXHAUST_BUDGET:
+            limits = dict(_EXHAUSTED_BUDGET)
+        else:
+            time.sleep(fault.sleep_seconds)     # hang or slow-response
+        return spec, limits, cache
 
     def should_drop_connection(self, label: str) -> bool:
         """Acceptor-side: sever this response's socket?"""
@@ -438,27 +386,6 @@ class FabricFaultPlan(ServiceFaultPlan):
                     and self.should_fire(label, fault, channel="#ckill"):
                 return True
         return False
-
-
-def interrupting_worker(state_dir: str, limit: int,
-                        payload: Dict[str, Any]) -> List[Dict[str, Any]]:
-    """Serial-mode worker that raises KeyboardInterrupt after *limit*
-    completed units (simulating a user hitting Ctrl-C mid-sweep)."""
-    from repro.runner.engine import _group_worker_entry
-    marker = Path(state_dir) / "interrupt.count"
-    marker.parent.mkdir(parents=True, exist_ok=True)
-    done = marker.stat().st_size if marker.exists() else 0
-    if done >= limit:
-        raise KeyboardInterrupt
-    result = _group_worker_entry(payload)
-    with open(marker, "a") as handle:
-        handle.write(".")
-    return result
-
-
-def interrupt_after(state_dir, limit: int):
-    """A picklable task that completes *limit* units then interrupts."""
-    return functools.partial(interrupting_worker, str(state_dir), limit)
 
 
 class FlakyResultCache(ResultCache):

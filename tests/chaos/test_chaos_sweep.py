@@ -1,9 +1,14 @@
 """Chaos tests: the sweep engine must terminate with one outcome per
 scenario no matter which faults are injected, and checkpoint/resume must
-survive interrupts, full disks and corrupted cache entries."""
+survive interrupts, full disks and corrupted cache entries.
+
+Worker faults are injected inside the real supervised workers through a
+file-based :class:`ServiceFaultPlan` (``REPRO_SERVICE_FAULTS``), so these
+sweeps run with ``workers=2``."""
 
 import pytest
 
+import repro.runner.engine as engine_mod
 from repro.runner import (
     ResultCache,
     ScenarioSpec,
@@ -26,14 +31,20 @@ from repro.testing import (
     EXHAUST_BUDGET,
     RAISE_ERROR,
     Fault,
-    FaultPlan,
     FlakyResultCache,
+    ServiceFaultPlan,
     corrupt_cached_outcome,
-    interrupt_after,
 )
 
-#: worker kinds that are safe in serial (in-host-process) execution.
-SERIAL_KINDS = (RAISE_ERROR, CORRUPT_CASE, EXHAUST_BUDGET)
+#: the payload kinds: each fails one cell without touching the worker.
+PAYLOAD_KINDS = (RAISE_ERROR, CORRUPT_CASE, EXHAUST_BUDGET)
+
+
+def _inject(monkeypatch, plan, tmp_path):
+    """Hand *plan* to the supervised workers through the environment."""
+    monkeypatch.setenv("REPRO_SERVICE_FAULTS",
+                       plan.to_file(tmp_path / "faults.json"))
+    return plan
 
 
 def _specs(n=4):
@@ -54,13 +65,14 @@ def _smt_spec(label="smt-cell"):
 class TestSeededChaos:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_every_sweep_terminates_with_full_outcomes(self, tmp_path,
-                                                       seed):
+                                                       monkeypatch, seed):
         specs = _specs(6)
-        plan = FaultPlan.seeded(tmp_path / "plan", [s.label for s in specs],
-                                seed=seed, rate=0.5, kinds=SERIAL_KINDS)
-        engine = SweepEngine(SweepConfig(workers=1, use_cache=False),
-                             task=plan.task())
+        plan = _inject(monkeypatch, ServiceFaultPlan.seeded(
+            tmp_path / "plan", [s.label for s in specs], seed=seed,
+            rate=0.5, kinds=PAYLOAD_KINDS), tmp_path)
+        engine = SweepEngine(SweepConfig(workers=2, use_cache=False))
         trace = engine.run(specs)           # must not raise
+        assert trace.mode == "parallel"
         assert len(trace.outcomes) == len(specs)
         assert [o.spec.label for o in trace.outcomes] \
             == [s.label for s in specs]
@@ -77,10 +89,10 @@ class TestSeededChaos:
 
     def test_same_seed_same_faults(self, tmp_path):
         labels = [s.label for s in _specs(6)]
-        one = FaultPlan.seeded(tmp_path / "a", labels, seed=5, rate=0.5,
-                               kinds=SERIAL_KINDS)
-        two = FaultPlan.seeded(tmp_path / "b", labels, seed=5, rate=0.5,
-                               kinds=SERIAL_KINDS)
+        one = ServiceFaultPlan.seeded(tmp_path / "a", labels, seed=5,
+                                      rate=0.5, kinds=PAYLOAD_KINDS)
+        two = ServiceFaultPlan.seeded(tmp_path / "b", labels, seed=5,
+                                      rate=0.5, kinds=PAYLOAD_KINDS)
         assert one.faults == two.faults
 
 
@@ -117,7 +129,8 @@ class TestBudgetExhaustionOutcomes:
 
     def test_parallel_budget_beats_pool_backstop(self, tmp_path):
         # Solver-bound tasks must come back UNKNOWN (with statistics),
-        # not TIMEOUT: the pool wait allows the in-worker deadline grace.
+        # not TIMEOUT: the supervisor's kill horizon allows the
+        # in-worker deadline grace.
         config = SweepConfig(workers=2, task_timeout=0.05,
                              use_cache=False)
         specs = [_smt_spec("p1"), _smt_spec("p2")]
@@ -127,25 +140,37 @@ class TestBudgetExhaustionOutcomes:
             assert outcome.status == UNKNOWN
             assert "wall-clock" in outcome.error
 
-    def test_injected_budget_exhaustion_fault(self, tmp_path):
+    def test_injected_budget_exhaustion_fault(self, tmp_path, monkeypatch):
         specs = _specs(2)
-        plan = FaultPlan.single(tmp_path / "plan", "cell-0",
-                                Fault(EXHAUST_BUDGET))
-        engine = SweepEngine(SweepConfig(workers=1, use_cache=False),
-                             task=plan.task())
+        _inject(monkeypatch, ServiceFaultPlan.single(
+            tmp_path / "plan", "cell-0", Fault(EXHAUST_BUDGET)), tmp_path)
+        engine = SweepEngine(SweepConfig(workers=2, use_cache=False))
         trace = engine.run(specs)
         assert trace.outcomes[0].status == UNKNOWN
         assert trace.outcomes[1].status == OK
 
 
 class TestCheckpointResume:
-    def test_interrupt_then_resume_serves_completed_cells(self, tmp_path):
+    def test_interrupt_then_resume_serves_completed_cells(self, tmp_path,
+                                                          monkeypatch):
         specs = _specs(4)
         config = SweepConfig(workers=1, cache_dir=str(tmp_path / "cache"))
-        interrupted = SweepEngine(
-            config, task=interrupt_after(tmp_path / "state", 2))
+        execute = engine_mod.execute_with_analyzer
+        completed = []
+
+        def interrupt_third_cell(*args, **kwargs):
+            # A user hitting Ctrl-C as the third cell starts.
+            if len(completed) == 2:
+                raise KeyboardInterrupt
+            outcome = execute(*args, **kwargs)
+            completed.append(outcome)
+            return outcome
+
+        monkeypatch.setattr(engine_mod, "execute_with_analyzer",
+                            interrupt_third_cell)
         with pytest.raises(KeyboardInterrupt):
-            interrupted.run(specs)
+            SweepEngine(config).run(specs)
+        monkeypatch.setattr(engine_mod, "execute_with_analyzer", execute)
         # The two completed cells were checkpointed before the interrupt.
         resumed = SweepEngine(config).run(specs)
         assert resumed.cache_hits >= 2
@@ -218,28 +243,30 @@ class TestCheckpointResume:
 
 
 class TestCrashChaos:
-    def test_crash_once_is_retried_to_success(self, tmp_path):
+    def test_crash_once_is_retried_to_success(self, tmp_path, monkeypatch):
         specs = _specs(2)
-        plan = FaultPlan.single(tmp_path / "plan", "cell-0",
-                                Fault(CRASH_WORKER, times=1))
+        plan = _inject(monkeypatch, ServiceFaultPlan.single(
+            tmp_path / "plan", "cell-0", Fault(CRASH_WORKER, times=1)),
+            tmp_path)
         engine = SweepEngine(
-            SweepConfig(workers=2, retries=2, use_cache=False),
-            task=plan.task())
+            SweepConfig(workers=2, retries=2, use_cache=False))
         trace = engine.run(specs)
         assert [o.status for o in trace.outcomes] == [OK, OK]
+        assert [o.attempts for o in trace.outcomes] == [2, 1]
         assert plan.attempts("cell-0") == 2
 
-    def test_persistent_crash_is_recorded_after_retries(self, tmp_path):
-        # Single spec: a neighbour sharing the pool can legitimately get
-        # dragged down by repeated pool breakage, so isolate the crasher.
+    def test_persistent_crash_is_recorded_after_retries(self, tmp_path,
+                                                        monkeypatch):
         specs = _specs(2)
-        plan = FaultPlan.single(tmp_path / "plan", "cell-0",
-                                Fault(CRASH_WORKER, times=10))
+        _inject(monkeypatch, ServiceFaultPlan.single(
+            tmp_path / "plan", "cell-0", Fault(CRASH_WORKER, times=10)),
+            tmp_path)
         engine = SweepEngine(
-            SweepConfig(workers=2, retries=1, use_cache=False),
-            task=plan.task())
-        trace = engine.run([specs[0], specs[0]])
-        outcome = trace.outcomes[0]
-        assert outcome.status == CRASHED
-        assert outcome.attempts == 2
-        assert "died" in outcome.error or outcome.error
+            SweepConfig(workers=2, retries=1, use_cache=False))
+        crashed, neighbour = engine.run(specs).outcomes
+        assert crashed.status == CRASHED
+        assert crashed.attempts == 2
+        assert "died" in crashed.error
+        # The crash is charged to its own unit only.
+        assert neighbour.status == OK
+        assert neighbour.attempts == 1

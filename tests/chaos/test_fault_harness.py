@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.runner import ResultCache
+from repro.runner import ResultCache, ScenarioSpec
 from repro.testing import (
     CORRUPT_CASE,
     CRASH_WORKER,
@@ -12,18 +12,28 @@ from repro.testing import (
     HANG_WORKER,
     RAISE_ERROR,
     Fault,
-    FaultPlan,
     FlakyResultCache,
     InjectedFault,
+    ServiceFaultPlan,
     corrupt_cached_outcome,
 )
-from repro.testing.faults import WORKER_KINDS, apply_fault
+from repro.testing.faults import WORKER_KINDS
+
+
+def _spec(label="x"):
+    return ScenarioSpec.build("5bus-study1", analyzer="fast", label=label)
+
+
+def _inject(tmp_path, fault, limits=None):
+    """Apply *fault* to one cell labelled ``x`` on its first attempt."""
+    plan = ServiceFaultPlan.single(tmp_path, "x", fault)
+    return plan.inject(_spec(), limits, None)
 
 
 class TestFaultPlan:
     def test_single_plan_lookup(self, tmp_path):
         fault = Fault(RAISE_ERROR)
-        plan = FaultPlan.single(tmp_path, "cell-a", fault)
+        plan = ServiceFaultPlan.single(tmp_path, "cell-a", fault)
         assert plan.fault_for("cell-a") == fault
         assert plan.fault_for("cell-b") is None
 
@@ -32,62 +42,67 @@ class TestFaultPlan:
             Fault("meteor_strike")
 
     def test_attempt_counting_is_per_label(self, tmp_path):
-        plan = FaultPlan(state_dir=str(tmp_path))
+        plan = ServiceFaultPlan(state_dir=str(tmp_path))
+        once = Fault(RAISE_ERROR, times=1)
         assert plan.attempts("x") == 0
-        assert plan.record_attempt("x") == 1
-        assert plan.record_attempt("x") == 2
-        assert plan.record_attempt("y") == 1
+        assert plan.should_fire("x", once)
+        assert not plan.should_fire("x", once)
+        assert plan.should_fire("y", once)
         assert plan.attempts("x") == 2
 
     def test_seeded_plans_are_deterministic(self, tmp_path):
         labels = [f"cell-{i}" for i in range(20)]
-        one = FaultPlan.seeded(tmp_path, labels, seed=7, rate=0.5)
-        two = FaultPlan.seeded(tmp_path, labels, seed=7, rate=0.5)
+        one = ServiceFaultPlan.seeded(tmp_path, labels, seed=7, rate=0.5)
+        two = ServiceFaultPlan.seeded(tmp_path, labels, seed=7, rate=0.5)
         assert one.faults == two.faults
-        other = FaultPlan.seeded(tmp_path, labels, seed=8, rate=0.5)
+        other = ServiceFaultPlan.seeded(tmp_path, labels, seed=8, rate=0.5)
         assert one.faults != other.faults
 
     def test_seeded_rate_and_kinds(self, tmp_path):
         labels = [f"cell-{i}" for i in range(30)]
-        everything = FaultPlan.seeded(tmp_path, labels, seed=1, rate=1.0)
+        everything = ServiceFaultPlan.seeded(tmp_path, labels, seed=1,
+                                             rate=1.0)
         assert len(everything.faults) == len(labels)
         assert all(f.kind in WORKER_KINDS for _, f in everything.faults)
-        nothing = FaultPlan.seeded(tmp_path, labels, seed=1, rate=0.0)
+        nothing = ServiceFaultPlan.seeded(tmp_path, labels, seed=1,
+                                          rate=0.0)
         assert nothing.faults == ()
-        only_errors = FaultPlan.seeded(tmp_path, labels, seed=1, rate=1.0,
-                                       kinds=(RAISE_ERROR,))
+        only_errors = ServiceFaultPlan.seeded(tmp_path, labels, seed=1,
+                                              rate=1.0,
+                                              kinds=(RAISE_ERROR,))
         assert all(f.kind == RAISE_ERROR for _, f in only_errors.faults)
 
     def test_crash_worker_not_in_seeded_defaults(self):
-        # Serial chaos sweeps run in the host process: a seeded plan must
-        # never os._exit() the test runner by default.
+        # Under the supervisor's thread fallback a worker runs in the
+        # host process: a seeded plan must never os._exit() the test
+        # runner by default.
         assert CRASH_WORKER not in WORKER_KINDS
 
 
 class TestApplyFault:
-    def test_exhaust_budget_overrides_payload_budget(self):
-        payload = {"specs": [{"label": "x"}], "fingerprints": ["fp"],
-                   "budget": {"wall_seconds": 60.0}}
-        apply_fault(Fault(EXHAUST_BUDGET), payload)
-        assert payload["budget"]["wall_seconds"] == 0.0
-        assert payload["budget"]["max_decisions"] == 1
+    def test_exhaust_budget_overrides_payload_budget(self, tmp_path):
+        _, limits, _ = _inject(tmp_path, Fault(EXHAUST_BUDGET),
+                               {"wall_seconds": 60.0})
+        assert limits["wall_seconds"] == 0.0
+        assert limits["max_decisions"] == 1
 
-    def test_corrupt_case_replaces_case_text(self):
-        spec = {"label": "x", "case_text": "good"}
-        payload = {"specs": [spec], "fingerprints": ["fp"]}
-        apply_fault(Fault(CORRUPT_CASE), payload)
-        assert "not a case file" in payload["specs"][0]["case_text"]
-        assert spec["case_text"] == "good"   # original spec untouched
+    def test_corrupt_case_replaces_case_text(self, tmp_path):
+        spec = _spec()
+        plan = ServiceFaultPlan.single(tmp_path, "x", Fault(CORRUPT_CASE))
+        corrupted, _, _ = plan.inject(spec, None, None)
+        assert "not a case file" in corrupted.case_text
+        assert spec.case_text is None       # original spec untouched
+        # Exhausted after its one attempt: the retry runs the real case.
+        assert plan.inject(spec, None, None)[0] is spec
 
-    def test_raise_error_is_distinguishable(self):
+    def test_raise_error_is_distinguishable(self, tmp_path):
         with pytest.raises(InjectedFault):
-            apply_fault(Fault(RAISE_ERROR), {"specs": [{"label": "x"}]})
+            _inject(tmp_path, Fault(RAISE_ERROR))
 
-    def test_hang_sleeps_for_configured_time(self):
+    def test_hang_sleeps_for_configured_time(self, tmp_path):
         import time
         started = time.perf_counter()
-        apply_fault(Fault(HANG_WORKER, sleep_seconds=0.05),
-                    {"specs": [{"label": "x"}]})
+        _inject(tmp_path, Fault(HANG_WORKER, sleep_seconds=0.05))
         assert time.perf_counter() - started >= 0.05
 
 

@@ -83,7 +83,7 @@ class TestSweepCacheAndStrict:
         monkeypatch.setattr(cases_module, "get_case",
                             lambda name: islanded)
 
-        argv = ["sweep", "--cases", "5bus-study1", "--serial",
+        argv = ["sweep", "--cases", "5bus-study1", "--workers", "1",
                 "--no-cache"]
         assert main(argv) == 1          # a failure, but not gated
         capsys.readouterr()

@@ -234,7 +234,7 @@ def test_sweep_sigterm_checkpoints_and_exits_resumable(tmp_path):
     command = [sys.executable, "-m", "repro", "sweep",
                "--cases", CASE, "--analyzer", "smt",
                "--targets", "1,2,3,4,5,6,7,8,9,10,11,12",
-               "--serial", "--cache-dir", cache_dir, "--trace", ""]
+               "--workers", "1", "--cache-dir", cache_dir, "--trace", ""]
     proc = subprocess.Popen(command, cwd=str(REPO_ROOT),
                             env=subprocess_env(),
                             stdout=subprocess.PIPE,
@@ -259,6 +259,78 @@ def test_sweep_sigterm_checkpoints_and_exits_resumable(tmp_path):
 
     # Resume: the re-run completes and serves the salvaged cells from
     # the checkpoint cache.
+    rerun = subprocess.run(command, cwd=str(REPO_ROOT),
+                           env=subprocess_env(), capture_output=True,
+                           text=True, timeout=300)
+    assert rerun.returncode == 0, (rerun.returncode, rerun.stdout,
+                                   rerun.stderr)
+    hits = [line for line in rerun.stdout.splitlines()
+            if line.startswith("cache")]
+    assert hits, rerun.stdout
+    assert "0/12 hits" not in hits[0], hits[0]
+
+
+def _children(pid):
+    """Pids of the live child processes of *pid* (its pool workers)."""
+    found = set()
+    for children in Path(f"/proc/{pid}/task").glob("*/children"):
+        try:
+            found.update(int(p) for p in children.read_text().split())
+        except OSError:
+            pass                        # the thread exited meanwhile
+    return found
+
+
+def _running(pid):
+    """True while *pid* exists and is not a zombie."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(),
+                    reason="needs /proc to find worker processes")
+def test_parallel_sweep_sigterm_stops_workers_and_resumes(tmp_path):
+    cache_dir = str(tmp_path / "cache")
+    command = [sys.executable, "-m", "repro", "sweep",
+               "--cases", CASE, "--analyzer", "smt",
+               "--targets", "1,2,3,4,5,6,7,8,9,10,11,12",
+               "--workers", "2", "--cache-dir", cache_dir, "--trace", ""]
+    proc = subprocess.Popen(command, cwd=str(REPO_ROOT),
+                            env=subprocess_env(),
+                            stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True)
+    try:
+        banner = proc.stdout.readline()
+        assert "2 workers" in banner, banner
+        results = Path(cache_dir) / "results"
+        deadline = time.monotonic() + 60
+        workers = set()
+        while not any(results.rglob("*.json")):
+            assert proc.poll() is None, proc.communicate()
+            assert time.monotonic() < deadline, "no checkpoint within 60s"
+            workers |= _children(proc.pid)
+            time.sleep(0.02)
+        workers |= _children(proc.pid)
+        assert workers, "the sweep started no worker processes"
+        proc.send_signal(signal.SIGTERM)
+        stdout, stderr = proc.communicate(timeout=120)
+        assert proc.returncode == 5, (proc.returncode, stdout, stderr)
+        assert "checkpointed" in stderr
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait(timeout=10)
+
+    # No worker outlives its sweep.
+    deadline = time.monotonic() + 5
+    while any(_running(pid) for pid in workers) \
+            and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not any(_running(pid) for pid in workers), workers
+
     rerun = subprocess.run(command, cwd=str(REPO_ROOT),
                            env=subprocess_env(), capture_output=True,
                            text=True, timeout=300)

@@ -170,6 +170,37 @@ class TestPolicy:
         assert len(inner) == 1
         assert len(outer) == 2
 
+    def test_collectors_in_other_threads_see_nothing(self):
+        # Thread-mode supervisor workers analyse concurrently: a warning
+        # raised in one worker must not land in another's collector.
+        import threading
+        set_policy(NumericsPolicy(condition_warn=1e2))
+        quiet_ready, loud_done = threading.Event(), threading.Event()
+        seen = {}
+
+        def quiet():
+            with collect_diagnostics() as notes:
+                quiet_ready.set()
+                loud_done.wait(10)
+            seen["quiet"] = list(notes)
+
+        def loud():
+            quiet_ready.wait(10)
+            with collect_diagnostics() as notes:
+                guarded_solve(np.diag([1.0, 1e-4]), np.ones(2))
+            seen["loud"] = list(notes)
+            loud_done.set()
+
+        threads = [threading.Thread(target=quiet),
+                   threading.Thread(target=loud)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(10)
+            assert not thread.is_alive()
+        assert len(seen["loud"]) == 1
+        assert seen["quiet"] == []
+
     def test_diagnostics_round_trip(self):
         set_policy(NumericsPolicy(condition_warn=1e2))
         with collect_diagnostics() as notes:

@@ -1,9 +1,10 @@
 """Tests for the sweep engine: caching, parallelism, failure handling."""
 
+import multiprocessing
 import os
 import time
-from pathlib import Path
 
+import repro.service.supervisor as supervisor_mod
 from repro.runner import (
     ResultCache,
     ScenarioOutcome,
@@ -12,7 +13,10 @@ from repro.runner import (
     SweepEngine,
     execute_scenario,
 )
-from repro.runner.trace import CRASHED, ERROR, OK, TIMEOUT
+from repro.runner.trace import CRASHED, ERROR, OK, TIMEOUT, \
+    deterministic_outcome_view
+from repro.testing import CRASH_WORKER, HANG_WORKER, SLOW_RESPONSE, \
+    Fault, ServiceFaultPlan
 
 
 def _fast_specs():
@@ -32,53 +36,13 @@ def _engine(tmp_path, **overrides):
     return SweepEngine(config)
 
 
-# -- injectable worker tasks (module level: picklable) ------------------
-#
-# Each takes a unit payload ({"specs", "fingerprints", ...}; the engine
-# hands injected tasks one-cell units) and returns one outcome payload
-# per cell.
-
-def _stub_outcome(payload, **fields):
-    """One satisfiable outcome payload per cell of a unit payload."""
-    return [ScenarioOutcome(spec=ScenarioSpec.from_dict(spec),
-                            fingerprint=fingerprint, satisfiable=True,
-                            worker_pid=os.getpid(), **fields).to_dict()
-            for spec, fingerprint in zip(payload["specs"],
-                                         payload["fingerprints"])]
-
-
-def _crash_once(payload):
-    """Kill the worker on the first attempt per scenario, then succeed."""
-    marker = Path(os.environ["REPRO_TEST_MARKER_DIR"]) \
-        / payload["fingerprints"][0]
-    if not marker.exists():
-        marker.write_text("seen")
-        os._exit(1)
-    return _stub_outcome(payload)
-
-
-def _always_crash(payload):
-    os._exit(1)
-
-
-def _study2_crashes(payload):
-    """Crash 5bus-study2's worker; the other unit is slow but fine."""
-    if payload["specs"][0]["case"].endswith("study2"):
-        os._exit(1)
-    time.sleep(1.0)
-    return _stub_outcome(payload)
-
-
-def _sleep_forever(payload):
-    time.sleep(2.0)
-    return _stub_outcome(payload)
-
-
-def _hang_if_labelled(payload):
-    """Hang long (3s) only for specs whose label starts with 'hang'."""
-    if payload["specs"][0]["label"].startswith("hang"):
-        time.sleep(3.0)
-    return _stub_outcome(payload)
+def _inject(tmp_path, monkeypatch, faults):
+    """Inject *faults* ({label: Fault}) inside the real supervised
+    workers, which inherit the plan through the environment."""
+    plan = ServiceFaultPlan.build(tmp_path / "fault-state", faults)
+    monkeypatch.setenv("REPRO_SERVICE_FAULTS",
+                       plan.to_file(tmp_path / "faults.json"))
+    return plan
 
 
 # -- execute_scenario ---------------------------------------------------
@@ -188,78 +152,101 @@ class TestParallel:
         assert engine.run(specs).cache_hits == len(specs)
 
     def test_crashed_worker_is_retried(self, tmp_path, monkeypatch):
-        markers = tmp_path / "markers"
-        markers.mkdir()
-        monkeypatch.setenv("REPRO_TEST_MARKER_DIR", str(markers))
+        specs = _fast_specs()
+        _inject(tmp_path, monkeypatch, {
+            spec.label: Fault(CRASH_WORKER, times=1) for spec in specs})
         engine = SweepEngine(
-            SweepConfig(workers=2, retries=1, use_cache=False),
-            task=_crash_once)
-        trace = engine.run(_fast_specs())
+            SweepConfig(workers=2, retries=1, use_cache=False))
+        trace = engine.run(specs)
         assert [o.status for o in trace.outcomes] == [OK, OK]
         assert all(o.attempts == 2 for o in trace.outcomes)
 
-    def test_collateral_pool_breakage_is_not_a_conviction(self,
-                                                          tmp_path):
-        # One crashing worker breaks the shared pool and fails every
-        # in-flight future; with the retry budget exhausted (retries=0)
-        # the innocent unit — mid-sleep when the pool broke — must be
-        # cleared by its isolated dispatch, not recorded as crashed.
+    def test_collateral_pool_breakage_is_not_a_conviction(self, tmp_path,
+                                                          monkeypatch):
+        # One worker dies while its neighbour is mid-cell.  Each worker
+        # has its own pipe, so the death is charged to the job that
+        # worker held: with no retries (retries=0) the innocent unit
+        # still finishes ok and only the crasher is recorded as crashed.
+        specs = _fast_specs()
+        _inject(tmp_path, monkeypatch, {
+            specs[0].label: Fault(SLOW_RESPONSE, sleep_seconds=1.0),
+            specs[1].label: Fault(CRASH_WORKER, times=99)})
         engine = SweepEngine(
-            SweepConfig(workers=2, retries=0, use_cache=False),
-            task=_study2_crashes)
-        trace = engine.run(_fast_specs())
+            SweepConfig(workers=2, retries=0, use_cache=False))
+        trace = engine.run(specs)
         by_case = {o.spec.label.split("/")[0]: o
                    for o in trace.outcomes}
         assert by_case["5bus-study1"].status == OK
         assert by_case["5bus-study2"].status == CRASHED
 
-    def test_crash_after_retries_is_recorded(self, tmp_path):
+    def test_crash_after_retries_is_recorded(self, tmp_path, monkeypatch):
+        specs = _fast_specs()
+        _inject(tmp_path, monkeypatch, {
+            spec.label: Fault(CRASH_WORKER, times=99) for spec in specs})
         engine = SweepEngine(
-            SweepConfig(workers=2, retries=0, use_cache=False),
-            task=_always_crash)
-        trace = engine.run(_fast_specs())
+            SweepConfig(workers=2, retries=0, use_cache=False))
+        trace = engine.run(specs)
         assert [o.status for o in trace.outcomes] == [CRASHED, CRASHED]
         assert trace.failures == trace.outcomes
 
-    def test_task_timeout(self, tmp_path):
+    def test_task_timeout(self, tmp_path, monkeypatch):
+        specs = _fast_specs()
+        _inject(tmp_path, monkeypatch, {
+            spec.label: Fault(HANG_WORKER, times=99, sleep_seconds=2.0)
+            for spec in specs})
         engine = SweepEngine(
-            SweepConfig(workers=2, task_timeout=0.2, use_cache=False),
-            task=_sleep_forever)
-        trace = engine.run(_fast_specs())
+            SweepConfig(workers=2, task_timeout=0.2, use_cache=False))
+        trace = engine.run(specs)
         assert all(o.status == TIMEOUT for o in trace.outcomes)
         assert all("task budget" in o.error for o in trace.outcomes)
 
-    def test_timeout_does_not_starve_queued_tasks(self, tmp_path):
-        # Regression: future.cancel() cannot stop an already-running
-        # worker, so after a timeout the queued tasks behind the hung
-        # slots used to inherit dead workers and time out in turn.  The
-        # engine must migrate them to a fresh pool instead.
+    def test_timeout_does_not_starve_queued_tasks(self, tmp_path,
+                                                  monkeypatch):
+        # Regression: a hung worker must not starve the units queued
+        # behind it.  The supervisor hard-kills the hung worker at the
+        # unit's kill horizon and the other worker keeps draining the
+        # queue.
         specs = [ScenarioSpec.build("5bus-study1", analyzer="fast",
                                     label=label)
                  for label in ("hang-0", "hang-1", "fast-0", "fast-1")]
-        engine = SweepEngine(
-            SweepConfig(workers=2, task_timeout=0.2, use_cache=False),
-            task=_hang_if_labelled)
+        _inject(tmp_path, monkeypatch, {
+            label: Fault(HANG_WORKER, times=99, sleep_seconds=3.0)
+            for label in ("hang-0", "hang-1")})
+        config = SweepConfig(workers=2, task_timeout=0.2, use_cache=False)
         started = time.perf_counter()
-        trace = engine.run(specs)
+        trace = SweepEngine(config).run(specs)
         wall = time.perf_counter() - started
         statuses = {o.spec.label: o.status for o in trace.outcomes}
         assert statuses == {"hang-0": TIMEOUT, "hang-1": TIMEOUT,
                             "fast-0": OK, "fast-1": OK}
-        # Rescheduling off a poisoned pool is not a crash retry.
-        assert all(o.attempts == 1 for o in trace.outcomes)
+        # A hang is retried like a crash; the fast cells ran once.
+        attempts = {o.spec.label: o.attempts for o in trace.outcomes}
+        assert attempts == {"hang-0": config.retries + 1,
+                            "hang-1": config.retries + 1,
+                            "fast-0": 1, "fast-1": 1}
         # The sweep never waited out the 3s hangs.
         assert wall < 3.0
 
     def test_falls_back_to_serial_without_process_pools(
             self, tmp_path, monkeypatch):
-        import repro.runner.engine as engine_mod
+        # Where processes cannot be spawned, the supervisor runs its
+        # workers as threads of this process, with the same answers.
+        real = multiprocessing.get_context()
 
-        def no_pools(*args, **kwargs):
-            raise OSError("no process pools in this sandbox")
+        class NoProcesses:
+            Pipe = staticmethod(real.Pipe)
 
-        monkeypatch.setattr(engine_mod, "ProcessPoolExecutor", no_pools)
-        trace = _engine(tmp_path, workers=4).run(_fast_specs())
-        assert trace.mode == "serial"
-        assert trace.workers == 1
-        assert [o.status for o in trace.outcomes] == [OK, OK]
+            def Process(self, *args, **kwargs):
+                raise OSError("no processes in this sandbox")
+
+        monkeypatch.setattr(supervisor_mod.multiprocessing, "get_context",
+                            NoProcesses)
+        specs = _fast_specs()
+        serial = _engine(tmp_path / "serial").run(specs)
+        threaded = _engine(tmp_path / "threads", workers=4).run(specs)
+        assert {o.worker_pid for o in threaded.outcomes} == {os.getpid()}
+        assert [o.status for o in threaded.outcomes] == [OK, OK]
+        assert [deterministic_outcome_view(o.to_dict())
+                for o in threaded.outcomes] == \
+            [deterministic_outcome_view(o.to_dict())
+             for o in serial.outcomes]

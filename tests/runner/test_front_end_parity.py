@@ -111,8 +111,10 @@ def parallel_views(tmp_path_factory):
 
 def _service(spec, cache_dir):
     worker = ServiceWorker(0, {"cache_dir": str(cache_dir)})
-    reply = worker.run_job({"op": "job", "id": 1, "spec": spec.to_dict()})
-    return ScenarioOutcome.from_dict(reply["outcome"])
+    reply = worker.run_job({"op": "job", "id": 1,
+                            "specs": [spec.to_dict()]})
+    [outcome] = reply["outcomes"]
+    return ScenarioOutcome.from_dict(outcome)
 
 
 def _fabric(spec, cache_dir):

@@ -3,8 +3,8 @@
 A Fig. 4-style threshold sweep re-analyzes one case at many targets; the
 engine must batch those scenarios onto a warm analyzer so the attack
 encoding is built exactly once per worker, while scenarios with
-different encodings (other cases, state infection) and injected test
-tasks run as one-cell units of the same protocol.
+different encodings (other cases, state infection) run as units of
+their own through the same unit runner.
 """
 
 from fractions import Fraction
@@ -14,11 +14,7 @@ from repro.grid.caseio import write_case
 from repro.grid.cases import get_case
 from repro.numerics.diagnostics import WARNING, NumericalDiagnostic, emit
 from repro.runner import ScenarioSpec, SweepConfig, SweepEngine
-from repro.runner.engine import (
-    _group_worker_entry,
-    execute_scenario,
-    execute_scenario_group,
-)
+from repro.runner.engine import execute_scenario, run_unit
 from repro.runner.trace import (
     ERROR,
     OK,
@@ -67,14 +63,6 @@ class TestUnitPlanning:
         engine = SweepEngine(SweepConfig(workers=1))
         assert engine._plan_units(specs, range(4)) == [[0, 1], [2, 3]]
 
-    def test_injected_task_forces_singletons(self):
-        engine = SweepEngine(SweepConfig(workers=1), task=lambda p: p)
-        units = engine._plan_units(_threshold_specs(), range(len(TARGETS)))
-        assert units == [[i] for i in range(len(TARGETS))]
-
-    def test_default_task_is_groupable(self):
-        assert SweepEngine(SweepConfig())._task is _group_worker_entry
-
 
 class TestWarmSweep:
     def test_threshold_sweep_builds_one_encoding(self):
@@ -108,7 +96,7 @@ class TestWarmSweep:
                                  case_text="not a case",
                                  label="broken/t2")
         specs = [good[0], bad, good[1]]
-        outcomes = execute_scenario_group(specs, ["a", "b", "c"])
+        outcomes = list(run_unit(specs, ["a", "b", "c"]))
         assert [o.fingerprint for o in outcomes] == ["a", "b", "c"]
         assert outcomes[0].status == OK
         assert outcomes[1].status == "invalid_input"
@@ -116,8 +104,8 @@ class TestWarmSweep:
 
     def test_group_budget_is_per_scenario(self):
         specs = _threshold_specs(targets=(1, 2))
-        outcomes = execute_scenario_group(
-            specs, ["a", "b"], budget_limits={"wall_seconds": 1e-9})
+        outcomes = list(run_unit(
+            specs, ["a", "b"], budget_limits={"wall_seconds": 1e-9}))
         assert [o.status for o in outcomes] == [UNKNOWN, UNKNOWN]
 
     def test_group_results_are_cached_per_scenario(self, tmp_path):
@@ -171,7 +159,7 @@ class TestFastWarmMemo:
                                     label=f"ieee30/t{t}")
                  for t in targets]
         fingerprints = [f"fp{i}" for i in range(len(specs))]
-        warm = execute_scenario_group(specs, fingerprints)
+        warm = list(run_unit(specs, fingerprints))
         assert [o.status for o in warm] == [OK] * len(specs)
         assert warm[0].satisfiable and not warm[1].satisfiable
         for spec, fingerprint, outcome in zip(specs, fingerprints, warm):

@@ -27,7 +27,7 @@ from repro.runner.trace import (
 )
 from repro.grid.caseio import write_case
 from repro.grid.cases import get_case
-from repro.testing import CORRUPT_CASE, Fault, FaultPlan
+from repro.testing import CORRUPT_CASE, Fault, ServiceFaultPlan
 from repro.validation import ValidationReport
 
 
@@ -112,24 +112,35 @@ class TestCachedRejections:
             assert not outcome.cache_hit
         assert ResultCache(str(tmp_path / "cache")).clear() == 0
 
-    def test_fault_corrupted_spec_does_not_poison_cache(self, tmp_path):
+    def test_fault_corrupted_spec_does_not_poison_cache(self, tmp_path,
+                                                         monkeypatch):
         # CORRUPT_CASE swaps the worker's case text for garbage on the
         # first attempt: the resulting invalid_input rejection belongs
         # to the *mutated* spec and must not be checkpointed under the
-        # original fingerprint.
+        # original fingerprint.  The fault fires inside the supervised
+        # worker, which checkpoints under the fingerprint of the spec it
+        # actually analysed.
         spec = ScenarioSpec.build("5bus-study1", analyzer="fast",
                                   target=1, state_samples=4,
                                   label="cell-0")
-        plan = FaultPlan.single(tmp_path / "plan", "cell-0",
-                                Fault(CORRUPT_CASE, times=1))
-        config = SweepConfig(workers=1,
+        neighbour = ScenarioSpec.build("5bus-study2", analyzer="fast",
+                                       target=1, state_samples=4,
+                                       label="cell-1")
+        plan = ServiceFaultPlan.single(tmp_path / "plan", "cell-0",
+                                       Fault(CORRUPT_CASE, times=1))
+        monkeypatch.setenv("REPRO_SERVICE_FAULTS",
+                           plan.to_file(tmp_path / "faults.json"))
+        config = SweepConfig(workers=2,
                              cache_dir=str(tmp_path / "cache"),
                              use_cache=True)
-        faulted = SweepEngine(config, task=plan.task()).run([spec])
+        faulted = SweepEngine(config).run([spec, neighbour])
+        assert faulted.mode == "parallel"
         assert faulted.outcomes[0].status == INVALID_INPUT
+        assert ResultCache(str(tmp_path / "cache")).get(
+            spec.fingerprint()) is None
         # the fault is exhausted; a fresh sweep must recompute the real
         # verdict, not serve the poisoned rejection from cache.
-        clean = SweepEngine(config, task=plan.task()).run([spec])
+        clean = SweepEngine(config).run([spec, neighbour])
         assert clean.outcomes[0].status == OK
         assert not clean.outcomes[0].cache_hit
 

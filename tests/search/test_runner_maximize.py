@@ -10,7 +10,7 @@ from repro.runner.engine import (
     SweepConfig,
     SweepEngine,
     execute_scenario,
-    execute_scenario_group,
+    run_unit,
     verify_cached_outcome,
 )
 from repro.runner.spec import ScenarioSpec
@@ -112,8 +112,8 @@ class TestWarmGroup:
                                     target=3),
                  ScenarioSpec.build("5bus-study1", analyzer="smt",
                                     search="maximize")]
-        outcomes = execute_scenario_group(
-            specs, [s.fingerprint() for s in specs])
+        outcomes = list(run_unit(
+            specs, [s.fingerprint() for s in specs]))
         assert [o.status for o in outcomes] == ["ok", "ok"]
         warm = outcomes[1]
         cold = execute_scenario(specs[1], specs[1].fingerprint())

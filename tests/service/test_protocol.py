@@ -188,7 +188,7 @@ class TestParseRequest:
         assert payload["budget"] == {"max_conflicts": 7}
         assert payload["self_check"] is True
         assert payload["use_cache"] is False
-        assert payload["spec"]["case"] == "5bus-study1"
+        assert payload["specs"][0]["case"] == "5bus-study1"
 
 
 class TestParseSweepRequest:

@@ -56,7 +56,7 @@ def test_happy_path_completes_and_counts(supervisor_factory):
     for job in jobs:
         supervisor.wait(job)
         assert job.failure is None
-        assert job.result["outcome"]["status"] == "ok"
+        assert job.result["outcomes"][0]["status"] == "ok"
         assert job.attempts == 1
     stats = supervisor.stats()
     assert stats["counters"]["completed"] == 4
@@ -92,7 +92,7 @@ def test_crashed_worker_restarts_with_empty_session_pool(
 
     job = supervisor.wait(supervisor.submit(request_for("boom")))
     assert job.failure is None, job.failure
-    assert job.result["outcome"]["status"] == "ok"
+    assert job.result["outcomes"][0]["status"] == "ok"
     assert job.attempts == 2                    # retried exactly once
     health = supervisor.healthz()
     assert health["restarts"] == 1
@@ -119,7 +119,7 @@ def test_in_flight_retried_exactly_once_then_failed_cleanly(
     # ...and the supervisor is not wedged: a clean job still runs.
     after = supervisor.wait(supervisor.submit(request_for("clean")))
     assert after.failure is None
-    assert after.result["outcome"]["status"] == "ok"
+    assert after.result["outcomes"][0]["status"] == "ok"
 
 
 def test_three_consecutive_crashes_do_not_wedge_the_service(
@@ -179,7 +179,7 @@ def test_draining_rejects_new_but_finishes_accepted(supervisor_factory):
         supervisor.submit(request_for("late"))
     assert supervisor.drain(timeout=20.0) is True
     assert job.failure is None
-    assert job.result["outcome"]["status"] == "ok"
+    assert job.result["outcomes"][0]["status"] == "ok"
 
 
 def test_stop_fails_pending_jobs_cleanly(supervisor_factory):

@@ -82,7 +82,7 @@ class TestSweep:
     def _run(self, tmp_path, extra=(), capsys=None):
         args = ["sweep", "--cases", "5bus-study1,5bus-study2",
                 "--analyzer", "fast", "--targets", "1",
-                "--state-samples", "4", "--serial",
+                "--state-samples", "4", "--workers", "1",
                 "--cache-dir", str(tmp_path / "cache"),
                 "--trace", str(tmp_path / "trace.json")]
         return main(args + list(extra))
@@ -116,7 +116,7 @@ class TestSweep:
         assert "0/2 hits" in out
 
     def test_failure_exit_code(self, tmp_path, capsys):
-        code = main(["sweep", "--cases", "no-such-case", "--serial",
+        code = main(["sweep", "--cases", "no-such-case", "--workers", "1",
                      "--no-cache", "--trace", ""])
         assert code == 1
         assert "FAILED" in capsys.readouterr().out
@@ -124,7 +124,7 @@ class TestSweep:
     def test_smt_sweep_reports_solver_calls(self, tmp_path, capsys):
         import json
         code = main(["sweep", "--cases", "5bus-study1",
-                     "--analyzer", "smt", "--targets", "1", "--serial",
+                     "--analyzer", "smt", "--targets", "1", "--workers", "1",
                      "--no-cache",
                      "--trace", str(tmp_path / "trace.json")])
         assert code == 0
