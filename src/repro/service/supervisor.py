@@ -3,7 +3,11 @@
 The :class:`Supervisor` owns N worker processes (see
 :mod:`repro.service.worker`), a bounded job queue, and one dispatcher
 thread that multiplexes the worker pipes with
-:func:`multiprocessing.connection.wait`.  Its job is to make worker
+:func:`multiprocessing.connection.wait`.  Dispatch is immediate: a
+submitter queues its job and writes one byte to a wake pipe the loop
+waits on too, so an idle worker gets the job at once.  Only the loop
+thread touches the worker pipes; the ``POLL_INTERVAL`` tick paces just
+hang detection, restarts and pings.  Its job is to make worker
 failure boring:
 
 * a worker that **dies** (crash, OOM-kill, injected ``os._exit``) is
@@ -55,7 +59,8 @@ from repro.service.worker import worker_main
 #: that never reaches a budget hook (e.g. a sleep in C, a real hang).
 HANG_MULTIPLIER = 1.25
 
-#: seconds the dispatch loop sleeps/polls between scheduling passes.
+#: seconds between housekeeping passes (hang kills, respawns, pings)
+#: when no reply or submission wakes the loop first.
 POLL_INTERVAL = 0.05
 
 #: ceiling on a crashed worker's exponential restart backoff.
@@ -112,7 +117,8 @@ class ServiceJob:
     """One queued/in-flight unit of cells and its completion latch."""
 
     __slots__ = ("id", "payload", "deadline", "cells", "attempts",
-                 "done", "result", "failure", "hung", "worker_id")
+                 "done", "result", "failure", "hung", "worker_id",
+                 "submitted_at")
 
     def __init__(self, job_id: int, payload: Dict[str, Any],
                  deadline: Optional[float]) -> None:
@@ -129,6 +135,7 @@ class ServiceJob:
         #: whether the last failed attempt hung (killed) or died.
         self.hung = False
         self.worker_id: Optional[int] = None
+        self.submitted_at = time.monotonic()
 
     def finish(self, result: Dict[str, Any]) -> None:
         self.result = result
@@ -282,6 +289,14 @@ class Supervisor:
         self._lock = threading.Lock()
         self._job_ids = iter(range(1, 1 << 62)).__next__
         self._loop_thread: Optional[threading.Thread] = None
+        #: one-way wake channel: submitters write a byte, the loop waits
+        #: on the read end beside the worker pipes.
+        self._wake_r, self._wake_w = self._ctx.Pipe(duplex=False)
+        #: a wake byte is unread.  The byte is written and read, and the
+        #: flag set and cleared, under _lock, so at most one byte is ever
+        #: in the pipe (a submitter never blocks on it) and no wake is
+        #: lost.
+        self._wake_pending = False
         self._stop = threading.Event()
         self._draining = threading.Event()
         self.started_at: Optional[float] = None
@@ -291,6 +306,10 @@ class Supervisor:
         self.failed = 0
         self.retried = 0
         self.shed = 0
+        #: first dispatches and their submit-to-dispatch seconds.
+        self.dispatched = 0
+        self.queue_wait_s = 0.0
+        self.queue_wait_max_s = 0.0
         #: counters inherited from killed workers, so /stats totals
         #: survive restarts (gauges like "sessions"/"pid" excluded).
         self._retired_totals: Dict[str, float] = {}
@@ -315,8 +334,12 @@ class Supervisor:
         """Immediate shutdown: fail queued jobs, kill workers."""
         self._draining.set()
         self._stop.set()
+        self._wake()
         if self._loop_thread is not None:
             self._loop_thread.join(2.0)
+            if not self._loop_thread.is_alive():
+                self._wake_r.close()
+                self._wake_w.close()
             self._loop_thread = None
         with self._lock:
             pending = list(self._pending)
@@ -387,7 +410,19 @@ class Supervisor:
             job = ServiceJob(self._job_ids(), payload, deadline)
             self._pending.append(job)
             self.submitted += 1
+        self._wake()
         return job
+
+    def _wake(self) -> None:
+        """Have the loop run a dispatch pass now, not on its next tick."""
+        with self._lock:
+            if self._wake_pending:
+                return
+            self._wake_pending = True
+            try:
+                self._wake_w.send_bytes(b"w")
+            except OSError:
+                pass            # closed by stop(): nothing left to wake
 
     def wait(self, job: ServiceJob,
              timeout: Optional[float] = None) -> ServiceJob:
@@ -437,20 +472,30 @@ class Supervisor:
                 job = self._pending.popleft() if self._pending else None
             if job is None:
                 return
+            first = job.attempts == 0
             if not handle.dispatch(job):
                 with self._lock:
                     self._pending.appendleft(job)
                 self._worker_failed(handle, requeue=False)
+            elif first:
+                waited = handle.dispatched_at - job.submitted_at
+                with self._lock:
+                    self.dispatched += 1
+                    self.queue_wait_s += waited
+                    self.queue_wait_max_s = max(self.queue_wait_max_s,
+                                                waited)
 
     def _collect_replies(self) -> None:
         conns = {handle.conn: handle for handle in self._workers
                  if handle.conn is not None}
-        if not conns:
-            time.sleep(POLL_INTERVAL)
-            return
         ready = multiprocessing.connection.wait(
-            list(conns), timeout=POLL_INTERVAL)
+            [self._wake_r, *conns], timeout=POLL_INTERVAL)
         for conn in ready:
+            if conn is self._wake_r:
+                with self._lock:
+                    self._wake_r.recv_bytes()
+                    self._wake_pending = False
+                continue
             handle = conns[conn]
             try:
                 message = conn.recv()
@@ -577,6 +622,9 @@ class Supervisor:
                         "failed": self.failed,
                         "retried": self.retried,
                         "shed": self.shed}
+            dispatch = {"jobs": self.dispatched,
+                        "queue_wait_s": self.queue_wait_s,
+                        "queue_wait_max_s": self.queue_wait_max_s}
         busy = sum(1 for h in self._workers if h.busy is not None)
         worker_stats = [h.describe() for h in self._workers]
         with self._lock:
@@ -593,6 +641,7 @@ class Supervisor:
         return {"queued": queued, "busy": busy, "uptime": uptime,
                 "queue_limit": self.config.queue_limit,
                 "draining": self.draining, "counters": counters,
+                "dispatch": dispatch,
                 "workers": worker_stats, "totals": totals,
                 "warm_hit_ratio": warm,
                 "protocol_version": PROTOCOL_VERSION}

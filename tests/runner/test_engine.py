@@ -1,10 +1,8 @@
 """Tests for the sweep engine: caching, parallelism, failure handling."""
 
-import multiprocessing
 import os
 import time
 
-import repro.service.supervisor as supervisor_mod
 from repro.runner import (
     ResultCache,
     ScenarioOutcome,
@@ -228,19 +226,9 @@ class TestParallel:
         assert wall < 3.0
 
     def test_falls_back_to_serial_without_process_pools(
-            self, tmp_path, monkeypatch):
+            self, tmp_path, no_worker_processes):
         # Where processes cannot be spawned, the supervisor runs its
         # workers as threads of this process, with the same answers.
-        real = multiprocessing.get_context()
-
-        class NoProcesses:
-            Pipe = staticmethod(real.Pipe)
-
-            def Process(self, *args, **kwargs):
-                raise OSError("no processes in this sandbox")
-
-        monkeypatch.setattr(supervisor_mod.multiprocessing, "get_context",
-                            NoProcesses)
         specs = _fast_specs()
         serial = _engine(tmp_path / "serial").run(specs)
         threaded = _engine(tmp_path / "threads", workers=4).run(specs)

@@ -1,5 +1,6 @@
 """Supervision: crash restart, bounded retry, backpressure, drain."""
 
+import statistics
 import time
 
 import pytest
@@ -63,6 +64,40 @@ def test_happy_path_completes_and_counts(supervisor_factory):
     assert stats["counters"]["failed"] == 0
 
 
+@pytest.mark.parametrize("mode", ["process", "thread"])
+def test_idle_worker_gets_a_submitted_job_at_once(
+        tmp_path, request, supervisor_factory, mode):
+    # A cache-hit job costs a worker about a millisecond; the rest of its
+    # submit-to-done time is dispatch.  A loop that dispatched only on
+    # its POLL_INTERVAL (50 ms) tick would hold every job for the tick.
+    if mode == "thread":
+        request.getfixturevalue("no_worker_processes")
+    supervisor = supervisor_factory(workers=1, use_cache=True,
+                                    cache_dir=str(tmp_path / "cache"))
+    assert supervisor.healthz()["workers"][0]["mode"] == mode
+    warm = supervisor.wait(supervisor.submit(request_for("hit")))
+    assert warm.failure is None
+    elapsed = []
+    for _ in range(20):
+        started = time.monotonic()
+        job = supervisor.wait(supervisor.submit(request_for("hit")))
+        elapsed.append(time.monotonic() - started)
+        assert job.failure is None
+        assert job.result["outcomes"][0]["cache_hit"] is True
+    assert statistics.median(elapsed) < 0.020, elapsed
+
+
+def test_stats_report_dispatch_count_and_queue_wait(supervisor_factory):
+    supervisor = supervisor_factory(workers=2)
+    jobs = [supervisor.submit(request_for(f"cell{i}")) for i in range(5)]
+    for job in jobs:
+        assert supervisor.wait(job).failure is None
+    stats = supervisor.stats()
+    dispatch = stats["dispatch"]
+    assert dispatch["jobs"] == stats["counters"]["completed"] == 5
+    assert 0 <= dispatch["queue_wait_max_s"] <= dispatch["queue_wait_s"]
+
+
 def test_warm_sessions_reused_across_jobs(supervisor_factory):
     supervisor = supervisor_factory(workers=1)
     for i in range(3):
@@ -94,6 +129,8 @@ def test_crashed_worker_restarts_with_empty_session_pool(
     assert job.failure is None, job.failure
     assert job.result["outcomes"][0]["status"] == "ok"
     assert job.attempts == 2                    # retried exactly once
+    # Only a job's first dispatch counts: the retry is not queue wait.
+    assert supervisor.stats()["dispatch"]["jobs"] == 2
     health = supervisor.healthz()
     assert health["restarts"] == 1
     assert health["ok"]
