@@ -44,10 +44,14 @@ from repro.smt import (
 )
 from repro.smt.rational import to_fraction
 
-#: Minimum magnitude treated as a "real" measurement/state change; changes
-#: below this are modeled as zero (keeps the search away from degenerate
-#: infinitesimal attacks; the paper's 2-digit attack-vector precision plays
-#: the same role).
+#: Minimum magnitude of a nonzero measurement/state change: a change is
+#: either zero or at least this large, since the linear fragment has no
+#: strict ``!= 0``.  It keeps degenerate infinitesimal attacks out of the
+#: model, but it does not quantize the attack space the way the paper's
+#: 2-digit vector precision did (EXPERIMENTS deviation 6): every change at
+#: or above it stays reachable.  The search's structure pruning is a
+#: separate step, and an unproved one (``block_structure``, ROADMAP
+#: items 2-3).
 EPSILON = Fraction(1, 10000)
 
 
@@ -445,39 +449,18 @@ class AttackModelEncoding:
                      for gen in self.grid.generators.values()), Fraction(0))
         self.solver.add(cost + alpha >= to_fraction(threshold))
 
-    def block(self, solution: AttackVectorSolution,
-              precision: int = 2) -> None:
-        """Exclude this attack vector (and its near-identical neighbors).
-
-        Implements the paper's scalability idea 1: two vectors whose
-        believed loads agree to ``precision`` decimal digits (and whose
-        topology bits agree) count as the same vector.
-        """
-        half_band = Fraction(1, 2 * 10 ** precision)
-        literals = []
-        chosen_p = set(solution.excluded)
-        chosen_q = set(solution.included)
-        for i, var in self.p.items():
-            literals.append(Not(var) if i in chosen_p else var)
-        for i, var in self.q.items():
-            literals.append(Not(var) if i in chosen_q else var)
-        for bus, var in self.believed_load.items():
-            center = _round_fraction(solution.believed_loads[bus],
-                                     precision)
-            literals.append(var < center - half_band)
-            literals.append(var > center + half_band)
-        self.solver.add(Or(*literals))
-
-
     def block_structure(self, solution: AttackVectorSolution) -> None:
         """Exclude every vector sharing this solution's discrete structure.
 
-        Used after the framework has *extremized* the structure's
-        continuous freedom (believed loads) without reaching the
-        threshold: since the believed-optimal cost is convex in the loads,
-        the boundary search bounds the structure's best case, and the
-        whole structure — the topology bits plus the infected-state
-        choice — can be pruned at once.
+        The structure is the topology bits plus the infected-state
+        choice.  The framework calls this after *extremizing* the
+        structure's believed loads one coordinate at a time without
+        reaching the threshold.  That does not bound the structure's
+        best case: the believed-optimal cost is convex in the loads, so
+        its maximum lies on a vertex of the believed-load polytope, and
+        the 2n coordinate optima are only some of the vertices.  The
+        pruning is unproved until ROADMAP item 2 replaces it or item 3's
+        exhaustive oracle checks it.
         """
         literals = []
         chosen_p = set(solution.excluded)
@@ -491,11 +474,6 @@ class AttackModelEncoding:
             for j, var in self.c.items():
                 literals.append(Not(var) if j in infected else var)
         self.solver.add(Or(*literals))
-
-
-def _round_fraction(value: Fraction, precision: int) -> Fraction:
-    scale = 10 ** precision
-    return Fraction(round(value * scale), scale)
 
 
 class OpfModelEncoding:

@@ -7,10 +7,12 @@ The loop couples the two SMT models:
 3. verify the *impact*: no OPF dispatch of the believed system costs less
    than ``threshold = base_optimal * (1 + I/100)`` (paper Eq. 37) while a
    dispatch does exist at higher cost (Eq. 38);
-4. on failure, block the attack vector at 2-decimal precision (the
-   paper's scalability idea 1) and iterate until the attack model is
-   unsat (the attack space is exhausted) or the query's budget runs out,
-   which ends in a ``budget_exhausted`` partial report, never an unsat.
+4. on failure, extremize the candidate's *structure* (topology bits plus
+   infected-state choice, see below), then block the whole structure
+   (:meth:`~repro.core.encoding.AttackModelEncoding.block_structure`)
+   and iterate until the attack model is unsat (every structure is
+   blocked) or the query's budget runs out, which ends in a
+   ``budget_exhausted`` partial report, never an unsat.
 
 Step 3's universal quantification is discharged by *minimizing* the
 believed system's cost exactly (the in-repo rational LP) and comparing to
@@ -18,12 +20,16 @@ the threshold; optionally the paper's original formulation — an SMT
 unsatisfiability check of the OPF model at the threshold — is run as
 confirmation.
 
-For structures with continuous freedom (state infection), the analyzer
-additionally *extremizes* each believed load within the found structure
-(topology bits + infected states held fixed) before giving up on it —
-convexity of the OPF optimum in the loads puts the worst case on the
-boundary, so this finds high-impact instances orders of magnitude faster
-than blind vector enumeration.
+Extremizing a structure holds its discrete choices fixed and maximizes
+and minimizes each believed load alone (2n LPs), evaluating each
+optimum exactly.  The believed-optimal cost is convex in the loads, so
+over the structure's believed-load polytope its maximum lies on *a
+vertex* — but the 2n coordinate optima are only some of the vertices.
+Pruning the structure after them is therefore a heuristic step, not a
+proved one (ROADMAP item 1 step B): an unsat is exact only if no
+unvisited vertex reaches the threshold.  ROADMAP item 2 (one KKT query
+per question) removes the step; item 3's exhaustive 5-bus oracle tests
+it meanwhile.
 
 Since the session refactor this module holds only the *search strategy*:
 candidate generation (the SMT attack model), evaluation (exact believed
@@ -78,10 +84,7 @@ class ImpactQuery:
     #: set False for the paper's "UFDI attacks alone" comparison: the
     #: topology stays faithful and only state infection is allowed.
     allow_topology_attack: bool = True
-    precision: int = 2
     verify_with_smt_opf: bool = False
-    opf_method: str = "exact"
-    extremize_structures: bool = True
     #: optional resource budget spanning the whole analysis (SMT search,
     #: optimizer iterations and exact-OPF pivots) and its only bound.  On
     #: exhaustion ``analyze`` returns a *partial* report with
@@ -150,7 +153,14 @@ class SmtSearchStrategy(SearchStrategy):
         if self.incremental:
             self._begin_incremental(query, threshold)
         else:
-            self._begin_cold(query, threshold)
+            # Fresh encoding per query, with the threshold baked in as a
+            # necessary condition for pure topology attacks: the believed
+            # optimum never exceeds the current operating cost (the
+            # believed system still admits the physical operating point
+            # when the states are untouched), so the current cost must
+            # already exceed the threshold.
+            self._build_encoding(query, None if query.with_state_infection
+                                 else threshold)
         solver = self._encoding.solver
         solver.set_budget(query.budget)
         stats = solver.stats
@@ -165,59 +175,20 @@ class SmtSearchStrategy(SearchStrategy):
             "simplex_pivots": stats.simplex_pivots,
         }
 
-    def _begin_cold(self, query: ImpactQuery, threshold: Fraction) -> None:
-        """Fresh encoding per query — the pre-refactor construction,
-        preserved bit-for-bit (including the baked-in threshold bound)
-        so enumeration order and reported witnesses stay stable."""
-        config = AttackEncodingConfig(
-            include_state_infection=query.with_state_infection,
-            require_topology_attack=query.allow_topology_attack,
-            forbid_topology_attack=not query.allow_topology_attack,
-            require_state_infection=not query.allow_topology_attack,
-            # Necessary condition for pure topology attacks: the believed
-            # optimum never exceeds the current operating cost (the
-            # believed system still admits the physical operating point
-            # when the states are untouched), so the current cost must
-            # already exceed the threshold.
-            min_operating_cost=None if query.with_state_infection
-            else threshold,
-        )
-        built = time.perf_counter()
-        self._encoding = AttackModelEncoding(
-            self.case, config, certify=self.session.certify_enabled)
-        self._encode_seconds = time.perf_counter() - built
-        self._run_encodings = 1
-        self._warm = False
-        self._scope_active = False
-
     def _begin_incremental(self, query: ImpactQuery,
                            threshold: Fraction) -> None:
         """Reuse one thresholdless encoding across queries.
 
-        The threshold bound (and every per-run ``block``/
-        ``block_structure`` clause the search adds) lives in a solver
-        ``push()`` scope that the next query pops, so learned clauses
-        and simplex state carry over while per-query constraints don't.
+        The threshold bound (and every per-run ``block_structure``
+        clause the search adds) lives in a solver ``push()`` scope that
+        the next query pops, so learned clauses and simplex state carry
+        over while per-query constraints don't.
         """
-        certify = self.session.certify_enabled
         key = (query.with_state_infection, query.allow_topology_attack,
-               certify)
+               self.session.certify_enabled)
         if self._encoding is None or self._encoding_key != key:
-            config = AttackEncodingConfig(
-                include_state_infection=query.with_state_infection,
-                require_topology_attack=query.allow_topology_attack,
-                forbid_topology_attack=not query.allow_topology_attack,
-                require_state_infection=not query.allow_topology_attack,
-                min_operating_cost=None,
-            )
-            built = time.perf_counter()
-            self._encoding = AttackModelEncoding(self.case, config,
-                                                 certify=certify)
-            self._encode_seconds = time.perf_counter() - built
+            self._build_encoding(query, None)
             self._encoding_key = key
-            self._run_encodings = 1
-            self._warm = False
-            self._scope_active = False
         else:
             self._encode_seconds = 0.0
             self._run_encodings = 0
@@ -231,6 +202,26 @@ class SmtSearchStrategy(SearchStrategy):
             # Same necessary condition the cold path bakes in, but
             # scoped so the next query can swap it out.
             self._encoding.add_min_operating_cost(threshold)
+
+    def _build_encoding(self, query: ImpactQuery,
+                        min_operating_cost: Optional[Fraction]) -> None:
+        """Encode the attack model for ``query``, field for field the
+        pre-refactor construction, so a cold run's enumeration order and
+        reported witnesses stay stable."""
+        config = AttackEncodingConfig(
+            include_state_infection=query.with_state_infection,
+            require_topology_attack=query.allow_topology_attack,
+            forbid_topology_attack=not query.allow_topology_attack,
+            require_state_infection=not query.allow_topology_attack,
+            min_operating_cost=min_operating_cost,
+        )
+        built = time.perf_counter()
+        self._encoding = AttackModelEncoding(
+            self.case, config, certify=self.session.certify_enabled)
+        self._encode_seconds = time.perf_counter() - built
+        self._run_encodings = 1
+        self._warm = False
+        self._scope_active = False
 
     def search(self, query: ImpactQuery,
                threshold: Fraction) -> SearchOutcome:
@@ -246,24 +237,18 @@ class SmtSearchStrategy(SearchStrategy):
                 return SearchOutcome(satisfiable=False)
             session.certify_model(encoding.solver)
             success, believed_min = self._evaluate(solution, threshold,
-                                                   query.opf_method,
                                                    budget)
             if success:
                 return self._success(solution, believed_min, threshold,
                                      query)
-            if query.extremize_structures:
-                best = self._extremize_structure(encoding, solution,
-                                                 threshold, query)
-                if best is not None:
-                    return self._success(best[0], best[1], threshold,
-                                         query)
-                # The structure's believed-load boundary has been
-                # searched without reaching the threshold: prune the
-                # whole structure (convexity puts the worst case on
-                # the boundary).
-                encoding.block_structure(solution)
-            else:
-                encoding.block(solution, query.precision)
+            best = self._extremize_structure(encoding, solution, threshold)
+            if best is not None:
+                return self._success(best[0], best[1], threshold, query)
+            # No coordinate optimum of the structure's believed loads
+            # reaches the threshold: prune the whole structure.  Unproved
+            # (module docstring): the worst case lies on a vertex of the
+            # load polytope, and the 2n optima are only some of them.
+            encoding.block_structure(solution)
 
     def _success(self, solution: AttackVectorSolution,
                  believed_min: Fraction, threshold: Fraction,
@@ -281,7 +266,6 @@ class SmtSearchStrategy(SearchStrategy):
 
     def _evaluate(self, solution: AttackVectorSolution,
                   threshold: Fraction,
-                  opf_method: str,
                   budget: Optional[SolverBudget] = None
                   ) -> Tuple[bool, Optional[Fraction]]:
         """(impact achieved?, believed minimum cost)."""
@@ -295,7 +279,7 @@ class SmtSearchStrategy(SearchStrategy):
         opf_started = time.perf_counter()
         try:
             result = solve_dc_opf(grid, loads=solution.believed_loads,
-                                  line_indices=topology, method=opf_method,
+                                  line_indices=topology, method="exact",
                                   budget=budget)
         finally:
             self._opf_solves += 1
@@ -333,16 +317,17 @@ class SmtSearchStrategy(SearchStrategy):
 
     def _extremize_structure(self, encoding: AttackModelEncoding,
                              solution: AttackVectorSolution,
-                             threshold: Fraction,
-                             query: ImpactQuery
+                             threshold: Fraction
                              ) -> Optional[Tuple[AttackVectorSolution,
                                                  Fraction]]:
-        """Search the found structure's believed-load boundary.
+        """Evaluate the found structure's 2n coordinate extremes.
 
         Holds the topology bits (and infected-state choice) fixed via
         assumptions and pushes each believed load to its extremes; each
         extremization yields a *complete consistent* attack instance
         (the SMT model at the optimum), which is then evaluated exactly.
+        These are some of the vertices of the structure's believed-load
+        polytope, not all of them (module docstring).
         """
         session = self.session
         assumptions = []
@@ -372,8 +357,8 @@ class SmtSearchStrategy(SearchStrategy):
                 session.certify_model(encoding.solver, model=result.model,
                                       assumptions=assumptions)
                 candidate = encoding.decode(result.model)
-                success, believed_min = self._evaluate(
-                    candidate, threshold, query.opf_method)
+                success, believed_min = self._evaluate(candidate,
+                                                       threshold)
                 if success and (best is None or believed_min > best[1]):
                     best = (candidate, believed_min)
         return best
@@ -481,13 +466,8 @@ class ImpactAnalyzer:
         return MaxImpactSearch(self, tolerance=tolerance,
                                **search_kwargs).run(**query_attrs)
 
-    def confirm_with_smt_opf(self, solution: AttackVectorSolution,
-                             threshold: Fraction) -> bool:
-        return self._strategy.confirm_with_smt_opf(solution, threshold)
-
     def _evaluate(self, solution: AttackVectorSolution,
-                  threshold: Fraction, opf_method: str,
+                  threshold: Fraction,
                   budget: Optional[SolverBudget] = None
                   ) -> Tuple[bool, Optional[Fraction]]:
-        return self._strategy._evaluate(solution, threshold, opf_method,
-                                        budget)
+        return self._strategy._evaluate(solution, threshold, budget)

@@ -294,6 +294,13 @@ class AnalysisSession:
                 outcome = self.strategy.search(query, threshold)
                 if outcome.satisfiable and self._certify:
                     self.strategy.certify_outcome(outcome, threshold)
+                elif self._certify \
+                        and self._verdict_basis(outcome, query) == "proved" \
+                        and self._cert_stats["unsat_checked"] == 0:
+                    # A proved unsat is only as good as its checked proof.
+                    raise CertificateError(
+                        "complete unsat reported without a checked "
+                        "UNSAT proof")
             except BudgetExhausted as exc:
                 outcome = SearchOutcome(status="budget_exhausted",
                                         budget_reason=exc.reason)

@@ -66,9 +66,10 @@ class TestVerdictAgreement:
             return
         smt_inc = float(smt.achieved_increase_percent)
         fast_inc = float(fast.achieved_increase_percent)
-        # Both witnesses meet the target; the framework blocks candidates
-        # at 2-decimal load precision, so the believed optima may differ
-        # by sub-0.1% — never by a different verdict band.
+        # Both witnesses meet the target, but each analyzer stops at the
+        # first attack that does, not at the worst one, so the believed
+        # optima may differ by sub-0.1% — never by a different verdict
+        # band.
         assert smt_inc >= target - 1e-6
         assert fast_inc >= target - 1e-6
         assert abs(smt_inc - fast_inc) < 0.1

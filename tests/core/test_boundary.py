@@ -48,7 +48,7 @@ class TestSmtBoundary:
         report = smt_analyzer.analyze(ImpactQuery())
         assert report.satisfiable
         success, cost = smt_analyzer._evaluate(
-            report.attack, report.believed_min_cost, "exact")
+            report.attack, report.believed_min_cost)
         assert cost == report.believed_min_cost
         assert success
 

@@ -71,7 +71,6 @@ class TestSmtAnalyzerPartialReports:
         analyzer = ImpactAnalyzer(get_case("5bus-study1"))
         query = ImpactQuery(target_increase_percent=Fraction(50),
                             with_state_infection=True,
-                            extremize_structures=False,
                             budget=_ScriptedBudget(allowed_checks=1))
         report = analyzer.analyze(query)
         assert report.status == "budget_exhausted"
@@ -146,36 +145,80 @@ class TestEncodingUnknownSurfacing:
             encoding.solve()
 
 
-def _exhaustive_query(precision, budget=None):
-    """Case study 2 with states at an unreachable 40%, per-vector
-    blocking only: the search must run the attack space dry."""
+def _exhaustive_query(budget=None):
+    """Case study 2 with states at an unreachable 40%: the search must
+    run the attack space dry."""
     return ImpactQuery(target_increase_percent=Fraction(40),
-                       with_state_infection=True, precision=precision,
-                       extremize_structures=False, self_check=True,
+                       with_state_infection=True, self_check=True,
                        budget=budget)
 
 
 class TestUnsatMeansExhausted:
     def test_unsat_runs_to_a_checked_unsat_proof(self):
-        # 68 vectors exist at 2-digit precision; a search that stopped
-        # early would report unsat without ever checking an UNSAT proof.
+        # 18 structures are examined before the attack model is unsat; a
+        # search that stopped early would report unsat without ever
+        # checking the terminal UNSAT proof.
         report = ImpactAnalyzer(get_case("5bus-study2")).analyze(
-            _exhaustive_query(precision=2))
+            _exhaustive_query())
         assert report.satisfiable is False
         assert report.status == "complete"
         assert report.certified is True
-        assert report.candidates_examined == 68
+        assert report.candidates_examined == 18
         assert report.trace.certificates["unsat_checked"] >= 1
         assert report.verdict_basis == "proved"
 
     def test_stopped_search_is_never_a_complete_unsat(self):
         report = ImpactAnalyzer(get_case("5bus-study2")).analyze(
-            _exhaustive_query(precision=3,
-                              budget=SolverBudget(max_conflicts=200)))
+            _exhaustive_query(budget=SolverBudget(max_conflicts=50)))
         assert report.satisfiable is False
         assert report.status == "budget_exhausted"
         assert "conflict budget" in report.budget_reason
         assert report.verdict_basis is None
+
+
+class TestNoQuantizedBlocking:
+    """Blocking attack vectors at 2-decimal believed-load precision (the
+    paper's scalability idea 1) used to certify an unsat below the true
+    I*.  The mode is gone; these pin the search that replaced it."""
+
+    @pytest.mark.parametrize("field", [{"precision": 2},
+                                       {"extremize_structures": False}])
+    def test_precision_mode_is_gone(self, field):
+        with pytest.raises(TypeError):
+            ImpactQuery(**field)
+
+    def test_attack_just_below_true_max_is_found(self):
+        # 4.38% lies below I* (4.391-4.398%); 2-decimal blocking
+        # reported a certified, proved unsat here.
+        report = ImpactAnalyzer(get_case("5bus-study1")).solve_at(
+            Fraction("4.38"), self_check=True)
+        assert report.status == "complete"
+        assert report.satisfiable is True
+        assert report.certified is True
+        assert report.verdict_basis == "proved"
+
+    def test_max_impact_lower_bound_is_not_quantized(self):
+        analyzer = ImpactAnalyzer(get_case("5bus-study1"),
+                                  incremental=True)
+        result = analyzer.max_impact(tolerance=Fraction(1, 100))
+        assert result.lower_bound >= Fraction(281, 64)
+
+
+class TestCertifiedUnsatNeedsCheckedProof:
+    def test_unchecked_smt_unsat_is_a_certificate_error(self, monkeypatch):
+        # A strategy that claims a complete unsat without ever checking
+        # an UNSAT proof must not be reported as a proved verdict.
+        from repro.core.framework import SmtSearchStrategy
+        from repro.core.session import SearchOutcome
+        monkeypatch.setattr(SmtSearchStrategy, "search",
+                            lambda self, query, threshold:
+                            SearchOutcome(satisfiable=False))
+        report = ImpactAnalyzer(get_case("5bus-study1")).analyze(
+            ImpactQuery(self_check=True))
+        assert report.status == "certificate_error"
+        assert report.certified is False
+        assert report.verdict_basis is None
+        assert "UNSAT proof" in report.certificate_error
 
 
 class TestVerdictBasis:

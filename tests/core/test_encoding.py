@@ -64,21 +64,6 @@ class TestAttackModel:
         assert sum(solution.believed_loads.values()) == \
             encoding.grid.total_load()
 
-    def test_blocking_excludes_vector(self, case1):
-        encoding = AttackModelEncoding(case1)
-        first = encoding.solve()
-        encoding.block(first, precision=2)
-        second = encoding.solve()
-        if second is not None:
-            same_topology = (second.excluded == first.excluded
-                             and second.included == first.included)
-            if same_topology:
-                moved = any(
-                    abs(second.believed_loads[b] - first.believed_loads[b])
-                    > Fraction(1, 200)
-                    for b in first.believed_loads)
-                assert moved
-
     def test_block_structure_removes_topology_choice(self, case1):
         encoding = AttackModelEncoding(case1)
         first = encoding.solve()
