@@ -17,8 +17,16 @@ meets an assignment, a bound or a Farkas witness.
 Bound violations are tracked rather than rescanned: ``_touched`` holds
 every basic variable whose value or bounds changed since it was last seen
 inside its bounds, a superset of the violated ones.  ``check`` scans it in
-index order, so Bland's smallest-index choice is the one a scan of the
-whole tableau would make.
+index order, so the smallest-index violated basic variable it picks to
+leave is the one a scan of the whole tableau would pick.
+
+The entering variable is the candidate with the sparsest column: of the
+nonbasic variables that can move the violated row toward its bound, the
+one in the fewest rows (ties to the smallest index), so each pivot
+rewrites as few rows as it can.  Dutertre and de Moura allow any entering
+heuristic as long as Bland's rule backs it up: after ``_SPARSE_PIVOTS``
+pivots inside one ``check`` call, the rest of that call takes the
+smallest-index candidate, which cannot cycle.
 
 Key operations:
 
@@ -27,9 +35,10 @@ Key operations:
     immediate bound clashes and returns a two-literal explanation.
 
 ``check``
-    Runs Bland-rule pivoting until the assignment satisfies every bound or
-    an infeasible row yields a conflict explanation (the set of SAT
-    literals whose bounds participate in the row).
+    Pivots (sparsest column, Bland fallback) until the assignment
+    satisfies every bound or an infeasible row yields a conflict
+    explanation (the set of SAT literals whose bounds participate in the
+    row).
 
 ``minimize``
     Phase-2 simplex: minimizes a variable subject to the currently
@@ -48,6 +57,26 @@ from repro.smt.budget import SolverBudget
 from repro.smt.rational import DeltaRational, resolve_delta
 
 NO_LIT = 0
+
+#: pivots one ``check`` call chooses by sparsest column before it falls
+#: back to Bland's smallest-index rule, which guarantees termination.
+#: Far above what any real query needs (the exact benchmark's largest
+#: single check takes about a hundred pivots).
+_SPARSE_PIVOTS = 1000
+
+
+def _plus(x: Fraction, num: int, den: int) -> Fraction:
+    """``x + num / den`` as a single :class:`Fraction` (``den > 0``)."""
+    return Fraction(x.numerator * den + num * x.denominator,
+                    x.denominator * den)
+
+
+def _delta(c: Fraction, k: Fraction) -> DeltaRational:
+    """``c + k*delta`` from parts that are already Fractions."""
+    value = DeltaRational.__new__(DeltaRational)
+    value.c = c
+    value.k = k
+    return value
 
 
 class Simplex:
@@ -222,13 +251,25 @@ class Simplex:
     # ------------------------------------------------------------------
 
     def _update(self, nonbasic: int, value: DeltaRational) -> None:
-        delta = value - self.assign[nonbasic]
+        self._shift(nonbasic, value - self.assign[nonbasic])
+        self.assign[nonbasic] = value
+
+    def _shift(self, nonbasic: int, step: DeltaRational) -> None:
+        """Move every basic variable in *nonbasic*'s column by its row's
+        coefficient of *nonbasic* times *step*, straight from the row's
+        integers: one Fraction per nonzero part of each new value."""
+        rows, den, assign = self.rows, self.den, self.assign
+        c_num, c_den = step.c.numerator, step.c.denominator
+        k_num, k_den = step.k.numerator, step.k.denominator
         column = self.cols[nonbasic]
         for basic in column:
-            self.assign[basic] = self.assign[basic] \
-                + delta * self._coeff(basic, nonbasic)
+            num = rows[basic][nonbasic]
+            d = den[basic]
+            old = assign[basic]
+            c = _plus(old.c, c_num * num, c_den * d) if c_num else old.c
+            k = _plus(old.k, k_num * num, k_den * d) if k_num else old.k
+            assign[basic] = _delta(c, k)
         self._touched.update(column)
-        self.assign[nonbasic] = value
 
     def _pivot(self, basic: int, nonbasic: int) -> None:
         """Exchange *basic* and *nonbasic* in the tableau (no value change)."""
@@ -296,14 +337,9 @@ class Simplex:
     def _pivot_and_update(self, basic: int, nonbasic: int,
                           value: DeltaRational) -> None:
         theta = (value - self.assign[basic]) / self._coeff(basic, nonbasic)
+        self._shift(nonbasic, theta)
         self.assign[basic] = value
         self.assign[nonbasic] = self.assign[nonbasic] + theta
-        column = self.cols[nonbasic]
-        for other in column:
-            if other != basic:
-                self.assign[other] = self.assign[other] \
-                    + theta * self._coeff(other, nonbasic)
-        self._touched.update(column)
         # The entering variable becomes basic at a value its own bounds
         # may not allow; it is not in its own column, so add it here.
         self._touched.add(nonbasic)
@@ -319,10 +355,11 @@ class Simplex:
             return None
         rows, touched = self.rows, self._touched
         assign, lower, upper = self.assign, self.lower, self.upper
+        pivots = 0
         while True:
             violated = None
             below = False
-            for var in sorted(touched):  # Bland's rule: smallest index
+            for var in sorted(touched):  # leaving: smallest index
                 if var in rows:
                     value = assign[var]
                     lo = lower[var]
@@ -337,25 +374,39 @@ class Simplex:
             if violated is None:
                 self.needs_check = False
                 return None
-            conflict = self._repair(violated, below)
+            conflict = self._repair(violated, below,
+                                    bland=pivots >= _SPARSE_PIVOTS)
             if conflict is not None:
                 return conflict
+            pivots += 1
 
-    def _repair(self, basic: int, below: bool) -> Optional[List[int]]:
+    def _repair(self, basic: int, below: bool,
+                bland: bool) -> Optional[List[int]]:
+        """Pivot *basic* to its violated bound, or explain the conflict.
+
+        The entering variable is the candidate in the fewest rows (ties
+        to the smallest index), or with *bland* the smallest-index one.
+        """
         row = self.rows[basic]
         target = self.lower[basic] if below else self.upper[basic]
         assert target is not None
-        for nonbasic in sorted(row):
-            coeff = row[nonbasic]
-            if below:
-                can_help = (coeff > 0 and self._can_increase(nonbasic)) or \
-                           (coeff < 0 and self._can_decrease(nonbasic))
+        cols = self.cols
+        entering, best = None, None
+        for nonbasic, coeff in row.items():
+            # Raising the row needs a positive-coefficient variable to
+            # rise or a negative one to fall; lowering it, the reverse.
+            if (coeff > 0) == below:
+                can_help = self._can_increase(nonbasic)
             else:
-                can_help = (coeff > 0 and self._can_decrease(nonbasic)) or \
-                           (coeff < 0 and self._can_increase(nonbasic))
+                can_help = self._can_decrease(nonbasic)
             if can_help:
-                self._pivot_and_update(basic, nonbasic, target)
-                return None
+                key = nonbasic if bland \
+                    else (len(cols[nonbasic]), nonbasic)
+                if best is None or key < best:
+                    entering, best = nonbasic, key
+        if entering is not None:
+            self._pivot_and_update(basic, entering, target)
+            return None
         # No pivot candidate: the row is a certificate of infeasibility.
         explanation = []
         witness = [] if self.certify else None

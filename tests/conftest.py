@@ -21,3 +21,19 @@ def no_worker_processes(monkeypatch):
 
     monkeypatch.setattr(supervisor_mod.multiprocessing, "get_context",
                         NoProcesses)
+
+
+@pytest.fixture
+def bland_pivots(monkeypatch):
+    """Have ``Simplex.check`` take Bland's smallest-index entering
+    variable from the first pivot on, instead of the sparsest column."""
+    import repro.smt.simplex as simplex_mod
+    monkeypatch.setattr(simplex_mod, "_SPARSE_PIVOTS", 0)
+
+
+@pytest.fixture(params=["sparsest", "bland"])
+def pivot_rule(request):
+    """Run the test under each entering rule of ``Simplex.check``."""
+    if request.param == "bland":
+        request.getfixturevalue("bland_pivots")
+    return request.param

@@ -139,8 +139,11 @@ def test_health_ready_stats_endpoints(service_factory):
 def test_queue_full_sheds_with_429_retry_after(tmp_path,
                                                service_factory):
     state = tmp_path / "state"
+    # The slow job hangs far past every wait below, so the slot is still
+    # taken when the second request arrives; stopping the supervisor
+    # releases it once the shed has been observed.
     plan = ServiceFaultPlan.build(state, {
-        "slow": Fault(kind=HANG_WORKER, times=1, sleep_seconds=2.0)})
+        "slow": Fault(kind=HANG_WORKER, times=1, sleep_seconds=60.0)})
     path = plan.to_file(tmp_path / "plan.json")
     server, client = service_factory(workers=1, queue_limit=1,
                                      fault_plan=path)
@@ -152,11 +155,14 @@ def test_queue_full_sheds_with_429_retry_after(tmp_path,
             {"spec": dict(FAST_SPEC, label="slow")}),
         daemon=True)
     background.start()
+    occupied = False
     deadline = time.monotonic() + 5
-    while time.monotonic() < deadline:
-        if server.supervisor.stats()["busy"] \
-                or server.supervisor.stats()["queued"]:
-            break
+    while not occupied and time.monotonic() < deadline:
+        stats = server.supervisor.stats()
+        occupied = bool(stats["busy"] or stats["queued"])
+        if not occupied:
+            time.sleep(0.01)
+    assert occupied, "the slow request never took the queue slot"
     # ...then observe the shed on the raw wire.
     status, body, headers = raw_request(
         server, "POST", "/v1/analyze",
@@ -164,7 +170,9 @@ def test_queue_full_sheds_with_429_retry_after(tmp_path,
     assert status == 429
     assert body["error"] == "queue_full"
     assert int(headers["Retry-After"]) >= 1
+    server.supervisor.stop()
     background.join(timeout=30)
+    assert not background.is_alive()
 
 
 def test_draining_sheds_with_503(service_factory):

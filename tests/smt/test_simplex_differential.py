@@ -10,7 +10,9 @@ solved two ways that share no code:
 
 The box bounds make every nonempty feasible region a bounded polyhedron,
 which always attains its optimum at such a vertex, so feasibility and
-the exact optimum must agree on every instance.
+the exact optimum must agree on every instance, under the
+sparsest-column entering rule of ``check`` and under Bland's
+smallest-index fallback forced from the first pivot.
 """
 
 import itertools
@@ -131,26 +133,33 @@ def box_rows(num_vars):
     return rows
 
 
+def assert_random_lps_agree():
+    rng = random.Random(31415926)
+    feasible_seen = infeasible_seen = 0
+    for _ in range(40):
+        num_vars, ineqs, objective = random_instance(rng)
+        constraints = list(ineqs) + box_rows(num_vars)
+        expect_feasible, expect_opt = brute_force(
+            num_vars, constraints, objective)
+        got_feasible, got_opt = simplex_solve(
+            num_vars, ineqs, objective)
+        assert got_feasible == expect_feasible, (ineqs, objective)
+        if expect_feasible:
+            feasible_seen += 1
+            assert got_opt == expect_opt, (ineqs, objective)
+        else:
+            infeasible_seen += 1
+    # The generator must exercise both outcomes to mean anything.
+    assert feasible_seen >= 10
+    assert infeasible_seen >= 3
+
+
 class TestSimplexDifferential:
     def test_random_lps_agree(self):
-        rng = random.Random(31415926)
-        feasible_seen = infeasible_seen = 0
-        for _ in range(40):
-            num_vars, ineqs, objective = random_instance(rng)
-            constraints = list(ineqs) + box_rows(num_vars)
-            expect_feasible, expect_opt = brute_force(
-                num_vars, constraints, objective)
-            got_feasible, got_opt = simplex_solve(
-                num_vars, ineqs, objective)
-            assert got_feasible == expect_feasible, (ineqs, objective)
-            if expect_feasible:
-                feasible_seen += 1
-                assert got_opt == expect_opt, (ineqs, objective)
-            else:
-                infeasible_seen += 1
-        # The generator must exercise both outcomes to mean anything.
-        assert feasible_seen >= 10
-        assert infeasible_seen >= 3
+        assert_random_lps_agree()
+
+    def test_random_lps_agree_under_bland(self, bland_pivots):
+        assert_random_lps_agree()
 
     def test_known_instance(self):
         # min -x - y  s.t. x + y <= 4, x - y <= 1 (+ box): optimum -4.
@@ -172,3 +181,67 @@ class TestSimplexDifferential:
         assert not feasible
         bf_feasible, _ = brute_force(2, ineqs + box_rows(2), objective)
         assert not bf_feasible
+
+
+class TestDegenerateCycling:
+    """Beale's LP (1955), the classic instance on which the textbook
+    most-negative-reduced-cost rule cycles forever:
+
+        min  -3/4 x4 + 150 x5 - 1/50 x6 + 6 x7
+        s.t.  1/4 x4 -  60 x5 - 1/25 x6 + 9 x7 <= 0
+              1/2 x4 -  90 x5 - 1/50 x6 + 3 x7 <= 0
+              x6 <= 1,  x4..x7 >= 0
+
+    whose optimum is -1/20 at x4 = 1/25, x6 = 1.  Both constraint rows
+    are tight at the origin, a degenerate vertex.  ``check`` has to pivot
+    away from it when the objective row itself carries the bound,
+    feasible at the optimum and infeasible just below it.
+    """
+
+    ROWS = [
+        {0: Fraction(1, 4), 1: Fraction(-60), 2: Fraction(-1, 25),
+         3: Fraction(9)},
+        {0: Fraction(1, 2), 1: Fraction(-90), 2: Fraction(-1, 50),
+         3: Fraction(3)},
+    ]
+    OBJECTIVE = {0: Fraction(-3, 4), 1: Fraction(150),
+                 2: Fraction(-1, 50), 3: Fraction(6)}
+    OPTIMUM = Fraction(-1, 20)
+
+    def build(self):
+        simplex = Simplex()
+        xs = [simplex.new_variable() for _ in range(4)]
+        for lit, x in enumerate(xs, start=1):
+            assert simplex.assert_lower(x, DeltaRational(0), lit) is None
+        assert simplex.assert_upper(xs[2], DeltaRational(1), 5) is None
+        for lit, coeffs in enumerate(self.ROWS, start=6):
+            row = simplex.add_row({xs[i]: c for i, c in coeffs.items()})
+            assert simplex.assert_upper(row, DeltaRational(0), lit) is None
+        objective = simplex.add_row(
+            {xs[i]: c for i, c in self.OBJECTIVE.items()})
+        return simplex, xs, objective
+
+    def test_reaches_the_optimum_by_phase_one(self, pivot_rule):
+        simplex, xs, objective = self.build()
+        assert simplex.assert_upper(
+            objective, DeltaRational(self.OPTIMUM), 8) is None
+        assert simplex.check() is None
+        assert simplex.pivots < 20
+        point = [simplex.value(x).c for x in xs]
+        assert all(v >= 0 for v in point) and point[2] <= 1
+        for coeffs in self.ROWS:
+            assert sum(c * point[i] for i, c in coeffs.items()) <= 0
+        assert sum(c * point[i] for i, c in self.OBJECTIVE.items()) \
+            <= self.OPTIMUM
+
+    def test_refutes_anything_below_the_optimum(self, pivot_rule):
+        simplex, _, objective = self.build()
+        assert simplex.assert_upper(
+            objective, DeltaRational.strict_upper(self.OPTIMUM), 8) is None
+        assert simplex.check() is not None
+        assert simplex.pivots < 20
+
+    def test_minimize_agrees(self):
+        simplex, _, objective = self.build()
+        assert simplex.check() is None
+        assert simplex.minimize(objective) == DeltaRational(self.OPTIMUM)

@@ -16,11 +16,17 @@ relies on:
 * every conflict explanation carries a Farkas witness that refutes the
   named bounds, checked against each variable's defining linear form
   over the original variables rather than against the tableau.
+
+The sequences run under both entering rules of ``check``: the
+sparsest-column heuristic, and Bland's fallback forced from the first
+pivot.
 """
 
 import random
 from fractions import Fraction
 from math import gcd
+
+import pytest
 
 from repro.exceptions import UnboundedError
 from repro.smt.rational import DeltaRational
@@ -173,6 +179,10 @@ def test_random_sequences_keep_the_invariants():
     assert sum(s.simplex.pivots for s in sequences) >= 100
 
 
+def test_random_sequences_keep_the_invariants_under_bland(bland_pivots):
+    test_random_sequences_keep_the_invariants()
+
+
 def test_entering_variable_is_rechecked_after_its_pivot():
     # Repairing s >= 10 pivots x in at 10, past x's own upper bound 1; x
     # is then basic but in no column, so only an explicit touch makes
@@ -200,4 +210,23 @@ def test_row_over_a_scaled_basic_row_divides_by_its_denominator():
     simplex.assert_lower(y, DeltaRational(3), 2)
     assert simplex.check() is None
     assert simplex.value(s2) == DeltaRational(8)
+    assert_tableau_invariants(simplex)
+
+
+@pytest.mark.parametrize("pivot_rule, entering", [
+    ("sparsest", "y"), ("bland", "x")], indirect=["pivot_rule"])
+def test_entering_variable_is_the_sparsest_column(pivot_rule, entering):
+    # s >= 1 can be repaired through x (in two rows) or through y (in
+    # s's row only): the heuristic takes y, Bland's rule the smaller
+    # index x.
+    simplex = Simplex()
+    x, y = simplex.new_variable(), simplex.new_variable()
+    s = simplex.add_row({x: Fraction(1), y: Fraction(1)})
+    simplex.add_row({x: Fraction(2)})
+    simplex.assert_lower(s, DeltaRational(1), 1)
+    assert simplex.check() is None
+    assert simplex.pivots == 1
+    basic = {name for name, var in (("x", x), ("y", y))
+             if simplex.is_basic(var)}
+    assert basic == {entering}
     assert_tableau_invariants(simplex)
