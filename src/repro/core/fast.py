@@ -10,9 +10,15 @@ LODF/LCDF evaluation — and exploits problem structure:
   attacked line's flow ``f``.  The Eq.-36 load windows of the two
   endpoint buses bound ``f`` without any LP, so a candidate whose
   endpoint carries no load is dropped before anything is solved.  The
-  attacker-reachable range of ``f`` is an interval: two LPs (min and max
-  ``f``) over the case's operating polytope, which is built once per
-  case.  The believed system's feasible set of ``f`` is an interval too
+  attacker-reachable range of ``f`` is an interval: at most two LPs (min
+  and max ``f``) over the case's operating polytope, which is built once
+  per case.  Only the part of that range inside the window W (both load
+  windows and the line capacity) is used, so an LP runs only while its
+  result can still matter: a closed-form bound over the generator box
+  and power balance (a continuous knapsack) settles a range lying
+  wholly outside W with no LP, and otherwise the extreme on the side W
+  cuts is solved first and, when it already misses W, settles it
+  alone.  The believed system's feasible set of ``f`` is an interval too
   and the believed optimal cost is convex in ``f``, so the worst case
   sits on a boundary of that set.  A feasible endpoint is its own
   boundary; only toward an infeasible endpoint is the boundary located
@@ -74,6 +80,13 @@ _CERT_REL_TOL = 1e-6
 #: absolute slack on Eq.-36 load-bound checks (believed loads are rounded
 #: to 6 decimals when packed into the report).
 _CERT_LOAD_TOL = 1e-5
+#: a range bound settles a candidate only when it misses the flow window
+#: by more than this times ``1 + ||c||_1``.  A solved extreme overshoots
+#: the true one by at most HiGHS's primal feasibility tolerance (1e-7)
+#: times ``||c||_1``, so no skipped LP could have reached the window.
+_RANGE_MARGIN = 1e-6
+#: the usable flow interval of a candidate whose range misses its window.
+_EMPTY_RANGE = (np.inf, -np.inf)
 
 
 @dataclass
@@ -107,6 +120,25 @@ class FastQuery:
     escalation_band: float = 5e-4
 
 
+def box_balance_extremes(c: np.ndarray, low: np.ndarray, high: np.ndarray,
+                         total: float) -> Tuple[float, float]:
+    """Min and max of ``c @ x`` over ``low <= x <= high, sum(x) == total``.
+
+    A continuous knapsack: from ``x = low`` the remaining ``total -
+    sum(low)`` is poured into the largest coefficients first (the
+    smallest, for the minimum).  Any further constraint only shrinks
+    the set, so the pair bounds ``c @ x`` over the operating polytope.
+    """
+    def maximum(coef: np.ndarray) -> float:
+        order = np.argsort(-coef, kind="stable")
+        width = (high - low)[order]
+        poured = np.clip(total - low.sum() - (np.cumsum(width) - width),
+                         0.0, width)
+        return float(coef @ low + coef[order] @ poured)
+
+    return -maximum(-c), maximum(c)
+
+
 class FastSearchStrategy(SearchStrategy):
     """Single-line LODF/LCDF candidate enumeration for a session."""
 
@@ -127,6 +159,13 @@ class FastSearchStrategy(SearchStrategy):
         self._existing_loads: Dict[int, float] = {}
         self._demand = np.zeros(0)
         self._operating_lp: Dict = {}
+        # The generator box and total demand of the operating polytope.
+        self._gen_low = np.zeros(0)
+        self._gen_high = np.zeros(0)
+        self._total_demand = 0.0
+        # The attack-free B-theta operating point state sampling starts
+        # from, solved on first use (kept like the memos below).
+        self._operating_point: Dict = {}
         # Target-independent results kept across queries (see _memoised):
         # reachable flow ranges per (kind, line) and interval maxima per
         # (kind, line, bisection tolerance).
@@ -159,6 +198,9 @@ class FastSearchStrategy(SearchStrategy):
         self._existing_loads = {bus: float(load.existing)
                                 for bus, load in grid.loads.items()}
         self._demand, self._operating_lp = self._operating_polytope()
+        self._gen_low, self._gen_high = \
+            np.array(self._operating_lp["bounds"]).reshape(-1, 2).T
+        self._total_demand = float(self._operating_lp["b_eq"][0])
         self._prepare_seconds = time.perf_counter() - built
         if not base.feasible:
             self.session.note_base_infeasible(
@@ -400,13 +442,10 @@ class FastSearchStrategy(SearchStrategy):
         # Believability bounds on the endpoint loads (Eq. 36) shrink the
         # usable flow range.  They need no LP, so an endpoint without
         # load headroom drops the candidate before the range LPs run.
-        line = self.grid.line(line_index)
-        sign = 1.0 if kind == "exclude" else -1.0
-        from_window = self._load_window(line.from_bus, sign)
+        from_window, to_window = self._endpoint_windows(kind, line_index)
         if from_window is None:
             return CandidateEvaluation(kind, line_index, False,
                                        "from-bus has no load headroom")
-        to_window = self._load_window(line.to_bus, -sign)
         if to_window is None:
             return CandidateEvaluation(kind, line_index, False,
                                        "to-bus has no load headroom")
@@ -418,8 +457,6 @@ class FastSearchStrategy(SearchStrategy):
             return CandidateEvaluation(kind, line_index, False,
                                        "flow unreachable in operation")
         lo, hi = flow_range
-        lo, hi = max(lo, from_window[0]), min(hi, from_window[1])
-        lo, hi = max(lo, to_window[0]), min(hi, to_window[1])
         if lo > hi:
             return CandidateEvaluation(kind, line_index, False,
                                        "believability bounds empty")
@@ -509,8 +546,19 @@ class FastSearchStrategy(SearchStrategy):
 
     def _reachable_flow_range(self, kind: str, line_index: int
                               ) -> Optional[Tuple[float, float]]:
-        """Range of the attacked line's (would-be) flow over feasible
-        operating points — two LPs over the operating polytope."""
+        """The attacked line's usable flow interval: its (would-be) flow
+        over feasible operating points, clipped to the window W.
+
+        W is both endpoint load windows intersected with the line
+        capacity; a range that misses it comes back empty (``lo > hi``),
+        and None means a range LP failed.  Two LPs over the operating
+        polytope give the range, but only while their result can still
+        matter: an empty W, or a closed-form outer bound missing W by
+        more than the margin, settles the candidate with no LP, and the
+        extreme on the side W cuts is solved first and settles it alone
+        when it misses W.  Otherwise both LPs run, and the interval is
+        the same one the two extremes always gave.
+        """
         factors = self._sf_opf.factors
         if kind == "exclude":
             row = factors.row(line_index)
@@ -518,19 +566,58 @@ class FastSearchStrategy(SearchStrategy):
             # Would-be flow of the open line: d * (theta_f - theta_e),
             # a cached factorized solve on the base susceptance matrix.
             row = factors.open_line_flow_row(line_index)
-
         flow_gen = np.array([row[bus - 1]
                              for bus in self._sf_opf.gen_buses])
         flow_const = -float(row @ self._demand)
-        extremes = []
-        for direction in (1.0, -1.0):
-            result = linprog(direction * flow_gen, **self._operating_lp)
+
+        cap = float(self.grid.line(line_index).capacity)
+        from_window, to_window = self._endpoint_windows(kind, line_index)
+        w_lo = max(-cap, from_window[0], to_window[0])
+        w_hi = min(cap, from_window[1], to_window[1])
+        if w_lo > w_hi:
+            return _EMPTY_RANGE
+        # Outer bounds over the generator box and power balance alone.
+        # The polytope is feasible (the base OPF was solved on it), so a
+        # skipped LP could not have reported the flow unreachable.
+        margin = _RANGE_MARGIN * (1.0 + float(np.abs(flow_gen).sum()))
+        outer_lo, outer_hi = (
+            value + flow_const for value in box_balance_extremes(
+                flow_gen, self._gen_low, self._gen_high,
+                self._total_demand))
+        if outer_hi + margin < w_lo or outer_lo - margin > w_hi:
+            return _EMPTY_RANGE
+
+        def extreme(upper: bool) -> Optional[float]:
+            result = linprog(-flow_gen if upper else flow_gen,
+                             **self._operating_lp)
             if not result.success:
                 return None
-            extremes.append(float(flow_gen @ result.x) + flow_const)
-        low, high = min(extremes), max(extremes)
-        cap = float(self.grid.line(line_index).capacity)
-        return max(low, -cap), min(high, cap)
+            return float(flow_gen @ result.x) + flow_const
+
+        # The side with less slack in the outer bound is the one W is
+        # likelier to cut the whole range off at.
+        upper = outer_hi - w_lo <= w_hi - outer_lo
+        settled = extreme(upper)
+        if settled is None:
+            return None
+        if (settled + margin < w_lo) if upper \
+                else (settled - margin > w_hi):
+            return _EMPTY_RANGE
+        other = extreme(not upper)
+        if other is None:
+            return None
+        minimum, maximum = (other, settled) if upper \
+            else (settled, other)
+        # Float noise can cross the two extremes of a near-point range.
+        low, high = min(minimum, maximum), max(minimum, maximum)
+        return max(low, w_lo), min(high, w_hi)
+
+    def _endpoint_windows(self, kind: str, line_index: int):
+        """The Eq.-36 load windows of the attacked line's two endpoints."""
+        line = self.grid.line(line_index)
+        sign = 1.0 if kind == "exclude" else -1.0
+        return (self._load_window(line.from_bus, sign),
+                self._load_window(line.to_bus, -sign))
 
     def _load_window(self, bus: int, sign: float
                      ) -> Optional[Tuple[float, float]]:
@@ -634,35 +721,44 @@ class FastSearchStrategy(SearchStrategy):
         load_buses = sorted(grid.loads)
         if len(load_buses) < 2:
             return None
-        believed_topology = [i for i in self.base_topology
-                             if i != line_index] \
-            if kind == "exclude" else self.base_topology + [line_index]
-        if not grid.is_connected(believed_topology):
+        # The attack-free operating point depends only on the case.
+        operating = self._memoised(
+            self._operating_point, "attack-free",
+            lambda: solve_dc_opf(grid, method="highs"))
+        if not operating.feasible:
             return None
+        flows = {i: float(v) for i, v in operating.flows.items()}
+        angles = {b: float(v) for b, v in operating.angles.items()}
 
         # Consumption-change operator over the believed topology:
         # delta_B = C @ delta_theta (reduced states).
         order = state_order(grid)
+        position = {bus: pos for pos, bus in enumerate(order)}
+        believed = set(self._believed_topology(kind, line_index))
         C = np.zeros((grid.num_buses, len(order)))
         for line in grid.lines:
-            if line.index not in set(believed_topology):
+            if line.index not in believed:
                 continue
             y = float(line.admittance)
             f, t = line.from_bus, line.to_bus
             for bus, s in ((f, -1.0), (t, 1.0)):
                 # d(consumption at from) = -y*(dth_f - dth_t), at to: +y*...
                 if f != grid.reference_bus:
-                    C[bus - 1, order.index(f)] += s * y
+                    C[bus - 1, position[f]] += s * y
                 if t != grid.reference_bus:
-                    C[bus - 1, order.index(t)] -= s * y
+                    C[bus - 1, position[t]] -= s * y
+
+        # The topology part of every sample's load change.
+        line = grid.line(line_index)
+        f_now = flows.get(line_index, 0.0) if kind == "exclude" else \
+            float(line.admittance) * (angles[line.from_bus]
+                                      - angles[line.to_bus])
+        sign = 1.0 if kind == "exclude" else -1.0
+        topo_part = np.zeros(grid.num_buses)
+        topo_part[line.from_bus - 1] += sign * f_now
+        topo_part[line.to_bus - 1] -= sign * f_now
 
         best: Optional[Tuple[float, Dict, List[int]]] = None
-        operating = solve_dc_opf(grid, method="highs")
-        if not operating.feasible:
-            return None
-        flows = {i: float(v) for i, v in operating.flows.items()}
-        angles = {b: float(v) for b, v in operating.angles.items()}
-
         for _ in range(query.state_samples):
             if query.budget is not None and query.budget.exhausted():
                 break
@@ -686,15 +782,6 @@ class FastSearchStrategy(SearchStrategy):
             delta_b = np.zeros(grid.num_buses)
             for bus, value in target.items():
                 delta_b[bus - 1] = value - float(grid.loads[bus].existing)
-            # Account for the topology part of the load change.
-            line = grid.line(line_index)
-            f_now = flows.get(line_index, 0.0) if kind == "exclude" else \
-                float(line.admittance) * (angles[line.from_bus]
-                                          - angles[line.to_bus])
-            sign = 1.0 if kind == "exclude" else -1.0
-            topo_part = np.zeros(grid.num_buses)
-            topo_part[line.from_bus - 1] += sign * f_now
-            topo_part[line.to_bus - 1] -= sign * f_now
             residual_target = delta_b - topo_part
 
             dtheta, residuals, _, _ = np.linalg.lstsq(

@@ -1,18 +1,29 @@
 """Regression tests for the fast analyzer's candidate kernels.
 
 The fast path must do each piece of work once: the LP-free load windows
-drop a candidate before its range LPs run, each distinct flow value of a
-candidate costs one believed OPF solve, and a maximized candidate whose
-interval endpoints are both feasible costs exactly two solves.  The
-answers are pinned to the values the un-memoised kernels produced.
+drop a candidate before its range LPs run, a range LP runs only while
+its result can still change the usable flow interval, each distinct
+flow value of a candidate costs one believed OPF solve, and a maximized
+candidate whose interval endpoints are both feasible costs exactly two
+solves.  The answers are pinned to the values the un-memoised kernels
+produced.
 """
 
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog
 
-from repro.core.fast import FastImpactAnalyzer, FastQuery
+import repro.core.fast as fast_module
+from repro.core.fast import (
+    FastImpactAnalyzer,
+    FastQuery,
+    box_balance_extremes,
+)
 from repro.grid.cases import get_case
 from repro.opf.shift_factor import ShiftFactorOpf
 from repro.runner import ScenarioSpec
@@ -155,3 +166,131 @@ class TestPinnedAnswers:
         assert report.believed_min_cost == Fraction(
             8689493167718750198545100541, 1250000000000000000000000)
         assert report.attack.excluded == [11]
+
+
+def _usable_interval_from_both_extremes(strategy, kind, line_index):
+    """The usable flow interval as both range LPs give it: the min and
+    max flow over the operating polytope, clipped to the line capacity
+    and to both endpoints' Eq.-36 load windows.  None when it is empty."""
+    grid = strategy.grid
+    factors = strategy._sf_opf.factors
+    row = factors.row(line_index) if kind == "exclude" \
+        else factors.open_line_flow_row(line_index)
+    c = np.array([row[bus - 1] for bus in strategy._sf_opf.gen_buses])
+    const = -float(row @ strategy._demand)
+    extremes = []
+    for direction in (1.0, -1.0):
+        result = linprog(direction * c, **strategy._operating_lp)
+        assert result.success
+        extremes.append(float(c @ result.x) + const)
+    line = grid.line(line_index)
+    cap = float(line.capacity)
+    lo, hi = max(min(extremes), -cap), min(max(extremes), cap)
+    sign = 1.0 if kind == "exclude" else -1.0
+    # believed load = existing + s*f must stay within [p_min, p_max]
+    for bus, s in ((line.from_bus, sign), (line.to_bus, -sign)):
+        load = grid.loads[bus]
+        low = float(load.p_min - load.existing)
+        high = float(load.p_max - load.existing)
+        window = (low, high) if s > 0 else (-high, -low)
+        lo, hi = max(lo, window[0]), min(hi, window[1])
+    return None if lo > hi else (lo, hi)
+
+
+class TestRangeLpsOnlyWhenTheyMatter:
+    """The usable flow interval is settled by a closed-form bound, one
+    LP or both — and always equals what both extremes give."""
+
+    @pytest.mark.parametrize("case,range_lps,settled_by", [
+        ("ieee57", 14, {0: 2, 1: 6, 2: 4}),
+        ("ieee118", 49, {0: 4, 1: 9, 2: 20}),
+    ])
+    def test_interval_equals_both_extremes(self, monkeypatch, case,
+                                           range_lps, settled_by):
+        analyzer = _analyzer(case, 2014)
+        strategy = analyzer._strategy
+        lps = []
+        counted = fast_module.linprog
+
+        def counting(*args, **kwargs):
+            lps.append(args)
+            return counted(*args, **kwargs)
+
+        monkeypatch.setattr(fast_module, "linprog", counting)
+        ranges = {}
+        original = strategy._reachable_flow_range
+
+        def spy(kind, line_index):
+            before = len(lps)
+            usable = original(kind, line_index)
+            ranges[kind, line_index] = (usable, len(lps) - before)
+            return usable
+
+        strategy._reachable_flow_range = spy
+        analyzer.analyze(FastQuery(target_increase_percent=Fraction(1)))
+
+        assert len(lps) == range_lps
+        assert Counter(n for _, n in ranges.values()) == settled_by
+        for (kind, line_index), (usable, _) in ranges.items():
+            expected = _usable_interval_from_both_extremes(
+                strategy, kind, line_index)
+            if expected is None:
+                assert usable[0] > usable[1], (kind, line_index)
+            else:
+                assert usable == expected, (kind, line_index)
+
+
+def _box_balance_lp(c, low, high, total, A_ub=None, b_ub=None):
+    """``linprog`` min and max of ``c @ x`` over the same polytope."""
+    values = []
+    for direction in (1.0, -1.0):
+        result = linprog(direction * c, A_ub=A_ub, b_ub=b_ub,
+                         A_eq=np.ones((1, len(c))), b_eq=[total],
+                         bounds=list(zip(low, high)), method="highs")
+        if not result.success:
+            return None
+        values.append(float(c @ result.x))
+    return values[0], values[1]
+
+
+class TestBoxBalanceExtremes:
+    """The closed-form bound is exact over the generator box and power
+    balance, and only loosens once line rows are added."""
+
+    @staticmethod
+    def _box(seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 9))
+        low = np.round(rng.uniform(-1.0, 2.0, n), 3)
+        high = low + np.round(rng.uniform(0.0, 3.0, n), 3)
+        # ties between coefficients are common in PTDF rows
+        c = np.round(rng.uniform(-1.0, 1.0, n), int(rng.integers(1, 4)))
+        total = float(low.sum() + rng.uniform(0.0, 1.0)
+                      * (high - low).sum())
+        return rng, c, low, high, total
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_equals_linprog_on_the_relaxed_polytope(self, seed):
+        _, c, low, high, total = self._box(seed)
+        closed = box_balance_extremes(c, low, high, total)
+        lp = _box_balance_lp(c, low, high, total)
+        assert lp is not None
+        assert closed[0] == pytest.approx(lp[0], abs=1e-9)
+        assert closed[1] == pytest.approx(lp[1], abs=1e-9)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_no_tighter_than_linprog_with_line_rows(self, seed):
+        rng, c, low, high, total = self._box(seed)
+        rows = int(rng.integers(1, 6))
+        A_ub = rng.uniform(-1.0, 1.0, (rows, len(c)))
+        # keep one random dispatch of the box and balance feasible
+        point = low + (high - low) * (total - low.sum()) \
+            / max((high - low).sum(), 1e-12)
+        b_ub = A_ub @ point + rng.uniform(0.0, 1.0, rows)
+        lp = _box_balance_lp(c, low, high, total, A_ub, b_ub)
+        assert lp is not None
+        lower, upper = box_balance_extremes(c, low, high, total)
+        assert lower <= lp[0] + 1e-9
+        assert upper >= lp[1] - 1e-9
