@@ -427,8 +427,11 @@ class FastSearchStrategy(SearchStrategy):
                             query: FastQuery) -> CandidateEvaluation:
         # Post-attack revalidation *before* the PTDF/LODF pipeline: a
         # bridge-line exclusion makes the believed susceptance matrix
-        # singular, which used to surface as a numpy LinAlgError.
-        if not self.grid.is_connected(
+        # singular, which used to surface as a numpy LinAlgError.  An
+        # inclusion only adds a line to the base topology, which
+        # prepare() already required to be connected (the PTDF build
+        # refuses an islanded base), so only exclusions can island.
+        if kind == "exclude" and not self.grid.is_connected(
                 self._believed_topology(kind, line_index)):
             self._note_islanding(kind, line_index)
             return CandidateEvaluation(

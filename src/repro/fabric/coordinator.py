@@ -7,9 +7,12 @@ One :class:`Coordinator` owns a scenario grid end to end:
    no worker (parse rejections, journal-recovered cells, verified cache
    hits), and partition the rest into warm encoding-group units, capped
    at ``unit_cells`` so lease durations stay bounded.
-2. **Serve** — a stdlib ``ThreadingHTTPServer`` hands units out as
-   leases (``/fabric/v1/lease``), extends them on heartbeats, and
-   accepts commits exactly once (see :mod:`repro.fabric.queue`).
+2. **Serve** — the JSON/HTTP acceptor ``repro serve`` runs too
+   (:class:`~repro.service.acceptor.JsonAcceptor`, which owns body
+   parsing, routing and error mapping) hands units out as leases
+   (``/fabric/v1/lease``), extends them on heartbeats, and accepts
+   commits exactly once (see :mod:`repro.fabric.queue`).  This module
+   keeps only the route callables.
    Committed outcomes are structurally and semantically re-validated —
    the same :meth:`ScenarioOutcome.from_dict` + spec-equality gate the
    cache path uses — before they can enter the journal, and are then
@@ -37,7 +40,6 @@ import os
 import threading
 import time
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -45,7 +47,6 @@ from repro.fabric.journal import Journal, read_events
 from repro.fabric.protocol import (
     FABRIC_PROTOCOL_VERSION,
     ProtocolError,
-    error_body,
     parse_commit_request,
     parse_heartbeat_request,
     parse_lease_request,
@@ -56,14 +57,11 @@ from repro.runner.engine import GridPlan, checkpoint, plan_grid, \
     plan_units
 from repro.runner.spec import ScenarioSpec
 from repro.runner.trace import CRASHED, ScenarioOutcome, SweepTrace
-from repro.service.protocol import MALFORMED
+from repro.service.acceptor import JsonAcceptor, Reply
 from repro.smt.certificates import self_check_default
 from repro.testing.faults import FabricFaultPlan
 
 __all__ = ["Coordinator", "CoordinatorConfig", "FabricError"]
-
-#: refuse request bodies past this size before reading them fully.
-MAX_BODY_BYTES = 32 << 20
 
 #: lease-poll hint when nothing is leasable right now.
 IDLE_RETRY_AFTER = 0.2
@@ -122,88 +120,6 @@ def grid_fingerprint(specs: Sequence[ScenarioSpec],
     return digest.hexdigest()
 
 
-class _Handler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"
-    server_version = "repro-fabric/" + str(FABRIC_PROTOCOL_VERSION)
-
-    def log_message(self, format, *args):  # noqa: A002
-        if getattr(self.server, "verbose", False):
-            super().log_message(format, *args)
-
-    @property
-    def coordinator(self) -> "Coordinator":
-        return self.server.coordinator    # type: ignore[attr-defined]
-
-    def _send_json(self, status: int, body: Dict[str, Any]) -> None:
-        payload = json.dumps(body).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
-
-    def _read_body(self) -> Any:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length <= 0:
-            raise _HttpError(400, error_body(
-                MALFORMED, "request has no body"))
-        if length > MAX_BODY_BYTES:
-            raise _HttpError(413, error_body(
-                MALFORMED,
-                f"request body exceeds {MAX_BODY_BYTES} bytes"))
-        raw = self.rfile.read(length)
-        try:
-            return json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise _HttpError(400, error_body(
-                MALFORMED, f"request body is not valid JSON: {exc}"))
-
-    def do_GET(self) -> None:  # noqa: N802
-        coordinator = self.coordinator
-        if self.path == "/healthz":
-            self._send_json(200, {"ok": True,
-                                  "done": coordinator.queue.done})
-        elif self.path == "/readyz":
-            self._send_json(200, {"ready": True})
-        elif self.path == "/fabric/v1/status":
-            self._send_json(200, coordinator.status())
-        else:
-            self._send_json(404, error_body(
-                "not_found", f"no such endpoint: {self.path}"))
-
-    def do_POST(self) -> None:  # noqa: N802
-        coordinator = self.coordinator
-        routes = {"/fabric/v1/lease": coordinator.handle_lease,
-                  "/fabric/v1/heartbeat": coordinator.handle_heartbeat,
-                  "/fabric/v1/commit": coordinator.handle_commit}
-        handler = routes.get(self.path)
-        if handler is None:
-            self._send_json(404, error_body(
-                "not_found", f"no such endpoint: {self.path}"))
-            return
-        try:
-            payload = self._read_body()
-            status, body = handler(payload)
-        except _HttpError as exc:
-            status, body = exc.status, exc.body
-        except ProtocolError as exc:
-            status = 400
-            body = error_body("bad_request", str(exc),
-                              report=exc.report)
-        except Exception as exc:
-            status = 500
-            body = error_body("internal_error",
-                              f"{type(exc).__name__}: {exc}")
-        self._send_json(status, body)
-
-
-class _HttpError(Exception):
-    def __init__(self, status: int, body: Dict[str, Any]) -> None:
-        super().__init__(body.get("message", ""))
-        self.status = status
-        self.body = body
-
-
 class Coordinator:
     """Owns the plan, the lease queue, the journal and the acceptor."""
 
@@ -224,8 +140,7 @@ class Coordinator:
         self.generation = 0
         self.resumed = False
         self.journal_recovered = 0
-        self._httpd: Optional[ThreadingHTTPServer] = None
-        self._serve_thread: Optional[threading.Thread] = None
+        self.acceptor: Optional[JsonAcceptor] = None
         self._lock = threading.Lock()
         self._lease_requests = 0
         self._commits = 0
@@ -327,10 +242,9 @@ class Coordinator:
             "units": [list(unit) for unit in plan.units],
             "resolved": resolved})
 
-    # -- request handlers (called from acceptor threads) ---------------
+    # -- routes (called from acceptor threads) -------------------------
 
-    def handle_lease(self, payload: Any
-                     ) -> Tuple[int, Dict[str, Any]]:
+    def handle_lease(self, payload: Any) -> Reply:
         worker = parse_lease_request(payload)
         with self._lock:
             self._lease_requests += 1
@@ -357,16 +271,14 @@ class Coordinator:
         return 200, {"unit": unit, "done": False,
                      "protocol_version": FABRIC_PROTOCOL_VERSION}
 
-    def handle_heartbeat(self, payload: Any
-                         ) -> Tuple[int, Dict[str, Any]]:
+    def handle_heartbeat(self, payload: Any) -> Reply:
         worker, unit_id = parse_heartbeat_request(
             payload, len(self.queue.units))
         alive = self.queue.heartbeat(worker, unit_id)
         return 200, {"ok": True, "lease_valid": alive,
                      "protocol_version": FABRIC_PROTOCOL_VERSION}
 
-    def handle_commit(self, payload: Any
-                      ) -> Tuple[int, Dict[str, Any]]:
+    def handle_commit(self, payload: Any) -> Reply:
         worker, unit_id, payloads = parse_commit_request(
             payload, len(self.queue.units))
         indices = self.queue.units[unit_id].indices
@@ -439,29 +351,28 @@ class Coordinator:
 
     @property
     def address(self) -> Tuple[str, int]:
-        host, port = self._httpd.server_address[:2]
-        return str(host), int(port)
+        return self.acceptor.address
 
     @property
     def url(self) -> str:
-        host, port = self.address
-        return f"http://{host}:{port}"
+        return self.acceptor.url
 
     def start(self) -> "Coordinator":
         """Plan (or resume) and start serving leases in the background."""
         if self.plan is None:
             self.prepare()
-        self._httpd = ThreadingHTTPServer(
-            (self.config.host, self.config.port), _Handler)
-        self._httpd.daemon_threads = True
-        self._httpd.allow_reuse_address = True
-        self._httpd.coordinator = self   # type: ignore[attr-defined]
-        self._httpd.verbose = self.verbose  # type: ignore[attr-defined]
-        self._serve_thread = threading.Thread(
-            target=self._httpd.serve_forever,
-            kwargs={"poll_interval": 0.1},
-            daemon=True, name="repro-fabric-acceptor")
-        self._serve_thread.start()
+        self.acceptor = JsonAcceptor(
+            self.config.host, self.config.port,
+            server_version="repro-fabric/" + str(FABRIC_PROTOCOL_VERSION),
+            get_routes={"/healthz": lambda: (200, {"ok": True,
+                                                   "done": self.queue.done}),
+                        "/readyz": lambda: (200, {"ready": True}),
+                        "/fabric/v1/status": lambda: (200, self.status())},
+            post_routes={"/fabric/v1/lease": self.handle_lease,
+                         "/fabric/v1/heartbeat": self.handle_heartbeat,
+                         "/fabric/v1/commit": self.handle_commit},
+            # a commit carries a whole unit's outcome payloads.
+            max_body_bytes=32 << 20, verbose=self.verbose).start()
         return self
 
     def wait(self, timeout: Optional[float] = None) -> bool:
@@ -482,13 +393,8 @@ class Coordinator:
 
     def shutdown(self) -> None:
         """Stop serving and close the journal (idempotent, kill-safe)."""
-        if self._httpd is not None:
-            self._httpd.shutdown()
-            self._httpd.server_close()
-            self._httpd = None
-        if self._serve_thread is not None:
-            self._serve_thread.join(2.0)
-            self._serve_thread = None
+        if self.acceptor is not None:
+            self.acceptor.shutdown()
         if self.journal is not None:
             self.journal.close()
 

@@ -25,9 +25,12 @@ right now, poll again after ``retry_after``".
 Commit responses are ``{"accepted": true, "duplicate": <bool>}``; a
 duplicate is a *success* from the worker's point of view (its work was
 correct, someone else just got there first).  ``GET /fabric/v1/status``
-exposes queue statistics, and ``GET /healthz`` / ``GET /readyz`` serve
-the same orchestration probes the analysis service does (so
-:meth:`repro.service.client.ServiceClient.wait_ready` works unchanged).
+exposes queue statistics, and ``GET /healthz`` / ``GET /readyz`` answer
+200 while the coordinator serves, so
+:meth:`repro.service.client.ServiceClient.wait_ready` works against it.
+The coordinator serves these over the service's JSON/HTTP acceptor
+(:mod:`repro.service.acceptor`), so body, 404, 413 and 400/500 handling
+are the service's too.
 """
 
 from __future__ import annotations
@@ -40,13 +43,12 @@ from repro.service.protocol import (
     VERSION_MISMATCH,
     ProtocolError,
     _check_unknown,
-    error_body,
 )
 from repro.validation.diagnostics import FATAL, ValidationReport
 
 __all__ = ["FABRIC_PROTOCOL_VERSION", "parse_commit_request",
            "parse_heartbeat_request", "parse_lease_request",
-           "error_body", "ProtocolError"]
+           "ProtocolError"]
 
 #: bump on incompatible fabric wire-format changes.
 FABRIC_PROTOCOL_VERSION = 1

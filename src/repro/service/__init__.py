@@ -1,8 +1,9 @@
 """The fault-tolerant analysis service (``python -m repro serve``).
 
 A stdlib-only HTTP/JSON daemon around the warm
-:class:`~repro.core.session.AnalysisSession` layer: an acceptor
-(:mod:`repro.service.server`) routes analyze/maximize/sweep requests to
+:class:`~repro.core.session.AnalysisSession` layer: the acceptor
+(:mod:`repro.service.acceptor`, shared with ``repro coordinate``) and
+:mod:`repro.service.server` route analyze/maximize/sweep requests to
 N supervised worker processes (:mod:`repro.service.supervisor`,
 :mod:`repro.service.worker`), each owning a pool of warm sessions keyed
 by :meth:`~repro.runner.spec.ScenarioSpec.encoding_group` fingerprints,

@@ -109,8 +109,7 @@ def test_coordinator_kill_and_resume_loses_nothing(tmp_path):
         assert worker.units_done == 1
         assert not first.queue.done
     finally:
-        first._httpd.shutdown()
-        first._httpd.server_close()
+        first.acceptor.shutdown()
 
     # A fresh coordinator on the same journal resumes the remainder.
     second = Coordinator(specs, config).start()
@@ -141,8 +140,7 @@ def test_second_resume_only_needs_the_newest_journal(tmp_path):
         worker = FabricWorker(coordinator.url, WorkerConfig(
             worker_id="w0", use_cache=False, max_units=1))
         assert worker.run() == EXIT_DONE
-        coordinator._httpd.shutdown()
-        coordinator._httpd.server_close()
+        coordinator.acceptor.shutdown()
 
     # Generation 1's journal is self-contained: drop generation 0's
     # rotated file entirely and resume still sees all 4 resolved cells.

@@ -1,4 +1,5 @@
-"""The HTTP acceptor: status mapping, shedding, health, drop faults."""
+"""The HTTP front ends: the shared acceptor contract (serve and
+coordinate), status mapping, shedding, health, drop faults."""
 
 import json
 import http.client
@@ -8,6 +9,8 @@ import threading
 
 import pytest
 
+from repro.fabric import Coordinator, CoordinatorConfig
+from repro.runner import ScenarioSpec
 from repro.service import (
     ServiceClient,
     ServiceConfig,
@@ -48,22 +51,52 @@ def service_factory(tmp_path):
         server.shutdown()
 
 
-def raw_request(server, method, path, body=None):
-    """One raw HTTP exchange (no client-side retry sugar)."""
+def exchange(server, method, path, data=None, headers=None):
+    """One raw HTTP exchange sending exactly the given headers."""
     host, port = server.address
     conn = http.client.HTTPConnection(host, port, timeout=30)
     try:
-        payload = None if body is None else json.dumps(body).encode()
-        headers = {} if payload is None else \
-            {"Content-Type": "application/json",
-             "Content-Length": str(len(payload))}
-        conn.request(method, path, body=payload, headers=headers)
+        conn.putrequest(method, path)
+        for name, value in (headers or {}).items():
+            conn.putheader(name, value)
+        conn.endheaders(data)
         response = conn.getresponse()
         raw = response.read()
         decoded = json.loads(raw.decode()) if raw else {}
         return response.status, decoded, dict(response.headers)
     finally:
         conn.close()
+
+
+def raw_request(server, method, path, body=None):
+    """One JSON exchange (no client-side retry sugar)."""
+    if body is None:
+        return exchange(server, method, path)
+    data = json.dumps(body).encode()
+    return exchange(server, method, path, data,
+                    {"Content-Type": "application/json",
+                     "Content-Length": str(len(data))})
+
+
+@pytest.fixture(params=["serve", "fabric"])
+def front_end(request, tmp_path, service_factory):
+    """A running front end on the shared acceptor, with one of its
+    POST paths, a body that path rejects by schema, and its Server
+    header prefix."""
+    if request.param == "serve":
+        server, _ = service_factory()
+        yield (server, "/v1/analyze",
+               {"spec": dict(FAST_SPEC, mystery_knob=1)}, "repro-serve/1")
+        return
+    coordinator = Coordinator(
+        [ScenarioSpec.build("5bus-study1", analyzer="fast", target=1)],
+        CoordinatorConfig(journal_path=str(tmp_path / "j.jsonl"),
+                          use_cache=False)).start()
+    try:
+        yield (coordinator, "/fabric/v1/lease", {"worker": ""},
+               "repro-fabric/1")
+    finally:
+        coordinator.shutdown()
 
 
 def test_analyze_and_maximize_end_to_end(service_factory):
@@ -93,10 +126,6 @@ def test_malformed_request_is_structured_400(service_factory):
         client.analyze(dict(FAST_SPEC, mystery_knob=1))
     assert err.value.status == 400
     assert "protocol.unknown_field" in err.value.codes
-    # raw: a non-JSON body must be a 400 too, not a stack trace
-    status, body, _ = raw_request(server, "POST", "/v1/analyze")
-    assert status == 400
-    assert body["error"] == "protocol.malformed"
 
 
 def test_version_mismatch_is_structured_400(service_factory):
@@ -115,12 +144,85 @@ def test_version_mismatch_is_structured_400(service_factory):
     assert codes == ["protocol.version_mismatch"]
 
 
-def test_unknown_endpoint_404(service_factory):
-    server, client = service_factory()
-    status, body, _ = raw_request(server, "GET", "/nope")
-    assert status == 404
+def test_acceptor_contract(front_end):
+    """Both front ends answer routing, body and schema faults alike."""
+    server, post_path, invalid, version = front_end
+    status, body, headers = raw_request(server, "GET", "/nope")
+    assert status == 404 and body["error"] == "not_found"
+    assert headers["Server"].startswith(version)
     status, body, _ = raw_request(server, "POST", "/v1/nope", {})
-    assert status == 404
+    assert status == 404 and body["error"] == "not_found"
+
+    malformed = [
+        exchange(server, "POST", post_path),
+        exchange(server, "POST", post_path, b"not json",
+                 {"Content-Length": "8"}),
+        exchange(server, "POST", post_path, b"{}",
+                 {"Content-Length": "two"}),
+        exchange(server, "POST", post_path, b"{}",
+                 {"Content-Length": "-2"}),
+    ]
+    for status, body, headers in malformed:
+        assert status == 400, body
+        assert body["error"] == "protocol.malformed"
+        assert "Retry-After" not in headers
+
+    # The cap is checked against the header alone: no body is sent,
+    # and the connection closes since its unread body cannot be skipped.
+    status, body, headers = exchange(server, "POST", post_path, None,
+                                     {"Content-Length": str(1 << 30)})
+    assert status == 413
+    assert body["error"] == "protocol.malformed"
+    assert headers["Connection"] == "close"
+
+    status, body, headers = raw_request(server, "POST", post_path,
+                                        invalid)
+    assert status == 400
+    assert body["error"] == "bad_request"
+    assert body["diagnostics"]["diagnostics"]
+    assert "Retry-After" not in headers
+
+
+def test_keep_alive_serves_several_requests_per_connection(front_end):
+    server = front_end[0]
+    host, port = server.address
+    conn = http.client.HTTPConnection(host, port, timeout=30)
+    try:
+        for _ in range(3):
+            conn.request("GET", "/readyz")
+            response = conn.getresponse()
+            assert response.status == 200
+            assert json.loads(response.read())["ready"] is True
+    finally:
+        conn.close()
+
+
+def test_shutdown_without_start_returns():
+    server = ServiceServer(port=0, config=ServiceConfig(
+        workers=1, cache_dir=None, use_cache=False))
+    stopper = threading.Thread(target=server.shutdown, daemon=True)
+    stopper.start()
+    stopper.join(10.0)
+    assert not stopper.is_alive()
+
+
+def test_fabric_idle_lease_retry_after_stays_in_the_body(tmp_path):
+    coordinator = Coordinator(
+        [ScenarioSpec.build("5bus-study1", analyzer="fast", target=1)],
+        CoordinatorConfig(journal_path=str(tmp_path / "j.jsonl"),
+                          use_cache=False, unit_cells=1)).start()
+    try:
+        status, body, _ = raw_request(coordinator, "POST",
+                                      "/fabric/v1/lease", {"worker": "a"})
+        assert status == 200 and body["unit"] is not None
+        # The only unit is leased: the next worker idles.
+        status, body, headers = raw_request(
+            coordinator, "POST", "/fabric/v1/lease", {"worker": "b"})
+    finally:
+        coordinator.shutdown()
+    assert status == 200
+    assert body["unit"] is None and body["retry_after"] > 0
+    assert "Retry-After" not in headers
 
 
 def test_health_ready_stats_endpoints(service_factory):
@@ -169,7 +271,8 @@ def test_queue_full_sheds_with_429_retry_after(tmp_path,
         {"spec": dict(FAST_SPEC, label="shedme")})
     assert status == 429
     assert body["error"] == "queue_full"
-    assert int(headers["Retry-After"]) >= 1
+    assert int(headers["Retry-After"]) \
+        == max(1, round(body["retry_after"]))
     server.supervisor.stop()
     background.join(timeout=30)
     assert not background.is_alive()
