@@ -35,7 +35,7 @@ from repro.testing import (
     PARTITION,
     STRAGGLER,
     Fault,
-    FabricFaultPlan,
+    FaultPlan,
 )
 from repro.benchlib import format_table
 
@@ -67,7 +67,7 @@ def _truth(specs):
     return views, elapsed
 
 
-def _fault_plan(specs, tmp_path):
+def _write_plan(specs, tmp_path):
     labels = [spec.label for spec in specs]
     faults = {
         labels[10]: Fault(kind=CRASH_WORKER, times=1),
@@ -79,7 +79,7 @@ def _fault_plan(specs, tmp_path):
         # commit, mid-grid.
         labels[40]: Fault(kind=COORDINATOR_KILL, times=1),
     }
-    plan = FabricFaultPlan.build(tmp_path / "state", faults)
+    plan = FaultPlan.build(tmp_path / "state", faults)
     return plan.to_file(tmp_path / "faults.json"), len(faults)
 
 
@@ -87,13 +87,13 @@ def _coordinate(tmp_path, plan_path, timeout=300):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src") + os.pathsep \
         + env.get("PYTHONPATH", "")
+    env["REPRO_FAULTS"] = str(plan_path)
     command = [sys.executable, "-m", "repro", "coordinate"] \
         + GRID_ARGS + [
         "--journal", str(tmp_path / "j.jsonl"), "--no-cache",
         "--spawn", str(WORKERS), "--unit-cells", "5",
         "--lease-ttl", "2", "--steal-after", "2",
-        "--trace", str(tmp_path / "trace.json"),
-        "--fault-plan", str(plan_path)]
+        "--trace", str(tmp_path / "trace.json")]
     started = time.monotonic()
     run = subprocess.run(command, cwd=str(tmp_path), env=env,
                          capture_output=True, text=True,
@@ -105,7 +105,7 @@ def _coordinate(tmp_path, plan_path, timeout=300):
 def test_fabric_chaos_zero_lost_zero_duplicated(tmp_path):
     specs = _specs()
     truth, serial_seconds = _truth(specs)
-    plan_path, injected = _fault_plan(specs, tmp_path)
+    plan_path, injected = _write_plan(specs, tmp_path)
 
     # First run dies with the resumable exit code when the injected
     # coordinator kill lands right after a journaled commit.

@@ -31,7 +31,7 @@ from repro.testing import (
     CRASH_WORKER,
     HANG_WORKER,
     Fault,
-    ServiceFaultPlan,
+    FaultPlan,
 )
 from repro.benchlib import format_table
 
@@ -82,7 +82,7 @@ def _truth(load):
 
 
 @pytest.mark.paper("robustness soak (service layer, not a paper figure)")
-def test_service_soak_survives_injected_kills(tmp_path):
+def test_service_soak_survives_injected_kills(tmp_path, monkeypatch):
     load = _load()
     truth = _truth(load)
 
@@ -91,14 +91,13 @@ def test_service_soak_survives_injected_kills(tmp_path):
     faults.update({label: Fault(kind=HANG_WORKER, times=1,
                                 sleep_seconds=30.0)
                    for label in HANGS})
-    plan = ServiceFaultPlan.build(tmp_path / "state", faults)
-    plan_path = plan.to_file(tmp_path / "plan.json")
+    plan = FaultPlan.build(tmp_path / "state", faults)
+    monkeypatch.setenv("REPRO_FAULTS", plan.to_file(tmp_path / "plan.json"))
 
     config = ServiceConfig(
         workers=2, queue_limit=TOTAL, request_timeout=15.0,
         hang_grace=0.5, retry_limit=1,
-        cache_dir=str(tmp_path / "cache"), use_cache=True,
-        fault_plan=str(plan_path))
+        cache_dir=str(tmp_path / "cache"), use_cache=True)
     server = ServiceServer(port=0, config=config).start()
     started = time.monotonic()
     try:

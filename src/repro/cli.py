@@ -135,15 +135,19 @@ def _cmd_analyze(args) -> int:
         print(f"report written to {args.output}")
     else:
         print(text)
-    if report.status == "certificate_error":
-        return 2
-    if report.status == "invalid_input":
-        return EXIT_INVALID_INPUT
-    if report.status == "degenerate_case":
-        return EXIT_DEGENERATE_CASE
-    if report.status == "numerical_unstable":
-        return EXIT_NUMERICAL_UNSTABLE
-    return 0 if report.satisfiable else 1
+    return _status_exit(report.status, report.satisfiable)
+
+
+def _status_exit(status: str, attack_found: bool) -> int:
+    """``analyze``/``maximize`` exit code: a verdict-less status has its
+    own code; otherwise 0 when an attack was found, 1 when not."""
+    from repro.runner.trace import CERTIFICATE_ERROR, DEGENERATE_CASE, \
+        INVALID_INPUT, NUMERICAL_UNSTABLE
+    return {CERTIFICATE_ERROR: 2,
+            INVALID_INPUT: EXIT_INVALID_INPUT,
+            DEGENERATE_CASE: EXIT_DEGENERATE_CASE,
+            NUMERICAL_UNSTABLE: EXIT_NUMERICAL_UNSTABLE,
+            }.get(status, 0 if attack_found else 1)
 
 
 def _fraction_arg(value, flag: str) -> Fraction:
@@ -153,13 +157,6 @@ def _fraction_arg(value, flag: str) -> Fraction:
     except (ValueError, ZeroDivisionError):
         raise SystemExit(f"{flag}: {value!r} is not a number or fraction "
                          f"(try e.g. 3, 2.5 or 9/2)")
-
-
-def _resolved_kind(args, case: CaseDefinition) -> str:
-    if args.analyzer != "auto":
-        return args.analyzer
-    from repro.runner.spec import AUTO_SMT_MAX_BUSES
-    return "smt" if case.num_buses <= AUTO_SMT_MAX_BUSES else "fast"
 
 
 def _cli_budget(args):
@@ -177,11 +174,12 @@ def _cmd_maximize(args) -> int:
         case = _load_case(args)
     except InputFormatError as exc:
         return _parse_failure(args, exc)
+    from repro.runner.spec import resolve_analyzer
     from repro.search import MaxImpactSearch
 
-    kind = _resolved_kind(args, case)
+    kind = resolve_analyzer(args.analyzer, case)
     if kind == "smt":
-        analyzer = ImpactAnalyzer(case, incremental=not args.cold)
+        analyzer = ImpactAnalyzer(case, incremental=True)
         attrs = {"with_state_infection": args.with_states}
     else:
         analyzer = FastImpactAnalyzer(case)
@@ -203,8 +201,7 @@ def _cmd_maximize(args) -> int:
         import json
         print(json.dumps(result.to_dict(), indent=1))
     else:
-        warmth = "fast" if kind == "fast" else \
-            ("cold" if args.cold else "warm")
+        warmth = "fast" if kind == "fast" else "warm"
         print(f"case {case.name}: maximum-impact bisection "
               f"({kind} analyzer, {warmth}, tolerance "
               f"{result.tolerance}%)")
@@ -244,15 +241,8 @@ def _cmd_maximize(args) -> int:
               f"{result.encodings_built} encoding(s) built, "
               f"{result.solver_calls} solver calls, "
               f"{result.elapsed_seconds:.3f}s; {certified}")
-    if result.status == "certificate_error":
-        return 2
-    if result.status == "invalid_input":
-        return EXIT_INVALID_INPUT
-    if result.status == "degenerate_case":
-        return EXIT_DEGENERATE_CASE
-    if result.status == "numerical_unstable":
-        return EXIT_NUMERICAL_UNSTABLE
-    return 0 if result.is_definitive and result.satisfiable else 1
+    return _status_exit(result.status,
+                        result.is_definitive and result.satisfiable)
 
 
 def _cmd_defend(args) -> int:
@@ -267,8 +257,9 @@ def _cmd_defend(args) -> int:
         TightenBudgets,
         default_candidates,
     )
+    from repro.runner.spec import resolve_analyzer
 
-    kind = _resolved_kind(args, case)
+    kind = resolve_analyzer(args.analyzer, case)
     attrs = {} if kind == "smt" else {"seed": args.seed}
     target = None if args.target is None \
         else _fraction_arg(args.target, "--target")
@@ -449,16 +440,11 @@ def _print_sweep_results(sweep, cell_count: int,
 
 def _strict_failures(sweep, self_check: bool) -> int:
     """Count the non-definitive outcomes ``--strict`` refuses."""
+    from repro.runner.trace import OK
     return len([
         o for o in sweep.outcomes
-        if o.status in ("error", "unknown", "timeout", "crashed",
-                        "certificate_error", "invalid_input",
-                        "degenerate_case", "numerical_unstable")
-        or o.cache_write_error is not None
-        or (self_check and o.certified is not True
-            and o.status not in ("invalid_input",
-                                 "degenerate_case",
-                                 "numerical_unstable"))])
+        if o.status != OK or o.cache_write_error is not None
+        or (self_check and o.certified is not True)])
 
 
 @contextlib.contextmanager
@@ -561,8 +547,7 @@ def _cmd_coordinate(args) -> int:
         retry_budget=args.retry_budget, unit_cells=args.unit_cells,
         cache_dir=cache_dir, use_cache=cache_dir is not None,
         budget_limits=budget_limits or None,
-        self_check=True if args.self_check else None,
-        fault_plan=args.fault_plan)
+        self_check=True if args.self_check else None)
     coordinator = Coordinator(specs, config, verbose=args.verbose)
     started = time.monotonic()
     try:
@@ -591,8 +576,6 @@ def _cmd_coordinate(args) -> int:
                     command += ["--cache-dir", cache_dir]
                 else:
                     command += ["--no-cache"]
-                if args.fault_plan:
-                    command += ["--fault-plan", args.fault_plan]
                 procs.append(subprocess.Popen(command))
             coordinator.wait()
             # Grid done: give spawned workers a moment to observe
@@ -634,8 +617,7 @@ def _cmd_worker(args) -> int:
     config = WorkerConfig(
         worker_id=args.id or "",
         cache_dir=None if args.no_cache else args.cache_dir,
-        use_cache=not args.no_cache,
-        fault_plan=args.fault_plan)
+        use_cache=not args.no_cache)
     worker = FabricWorker(base_url, config)
     code = worker.run()
     stats = worker.stats()
@@ -674,7 +656,6 @@ def _cmd_serve(args) -> int:
         cache_dir=None if args.no_cache else args.cache_dir,
         use_cache=not args.no_cache,
         self_check=True if args.self_check else None,
-        fault_plan=args.fault_plan,
         drain_timeout=args.drain_timeout)
     server = ServiceServer(host=args.host, port=args.port,
                            config=config, verbose=args.verbose)
@@ -770,10 +751,6 @@ def build_parser() -> argparse.ArgumentParser:
                           default="auto",
                           help="auto picks SMT up to 14 buses, fast "
                                "above")
-    maximize.add_argument("--cold", action="store_true",
-                          help="rebuild the encoding per probe instead "
-                               "of warm incremental re-solving (same "
-                               "I*, more work; for comparison)")
     maximize.add_argument("--tolerance", default="1/8",
                           help="bisection tolerance in percent points, "
                                "as an exact fraction (default 1/8)")
@@ -965,8 +942,6 @@ def build_parser() -> argparse.ArgumentParser:
     coordinate.add_argument("--unit-cells", type=int, default=8,
                             help="max grid cells per leased unit "
                                  "(bounds lease duration; default 8)")
-    coordinate.add_argument("--fault-plan", default=None,
-                            help=argparse.SUPPRESS)  # chaos tests only
     coordinate.add_argument("--verbose", action="store_true",
                             help="log every HTTP request to stderr")
     coordinate.set_defaults(func=_cmd_coordinate)
@@ -986,8 +961,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="shared result-cache directory")
     worker.add_argument("--no-cache", action="store_true",
                         help="work without the shared result cache")
-    worker.add_argument("--fault-plan", default=None,
-                        help=argparse.SUPPRESS)     # chaos tests only
     worker.set_defaults(func=_cmd_worker)
 
     cache = sub.add_parser(
@@ -1033,8 +1006,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--drain-timeout", type=float, default=30.0,
                        help="seconds SIGTERM waits for in-flight work "
                             "before giving up (exit 1)")
-    serve.add_argument("--fault-plan", default=None,
-                       help=argparse.SUPPRESS)   # chaos testing only
     serve.add_argument("--verbose", action="store_true",
                        help="log every HTTP request to stderr")
     serve.set_defaults(func=_cmd_serve)

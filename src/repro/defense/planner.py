@@ -36,7 +36,7 @@ from repro.core.framework import ImpactAnalyzer
 from repro.core.results import ImpactReport
 from repro.exceptions import ModelError
 from repro.grid.caseio import CaseDefinition, write_case
-from repro.runner.spec import AUTO_SMT_MAX_BUSES
+from repro.runner.spec import resolve_analyzer
 from repro.smt.budget import SolverBudget
 from repro.smt.rational import to_fraction
 
@@ -209,9 +209,7 @@ class DefensePlanner:
         self.case = case
         self.target = to_fraction(
             target if target is not None else case.min_increase_percent)
-        if analyzer == "auto":
-            analyzer = "smt" if case.num_buses <= AUTO_SMT_MAX_BUSES \
-                else "fast"
+        analyzer = resolve_analyzer(analyzer, case)
         if analyzer not in ("smt", "fast"):
             raise ModelError(f"unknown analyzer kind: {analyzer!r}")
         self.analyzer = analyzer

@@ -59,7 +59,7 @@ from repro.runner.spec import ScenarioSpec
 from repro.runner.trace import CRASHED, ScenarioOutcome, SweepTrace
 from repro.service.acceptor import JsonAcceptor, Reply
 from repro.smt.certificates import self_check_default
-from repro.testing.faults import FabricFaultPlan
+from repro.testing.faults import FaultPlan
 
 __all__ = ["Coordinator", "CoordinatorConfig", "FabricError"]
 
@@ -79,7 +79,7 @@ class FabricError(Exception):
 
 @dataclass
 class CoordinatorConfig:
-    """Coordinator knobs (lease timing, durability, cache, faults)."""
+    """Coordinator knobs (lease timing, durability, cache)."""
 
     host: str = "127.0.0.1"
     port: int = 0
@@ -99,8 +99,6 @@ class CoordinatorConfig:
     #: SolverBudget limits shipped to workers per scenario.
     budget_limits: Optional[Dict[str, Any]] = None
     self_check: Optional[bool] = None
-    #: :class:`FabricFaultPlan` file for the chaos suite.
-    fault_plan: Optional[str] = None
 
 
 def grid_fingerprint(specs: Sequence[ScenarioSpec],
@@ -337,14 +335,9 @@ class Coordinator:
         """Injected COORDINATOR_KILL: die right *after* the journaled
         commit — the resume path's worst case (commit durable, queue
         gone, workers orphaned)."""
-        try:
-            plan = FabricFaultPlan.load(self.config.fault_plan)
-        except (OSError, ValueError, KeyError):
-            return
-        if plan is None:
-            return
-        labels = [outcome.spec.label for outcome in outcomes]
-        if plan.should_kill_coordinator(labels):
+        plan = FaultPlan.load()
+        if plan is not None and plan.should_kill_coordinator(
+                [outcome.spec.label for outcome in outcomes]):
             os._exit(5)
 
     # -- lifecycle -----------------------------------------------------

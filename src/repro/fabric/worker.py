@@ -27,10 +27,11 @@ It then commits the unit's outcomes.  A ``duplicate`` acknowledgement
 means a speculative copy won the race — success, just not ours.
 
 A background thread heartbeats each held lease at a third of its TTL.
-The chaos suite injects faults via :class:`FabricFaultPlan`
-(``REPRO_FABRIC_FAULTS``): crash, hang, straggle, partition
-(heartbeats suppressed while the work continues) and lease-loss
-(silent abandonment).
+The chaos suite injects the fault plan's lease-level kinds
+(:data:`~repro.testing.faults.LEASE_KINDS`, plan named by
+``REPRO_FAULTS``): crash, hang, straggle, partition (heartbeats
+suppressed while the work continues) and lease-loss (silent
+abandonment).
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from repro.testing.faults import (
     LEASE_LOSS,
     PARTITION,
     STRAGGLER,
-    FabricFaultPlan,
+    FaultPlan,
 )
 
 __all__ = ["FabricWorker", "WorkerConfig",
@@ -80,8 +81,6 @@ class WorkerConfig:
     worker_id: str = ""
     cache_dir: Optional[str] = None
     use_cache: bool = True
-    #: :class:`FabricFaultPlan` file (chaos suite only).
-    fault_plan: Optional[str] = None
     #: stop after this many leased units (tests; None: run to done).
     max_units: Optional[int] = None
 
@@ -190,22 +189,17 @@ class FabricWorker:
         budget = unit.get("budget")
         self_check = unit.get("self_check")
 
-        fault = None
-        try:
-            plan = FabricFaultPlan.load(config.fault_plan)
-        except (OSError, ValueError, KeyError):
-            plan = None
-        if plan is not None:
-            fired = plan.unit_fault([spec.label for spec in specs])
-            if fired is not None:
-                fault = fired[1]
-        if fault is not None and fault.kind == CRASH_WORKER:
+        plan = FaultPlan.load()
+        fault = None if plan is None \
+            else plan.unit_fault([spec.label for spec in specs])
+        kind = None if fault is None else fault.kind
+        if kind == CRASH_WORKER:
             os._exit(23)
-        if fault is not None and fault.kind == LEASE_LOSS:
+        if kind == LEASE_LOSS:
             # Silent abandonment: no heartbeat, no commit, no error —
             # recovery rides entirely on the coordinator's lease expiry.
             return
-        if fault is not None and fault.kind == HANG_WORKER:
+        if kind == HANG_WORKER:
             # Hung before even a first heartbeat: the lease lapses,
             # then the unit resumes late (its commit should lose).
             time.sleep(fault.sleep_seconds)
@@ -214,10 +208,10 @@ class FabricWorker:
         beat = _Heartbeat(self.beat_client, config.worker_id, unit_id,
                           min(HEARTBEAT_INTERVAL,
                               max(0.05, ttl / 3.0))).start()
-        if fault is not None and fault.kind == PARTITION:
+        if kind == PARTITION:
             beat.suppressed = True
         try:
-            if fault is not None and fault.kind == STRAGGLER:
+            if kind == STRAGGLER:
                 # Heartbeats keep the lease alive while the unit sits
                 # idle — only speculative re-dispatch can finish the
                 # grid on time.

@@ -27,8 +27,7 @@ import time
 from pathlib import Path
 from typing import Any, Callable, Dict, Optional
 
-from repro.runner.spec import CACHE_FORMAT_VERSION, code_fingerprint, \
-    encoding_fingerprint
+from repro.runner.spec import CACHE_FORMAT_VERSION, code_fingerprint
 
 DEFAULT_CACHE_DIR = ".repro-cache"
 
@@ -68,15 +67,14 @@ class ResultCache:
     def put(self, fingerprint: str, outcome: Dict[str, Any]) -> None:
         path = self._path(fingerprint)
         path.parent.mkdir(parents=True, exist_ok=True)
-        # The code/encoding fingerprints are *prunability* metadata, not
-        # lookup keys: the fingerprint key already embeds them, so stale
-        # entries are simply unreachable — but only these fields let
-        # ``prune()`` tell a dead version's entry from a live one.
+        # The code fingerprint is *prunability* metadata, not a lookup
+        # key: the fingerprint key already embeds it, so stale entries
+        # are simply unreachable — but only this field lets ``prune()``
+        # tell a dead version's entry from a live one.
         envelope = {
             "version": CACHE_FORMAT_VERSION,
             "fingerprint": fingerprint,
             "code": code_fingerprint(),
-            "encoding": encoding_fingerprint(),
             "outcome": outcome,
         }
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
@@ -125,11 +123,11 @@ class ResultCache:
         Long-lived fleets sharing one ``.repro-cache`` accumulate dead
         versions: every code or format change rewrites the fingerprint
         keys, stranding the old files forever.  An entry is stale when
-        its envelope pins a different cache-format version, a different
-        ``repro`` code fingerprint or a different encoding fingerprint
-        than the running install — or when it is unreadable/foreign.
-        Entries written before the fingerprints joined the envelope are
-        stale by construction (their keys embed an older code hash).
+        its envelope pins a different cache-format version or a
+        different ``repro`` code fingerprint than the running install —
+        or when it is unreadable/foreign.  Entries written before the
+        fingerprint joined the envelope are stale by construction (their
+        keys embed an older code hash).
 
         Returns ``{"scanned", "removed", "kept", "reclaimed_bytes"}``.
         Concurrently-vanishing files are skipped, so live sweeps sharing
@@ -141,7 +139,6 @@ class ResultCache:
         if not results.is_dir():
             return stats
         code = code_fingerprint()
-        encoding = encoding_fingerprint()
         for path in sorted(results.rglob("*.json")):
             stats["scanned"] += 1
             stale = False
@@ -157,8 +154,7 @@ class ResultCache:
             if not stale:
                 stale = not isinstance(envelope, dict) \
                     or envelope.get("version") != CACHE_FORMAT_VERSION \
-                    or envelope.get("code") != code \
-                    or envelope.get("encoding") != encoding
+                    or envelope.get("code") != code
             if not stale:
                 stats["kept"] += 1
                 continue

@@ -29,10 +29,10 @@ from repro.numerics import default_policy
 from repro.smt.rational import to_fraction
 
 #: bump when the cached-result layout changes incompatibly.
-#: v3: cache keys additionally carry the installed ``repro`` version and
-#: a dedicated fingerprint of the encoding-relevant modules, so results
-#: produced by a differently-versioned or differently-encoding install
-#: never alias (outcomes also record ``certified``).
+#: v3: cache keys additionally carry the installed ``repro`` version, so
+#: results produced by a differently-versioned install never alias
+#: (outcomes also record ``certified``).  The code fingerprint already
+#: hashes every module of the package, encoding and solving included.
 #: v4: outcomes grow a ``diagnostics`` payload and the deterministic
 #: preflight rejections (``invalid_input``/``degenerate_case``) are
 #: cached alongside ``ok`` — pre-v4 entries must not be served as "no
@@ -60,26 +60,15 @@ CACHE_FORMAT_VERSION = 9
 #: framework (mirrors the paper's Section IV-A hybrid).
 AUTO_SMT_MAX_BUSES = 14
 
+
+def resolve_analyzer(analyzer: str, case: CaseDefinition) -> str:
+    """The analyzer kind ``analyzer`` names for ``case``: ``"auto"``
+    resolves by bus count, any other name is returned as given."""
+    if analyzer != "auto":
+        return analyzer
+    return "smt" if case.num_buses <= AUTO_SMT_MAX_BUSES else "fast"
+
 _code_fingerprint: Optional[str] = None
-_encoding_fingerprint: Optional[str] = None
-
-#: subpackages/modules (relative to the ``repro`` package root) whose
-#: sources determine how a scenario is *encoded and solved* — the part of
-#: the code whose changes can silently alter cached verdicts.
-_ENCODING_SOURCES = ("smt", "core", "opf", "attacks", "estimation",
-                    "grid", "topology", "numerics")
-
-
-def _hash_sources(root: Path, relatives) -> str:
-    digest = hashlib.sha256()
-    for relative in relatives:
-        target = root / relative
-        paths = sorted(target.rglob("*.py")) if target.is_dir() \
-            else ([target] if target.exists() else [])
-        for path in paths:
-            digest.update(path.relative_to(root).as_posix().encode())
-            digest.update(path.read_bytes())
-    return digest.hexdigest()[:16]
 
 
 def code_fingerprint() -> str:
@@ -92,24 +81,12 @@ def code_fingerprint() -> str:
     if _code_fingerprint is None:
         import repro
         root = Path(repro.__file__).resolve().parent
-        _code_fingerprint = _hash_sources(root, ["."])
+        digest = hashlib.sha256()
+        for path in sorted(root.rglob("*.py")):
+            digest.update(path.relative_to(root).as_posix().encode())
+            digest.update(path.read_bytes())
+        _code_fingerprint = digest.hexdigest()[:16]
     return _code_fingerprint
-
-
-def encoding_fingerprint() -> str:
-    """Hash of the encoding/solving modules only (cached per process).
-
-    Narrower than :func:`code_fingerprint`: it pins the semantics of the
-    SMT encodings and solvers behind a cached verdict without churning on
-    runner/CLI edits, and is recorded in cache keys alongside the package
-    version (cache format v3).
-    """
-    global _encoding_fingerprint
-    if _encoding_fingerprint is None:
-        import repro
-        root = Path(repro.__file__).resolve().parent
-        _encoding_fingerprint = _hash_sources(root, _ENCODING_SOURCES)
-    return _encoding_fingerprint
 
 
 @dataclass(frozen=True)
@@ -189,9 +166,7 @@ class ScenarioSpec:
         return case
 
     def resolved_analyzer(self, case: CaseDefinition) -> str:
-        if self.analyzer != "auto":
-            return self.analyzer
-        return "smt" if case.num_buses <= AUTO_SMT_MAX_BUSES else "fast"
+        return resolve_analyzer(self.analyzer, case)
 
     def target_fraction(self) -> Optional[Fraction]:
         return None if self.target is None else Fraction(self.target)
@@ -255,7 +230,6 @@ class ScenarioSpec:
             "format": CACHE_FORMAT_VERSION,
             "version": repro.__version__,
             "code": code_fingerprint(),
-            "encoding": encoding_fingerprint(),
             "case_text": write_case(case),
             "analyzer": self.resolved_analyzer(case),
             "target": self.target,

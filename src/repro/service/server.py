@@ -40,7 +40,7 @@ from repro.service.supervisor import (
     ServiceDraining,
     Supervisor,
 )
-from repro.testing.faults import ServiceFaultPlan
+from repro.testing.faults import FaultPlan
 
 #: Retry-After hint when shedding because of drain/shutdown.
 DRAIN_RETRY_AFTER = 2.0
@@ -180,11 +180,7 @@ class ServiceServer:
 
     def should_drop(self, body: Dict[str, Any]) -> bool:
         """Injected DROP_CONNECTION fault for the finished request."""
-        plan_path = self.config.fault_plan
-        try:
-            plan = ServiceFaultPlan.load(plan_path)
-        except (OSError, ValueError, KeyError):
-            return False
+        plan = FaultPlan.load()
         if plan is None:
             return False
         label = body.get("label") or ""

@@ -102,15 +102,12 @@ class ServiceConfig:
     #: over a worker's whole life and a transient crash burst months ago
     #: would permanently slow recovery from the next one.
     healthy_reset: float = 30.0
-    #: path to a ServiceFaultPlan JSON file (chaos testing only).
-    fault_plan: Optional[str] = None
     drain_timeout: float = 30.0
 
     def worker_options(self) -> Dict[str, Any]:
         return {"session_limit": self.session_limit,
                 "cache_dir": self.cache_dir if self.use_cache else None,
-                "self_check": self.self_check,
-                "fault_plan": self.fault_plan}
+                "self_check": self.self_check}
 
 
 class ServiceJob:

@@ -43,7 +43,7 @@ from repro.runner.engine import build_analyzer, outcome_from_exception, \
 from repro.runner.spec import ScenarioSpec
 from repro.runner.trace import ERROR, ScenarioOutcome
 from repro.smt.budget import SolverBudget
-from repro.testing.faults import InjectedFault, ServiceFaultPlan
+from repro.testing.faults import FaultPlan, InjectedFault
 
 
 class SessionPool:
@@ -98,7 +98,6 @@ class ServiceWorker:
         cache_dir = options.get("cache_dir")
         self._cache = ResultCache(cache_dir) if cache_dir else None
         self._self_check_default = options.get("self_check")
-        self._fault_plan = options.get("fault_plan")
         self.jobs = 0
         self.cache_hits = 0
         self.cache_misses = 0
@@ -165,10 +164,7 @@ class ServiceWorker:
             limits = (SolverBudget.from_dict(limits) if limits
                       else SolverBudget()).clamped(deadline).to_dict()
         cache = self._cache if message.get("use_cache", True) else None
-        try:
-            plan = ServiceFaultPlan.load(self._fault_plan)
-        except (OSError, ValueError, KeyError):
-            plan = None
+        plan = FaultPlan.load()
         if plan is not None:
             try:
                 injected, limits, cache = plan.inject(spec, limits, cache)

@@ -1,9 +1,11 @@
 """Deterministic fault injection for robustness testing.
 
-:mod:`repro.testing.faults` provides file-based fault plans that make
-the supervised workers (service and ``sweep --workers N``) crash, hang,
-error, corrupt their inputs or exhaust their solver budgets on demand —
-plus cache doubles whose writes fail or whose entries are corrupted,
+:mod:`repro.testing.faults` provides one file-based :class:`FaultPlan`,
+named by the ``REPRO_FAULTS`` environment variable, that makes the
+workers of every front end (``sweep --workers N``, ``serve``,
+``coordinate``) crash, hang, error, corrupt their inputs, exhaust their
+solver budgets, straggle or lose their leases on demand — plus cache
+doubles whose writes fail or whose entries are corrupted,
 and certificate-corruption helpers (tampered models, truncated/corrupted
 UNSAT proofs, semantically stale cache entries) for certified-mode
 testing.  The chaos suite (``tests/chaos/``) drives the sweep engine
@@ -32,26 +34,25 @@ from repro.testing.fuzz import (
     run_fuzz,
 )
 from repro.testing.faults import (
+    CELL_KINDS,
     COORDINATOR_KILL,
     CRASH_WORKER,
     CORRUPT_CASE,
     DROP_CONNECTION,
     EXHAUST_BUDGET,
-    FABRIC_KINDS,
     FAIL_CACHE_WRITE,
     HANG_WORKER,
+    LEASE_KINDS,
     LEASE_LOSS,
     PARTITION,
     RAISE_ERROR,
-    SERVICE_KINDS,
     SLOW_RESPONSE,
     STRAGGLER,
-    FabricFaultPlan,
     Fault,
+    FaultPlan,
     FlakyResultCache,
     InjectedFault,
     PlannedFlakyCache,
-    ServiceFaultPlan,
     corrupt_cached_outcome,
     corrupt_proof,
     tamper_model,
@@ -68,26 +69,25 @@ __all__ = [
     "analyze_text",
     "fuzz_bundled_case",
     "run_fuzz",
+    "CELL_KINDS",
     "COORDINATOR_KILL",
     "CRASH_WORKER",
     "CORRUPT_CASE",
     "DROP_CONNECTION",
     "EXHAUST_BUDGET",
-    "FABRIC_KINDS",
     "FAIL_CACHE_WRITE",
     "HANG_WORKER",
+    "LEASE_KINDS",
     "LEASE_LOSS",
     "PARTITION",
     "RAISE_ERROR",
-    "SERVICE_KINDS",
     "SLOW_RESPONSE",
     "STRAGGLER",
-    "FabricFaultPlan",
     "Fault",
+    "FaultPlan",
     "FlakyResultCache",
     "InjectedFault",
     "PlannedFlakyCache",
-    "ServiceFaultPlan",
     "corrupt_cached_outcome",
     "corrupt_proof",
     "tamper_model",

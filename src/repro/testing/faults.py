@@ -1,22 +1,32 @@
-"""Seeded, file-based fault injection for the supervised workers.
+"""Seeded, file-based fault injection for every front end.
 
-A :class:`ServiceFaultPlan` maps scenario labels to :class:`Fault`
-actions.  Tests write it to a file (:meth:`ServiceFaultPlan.to_file`) and
-hand the path to the workers through ``ServiceConfig.fault_plan`` or the
-``REPRO_SERVICE_FAULTS`` environment variable, so the same plan reaches
-the analysis service's workers and the ``sweep --workers N`` workers
-(both run on the service :class:`~repro.service.supervisor.Supervisor`).
-Inside the real worker, for the first ``fault.times`` attempts of a
-faulted cell, :meth:`ServiceFaultPlan.inject` crashes the process,
-hangs, raises, corrupts the case text, replaces the cell's budget with
-an instantly-exhausted one or makes its cache writes fail.
+A :class:`FaultPlan` maps scenario labels to :class:`Fault` actions.  A
+plan is a property of the *cells*, not of the front end: tests write it
+to a file (:meth:`FaultPlan.to_file`) and name the path in the
+``REPRO_FAULTS`` environment variable, which the supervised workers
+(``serve`` and ``sweep --workers N``), ``coordinate --spawn`` children
+and ``repro worker`` processes all inherit.  One file with
+``crash_worker`` on label X means "the worker executing X dies" under
+every front end:
+
+* inside a supervised worker, :meth:`FaultPlan.inject` applies the
+  :data:`CELL_KINDS` for the first ``fault.times`` attempts of a cell —
+  crash the process, hang, answer late, raise, corrupt the case text,
+  replace the cell's budget with an instantly-exhausted one or make its
+  cache writes fail;
+* in a fabric worker, :meth:`FaultPlan.unit_fault` picks the
+  :data:`LEASE_KINDS` fault to apply once per leased unit, before its
+  first heartbeat;
+* ``drop_connection`` and ``coordinator_kill`` are front-end hooks
+  (:meth:`FaultPlan.should_drop_connection` in the acceptor,
+  :meth:`FaultPlan.should_kill_coordinator` after a journaled commit).
 
 Determinism: plans are frozen values built either explicitly
-(:meth:`ServiceFaultPlan.single`) or from a seed
-(:meth:`ServiceFaultPlan.seeded`), and attempt counting survives process
-boundaries via per-label marker files under ``state_dir`` (one byte
-appended per attempt; ``O_APPEND`` keeps concurrent workers consistent).
-The same plan therefore injects the same faults on every run.
+(:meth:`FaultPlan.single`) or from a seed (:meth:`FaultPlan.seeded`),
+and attempt counting survives process boundaries via per-label marker
+files under ``state_dir`` (one byte appended per attempt; ``O_APPEND``
+keeps concurrent workers consistent).  The same plan therefore injects
+the same faults on every run.
 
 Cache-side faults for in-process runs: :class:`FlakyResultCache` fails
 its first N writes with ``ENOSPC`` and :func:`corrupt_cached_outcome`
@@ -47,47 +57,44 @@ from typing import Any, Dict, Iterable, Optional, Sequence, Tuple
 
 from repro.runner.cache import ResultCache
 
+#: the environment variable naming the active plan file.
+ENV_VAR = "REPRO_FAULTS"
+
 #: fault kinds.
 CRASH_WORKER = "crash_worker"       # os._exit: the worker process dies
 HANG_WORKER = "hang_worker"         # sleep past the task timeout
+SLOW_RESPONSE = "slow_response"     # worker answers late but correctly
 RAISE_ERROR = "raise_error"         # deterministic in-task exception
 CORRUPT_CASE = "corrupt_case"       # unparsable case text reaches the task
 EXHAUST_BUDGET = "exhaust_budget"   # instantly-exhausted solver budget
 FAIL_CACHE_WRITE = "fail_cache_write"  # injected ENOSPC on cache writes
-#: service-level kinds (the analysis daemon's chaos suite):
-SLOW_RESPONSE = "slow_response"     # worker answers late but correctly
-DROP_CONNECTION = "drop_connection"  # acceptor closes mid-response
-#: fabric-level kinds (the distributed sweep's chaos suite):
 STRAGGLER = "straggler"             # unit held idle: speculation target
 PARTITION = "partition"             # heartbeats suppressed; work goes on
 LEASE_LOSS = "lease_loss"           # unit silently abandoned, no commit
+DROP_CONNECTION = "drop_connection"  # acceptor closes mid-response
 COORDINATOR_KILL = "coordinator_kill"  # coordinator dies post-commit
+
+#: kinds :meth:`FaultPlan.inject` applies inside a supervised worker;
+#: every other kind is inert there.
+CELL_KINDS = (CRASH_WORKER, HANG_WORKER, SLOW_RESPONSE, FAIL_CACHE_WRITE,
+              RAISE_ERROR, CORRUPT_CASE, EXHAUST_BUDGET)
+
+#: kinds the fabric worker applies once per leased unit, before its
+#: first heartbeat: crash/hang as in a supervised worker, ``straggler``
+#: stalls the unit with heartbeats running (only speculative
+#: re-dispatch finishes it on time), ``partition`` suppresses
+#: heartbeats while computing normally, ``lease_loss`` abandons the
+#: unit without committing.
+LEASE_KINDS = (CRASH_WORKER, HANG_WORKER, STRAGGLER, PARTITION,
+               LEASE_LOSS)
+
+_KINDS = frozenset(CELL_KINDS + LEASE_KINDS
+                   + (DROP_CONNECTION, COORDINATOR_KILL))
 
 #: kinds a seeded plan draws from by default.  CRASH_WORKER is
 #: excluded: under the supervisor's thread fallback it would kill the
 #: host process.
 WORKER_KINDS = (HANG_WORKER, RAISE_ERROR, CORRUPT_CASE, EXHAUST_BUDGET)
-
-#: kinds a :class:`ServiceFaultPlan` can apply — crash/hang target the
-#: supervised worker processes, slow-response delays an answer without
-#: corrupting it, drop-connection severs the client's socket (the
-#: client must retry), fail-cache-write injects ENOSPC into the
-#: worker's checkpoint writes (the bounded retry must absorb it), and
-#: the payload kinds make one cell raise, analyse a corrupted case or
-#: run on an exhausted budget.
-SERVICE_KINDS = (CRASH_WORKER, HANG_WORKER, SLOW_RESPONSE,
-                 DROP_CONNECTION, FAIL_CACHE_WRITE, RAISE_ERROR,
-                 CORRUPT_CASE, EXHAUST_BUDGET)
-
-#: kinds a :class:`FabricFaultPlan` can apply — crash/hang target a
-#: fabric worker mid-unit, ``straggler`` holds a leased unit idle long
-#: enough to trigger speculative re-dispatch, ``partition`` suppresses
-#: heartbeats (the lease expires while the work continues),
-#: ``lease_loss`` abandons the unit without committing, and
-#: ``coordinator_kill`` makes the *coordinator* die right after
-#: journaling a commit (the resume path's worst case).
-FABRIC_KINDS = (CRASH_WORKER, HANG_WORKER, STRAGGLER, PARTITION,
-                LEASE_LOSS, COORDINATOR_KILL)
 
 _EXHAUSTED_BUDGET = {"wall_seconds": 0.0, "max_conflicts": 1,
                      "max_decisions": 1, "max_pivots": 1,
@@ -109,7 +116,7 @@ def _record_attempt(state_dir: str, label: str) -> int:
     """Count an attempt cross-process; returns the 1-based number.
 
     One byte appended per attempt; ``O_APPEND`` keeps concurrent workers
-    (and restarted ones — the whole point for the service plans)
+    (and restarted ones — the whole point of a file-based plan)
     consistent.
     """
     marker = _attempt_marker(state_dir, label)
@@ -136,11 +143,7 @@ class Fault:
     sleep_seconds: float = 0.5
 
     def __post_init__(self) -> None:
-        known = (CRASH_WORKER, HANG_WORKER, RAISE_ERROR, CORRUPT_CASE,
-                 EXHAUST_BUDGET, SLOW_RESPONSE, DROP_CONNECTION,
-                 FAIL_CACHE_WRITE, STRAGGLER, PARTITION, LEASE_LOSS,
-                 COORDINATOR_KILL)
-        if self.kind not in known:
+        if self.kind not in _KINDS:
             raise ValueError(f"unknown fault kind {self.kind!r}")
 
     def to_dict(self) -> Dict[str, Any]:
@@ -155,56 +158,36 @@ class Fault:
 
 
 @dataclass(frozen=True)
-class ServiceFaultPlan:
-    """Frozen fault plan for the supervised workers' chaos suites.
+class FaultPlan:
+    """Frozen fault plan for the chaos suites of every front end.
 
     A plan crosses *process* boundaries by file: tests write it with
-    :meth:`to_file` and hand the path to the workers via
-    ``ServiceConfig.fault_plan`` (or the ``REPRO_SERVICE_FAULTS``
-    environment variable, which ``sweep --workers N`` workers inherit);
-    workers and the acceptor re-read it per cell.  Attempt counting
-    lives in a marker-file ledger, so a fault scheduled for the first N
-    attempts of a label stays exhausted across worker restarts —
-    exactly what "crash once, then succeed on retry" scenarios need.
-
-    Worker-side kinds (:meth:`inject`): ``crash_worker`` (``os._exit``
-    mid-cell), ``hang_worker`` (sleep past the supervisor's hang
-    deadline), ``slow_response`` (sleep, then answer correctly),
-    ``fail_cache_write`` (ENOSPC injected into checkpoint writes),
-    ``raise_error`` (:class:`InjectedFault`), ``corrupt_case`` (garbage
-    case text reaches the runner) and ``exhaust_budget`` (an
-    instantly-exhausted solver budget).  Acceptor-side:
-    ``drop_connection`` (the response socket is severed, so the
-    client's retry loop must recover).
+    :meth:`to_file` and name the path in ``REPRO_FAULTS``; workers, the
+    acceptor and the coordinator re-read it (:meth:`load`) per cell,
+    request or commit.  Attempt counting lives in a marker-file ledger,
+    so a fault scheduled for the first N attempts of a label stays
+    exhausted across worker restarts — exactly what "crash once, then
+    succeed on retry" scenarios need.  Each hook counts on its own
+    channel, so one plan file can drive a supervised sweep and a fabric
+    run in turn.
     """
 
     state_dir: str
     faults: Tuple[Tuple[str, Fault], ...] = ()
 
-    #: kinds this plan class accepts; subclasses override.
-    KINDS: Tuple[str, ...] = SERVICE_KINDS
-    #: env var ``load`` falls back to; subclasses override.
-    ENV_VAR: str = "REPRO_SERVICE_FAULTS"
-
     @classmethod
-    def build(cls, state_dir,
-              faults: Dict[str, Fault]) -> "ServiceFaultPlan":
-        for fault in faults.values():
-            if fault.kind not in cls.KINDS:
-                raise ValueError(
-                    f"{fault.kind!r} is not a {cls.__name__} kind")
+    def build(cls, state_dir, faults: Dict[str, Fault]) -> "FaultPlan":
         return cls(state_dir=str(state_dir),
                    faults=tuple(sorted(faults.items())))
 
     @classmethod
-    def single(cls, state_dir, label: str,
-               fault: Fault) -> "ServiceFaultPlan":
+    def single(cls, state_dir, label: str, fault: Fault) -> "FaultPlan":
         return cls.build(state_dir, {label: fault})
 
     @classmethod
     def seeded(cls, state_dir, labels: Iterable[str], seed: int,
                rate: float = 0.5,
-               kinds: Sequence[str] = WORKER_KINDS) -> "ServiceFaultPlan":
+               kinds: Sequence[str] = WORKER_KINDS) -> "FaultPlan":
         """Deterministically fault a ``rate`` fraction of *labels*."""
         rng = random.Random(seed)
         faults = {}
@@ -214,7 +197,7 @@ class ServiceFaultPlan:
                                       sleep_seconds=0.5)
         return cls.build(state_dir, faults)
 
-    # -- file round-trip (crosses the daemon's process boundaries) -----
+    # -- file round-trip (crosses process boundaries) ------------------
 
     def to_file(self, path) -> str:
         payload = {
@@ -228,7 +211,7 @@ class ServiceFaultPlan:
         return str(target)
 
     @classmethod
-    def from_file(cls, path) -> "ServiceFaultPlan":
+    def from_file(cls, path) -> "FaultPlan":
         payload = json.loads(Path(path).read_text())
         return cls(
             state_dir=payload["state_dir"],
@@ -236,12 +219,16 @@ class ServiceFaultPlan:
                          for label, fault in payload["faults"]))
 
     @classmethod
-    def load(cls, path: Optional[str]) -> Optional["ServiceFaultPlan"]:
-        """``from_file`` with env-var fallback; None when unconfigured."""
-        path = path or os.environ.get(cls.ENV_VAR)
+    def load(cls) -> Optional["FaultPlan"]:
+        """The plan ``REPRO_FAULTS`` names; None when it is unset or
+        the file is unreadable (a chaos hook never breaks real work)."""
+        path = os.environ.get(ENV_VAR)
         if not path:
             return None
-        return cls.from_file(path)
+        try:
+            return cls.from_file(path)
+        except (OSError, ValueError, KeyError):
+            return None
 
     # -- queries and application ---------------------------------------
 
@@ -263,15 +250,15 @@ class ServiceFaultPlan:
         return attempt <= fault.times
 
     def inject(self, spec, limits: Optional[Dict[str, Any]], cache):
-        """Apply the plan's worker-side fault to one cell.
+        """Apply the plan's :data:`CELL_KINDS` fault to one cell.
 
         Returns the ``(spec, budget limits, cache)`` the cell runs with;
         a firing ``crash_worker`` never returns, ``raise_error`` raises
         :class:`InjectedFault`.
         """
         label = spec.label
-        fault = self.fault_for(label)
-        if fault is None or fault.kind == DROP_CONNECTION:
+        fault = self.fault_for(label, CELL_KINDS)
+        if fault is None:
             return spec, limits, cache
         if fault.kind == FAIL_CACHE_WRITE:
             # Counted per write, not per cell: see PlannedFlakyCache.
@@ -295,11 +282,35 @@ class ServiceFaultPlan:
             time.sleep(fault.sleep_seconds)     # hang or slow-response
         return spec, limits, cache
 
+    def unit_fault(self, labels: Sequence[str]) -> Optional[Fault]:
+        """The :data:`LEASE_KINDS` fault to apply to a leased unit.
+
+        Checks each scenario label in the unit against the plan; the
+        first matching fault whose attempt budget is not yet exhausted
+        is recorded (marker-file ledger, so re-dispatched copies of the
+        unit see it already spent) and returned.
+        """
+        for label in labels:
+            fault = self.fault_for(label, LEASE_KINDS)
+            if fault is not None \
+                    and self.should_fire(label, fault, channel="#unit"):
+                return fault
+        return None
+
     def should_drop_connection(self, label: str) -> bool:
         """Acceptor-side: sever this response's socket?"""
         fault = self.fault_for(label, (DROP_CONNECTION,))
         return fault is not None \
             and self.should_fire(label, fault, channel="#drop")
+
+    def should_kill_coordinator(self, labels: Sequence[str]) -> bool:
+        """Coordinator-side: die right after journaling this commit?"""
+        for label in labels:
+            fault = self.fault_for(label, (COORDINATOR_KILL,))
+            if fault is not None \
+                    and self.should_fire(label, fault, channel="#ckill"):
+                return True
+        return False
 
 
 class PlannedFlakyCache(ResultCache):
@@ -310,7 +321,7 @@ class PlannedFlakyCache(ResultCache):
     across the retry loop inside :meth:`ResultCache.try_put`.
     """
 
-    def __init__(self, root, plan: ServiceFaultPlan, label: str,
+    def __init__(self, root, plan: FaultPlan, label: str,
                  fail_writes: int) -> None:
         super().__init__(root)
         self._plan = plan
@@ -323,69 +334,6 @@ class PlannedFlakyCache(ResultCache):
         if attempt <= self._fail_writes:
             raise OSError(28, "No space left on device (injected)")
         super().put(fingerprint, outcome)
-
-
-@dataclass(frozen=True)
-class FabricFaultPlan(ServiceFaultPlan):
-    """Frozen fault plan for the distributed sweep fabric's chaos suite.
-
-    Crosses process boundaries the same way :class:`ServiceFaultPlan`
-    does (``to_file`` + the ``REPRO_FABRIC_FAULTS`` environment
-    variable), but its kinds target the *fabric* failure model: a fault
-    is keyed by scenario label and fires when a worker leases a unit
-    containing that label (or, for ``coordinator_kill``, when the
-    coordinator journals a commit for such a unit).
-
-    Worker-side kinds — the worker loop interprets them:
-
-    * ``crash_worker`` — ``os._exit`` mid-unit, before any commit;
-    * ``hang_worker`` — sleep past the lease TTL with heartbeats
-      stopped, then resume (the late commit must be a duplicate);
-    * ``straggler`` — keep heartbeating but stall the computation, so
-      only *speculative re-dispatch* can finish the unit on time;
-    * ``partition`` — suppress heartbeats while computing normally (the
-      coordinator expires the lease; the eventual commit races the
-      re-dispatched copy — first one wins);
-    * ``lease_loss`` — silently abandon the unit: no commit, no error,
-      recovery rides entirely on lease expiry.
-
-    Coordinator-side: ``coordinator_kill`` — ``os._exit(5)`` right
-    after journaling the commit of a unit containing the label, the
-    resume path's worst case (the commit is durable, the in-memory
-    queue is gone).
-    """
-
-    KINDS: Tuple[str, ...] = FABRIC_KINDS
-    ENV_VAR: str = "REPRO_FABRIC_FAULTS"
-
-    #: kinds the worker loop applies when it leases a unit.
-    WORKER_SIDE = (CRASH_WORKER, HANG_WORKER, STRAGGLER, PARTITION,
-                   LEASE_LOSS)
-
-    def unit_fault(self, labels: Sequence[str]
-                   ) -> Optional[Tuple[str, Fault]]:
-        """The worker-side fault to apply to a unit, if any fires.
-
-        Checks each scenario label in the unit against the plan; the
-        first matching worker-side fault whose attempt budget is not
-        yet exhausted is recorded (marker-file ledger, so re-dispatched
-        copies of the unit see it already spent) and returned.
-        """
-        for label in labels:
-            fault = self.fault_for(label, self.WORKER_SIDE)
-            if fault is not None \
-                    and self.should_fire(label, fault, channel="#unit"):
-                return label, fault
-        return None
-
-    def should_kill_coordinator(self, labels: Sequence[str]) -> bool:
-        """Coordinator-side: die right after journaling this commit?"""
-        for label in labels:
-            fault = self.fault_for(label, (COORDINATOR_KILL,))
-            if fault is not None \
-                    and self.should_fire(label, fault, channel="#ckill"):
-                return True
-        return False
 
 
 class FlakyResultCache(ResultCache):

@@ -3,7 +3,7 @@ scenario no matter which faults are injected, and checkpoint/resume must
 survive interrupts, full disks and corrupted cache entries.
 
 Worker faults are injected inside the real supervised workers through a
-file-based :class:`ServiceFaultPlan` (``REPRO_SERVICE_FAULTS``), so these
+file-based :class:`FaultPlan` (``REPRO_FAULTS``), so these
 sweeps run with ``workers=2``."""
 
 import pytest
@@ -26,13 +26,18 @@ from repro.runner.trace import (
 )
 from repro.smt import SolverBudget
 from repro.testing import (
+    COORDINATOR_KILL,
     CORRUPT_CASE,
     CRASH_WORKER,
+    DROP_CONNECTION,
     EXHAUST_BUDGET,
+    LEASE_LOSS,
+    PARTITION,
     RAISE_ERROR,
+    STRAGGLER,
     Fault,
     FlakyResultCache,
-    ServiceFaultPlan,
+    FaultPlan,
     corrupt_cached_outcome,
 )
 
@@ -42,7 +47,7 @@ PAYLOAD_KINDS = (RAISE_ERROR, CORRUPT_CASE, EXHAUST_BUDGET)
 
 def _inject(monkeypatch, plan, tmp_path):
     """Hand *plan* to the supervised workers through the environment."""
-    monkeypatch.setenv("REPRO_SERVICE_FAULTS",
+    monkeypatch.setenv("REPRO_FAULTS",
                        plan.to_file(tmp_path / "faults.json"))
     return plan
 
@@ -62,12 +67,19 @@ def _smt_spec(label="smt-cell"):
                               label=label)
 
 
+def _solver_bound_spec(label):
+    """An SMT cell that takes about 0.4 s in-process: unsat at a 40%
+    target with state infection, so the search runs to exhaustion."""
+    return ScenarioSpec.build("5bus-study2", analyzer="smt", target=40,
+                              with_state_infection=True, label=label)
+
+
 class TestSeededChaos:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_every_sweep_terminates_with_full_outcomes(self, tmp_path,
                                                        monkeypatch, seed):
         specs = _specs(6)
-        plan = _inject(monkeypatch, ServiceFaultPlan.seeded(
+        plan = _inject(monkeypatch, FaultPlan.seeded(
             tmp_path / "plan", [s.label for s in specs], seed=seed,
             rate=0.5, kinds=PAYLOAD_KINDS), tmp_path)
         engine = SweepEngine(SweepConfig(workers=2, use_cache=False))
@@ -89,10 +101,10 @@ class TestSeededChaos:
 
     def test_same_seed_same_faults(self, tmp_path):
         labels = [s.label for s in _specs(6)]
-        one = ServiceFaultPlan.seeded(tmp_path / "a", labels, seed=5,
-                                      rate=0.5, kinds=PAYLOAD_KINDS)
-        two = ServiceFaultPlan.seeded(tmp_path / "b", labels, seed=5,
-                                      rate=0.5, kinds=PAYLOAD_KINDS)
+        one = FaultPlan.seeded(tmp_path / "a", labels, seed=5,
+                               rate=0.5, kinds=PAYLOAD_KINDS)
+        two = FaultPlan.seeded(tmp_path / "b", labels, seed=5,
+                               rate=0.5, kinds=PAYLOAD_KINDS)
         assert one.faults == two.faults
 
 
@@ -133,7 +145,7 @@ class TestBudgetExhaustionOutcomes:
         # in-worker deadline grace.
         config = SweepConfig(workers=2, task_timeout=0.05,
                              use_cache=False)
-        specs = [_smt_spec("p1"), _smt_spec("p2")]
+        specs = [_solver_bound_spec("p1"), _solver_bound_spec("p2")]
         trace = SweepEngine(config).run(specs)
         assert len(trace.outcomes) == 2
         for outcome in trace.outcomes:
@@ -142,7 +154,7 @@ class TestBudgetExhaustionOutcomes:
 
     def test_injected_budget_exhaustion_fault(self, tmp_path, monkeypatch):
         specs = _specs(2)
-        _inject(monkeypatch, ServiceFaultPlan.single(
+        _inject(monkeypatch, FaultPlan.single(
             tmp_path / "plan", "cell-0", Fault(EXHAUST_BUDGET)), tmp_path)
         engine = SweepEngine(SweepConfig(workers=2, use_cache=False))
         trace = engine.run(specs)
@@ -245,7 +257,7 @@ class TestCheckpointResume:
 class TestCrashChaos:
     def test_crash_once_is_retried_to_success(self, tmp_path, monkeypatch):
         specs = _specs(2)
-        plan = _inject(monkeypatch, ServiceFaultPlan.single(
+        plan = _inject(monkeypatch, FaultPlan.single(
             tmp_path / "plan", "cell-0", Fault(CRASH_WORKER, times=1)),
             tmp_path)
         engine = SweepEngine(
@@ -258,7 +270,7 @@ class TestCrashChaos:
     def test_persistent_crash_is_recorded_after_retries(self, tmp_path,
                                                         monkeypatch):
         specs = _specs(2)
-        _inject(monkeypatch, ServiceFaultPlan.single(
+        _inject(monkeypatch, FaultPlan.single(
             tmp_path / "plan", "cell-0", Fault(CRASH_WORKER, times=10)),
             tmp_path)
         engine = SweepEngine(
@@ -270,3 +282,26 @@ class TestCrashChaos:
         # The crash is charged to its own unit only.
         assert neighbour.status == OK
         assert neighbour.attempts == 1
+
+
+class TestOnePlanAcrossFrontEnds:
+    def test_lease_and_front_end_kinds_are_inert_in_a_sweep(
+            self, tmp_path, monkeypatch):
+        # One plan serves every front end, so it may carry kinds only a
+        # fabric worker, the acceptor or the coordinator applies.  A
+        # supervised sweep worker must ignore them: no sleep, no retry,
+        # no attempt charged.
+        kinds = (STRAGGLER, PARTITION, LEASE_LOSS, COORDINATOR_KILL,
+                 DROP_CONNECTION)
+        specs = _specs(len(kinds))
+        plan = _inject(monkeypatch, FaultPlan.build(tmp_path / "plan", {
+            spec.label: Fault(kind, times=1, sleep_seconds=60.0)
+            for spec, kind in zip(specs, kinds)}), tmp_path)
+        trace = SweepEngine(
+            SweepConfig(workers=2, use_cache=False)).run(specs)
+        assert trace.mode == "parallel"
+        assert [o.status for o in trace.outcomes] == [OK] * len(kinds)
+        assert [o.attempts for o in trace.outcomes] == [1] * len(kinds)
+        assert trace.wall_seconds < 30.0
+        assert list((tmp_path / "plan").glob("*.attempts")) == []
+        assert all(plan.attempts(spec.label) == 0 for spec in specs)

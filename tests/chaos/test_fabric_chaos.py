@@ -26,7 +26,7 @@ from repro.testing import (
     PARTITION,
     STRAGGLER,
     Fault,
-    FabricFaultPlan,
+    FaultPlan,
 )
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -36,9 +36,13 @@ GRID_ARGS = ["--cases", "ieee30", "--targets", "1,2,3,4",
              "--scenarios", "3", "--analyzer", "fast"]
 
 
-def subprocess_env():
+def subprocess_env(plan_path=None):
+    """The child's environment; *plan_path* goes to the child only (the
+    in-process coordinator must not read the plan)."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    if plan_path is not None:
+        env["REPRO_FAULTS"] = str(plan_path)
     return env
 
 
@@ -69,12 +73,10 @@ def spawn_worker(url, tmp_path, plan_path=None, worker_id=None):
     host_port = url.split("//", 1)[1]
     command = [sys.executable, "-m", "repro", "worker",
                "--connect", host_port, "--no-cache"]
-    if plan_path is not None:
-        command += ["--fault-plan", str(plan_path)]
     if worker_id is not None:
         command += ["--id", worker_id]
     return subprocess.Popen(command, cwd=str(tmp_path),
-                            env=subprocess_env(),
+                            env=subprocess_env(plan_path),
                             stdout=subprocess.PIPE,
                             stderr=subprocess.PIPE, text=True)
 
@@ -89,7 +91,7 @@ def test_fault_storm_fleet_matches_serial(tmp_path):
     specs = grid_specs()
     truth = serial_views(specs)
     labels = [spec.label for spec in specs]
-    plan = FabricFaultPlan.build(tmp_path / "state", {
+    plan = FaultPlan.build(tmp_path / "state", {
         labels[0]: Fault(kind=CRASH_WORKER, times=1),
         labels[3]: Fault(kind=STRAGGLER, times=1, sleep_seconds=5.0),
         labels[6]: Fault(kind=PARTITION, times=1),
@@ -151,7 +153,7 @@ def test_sigkilled_worker_unit_is_redispatched(tmp_path):
     # the journal names the worker holding it, and that one gets the
     # kill — so a held lease provably dies with its worker.  Stealing
     # is off: recovery must come from lease expiry alone.
-    plan = FabricFaultPlan.build(tmp_path / "state", {
+    plan = FaultPlan.build(tmp_path / "state", {
         specs[0].label: Fault(kind=STRAGGLER, times=1,
                               sleep_seconds=6.0),
     })
@@ -213,7 +215,7 @@ def test_coordinator_killed_and_resumed_from_journal(tmp_path):
     re-executing or losing the committed cells."""
     specs = grid_specs()
     truth = serial_views(specs)
-    plan = FabricFaultPlan.build(tmp_path / "state", {
+    plan = FaultPlan.build(tmp_path / "state", {
         specs[2].label: Fault(kind="coordinator_kill", times=1),
     })
     plan_path = plan.to_file(tmp_path / "faults.json")
@@ -221,18 +223,17 @@ def test_coordinator_killed_and_resumed_from_journal(tmp_path):
         + GRID_ARGS + [
         "--journal", str(tmp_path / "j.jsonl"), "--no-cache",
         "--spawn", "2", "--unit-cells", "1", "--lease-ttl", "2",
-        "--trace", str(tmp_path / "trace.json"),
-        "--fault-plan", str(plan_path)]
+        "--trace", str(tmp_path / "trace.json")]
 
     first = subprocess.run(command, cwd=str(tmp_path),
-                           env=subprocess_env(), capture_output=True,
-                           text=True, timeout=240)
+                           env=subprocess_env(plan_path),
+                           capture_output=True, text=True, timeout=240)
     assert first.returncode == 5, (first.returncode, first.stdout,
                                    first.stderr)
 
     rerun = subprocess.run(command, cwd=str(tmp_path),
-                           env=subprocess_env(), capture_output=True,
-                           text=True, timeout=240)
+                           env=subprocess_env(plan_path),
+                           capture_output=True, text=True, timeout=240)
     assert rerun.returncode == 0, (rerun.returncode, rerun.stdout,
                                    rerun.stderr)
     assert "(resumed from journal)" in rerun.stdout

@@ -14,7 +14,7 @@ from repro.testing import (
     Fault,
     FlakyResultCache,
     InjectedFault,
-    ServiceFaultPlan,
+    FaultPlan,
     corrupt_cached_outcome,
 )
 from repro.testing.faults import WORKER_KINDS
@@ -26,14 +26,14 @@ def _spec(label="x"):
 
 def _inject(tmp_path, fault, limits=None):
     """Apply *fault* to one cell labelled ``x`` on its first attempt."""
-    plan = ServiceFaultPlan.single(tmp_path, "x", fault)
+    plan = FaultPlan.single(tmp_path, "x", fault)
     return plan.inject(_spec(), limits, None)
 
 
 class TestFaultPlan:
     def test_single_plan_lookup(self, tmp_path):
         fault = Fault(RAISE_ERROR)
-        plan = ServiceFaultPlan.single(tmp_path, "cell-a", fault)
+        plan = FaultPlan.single(tmp_path, "cell-a", fault)
         assert plan.fault_for("cell-a") == fault
         assert plan.fault_for("cell-b") is None
 
@@ -42,7 +42,7 @@ class TestFaultPlan:
             Fault("meteor_strike")
 
     def test_attempt_counting_is_per_label(self, tmp_path):
-        plan = ServiceFaultPlan(state_dir=str(tmp_path))
+        plan = FaultPlan(state_dir=str(tmp_path))
         once = Fault(RAISE_ERROR, times=1)
         assert plan.attempts("x") == 0
         assert plan.should_fire("x", once)
@@ -52,24 +52,24 @@ class TestFaultPlan:
 
     def test_seeded_plans_are_deterministic(self, tmp_path):
         labels = [f"cell-{i}" for i in range(20)]
-        one = ServiceFaultPlan.seeded(tmp_path, labels, seed=7, rate=0.5)
-        two = ServiceFaultPlan.seeded(tmp_path, labels, seed=7, rate=0.5)
+        one = FaultPlan.seeded(tmp_path, labels, seed=7, rate=0.5)
+        two = FaultPlan.seeded(tmp_path, labels, seed=7, rate=0.5)
         assert one.faults == two.faults
-        other = ServiceFaultPlan.seeded(tmp_path, labels, seed=8, rate=0.5)
+        other = FaultPlan.seeded(tmp_path, labels, seed=8, rate=0.5)
         assert one.faults != other.faults
 
     def test_seeded_rate_and_kinds(self, tmp_path):
         labels = [f"cell-{i}" for i in range(30)]
-        everything = ServiceFaultPlan.seeded(tmp_path, labels, seed=1,
-                                             rate=1.0)
+        everything = FaultPlan.seeded(tmp_path, labels, seed=1,
+                                      rate=1.0)
         assert len(everything.faults) == len(labels)
         assert all(f.kind in WORKER_KINDS for _, f in everything.faults)
-        nothing = ServiceFaultPlan.seeded(tmp_path, labels, seed=1,
-                                          rate=0.0)
+        nothing = FaultPlan.seeded(tmp_path, labels, seed=1,
+                                   rate=0.0)
         assert nothing.faults == ()
-        only_errors = ServiceFaultPlan.seeded(tmp_path, labels, seed=1,
-                                              rate=1.0,
-                                              kinds=(RAISE_ERROR,))
+        only_errors = FaultPlan.seeded(tmp_path, labels, seed=1,
+                                       rate=1.0,
+                                       kinds=(RAISE_ERROR,))
         assert all(f.kind == RAISE_ERROR for _, f in only_errors.faults)
 
     def test_crash_worker_not_in_seeded_defaults(self):
@@ -88,7 +88,7 @@ class TestApplyFault:
 
     def test_corrupt_case_replaces_case_text(self, tmp_path):
         spec = _spec()
-        plan = ServiceFaultPlan.single(tmp_path, "x", Fault(CORRUPT_CASE))
+        plan = FaultPlan.single(tmp_path, "x", Fault(CORRUPT_CASE))
         corrupted, _, _ = plan.inject(spec, None, None)
         assert "not a case file" in corrupted.case_text
         assert spec.case_text is None       # original spec untouched
@@ -104,6 +104,21 @@ class TestApplyFault:
         started = time.perf_counter()
         _inject(tmp_path, Fault(HANG_WORKER, sleep_seconds=0.05))
         assert time.perf_counter() - started >= 0.05
+
+
+class TestLoad:
+    def test_load_reads_only_repro_faults(self, tmp_path, monkeypatch):
+        plan = FaultPlan.single(tmp_path / "state", "x",
+                                Fault(RAISE_ERROR))
+        path = plan.to_file(tmp_path / "faults.json")
+        monkeypatch.delenv("REPRO_FAULTS", raising=False)
+        assert FaultPlan.load() is None
+        monkeypatch.setenv("REPRO_FAULTS", path)
+        assert FaultPlan.load() == plan
+
+    def test_unreadable_plan_is_no_plan(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_FAULTS", str(tmp_path / "missing.json"))
+        assert FaultPlan.load() is None
 
 
 class TestCacheFaults:

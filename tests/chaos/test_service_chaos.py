@@ -35,7 +35,7 @@ from repro.testing import (
     FAIL_CACHE_WRITE,
     HANG_WORKER,
     Fault,
-    ServiceFaultPlan,
+    FaultPlan,
 )
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -96,11 +96,11 @@ def expected_verdicts(load):
     return verdicts
 
 
-def test_fifty_request_chaos_load_loses_nothing(tmp_path):
+def test_fifty_request_chaos_load_loses_nothing(tmp_path, monkeypatch):
     load = build_load(50)
     truth = expected_verdicts(load)
 
-    plan = ServiceFaultPlan.build(tmp_path / "state", {
+    plan = FaultPlan.build(tmp_path / "state", {
         "req03": Fault(kind=CRASH_WORKER, times=1),
         "req17": Fault(kind=CRASH_WORKER, times=1),
         "req41": Fault(kind=CRASH_WORKER, times=1),
@@ -110,13 +110,12 @@ def test_fifty_request_chaos_load_loses_nothing(tmp_path):
         "req11": Fault(kind=DROP_CONNECTION, times=1),
         "req29": Fault(kind=DROP_CONNECTION, times=1),
     })
-    plan_path = plan.to_file(tmp_path / "plan.json")
+    monkeypatch.setenv("REPRO_FAULTS", plan.to_file(tmp_path / "plan.json"))
 
     config = ServiceConfig(
         workers=2, queue_limit=50, request_timeout=15.0,
         hang_grace=0.5, retry_limit=1,
-        cache_dir=str(tmp_path / "cache"), use_cache=True,
-        fault_plan=str(plan_path))
+        cache_dir=str(tmp_path / "cache"), use_cache=True)
     server = ServiceServer(port=0, config=config).start()
     try:
         outcomes = {}

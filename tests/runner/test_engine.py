@@ -14,7 +14,7 @@ from repro.runner import (
 from repro.runner.trace import CRASHED, ERROR, OK, TIMEOUT, \
     deterministic_outcome_view
 from repro.testing import CRASH_WORKER, HANG_WORKER, SLOW_RESPONSE, \
-    Fault, ServiceFaultPlan
+    Fault, FaultPlan
 
 
 def _fast_specs():
@@ -37,8 +37,8 @@ def _engine(tmp_path, **overrides):
 def _inject(tmp_path, monkeypatch, faults):
     """Inject *faults* ({label: Fault}) inside the real supervised
     workers, which inherit the plan through the environment."""
-    plan = ServiceFaultPlan.build(tmp_path / "fault-state", faults)
-    monkeypatch.setenv("REPRO_SERVICE_FAULTS",
+    plan = FaultPlan.build(tmp_path / "fault-state", faults)
+    monkeypatch.setenv("REPRO_FAULTS",
                        plan.to_file(tmp_path / "faults.json"))
     return plan
 

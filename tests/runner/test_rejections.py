@@ -27,7 +27,7 @@ from repro.runner.trace import (
 )
 from repro.grid.caseio import write_case
 from repro.grid.cases import get_case
-from repro.testing import CORRUPT_CASE, Fault, ServiceFaultPlan
+from repro.testing import CORRUPT_CASE, Fault, FaultPlan
 from repro.validation import ValidationReport
 
 
@@ -126,9 +126,9 @@ class TestCachedRejections:
         neighbour = ScenarioSpec.build("5bus-study2", analyzer="fast",
                                        target=1, state_samples=4,
                                        label="cell-1")
-        plan = ServiceFaultPlan.single(tmp_path / "plan", "cell-0",
-                                       Fault(CORRUPT_CASE, times=1))
-        monkeypatch.setenv("REPRO_SERVICE_FAULTS",
+        plan = FaultPlan.single(tmp_path / "plan", "cell-0",
+                                Fault(CORRUPT_CASE, times=1))
+        monkeypatch.setenv("REPRO_FAULTS",
                            plan.to_file(tmp_path / "faults.json"))
         config = SweepConfig(workers=2,
                              cache_dir=str(tmp_path / "cache"),

@@ -21,7 +21,7 @@ from repro.testing import (
     DROP_CONNECTION,
     HANG_WORKER,
     Fault,
-    ServiceFaultPlan,
+    FaultPlan,
 )
 
 FAST_SPEC = {"case": "5bus-study1", "analyzer": "fast"}
@@ -238,17 +238,16 @@ def test_health_ready_stats_endpoints(service_factory):
     assert stats["http"]["requests"] >= 1
 
 
-def test_queue_full_sheds_with_429_retry_after(tmp_path,
+def test_queue_full_sheds_with_429_retry_after(tmp_path, monkeypatch,
                                                service_factory):
     state = tmp_path / "state"
     # The slow job hangs far past every wait below, so the slot is still
     # taken when the second request arrives; stopping the supervisor
     # releases it once the shed has been observed.
-    plan = ServiceFaultPlan.build(state, {
+    plan = FaultPlan.build(state, {
         "slow": Fault(kind=HANG_WORKER, times=1, sleep_seconds=60.0)})
-    path = plan.to_file(tmp_path / "plan.json")
-    server, client = service_factory(workers=1, queue_limit=1,
-                                     fault_plan=path)
+    monkeypatch.setenv("REPRO_FAULTS", plan.to_file(tmp_path / "plan.json"))
+    server, client = service_factory(workers=1, queue_limit=1)
 
     # Occupy the single queue slot with a hanging request...
     background = threading.Thread(
@@ -292,12 +291,12 @@ def test_draining_sheds_with_503(service_factory):
 
 
 def test_dropped_connection_fault_is_retried_by_client(
-        tmp_path, service_factory):
+        tmp_path, monkeypatch, service_factory):
     state = tmp_path / "state"
-    plan = ServiceFaultPlan.build(state, {
+    plan = FaultPlan.build(state, {
         "flaky": Fault(kind=DROP_CONNECTION, times=1)})
-    path = plan.to_file(tmp_path / "plan.json")
-    server, client = service_factory(workers=1, fault_plan=path)
+    monkeypatch.setenv("REPRO_FAULTS", plan.to_file(tmp_path / "plan.json"))
+    server, client = service_factory(workers=1)
     result = client.analyze(dict(FAST_SPEC, label="flaky"))
     assert result["outcome"]["status"] == "ok"
     assert client.attempts_made >= 2    # first response was severed

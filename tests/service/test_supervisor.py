@@ -16,7 +16,7 @@ from repro.testing import (
     CRASH_WORKER,
     HANG_WORKER,
     Fault,
-    ServiceFaultPlan,
+    FaultPlan,
 )
 
 FAST_SPEC = {"case": "5bus-study1", "analyzer": "fast"}
@@ -27,9 +27,12 @@ def request_for(label, **options):
     return parse_request(dict(options, spec=spec), "analyze")
 
 
-def plan_file(tmp_path, faults):
-    plan = ServiceFaultPlan.build(tmp_path / "state", faults)
-    return plan.to_file(tmp_path / "faults.json")
+def use_plan(tmp_path, monkeypatch, faults):
+    """Name a plan in ``REPRO_FAULTS``; workers spawned after this
+    inherit it."""
+    plan = FaultPlan.build(tmp_path / "state", faults)
+    monkeypatch.setenv("REPRO_FAULTS",
+                       plan.to_file(tmp_path / "faults.json"))
 
 
 @pytest.fixture
@@ -116,10 +119,10 @@ def test_warm_sessions_reused_across_jobs(supervisor_factory):
 
 
 def test_crashed_worker_restarts_with_empty_session_pool(
-        tmp_path, supervisor_factory):
-    path = plan_file(tmp_path, {
+        tmp_path, monkeypatch, supervisor_factory):
+    use_plan(tmp_path, monkeypatch, {
         "boom": Fault(kind=CRASH_WORKER, times=1)})
-    supervisor = supervisor_factory(workers=1, fault_plan=path)
+    supervisor = supervisor_factory(workers=1)
 
     # Warm the pool first so the restart demonstrably clears it.
     warm = supervisor.wait(supervisor.submit(request_for("pre")))
@@ -142,11 +145,10 @@ def test_crashed_worker_restarts_with_empty_session_pool(
 
 
 def test_in_flight_retried_exactly_once_then_failed_cleanly(
-        tmp_path, supervisor_factory):
-    path = plan_file(tmp_path, {
+        tmp_path, monkeypatch, supervisor_factory):
+    use_plan(tmp_path, monkeypatch, {
         "stubborn": Fault(kind=CRASH_WORKER, times=5)})
-    supervisor = supervisor_factory(workers=1, fault_plan=path,
-                                    retry_limit=1)
+    supervisor = supervisor_factory(workers=1, retry_limit=1)
     job = supervisor.wait(supervisor.submit(request_for("stubborn")))
     assert job.failure is not None
     code, message = job.failure
@@ -160,11 +162,11 @@ def test_in_flight_retried_exactly_once_then_failed_cleanly(
 
 
 def test_three_consecutive_crashes_do_not_wedge_the_service(
-        tmp_path, supervisor_factory):
-    path = plan_file(tmp_path, {
+        tmp_path, monkeypatch, supervisor_factory):
+    use_plan(tmp_path, monkeypatch, {
         f"boom{i}": Fault(kind=CRASH_WORKER, times=1)
         for i in range(3)})
-    supervisor = supervisor_factory(workers=1, fault_plan=path)
+    supervisor = supervisor_factory(workers=1)
     for i in range(3):
         job = supervisor.wait(supervisor.submit(request_for(f"boom{i}")))
         assert job.failure is None, job.failure
@@ -175,12 +177,11 @@ def test_three_consecutive_crashes_do_not_wedge_the_service(
     assert final.attempts == 1
 
 
-def test_hung_worker_killed_and_job_retried(tmp_path,
+def test_hung_worker_killed_and_job_retried(tmp_path, monkeypatch,
                                             supervisor_factory):
-    path = plan_file(tmp_path, {
+    use_plan(tmp_path, monkeypatch, {
         "sleepy": Fault(kind=HANG_WORKER, times=1, sleep_seconds=60.0)})
-    supervisor = supervisor_factory(workers=1, fault_plan=path,
-                                    hang_grace=0.3)
+    supervisor = supervisor_factory(workers=1, hang_grace=0.3)
     started = time.monotonic()
     job = supervisor.wait(supervisor.submit(
         request_for("sleepy", deadline_seconds=1.0)))
@@ -191,12 +192,11 @@ def test_hung_worker_killed_and_job_retried(tmp_path,
     assert supervisor.healthz()["restarts"] == 1
 
 
-def test_queue_limit_sheds_with_retry_after(tmp_path,
+def test_queue_limit_sheds_with_retry_after(tmp_path, monkeypatch,
                                             supervisor_factory):
-    path = plan_file(tmp_path, {
+    use_plan(tmp_path, monkeypatch, {
         "slow": Fault(kind=HANG_WORKER, times=1, sleep_seconds=3.0)})
-    supervisor = supervisor_factory(workers=1, queue_limit=2,
-                                    fault_plan=path)
+    supervisor = supervisor_factory(workers=1, queue_limit=2)
     blocker = supervisor.submit(request_for("slow"))
     filler = supervisor.submit(request_for("fill"))
     with pytest.raises(QueueFull) as err:
@@ -228,12 +228,11 @@ def test_stop_fails_pending_jobs_cleanly(supervisor_factory):
         assert job.failure is not None or job.result is not None
 
 
-def test_backoff_resets_after_healthy_interval(tmp_path,
+def test_backoff_resets_after_healthy_interval(tmp_path, monkeypatch,
                                                supervisor_factory):
-    path = plan_file(tmp_path, {
+    use_plan(tmp_path, monkeypatch, {
         "boom": Fault(kind=CRASH_WORKER, times=1)})
-    supervisor = supervisor_factory(workers=1, fault_plan=path,
-                                    healthy_reset=0.3)
+    supervisor = supervisor_factory(workers=1, healthy_reset=0.3)
     job = supervisor.wait(supervisor.submit(request_for("boom")))
     assert job.failure is None
     handle = supervisor._workers[0]
@@ -254,11 +253,10 @@ def test_backoff_resets_after_healthy_interval(tmp_path,
 
 
 def test_backoff_level_untouched_before_healthy_interval(
-        tmp_path, supervisor_factory):
-    path = plan_file(tmp_path, {
+        tmp_path, monkeypatch, supervisor_factory):
+    use_plan(tmp_path, monkeypatch, {
         "boom": Fault(kind=CRASH_WORKER, times=1)})
-    supervisor = supervisor_factory(workers=1, fault_plan=path,
-                                    healthy_reset=3600.0)
+    supervisor = supervisor_factory(workers=1, healthy_reset=3600.0)
     job = supervisor.wait(supervisor.submit(request_for("boom")))
     assert job.failure is None
     handle = supervisor._workers[0]

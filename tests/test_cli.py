@@ -61,6 +61,15 @@ class TestAnalyze:
         assert "UFDI attack on state(s) [3]" in out
 
 
+class TestMaximize:
+    def test_smt_maximize_keeps_one_warm_encoding(self, capsys):
+        import json
+        assert main(["maximize", "--case", "5bus-study1", "--json"]) == 0
+        result = json.loads(capsys.readouterr().out)
+        assert result["encodings_built"] == 1
+        assert result["warm_solves"] > 0
+
+
 class TestFuzz:
     def test_seeded_run_examines_every_mutant(self, capsys):
         assert main(["fuzz", "--iterations", "20", "--seed", "5"]) == 0
