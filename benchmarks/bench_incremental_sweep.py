@@ -1,8 +1,9 @@
 """Warm vs. cold encoding reuse on a Fig. 4-style threshold sweep.
 
 One case, many impact targets — the workload behind the paper's Fig. 4
-time-vs-target curves.  The cold path re-encodes the attack model for
-every target; the warm path (the sweep engine's encoding-group batching)
+time-vs-target curves.  The cold path runs each target as its own
+one-cell unit, on a fresh analyzer that encodes the attack model anew;
+the warm path (the sweep engine's encoding-group batching)
 builds one :class:`~repro.core.encoding.AttackModelEncoding` and
 re-solves each threshold inside a solver ``push()``/``pop()`` scope,
 carrying learned clauses across scenarios.

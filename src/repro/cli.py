@@ -160,13 +160,19 @@ def _fraction_arg(value, flag: str) -> Fraction:
 
 
 def _cli_budget(args):
-    if args.timeout is None and args.max_conflicts is None \
-            and args.max_decisions is None:
+    """The budget of a subcommand's budget flags, None when none is set.
+
+    A flag set to 0 is a budget of 0, not an unset flag; a subcommand
+    without ``--max-pivots`` simply has no pivot limit.
+    """
+    limits = {"wall_seconds": args.timeout,
+              "max_conflicts": args.max_conflicts,
+              "max_decisions": args.max_decisions,
+              "max_pivots": getattr(args, "max_pivots", None)}
+    if all(value is None for value in limits.values()):
         return None
     from repro.smt import SolverBudget
-    return SolverBudget(wall_seconds=args.timeout,
-                        max_conflicts=args.max_conflicts,
-                        max_decisions=args.max_decisions)
+    return SolverBudget(**limits)
 
 
 def _cmd_maximize(args) -> int:
@@ -174,20 +180,17 @@ def _cmd_maximize(args) -> int:
         case = _load_case(args)
     except InputFormatError as exc:
         return _parse_failure(args, exc)
+    from repro.runner.engine import build_analyzer
     from repro.runner.spec import resolve_analyzer
     from repro.search import MaxImpactSearch
 
     kind = resolve_analyzer(args.analyzer, case)
-    if kind == "smt":
-        analyzer = ImpactAnalyzer(case, incremental=True)
-        attrs = {"with_state_infection": args.with_states}
-    else:
-        analyzer = FastImpactAnalyzer(case)
-        attrs = {"with_state_infection": args.with_states,
-                 "seed": args.seed}
+    attrs = {"with_state_infection": args.with_states}
+    if kind == "fast":
+        attrs["seed"] = args.seed
     try:
         search = MaxImpactSearch(
-            analyzer,
+            build_analyzer(case, kind),
             tolerance=_fraction_arg(args.tolerance, "--tolerance"),
             lo=_fraction_arg(args.lo, "--lo"),
             hi_cap=_fraction_arg(args.hi_cap, "--hi-cap"),
@@ -494,16 +497,10 @@ def _cmd_sweep(args) -> int:
     if args.clear_cache and cache_dir:
         removed = ResultCache(cache_dir).clear()
         print(f"cleared {removed} cached result(s) from {cache_dir}")
-    budget = None
-    if args.max_conflicts or args.max_decisions or args.max_pivots:
-        from repro.smt import SolverBudget
-        budget = SolverBudget(max_conflicts=args.max_conflicts,
-                              max_decisions=args.max_decisions,
-                              max_pivots=args.max_pivots)
     engine = SweepEngine(SweepConfig(
         workers=args.workers, task_timeout=args.timeout,
         retries=args.retries, cache_dir=cache_dir,
-        use_cache=cache_dir is not None, budget=budget,
+        use_cache=cache_dir is not None, budget=_cli_budget(args),
         self_check=True if args.self_check else None))
 
     # SIGTERM behaves like SIGINT: every completed cell was checkpointed
@@ -532,21 +529,13 @@ def _cmd_coordinate(args) -> int:
 
     specs = _grid_specs(args)
     cache_dir = None if args.no_cache else args.cache_dir
-    budget_limits = {}
-    if args.timeout is not None:
-        budget_limits["wall_seconds"] = args.timeout
-    if args.max_conflicts is not None:
-        budget_limits["max_conflicts"] = args.max_conflicts
-    if args.max_decisions is not None:
-        budget_limits["max_decisions"] = args.max_decisions
-    if args.max_pivots is not None:
-        budget_limits["max_pivots"] = args.max_pivots
+    budget = _cli_budget(args)
     config = CoordinatorConfig(
         host=args.host, port=args.port, journal_path=args.journal,
         lease_ttl=args.lease_ttl, steal_after=args.steal_after,
         retry_budget=args.retry_budget, unit_cells=args.unit_cells,
         cache_dir=cache_dir, use_cache=cache_dir is not None,
-        budget_limits=budget_limits or None,
+        budget_limits=None if budget is None else budget.to_dict(),
         self_check=True if args.self_check else None)
     coordinator = Coordinator(specs, config, verbose=args.verbose)
     started = time.monotonic()

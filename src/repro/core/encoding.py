@@ -73,10 +73,6 @@ class AttackEncodingConfig:
     require_measurement_alteration: bool = False
     #: operating point must respect line capacities (normal operation).
     enforce_operating_capacities: bool = True
-    #: necessary condition for pure topology attacks: the believed optimum
-    #: can never exceed the current operating cost, so require the current
-    #: cost to be at least this much (the framework passes the threshold).
-    min_operating_cost: Optional[Fraction] = None
     #: include the believed-system dispatch-feasibility block (Eq. 38).
     require_believed_feasibility: bool = True
     epsilon: Fraction = EPSILON
@@ -188,13 +184,6 @@ class AttackModelEncoding:
                 if line.in_service:
                     add(closed_flow(line) <= line.capacity)
                     add(closed_flow(line) >= -line.capacity)
-
-        if cfg.min_operating_cost is not None:
-            cost = linear_sum(gen.cost_beta * self.gen[bus]
-                              for bus, gen in grid.generators.items())
-            alpha = sum((gen.cost_alpha
-                         for gen in grid.generators.values()), Fraction(0))
-            add(cost + alpha >= cfg.min_operating_cost)
 
         # -- topology attack (Eqs. 10-12) -------------------------------------
         for spec in case.line_specs:
@@ -437,11 +426,11 @@ class AttackModelEncoding:
     def add_min_operating_cost(self, threshold: Fraction) -> None:
         """Require the current operating cost to be at least ``threshold``.
 
-        The same necessary condition ``config.min_operating_cost`` bakes
-        in at construction time, but addable after the fact — typically
-        inside a solver ``push()`` scope — so a warm encoding can swap
-        cost thresholds between sweep scenarios without rebuilding the
-        whole model.
+        A necessary condition for pure topology attacks: the believed
+        optimum can never exceed the current operating cost.  Asserted
+        after construction — inside a solver ``push()`` scope — so one
+        encoding can swap cost thresholds between queries without
+        rebuilding the whole model.
         """
         cost = linear_sum(gen.cost_beta * self.gen[bus]
                           for bus, gen in self.grid.generators.items())

@@ -430,9 +430,9 @@ class FastSearchStrategy(SearchStrategy):
         # singular, which used to surface as a numpy LinAlgError.  An
         # inclusion only adds a line to the base topology, which
         # prepare() already required to be connected (the PTDF build
-        # refuses an islanded base), so only exclusions can island.
-        if kind == "exclude" and not self.grid.is_connected(
-                self._believed_topology(kind, line_index)):
+        # refuses an islanded base), so only exclusions can island:
+        # exactly the base topology's bridges.
+        if kind == "exclude" and line_index in self._sf_opf.bridges:
             self._note_islanding(kind, line_index)
             return CandidateEvaluation(
                 kind, line_index, False,

@@ -39,14 +39,15 @@ once in :class:`repro.core.session.AnalysisSession`; the
 :class:`ImpactAnalyzer` facade wires the two together and keeps the
 public surface unchanged.
 
-Incremental mode (``ImpactAnalyzer(case, incremental=True)``): the
-strategy builds the attack encoding *without* a baked-in cost threshold
-and re-solves consecutive queries inside guard-literal ``push()``/
-``pop()`` scopes of the same solver, so a threshold sweep retains the
-clause database, learned clauses and simplex state across scenarios.
-The default (cold) mode rebuilds per query, byte-for-byte identical to
-the pre-refactor encoding — enumeration order, and therefore the exact
-witness vectors reported for the paper's case studies, are preserved.
+One encoding lifecycle: the strategy builds the attack encoding once,
+*without* a cost threshold, and asserts each query's threshold (paper
+Eq. 37's necessary condition on the operating cost) inside a
+guard-literal ``push()``/``pop()`` scope of the same solver, so
+consecutive queries — a threshold sweep, an I* bisection — retain the
+clause database, learned clauses and simplex state.  The encoding is
+rebuilt only when the query changes its shape (state infection,
+topology attacks, certification).  A caller that wants a fresh encoding
+builds a fresh analyzer.
 """
 
 from __future__ import annotations
@@ -103,16 +104,13 @@ class SmtSearchStrategy(SearchStrategy):
 
     kind = "smt"
 
-    def __init__(self, case: CaseDefinition,
-                 incremental: bool = False) -> None:
+    def __init__(self, case: CaseDefinition) -> None:
         self.case = case
-        self.incremental = incremental
         self._base: Optional[DcOpfResult] = None
         self._encoding: Optional[AttackModelEncoding] = None
         #: (with_state_infection, allow_topology_attack, certify) of the
-        #: warm encoding — a mismatch forces a rebuild.
+        #: encoding — a mismatch forces a rebuild.
         self._encoding_key = None
-        self._scope_active = False
         # per-run trace state (reset in begin()).
         self._run_encodings = 0
         self._encode_seconds = 0.0
@@ -148,20 +146,35 @@ class SmtSearchStrategy(SearchStrategy):
         return ImpactQuery(target_increase_percent=percent, **attrs)
 
     def begin(self, query: ImpactQuery, threshold: Fraction) -> None:
+        """Reuse one thresholdless encoding across queries.
+
+        The threshold bound (and every per-run ``block_structure``
+        clause the search adds) lives in a solver ``push()`` scope that
+        the next query pops, so learned clauses and simplex state carry
+        over while per-query constraints don't.
+        """
         self._opf_solves = 0
         self._opf_seconds = 0.0
-        if self.incremental:
-            self._begin_incremental(query, threshold)
+        key = (query.with_state_infection, query.allow_topology_attack,
+               self.session.certify_enabled)
+        if self._encoding_key != key:
+            self._build_encoding(query)
+            self._encoding_key = key
         else:
-            # Fresh encoding per query, with the threshold baked in as a
-            # necessary condition for pure topology attacks: the believed
-            # optimum never exceeds the current operating cost (the
-            # believed system still admits the physical operating point
-            # when the states are untouched), so the current cost must
-            # already exceed the threshold.
-            self._build_encoding(query, None if query.with_state_infection
-                                 else threshold)
+            # Drop the previous query's scope.
+            self._encoding.solver.pop()
+            self._encode_seconds = 0.0
+            self._run_encodings = 0
+            self._warm = True
         solver = self._encoding.solver
+        solver.push()
+        if not query.with_state_infection:
+            # A necessary condition for pure topology attacks: the
+            # believed optimum never exceeds the current operating cost
+            # (the believed system still admits the physical operating
+            # point when the states are untouched), so the current cost
+            # must already reach the threshold.
+            self._encoding.add_min_operating_cost(threshold)
         solver.set_budget(query.budget)
         stats = solver.stats
         self._stats_base = {
@@ -175,45 +188,13 @@ class SmtSearchStrategy(SearchStrategy):
             "simplex_pivots": stats.simplex_pivots,
         }
 
-    def _begin_incremental(self, query: ImpactQuery,
-                           threshold: Fraction) -> None:
-        """Reuse one thresholdless encoding across queries.
-
-        The threshold bound (and every per-run ``block_structure``
-        clause the search adds) lives in a solver ``push()`` scope that
-        the next query pops, so learned clauses and simplex state carry
-        over while per-query constraints don't.
-        """
-        key = (query.with_state_infection, query.allow_topology_attack,
-               self.session.certify_enabled)
-        if self._encoding is None or self._encoding_key != key:
-            self._build_encoding(query, None)
-            self._encoding_key = key
-        else:
-            self._encode_seconds = 0.0
-            self._run_encodings = 0
-            self._warm = True
-        solver = self._encoding.solver
-        if self._scope_active:
-            solver.pop()
-        solver.push()
-        self._scope_active = True
-        if not query.with_state_infection:
-            # Same necessary condition the cold path bakes in, but
-            # scoped so the next query can swap it out.
-            self._encoding.add_min_operating_cost(threshold)
-
-    def _build_encoding(self, query: ImpactQuery,
-                        min_operating_cost: Optional[Fraction]) -> None:
-        """Encode the attack model for ``query``, field for field the
-        pre-refactor construction, so a cold run's enumeration order and
-        reported witnesses stay stable."""
+    def _build_encoding(self, query: ImpactQuery) -> None:
+        """Encode the attack model for ``query``'s shape."""
         config = AttackEncodingConfig(
             include_state_infection=query.with_state_infection,
             require_topology_attack=query.allow_topology_attack,
             forbid_topology_attack=not query.allow_topology_attack,
             require_state_infection=not query.allow_topology_attack,
-            min_operating_cost=min_operating_cost,
         )
         built = time.perf_counter()
         self._encoding = AttackModelEncoding(
@@ -221,7 +202,6 @@ class SmtSearchStrategy(SearchStrategy):
         self._encode_seconds = time.perf_counter() - built
         self._run_encodings = 1
         self._warm = False
-        self._scope_active = False
 
     def search(self, query: ImpactQuery,
                threshold: Fraction) -> SearchOutcome:
@@ -376,7 +356,7 @@ class SmtSearchStrategy(SearchStrategy):
         """Per-run solver statistics.
 
         Cumulative counters are reported as deltas against the
-        ``begin()`` snapshot so a warm (incremental) run describes its
+        ``begin()`` snapshot so a warm run describes its
         own work, not the whole session's; model-size gauges
         (``sat_vars`` …) stay absolute.
         """
@@ -411,14 +391,14 @@ class ImpactAnalyzer:
     """Analyzes one case for stealthy-attack impact on OPF.
 
     A thin facade over :class:`AnalysisSession` +
-    :class:`SmtSearchStrategy`; pass ``incremental=True`` to keep one
-    warm encoding across consecutive :meth:`analyze` calls (threshold
-    sweeps) at the price of witness stability between runs.
+    :class:`SmtSearchStrategy`.  Consecutive :meth:`analyze` calls
+    re-solve one encoding (module docstring), so a SAT witness may
+    depend on the queries asked before it; a fresh analyzer gives a
+    fresh encoding.
     """
 
-    def __init__(self, case: CaseDefinition, preflight: bool = True,
-                 incremental: bool = False) -> None:
-        self._strategy = SmtSearchStrategy(case, incremental=incremental)
+    def __init__(self, case: CaseDefinition, preflight: bool = True) -> None:
+        self._strategy = SmtSearchStrategy(case)
         self.session = AnalysisSession(case, self._strategy,
                                        preflight=preflight)
 
@@ -456,8 +436,8 @@ class ImpactAnalyzer:
         """Bisect to the maximum achievable increase I* on this session.
 
         Convenience wrapper over
-        :class:`repro.search.MaxImpactSearch`; with
-        ``incremental=True`` every probe is a warm re-solve.
+        :class:`repro.search.MaxImpactSearch`; every probe after the
+        first is a warm re-solve of one encoding.
         """
         from repro.search import DEFAULT_TOLERANCE, MaxImpactSearch
         if tolerance is None:

@@ -24,8 +24,8 @@ enumeration.  A strategy implements the narrow
 :class:`SearchStrategy` surface and reports its findings as a
 :class:`SearchOutcome`; everything else happens here, exactly once.
 
-Incremental scenario reuse: a session whose strategy supports it keeps
-its encoded model warm between :meth:`analyze` calls — consecutive
+Incremental scenario reuse: a session keeps its strategy's encoded
+model warm between :meth:`analyze` calls — consecutive
 queries that differ only in the cost threshold (a Fig.-4 style sweep)
 re-solve against the same clause database via the solver's
 guard-literal ``push()``/``pop()`` scopes, retaining learned clauses and

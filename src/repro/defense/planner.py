@@ -31,11 +31,10 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.fast import FastImpactAnalyzer
-from repro.core.framework import ImpactAnalyzer
 from repro.core.results import ImpactReport
 from repro.exceptions import ModelError
 from repro.grid.caseio import CaseDefinition, write_case
+from repro.runner.engine import build_analyzer
 from repro.runner.spec import resolve_analyzer
 from repro.smt.budget import SolverBudget
 from repro.smt.rational import to_fraction
@@ -204,7 +203,6 @@ class DefensePlanner:
                  analyzer: str = "auto",
                  budget: Optional[SolverBudget] = None,
                  self_check: Optional[bool] = None,
-                 incremental: bool = True,
                  **query_attrs) -> None:
         self.case = case
         self.target = to_fraction(
@@ -215,7 +213,6 @@ class DefensePlanner:
         self.analyzer = analyzer
         self.budget = budget
         self.self_check = self_check
-        self.incremental = incremental
         self.query_attrs = dict(query_attrs)
         #: warm analyzers keyed by (case text, analyzer kind).
         self._pool: Dict[Tuple[str, str], Any] = {}
@@ -228,12 +225,7 @@ class DefensePlanner:
         key = (write_case(case), self.analyzer)
         analyzer = self._pool.get(key)
         if analyzer is None:
-            if self.analyzer == "smt":
-                analyzer = ImpactAnalyzer(case,
-                                          incremental=self.incremental)
-            else:
-                analyzer = FastImpactAnalyzer(case)
-            self._pool[key] = analyzer
+            analyzer = self._pool[key] = build_analyzer(case, self.analyzer)
             self.sessions_built += 1
         else:
             self.sessions_reused += 1

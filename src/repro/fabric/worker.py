@@ -11,7 +11,7 @@ code 2 instead of spinning.
 Per leased unit the worker runs the cells through the kernel's
 :func:`~repro.runner.engine.run_unit` — the unit runner the supervised
 sweep and the analysis service use — on its own warm
-:class:`~repro.service.worker.SessionPool`, which per cell
+:class:`~repro.runner.engine.SessionPool`, which per cell
 
 1. serves any cell the shared result cache already has a verified
    answer for (pays off for re-dispatched units whose first copy
@@ -45,12 +45,11 @@ from typing import Any, Dict, List, Optional
 
 from repro.fabric.protocol import FABRIC_PROTOCOL_VERSION
 from repro.runner.cache import ResultCache
-from repro.runner.engine import run_unit
+from repro.runner.engine import SessionPool, run_unit
 from repro.runner.spec import ScenarioSpec
 from repro.runner.trace import ScenarioOutcome
 from repro.service.client import ServiceClient, ServiceError, \
     ServiceUnavailable
-from repro.service.worker import SessionPool
 from repro.testing.faults import (
     CRASH_WORKER,
     HANG_WORKER,

@@ -150,6 +150,55 @@ class Grid:
                     frontier.append(neighbor)
         return len(seen) == self.num_buses
 
+    def bridges(self, line_indices: Iterable[int]) -> FrozenSet[int]:
+        """The lines of ``line_indices`` whose removal islands the grid.
+
+        Equals ``{i for i in line_indices if not self.is_connected(
+        line_indices - {i})}`` in one O(buses + lines) pass: Tarjan's
+        bridge search over line indices, so one of two parallel lines is
+        never a bridge.  When the lines leave the grid disconnected
+        already, every one of them "islands" it.
+        """
+        chosen = set(line_indices)
+        if not self.is_connected(chosen):
+            return frozenset(l.index for l in self.lines if l.index in chosen)
+        incident: Dict[int, List[Line]] = {b.index: [] for b in self.buses}
+        for line in self.lines:
+            if line.index in chosen:
+                incident[line.from_bus].append(line)
+                incident[line.to_bus].append(line)
+        order: Dict[int, int] = {}
+        low: Dict[int, int] = {}
+        found: Set[int] = set()
+        # Iterative DFS frames: (bus, line it was entered by, edges left).
+        stack: List = []
+
+        def enter(bus: int, via: int) -> None:
+            order[bus] = low[bus] = len(order)
+            stack.append((bus, via, iter(incident[bus])))
+
+        for bus in self.buses[:1]:
+            enter(bus.index, 0)
+        while stack:
+            bus, via, edges = stack[-1]
+            for line in edges:
+                if line.index == via:
+                    continue
+                other = line.to_bus if line.from_bus == bus else line.from_bus
+                if other in order:
+                    low[bus] = min(low[bus], order[other])
+                else:
+                    enter(other, line.index)
+                    break
+            else:
+                stack.pop()
+                if stack:
+                    parent = stack[-1][0]
+                    low[parent] = min(low[parent], low[bus])
+                    if low[bus] > order[parent]:
+                        found.add(via)
+        return frozenset(found)
+
     def with_line_statuses(self, in_service: Dict[int, bool]) -> "Grid":
         """A copy of the grid with some lines' service status changed."""
         new_lines = [

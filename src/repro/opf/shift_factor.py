@@ -135,6 +135,8 @@ class ShiftFactorOpf:
         self.backend = resolve_backend(backend, grid.num_buses)
         self.factors = compute_ptdf(grid, self.base_lines,
                                     backend=self.backend)
+        #: base lines whose exclusion islands the grid.
+        self.bridges = grid.bridges(self.base_lines)
         self.gen_buses = sorted(grid.generators)
         generators = [grid.generators[b] for b in self.gen_buses]
         self._cost = np.array([float(g.cost_beta) for g in generators])
@@ -188,9 +190,7 @@ class ShiftFactorOpf:
         if change is None:
             return _ChangeModel(self.grid, flow_gen, lines)
         if change.kind == "exclude":
-            remaining = [i for i in self.base_lines
-                         if i != change.line_index]
-            if not self.grid.is_connected(remaining):
+            if change.line_index in self.bridges:
                 return None
             k = self.factors.row_of(change.line_index)
             column = lodf_column(self.factors, change.line_index)

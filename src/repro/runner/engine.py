@@ -23,9 +23,10 @@ over one kernel defined here:
   independently);
 * every unit, a unit of one cell included, runs through
   :func:`run_unit` — in the serial sweep, in every supervised worker and
-  in the fabric worker — which maps analyzer statuses and escaping
-  exceptions onto outcome statuses in one place and checkpoints each
-  cell as it finishes;
+  in the fabric worker — which takes every analyzer from a
+  :class:`SessionPool`, maps analyzer statuses and escaping exceptions
+  onto outcome statuses in one place and checkpoints each cell as it
+  finishes;
 * :func:`read_through` and :func:`checkpoint` are the only cache
   consumers: a hit is served only after :func:`verify_cached_outcome`,
   and only :attr:`ScenarioOutcome.cacheable` outcomes are admitted.
@@ -58,6 +59,7 @@ from __future__ import annotations
 import os
 import time
 import traceback
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterator, List, Mapping, \
     Optional, Sequence, Tuple
@@ -252,7 +254,7 @@ def _analysis_query(spec: ScenarioSpec, kind: str,
 def _run_max_impact(spec: ScenarioSpec, kind: str, analyzer,
                     budget: Optional[SolverBudget],
                     self_check: Optional[bool]) -> MaxImpactResult:
-    """Bisect the spec's case to I* on the given (warm or cold) analyzer."""
+    """Bisect the spec's case to I* on the given analyzer."""
     search = MaxImpactSearch(
         analyzer,
         tolerance=spec.tolerance_fraction() or DEFAULT_TOLERANCE,
@@ -347,11 +349,54 @@ def plan_units(specs: Sequence[ScenarioSpec], pending: Sequence[int],
     return units
 
 
-def build_analyzer(case, kind: str, warm: bool = False):
-    """The analyzer a resolved case runs on (warm = incremental SMT)."""
+def build_analyzer(case, kind: str):
+    """A fresh analyzer of *kind* (``"smt"`` or ``"fast"``) for a
+    resolved case."""
     if kind == "smt":
-        return ImpactAnalyzer(case, incremental=warm)
+        return ImpactAnalyzer(case)
     return FastImpactAnalyzer(case)
+
+
+class SessionPool:
+    """LRU pool of warm analyzers keyed by encoding group.
+
+    The one analyzer source of :func:`run_unit`: a key is a
+    :meth:`~repro.runner.spec.ScenarioSpec.encoding_group`, so every
+    cell of one (case, analyzer, state-infection) encoding re-solves on
+    the same analyzer, and cells of different groups never share one.
+    """
+
+    def __init__(self, limit: int = 8) -> None:
+        if limit < 1:
+            raise ValueError("session pool limit must be >= 1")
+        self.limit = limit
+        self._sessions: "OrderedDict[str, Any]" = OrderedDict()
+        self.hits = 0
+        self.misses = 0
+        self.evictions = 0
+
+    def acquire(self, key: str, case, kind: str):
+        """The warm analyzer for *key*, building it on first use."""
+        analyzer = self._sessions.get(key)
+        if analyzer is not None:
+            self._sessions.move_to_end(key)
+            self.hits += 1
+            return analyzer
+        self.misses += 1
+        analyzer = self._sessions[key] = build_analyzer(case, kind)
+        while len(self._sessions) > self.limit:
+            self._sessions.popitem(last=False)
+            self.evictions += 1
+        return analyzer
+
+    def invalidate(self, key: str) -> None:
+        """Drop a session whose solver state is no longer trusted."""
+        self._sessions.pop(key, None)
+
+    def stats(self) -> Dict[str, Any]:
+        return {"sessions": len(self._sessions), "session_hits": self.hits,
+                "session_misses": self.misses,
+                "session_evictions": self.evictions}
 
 
 def execute_with_analyzer(spec: ScenarioSpec, fingerprint: str,
@@ -392,7 +437,8 @@ def run_unit(specs: Sequence[ScenarioSpec],
              cache: Optional[ResultCache] = None,
              budget_limits: Optional[Dict[str, Any]] = None,
              self_check: Optional[bool] = None,
-             sessions=None) -> Iterator[ScenarioOutcome]:
+             sessions: Optional[SessionPool] = None
+             ) -> Iterator[ScenarioOutcome]:
     """Run one execution unit, yielding each outcome as it finishes.
 
     The one unit runner of every front end: the serial sweep, the
@@ -406,22 +452,20 @@ def run_unit(specs: Sequence[ScenarioSpec],
        parse becomes a rejection, and the fingerprint is always the one
        of the spec actually analysed); with them, the caller's are
        trusted.  A verified cache hit (:func:`read_through`) is served;
-    3. takes an analyzer — from ``sessions`` (a
-       :class:`~repro.service.worker.SessionPool`, keyed by encoding
-       group) when given, else one built for the unit: warm when the
-       unit has more than one cell or the cell is a maximize search
-       (which re-solves one encoding at many thresholds), so a single
-       decision cell stays on the cold single-shot path;
+    3. takes the analyzer of the cell's encoding group from
+       ``sessions`` (a :class:`SessionPool`): the caller's, so warmth
+       outlives the call, or else one created for this call;
     4. runs :func:`execute_with_analyzer` and checkpoints the outcome
        the moment it finishes, so an interrupt loses only the cell in
        flight.
 
-    Verdicts are deterministic either way; SAT *witness vectors* may
-    depend on the warm solver's accumulated learned clauses (any model
-    is valid, and certified mode re-checks each one independently).
+    Verdicts are deterministic; SAT *witness vectors* may depend on the
+    warm solver's accumulated learned clauses (any model is valid, and
+    certified mode re-checks each one independently).
     """
     certify = self_check_default(self_check)
-    analyzer = None
+    if sessions is None:
+        sessions = SessionPool()
     for position, spec in enumerate(specs):
         started = time.perf_counter()
         budget = SolverBudget.from_dict(budget_limits) \
@@ -447,13 +491,8 @@ def run_unit(specs: Sequence[ScenarioSpec],
         try:
             case = spec.resolve_case()
             kind = spec.resolved_analyzer(case)
-            if sessions is not None:
-                group = spec.encoding_group(case)
-                analyzer, kind = sessions.acquire(group, case, kind)
-            elif analyzer is None:
-                analyzer = build_analyzer(
-                    case, kind,
-                    warm=len(specs) > 1 or spec.search == "maximize")
+            group = spec.encoding_group(case)
+            analyzer = sessions.acquire(group, case, kind)
         except InputFormatError as exc:
             # A deterministic verdict about the input, not a runtime
             # failure: reject with a structured diagnostic.
@@ -467,12 +506,10 @@ def run_unit(specs: Sequence[ScenarioSpec],
             outcome = execute_with_analyzer(
                 spec, fingerprint, analyzer, kind, budget, self_check,
                 started=started, outcome=outcome)
-        if outcome.status == ERROR:
+        if outcome.status == ERROR and group is not None:
             # The warm solver state may be mid-scope after an arbitrary
             # failure; rebuild for the remaining scenarios.
-            analyzer = None
-            if group is not None:
-                sessions.invalidate(group)
+            sessions.invalidate(group)
         checkpoint(cache, fingerprint, outcome)
         yield outcome
 

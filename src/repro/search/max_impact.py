@@ -8,8 +8,8 @@ satisfiable region is an interval ``[0, I*]`` and the attacker's real
 question — the maximum achievable impact I* — is answered by bisection.
 
 :class:`MaxImpactSearch` runs that bisection through
-:meth:`~repro.core.session.AnalysisSession.solve_at`, so on a warm
-(incremental) session every probe re-solves against the retained clause
+:meth:`~repro.core.session.AnalysisSession.solve_at`, so on one
+session every probe after the first re-solves against the retained clause
 database instead of re-encoding: I* to tolerance epsilon costs
 O(log((hi-lo)/epsilon)) warm re-solves where a linear threshold sweep at
 the same resolution costs (hi-lo)/epsilon.  The mitigation framing is
@@ -166,11 +166,10 @@ class MaxImpactResult:
 
 
 class MaxImpactSearch:
-    """Bisection for I* over one (preferably warm) analysis session.
+    """Bisection for I* over one analysis session.
 
     ``analyzer`` is anything with the facade ``solve_at`` surface —
-    :class:`~repro.core.framework.ImpactAnalyzer` (pass
-    ``incremental=True`` for warm re-solves),
+    :class:`~repro.core.framework.ImpactAnalyzer`,
     :class:`~repro.core.fast.FastImpactAnalyzer`, or a bare
     :class:`~repro.core.session.AnalysisSession`.  The search itself is
     analyzer-agnostic; extra per-query fields (``with_state_infection``,

@@ -45,7 +45,6 @@ from repro.service.supervisor import (
     Supervisor,
 )
 from repro.service.server import ServiceServer
-from repro.service.worker import SessionPool
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -59,7 +58,6 @@ __all__ = [
     "ServiceRequest",
     "ServiceServer",
     "ServiceUnavailable",
-    "SessionPool",
     "Supervisor",
     "parse_request",
 ]

@@ -1,10 +1,11 @@
 """The service's worker process: warm session pools + cache read-through.
 
-One worker owns a :class:`SessionPool` of warm analyzers keyed by
-:meth:`~repro.runner.spec.ScenarioSpec.encoding_group` fingerprints —
-the same grouping the sweep engine batches warm units by, so repeated
-requests against one (case, analyzer, state-infection) encoding re-solve
-incrementally inside solver scopes instead of re-encoding per request.
+One worker owns a :class:`~repro.runner.engine.SessionPool` of warm
+analyzers keyed by :meth:`~repro.runner.spec.ScenarioSpec.encoding_group`
+fingerprints — the same grouping the sweep engine batches warm units by,
+so repeated requests against one (case, analyzer, state-infection)
+encoding re-solve incrementally inside solver scopes instead of
+re-encoding per request.
 
 A job is a unit of one or more cells (a service request is a unit of
 one; a supervised sweep sends a planned unit), and every cell runs
@@ -34,57 +35,15 @@ import os
 import signal
 import threading
 import time
-from collections import OrderedDict
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
 from repro.runner.cache import ResultCache
-from repro.runner.engine import build_analyzer, outcome_from_exception, \
+from repro.runner.engine import SessionPool, outcome_from_exception, \
     run_unit
 from repro.runner.spec import ScenarioSpec
 from repro.runner.trace import ERROR, ScenarioOutcome
 from repro.smt.budget import SolverBudget
 from repro.testing.faults import FaultPlan, InjectedFault
-
-
-class SessionPool:
-    """LRU pool of warm analyzers keyed by encoding-group fingerprint."""
-
-    def __init__(self, limit: int = 8) -> None:
-        if limit < 1:
-            raise ValueError("session pool limit must be >= 1")
-        self.limit = limit
-        self._sessions: "OrderedDict[str, Tuple[Any, str]]" = \
-            OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def __len__(self) -> int:
-        return len(self._sessions)
-
-    def acquire(self, key: str, case, kind: str) -> Tuple[Any, str]:
-        """The warm (analyzer, kind) for *key*, building on first use."""
-        entry = self._sessions.get(key)
-        if entry is not None:
-            self._sessions.move_to_end(key)
-            self.hits += 1
-            return entry
-        self.misses += 1
-        entry = (build_analyzer(case, kind, warm=True), kind)
-        self._sessions[key] = entry
-        while len(self._sessions) > self.limit:
-            self._sessions.popitem(last=False)
-            self.evictions += 1
-        return entry
-
-    def invalidate(self, key: str) -> None:
-        """Drop a session whose solver state is no longer trusted."""
-        self._sessions.pop(key, None)
-
-    def stats(self) -> Dict[str, Any]:
-        return {"sessions": len(self._sessions), "session_hits": self.hits,
-                "session_misses": self.misses,
-                "session_evictions": self.evictions}
 
 
 class ServiceWorker:

@@ -7,7 +7,7 @@ the shared :class:`~repro.core.session.AnalysisSession` layer, so their
 space contains a witness.  This suite pins that agreement across a
 seeded case library, including the cross-cutting paths the session
 layer owns: budget exhaustion, preflight rejection, run-note
-diagnostics, and warm (incremental) re-solving.
+diagnostics, and warm re-solving.
 """
 
 from fractions import Fraction
@@ -147,13 +147,14 @@ class TestRejectedAgreement:
 
 
 class TestWarmColdEquivalence:
-    """The incremental (warm) SMT path is a pure optimization: verdicts
-    match the cold path at every threshold, and the session trace proves
-    the encoding was built exactly once."""
+    """Reusing one SMT analyzer (warm re-solves) is a pure optimization:
+    verdicts match a fresh analyzer's cold first solve at every
+    threshold, and the session trace proves the reused analyzer built
+    its encoding exactly once."""
 
     def test_threshold_sweep_matches_cold(self):
         case = get_case("5bus-study1")
-        warm = ImpactAnalyzer(case, incremental=True)
+        warm = ImpactAnalyzer(case)
         built = 0
         for target in (1, 2, 3, 4, 5, 6):
             warm_report = warm.solve_at(target)
@@ -187,7 +188,7 @@ class TestSolveAtDefaultTarget:
     def test_none_means_case_default_on_both_paths(self, name):
         case = get_case(name)
         expected = Fraction(case.min_increase_percent)
-        smt = ImpactAnalyzer(case, incremental=True).solve_at(None)
+        smt = ImpactAnalyzer(case).solve_at(None)
         fast = FastImpactAnalyzer(case).solve_at(None)
         for report in (smt, fast):
             assert report.status == "complete"

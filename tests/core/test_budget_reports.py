@@ -198,8 +198,7 @@ class TestNoQuantizedBlocking:
         assert report.verdict_basis == "proved"
 
     def test_max_impact_lower_bound_is_not_quantized(self):
-        analyzer = ImpactAnalyzer(get_case("5bus-study1"),
-                                  incremental=True)
+        analyzer = ImpactAnalyzer(get_case("5bus-study1"))
         result = analyzer.max_impact(tolerance=Fraction(1, 100))
         assert result.lower_bound >= Fraction(281, 64)
 

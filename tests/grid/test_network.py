@@ -1,5 +1,6 @@
 """Tests for the Grid container."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from repro.exceptions import ModelError
 from repro.grid.components import Bus, Generator, Line, Load
 from repro.grid.network import Grid
-from repro.grid.cases import get_case
+from repro.grid.cases import case_names, get_case
 
 
 @pytest.fixture
@@ -86,3 +87,37 @@ class TestTopology:
     def test_with_loads_total_changes(self, five_bus):
         shifted = five_bus.with_loads({2: Fraction(0)})
         assert shifted.total_load() == five_bus.total_load() - Fraction(21, 100)
+
+
+def _islanding_lines(grid, lines):
+    """The brute-force definition of :meth:`Grid.bridges`."""
+    return frozenset(i for i in lines
+                     if not grid.is_connected([j for j in lines if j != i]))
+
+
+class TestBridges:
+    def test_parallel_twin_is_never_a_bridge(self):
+        grid = Grid([Bus(1), Bus(2), Bus(3)],
+                    [Line(1, 1, 2, 1, 1), Line(2, 1, 2, 1, 1),
+                     Line(3, 2, 3, 1, 1)])
+        assert grid.bridges([1, 2, 3]) == {3}
+        assert grid.bridges([1, 3]) == {1, 3}
+
+    def test_disconnected_lines_all_island(self, five_bus):
+        assert five_bus.bridges([1, 3, 4, 6]) == {1, 3, 4, 6}
+
+    @pytest.mark.parametrize("name", case_names())
+    def test_bundled_bridges_match_brute_force(self, name):
+        grid = get_case(name).build_grid()
+        base = [line.index for line in grid.lines if line.in_service]
+        bridges = grid.bridges(base)
+        if len(base) <= 500:
+            assert bridges == _islanding_lines(grid, base)
+            return
+        # The large synthetic cases: every bridge, and a seeded sample
+        # of the other lines, checked by brute force.
+        sample = random.Random(name).sample(
+            [i for i in base if i not in bridges], 100)
+        for i in list(bridges) + sample:
+            remaining = [j for j in base if j != i]
+            assert grid.is_connected(remaining) is (i not in bridges)

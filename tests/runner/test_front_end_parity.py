@@ -10,7 +10,6 @@ cache read-through site must refuse a planted stale entry.
 
 import pytest
 
-import repro.runner.engine as engine_mod
 from repro.exceptions import InputFormatError
 from repro.fabric import Coordinator, CoordinatorConfig, FabricWorker, \
     WorkerConfig
@@ -18,7 +17,7 @@ from repro.grid.caseio import write_case
 from repro.grid.cases import get_case
 from repro.runner import ResultCache, ScenarioSpec, SweepConfig, \
     SweepEngine, execute_scenario
-from repro.runner.engine import build_analyzer
+from repro.runner.engine import SessionPool
 from repro.runner.trace import (
     DEGENERATE_CASE,
     INVALID_INPUT,
@@ -170,19 +169,19 @@ def test_every_read_through_site_rejects_a_stale_entry(tmp_path):
         assert _view(outcome) == _view(genuine)
 
 
-@pytest.mark.parametrize("search, expect_warm", [("decision", False),
-                                                 ("maximize", True)])
-def test_only_maximize_cells_run_warm(search, expect_warm, monkeypatch):
-    # A one-cell decision unit stays on the cold single-shot path (the
-    # exact workload's path); an I* search re-solves one encoding at
-    # many thresholds, so even a single cell runs warm.
-    built = []
+@pytest.mark.parametrize("search", ["decision", "maximize"])
+def test_every_smt_cell_is_served_from_a_pool(search, monkeypatch):
+    # run_unit has one analyzer source, a SessionPool (the caller's or
+    # one made for the call): a one-cell decision encodes once and
+    # solves cold, and an I* search re-solves that one encoding.
+    served = []
+    acquire = SessionPool.acquire
 
-    def spy(case, kind, warm=False):
-        built.append(warm)
-        return build_analyzer(case, kind, warm=warm)
+    def spy(pool, key, case, kind):
+        served.append(kind)
+        return acquire(pool, key, case, kind)
 
-    monkeypatch.setattr(engine_mod, "build_analyzer", spy)
+    monkeypatch.setattr(SessionPool, "acquire", spy)
     spec = ScenarioSpec.build(
         "5bus-study1", analyzer="smt", search=search,
         target=1 if search == "decision" else None,
@@ -190,7 +189,15 @@ def test_only_maximize_cells_run_warm(search, expect_warm, monkeypatch):
     direct = execute_scenario(spec, "fp")
     swept = SweepEngine(SweepConfig(workers=1, use_cache=False)).run(
         [spec]).outcomes[0]
-    assert built == [expect_warm, expect_warm]
+    assert served == ["smt", "smt"]
     for outcome in (direct, swept):
         assert outcome.status == OK
-        assert outcome.trace["session"]["warm"] is expect_warm
+        session = outcome.trace["session"]
+        if search == "decision":
+            assert session["encodings_built"] == 1
+            assert session["warm"] is False
+        else:
+            bisection = session["search"]
+            assert bisection["encodings_built"] == 1
+            assert bisection["warm_solves"] == \
+                bisection["solve_at_calls"] - 1

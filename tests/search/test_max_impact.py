@@ -1,10 +1,11 @@
 """MaxImpactSearch: exact bisection to the maximum achievable impact.
 
-Pins the tentpole guarantees: warm and cold SMT agree with the fast
-path on I* (within tolerance), the warm path does its O(log) probing on
-*one* encoding, the reported I* never disagrees with a subsequent
-``solve_at`` decision query (Fraction-exact arithmetic), and budget
-exhaustion yields a partial bracket instead of a wrong answer.
+Pins the search's guarantees: one reused SMT analyzer, a fresh SMT
+analyzer per probe and the fast path agree on I* (within tolerance), the
+reused analyzer does its O(log) probing on *one* encoding, the reported
+I* never disagrees with a subsequent ``solve_at`` decision query
+(Fraction-exact arithmetic), and budget exhaustion yields a partial
+bracket instead of a wrong answer.
 """
 
 import math
@@ -26,15 +27,27 @@ def _bisect(analyzer, **kwargs):
     return MaxImpactSearch(analyzer, **kwargs).run()
 
 
+class _FreshPerProbe:
+    """The ``solve_at`` surface on a fresh analyzer (a new encoding) for
+    every probe."""
+
+    def __init__(self, case):
+        self.case = case
+
+    def solve_at(self, percent, **attrs):
+        return ImpactAnalyzer(self.case).solve_at(percent, **attrs)
+
+
 class TestFiveBusParity:
-    """Acceptance: same I* via warm-SMT, cold-SMT and fast paths."""
+    """Acceptance: same I* via one reused SMT analyzer ("warm"), a fresh
+    SMT analyzer per probe ("cold") and the fast path."""
 
     @pytest.fixture(scope="class")
     def results(self):
         case = get_case("5bus-study1")
         return {
-            "warm": _bisect(ImpactAnalyzer(case, incremental=True)),
-            "cold": _bisect(ImpactAnalyzer(case)),
+            "warm": _bisect(ImpactAnalyzer(case)),
+            "cold": _bisect(_FreshPerProbe(case)),
             "fast": _bisect(FastImpactAnalyzer(case)),
         }
 
@@ -129,7 +142,7 @@ class TestPropertyRandomizedCases:
     def test_smt_bracket_matches_decisions_one_seed(self):
         from repro.benchlib.scenarios import randomize_attacker
         case = randomize_attacker(get_case("5bus-study1"), 7)
-        result = _bisect(ImpactAnalyzer(case, incremental=True))
+        result = _bisect(ImpactAnalyzer(case))
         assert result.status == "complete"
         fresh = ImpactAnalyzer(case)
         if result.satisfiable:
@@ -157,7 +170,7 @@ class TestBudgetExhaustion:
         decision queries (the bracket is partial, never wrong)."""
         case = get_case("5bus-study1")
         result = MaxImpactSearch(
-            ImpactAnalyzer(case, incremental=True),
+            ImpactAnalyzer(case),
             budget=SolverBudget(wall_seconds=0.5)).run()
         assert result.status in ("budget_exhausted", "complete")
         if result.lower_bound is not None:
@@ -221,7 +234,7 @@ class TestBracketControls:
 class TestCertifiedSearch:
     def test_self_check_certifies_every_probe(self):
         result = MaxImpactSearch(
-            ImpactAnalyzer(get_case("5bus-study2"), incremental=True),
+            ImpactAnalyzer(get_case("5bus-study2")),
             self_check=True).run()
         assert result.status == "complete"
         assert result.certified is True
@@ -243,9 +256,11 @@ class TestCertifiedSearch:
 class TestFacadeConvenience:
     def test_max_impact_methods_agree(self):
         case = get_case("5bus-study1")
-        smt = ImpactAnalyzer(case, incremental=True).max_impact()
+        smt = ImpactAnalyzer(case).max_impact()
         fast = FastImpactAnalyzer(case).max_impact(
             tolerance=Fraction(1, 4))
         assert smt.status == fast.status == "complete"
+        # A plain analyzer bisects on one encoding.
+        assert smt.encodings_built == 1
         assert abs(smt.max_increase_percent
                    - fast.max_increase_percent) <= Fraction(1, 4)

@@ -8,6 +8,10 @@ fallback in the simplex.  A kernel change that moves any of these counts
 changed a branching or pivoting choice: that is a change of behaviour,
 not an optimisation, and needs its own review and a deliberate
 re-recording here.  Every cell runs certified.
+
+The counts are those of the one encoding lifecycle: the threshold is
+asserted inside a solver ``push()`` scope, not built into the encoding,
+and the scope's guard literal takes part in propagation.
 """
 
 from fractions import Fraction
@@ -24,15 +28,15 @@ from repro.smt.certificates import verify_sat
 #: (case, target %, state infection, satisfiable,
 #:  (decisions, conflicts, propagations, simplex pivots))
 SCENARIOS = [
-    ("5bus-study1", 3, False, True, (1392, 22, 2061, 40)),
-    ("5bus-study2", 6, True, True, (1950, 42, 4541, 55)),
-    ("5bus-study2", 40, True, False, (9199, 105, 19207, 95)),
+    ("5bus-study1", 3, False, True, (1392, 22, 2104, 40)),
+    ("5bus-study2", 6, True, True, (1950, 42, 4555, 55)),
+    ("5bus-study2", 40, True, False, (9199, 106, 20013, 95)),
 ]
 
 #: study1-t3 with Bland's rule forced from the first pivot: the
 #: fallback's own search, which no change to the assignment arithmetic
 #: may move.
-BLAND_STUDY1_T3 = (1125, 22, 1780, 58)
+BLAND_STUDY1_T3 = (1125, 22, 1821, 58)
 
 #: Fig. 5(a) on ieee14: threshold / optimum -> (propagations, pivots)
 OPF_CHECKS = [

@@ -141,3 +141,17 @@ class TestSweep:
         assert payload["totals"]["solver_calls"] > 0
         smt = payload["scenarios"][0]["trace"]["smt"]
         assert smt["decisions"] >= 0 and "simplex_pivots" in smt
+
+    @pytest.mark.parametrize("flag", ["--max-decisions", "--max-conflicts",
+                                      "--max-pivots"])
+    def test_zero_budget_is_a_budget(self, flag, tmp_path, capsys):
+        import json
+        code = main(["sweep", "--cases", "5bus-study1",
+                     "--analyzer", "smt", "--targets", "1", "--workers", "1",
+                     "--no-cache", flag, "0",
+                     "--trace", str(tmp_path / "trace.json")])
+        assert code == 1
+        payload = json.loads((tmp_path / "trace.json").read_text())
+        [scenario] = payload["scenarios"]
+        assert scenario["status"] == "unknown"
+        assert "(0) exhausted" in scenario["error"]
