@@ -412,8 +412,7 @@ def _print_sweep_results(sweep, cell_count: int,
              " (disabled)"))
     if totals.get("encodings_built"):
         print(f"encodings      : {totals['encodings_built']} built "
-              f"({totals['encode_seconds']:.3f}s encode); warm "
-              f"scenarios reused them incrementally")
+              f"({totals['encode_seconds']:.3f}s encode)")
     if totals.get("max_impact_cells"):
         print(f"max impact     : {totals['max_impact_cells']} cell(s) "
               f"bisected to I* (bounds in the trace's max_impact "

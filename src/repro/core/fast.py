@@ -34,11 +34,11 @@ LODF/LCDF evaluation — and exploits problem structure:
   each sample against the attacker model by reconstructing the required
   state shift and measurement alterations.
 
-Since the session refactor this module holds only the *search strategy*:
-candidate enumeration and evaluation.  Preflight, budgets, certificate
-bookkeeping, run notes and report assembly live once in
-:class:`repro.core.session.AnalysisSession`; the
-:class:`FastImpactAnalyzer` facade wires the two together.  The PTDF
+This module holds the *search strategy*: candidate enumeration and
+evaluation.  Preflight, budgets, certificate bookkeeping, run notes and
+report assembly live once in :class:`repro.core.session.AnalysisSession`,
+of which :class:`FastImpactAnalyzer` is the subclass that plugs this
+strategy in.  The PTDF
 factorization is inherently per-case, so the fast strategy is "warm"
 from its second query onward — its ``encode_seconds`` is the one-time
 pipeline build.  Reachable ranges and per-candidate maxima do not
@@ -817,68 +817,17 @@ class FastSearchStrategy(SearchStrategy):
         return best
 
 
-class FastImpactAnalyzer:
+class FastImpactAnalyzer(AnalysisSession):
     """Single-line topology-attack impact analysis at IEEE-118 scale.
 
-    A thin facade over :class:`AnalysisSession` +
-    :class:`FastSearchStrategy`; the PTDF pipeline is built once in the
-    constructor and reused across :meth:`analyze` calls.
+    An :class:`AnalysisSession` running :class:`FastSearchStrategy`; the
+    PTDF pipeline is built once in the constructor and reused across
+    :meth:`analyze` calls.
     """
 
     def __init__(self, case: CaseDefinition,
                  preflight: bool = True) -> None:
-        self._strategy = FastSearchStrategy(case)
-        self.session = AnalysisSession(case, self._strategy,
-                                       preflight=preflight)
-
-    @property
-    def case(self) -> CaseDefinition:
-        return self.session.case
-
-    @property
-    def preflight(self):
-        return self.session.preflight
-
-    @property
-    def grid(self):
-        return self.session.grid
-
-    @property
-    def base_cost(self) -> Fraction:
-        return self._strategy.base_cost()
-
-    @property
-    def evaluations(self) -> List[CandidateEvaluation]:
-        return self._strategy.evaluations
-
-    @property
-    def attacker(self) -> Optional[AttackerModel]:
-        return self._strategy.attacker
-
-    @property
-    def base_topology(self) -> List[int]:
-        return self._strategy.base_topology
-
-    @property
-    def _sf_opf(self) -> Optional[ShiftFactorOpf]:
-        return self._strategy._sf_opf
-
-    def threshold_for(self, percent) -> Fraction:
-        return self.session.threshold_for(percent)
+        super().__init__(case, FastSearchStrategy(case), preflight=preflight)
 
     def analyze(self, query: Optional[FastQuery] = None) -> ImpactReport:
-        return self.session.analyze(query or FastQuery())
-
-    def solve_at(self, percent=None, **attrs) -> ImpactReport:
-        """Analyze at a new target percentage, reusing the warm pipeline."""
-        return self.session.solve_at(percent, **attrs)
-
-    def max_impact(self, tolerance=None, **search_kwargs):
-        """Bisect to the maximum achievable increase I* (see
-        :class:`repro.search.MaxImpactSearch`)."""
-        from repro.search import DEFAULT_TOLERANCE, MaxImpactSearch
-        if tolerance is None:
-            tolerance = DEFAULT_TOLERANCE
-        query_attrs = search_kwargs.pop("query_attrs", {})
-        return MaxImpactSearch(self, tolerance=tolerance,
-                               **search_kwargs).run(**query_attrs)
+        return super().analyze(query or FastQuery())

@@ -31,13 +31,12 @@ unvisited vertex reaches the threshold.  ROADMAP item 2 (one KKT query
 per question) removes the step; item 3's exhaustive 5-bus oracle tests
 it meanwhile.
 
-Since the session refactor this module holds only the *search strategy*:
-candidate generation (the SMT attack model), evaluation (exact believed
-OPF), blocking and extremization.  Everything cross-cutting — preflight,
-budgets, certification bookkeeping, run notes, report assembly — lives
-once in :class:`repro.core.session.AnalysisSession`; the
-:class:`ImpactAnalyzer` facade wires the two together and keeps the
-public surface unchanged.
+This module holds the *search strategy*: candidate generation (the SMT
+attack model), evaluation (exact believed OPF), blocking and
+extremization.  Everything cross-cutting — preflight, budgets,
+certification bookkeeping, run notes, report assembly — lives once in
+:class:`repro.core.session.AnalysisSession`, of which
+:class:`ImpactAnalyzer` is the subclass that plugs this strategy in.
 
 One encoding lifecycle: the strategy builds the attack encoding once,
 *without* a cost threshold, and asserts each query's threshold (paper
@@ -387,67 +386,17 @@ class SmtSearchStrategy(SearchStrategy):
                 - self._stats_base["solve_calls"])
 
 
-class ImpactAnalyzer:
+class ImpactAnalyzer(AnalysisSession):
     """Analyzes one case for stealthy-attack impact on OPF.
 
-    A thin facade over :class:`AnalysisSession` +
-    :class:`SmtSearchStrategy`.  Consecutive :meth:`analyze` calls
-    re-solve one encoding (module docstring), so a SAT witness may
-    depend on the queries asked before it; a fresh analyzer gives a
-    fresh encoding.
+    An :class:`AnalysisSession` running :class:`SmtSearchStrategy`.
+    Consecutive :meth:`analyze` calls re-solve one encoding (module
+    docstring), so a SAT witness may depend on the queries asked before
+    it; a fresh analyzer gives a fresh encoding.
     """
 
     def __init__(self, case: CaseDefinition, preflight: bool = True) -> None:
-        self._strategy = SmtSearchStrategy(case)
-        self.session = AnalysisSession(case, self._strategy,
-                                       preflight=preflight)
-
-    @property
-    def case(self) -> CaseDefinition:
-        return self.session.case
-
-    @property
-    def preflight(self):
-        return self.session.preflight
-
-    @property
-    def grid(self):
-        return self.session.grid
-
-    @property
-    def base_result(self) -> DcOpfResult:
-        return self._strategy.base_result
-
-    @property
-    def base_cost(self) -> Fraction:
-        return self._strategy.base_cost()
-
-    def threshold_for(self, percent: Fraction) -> Fraction:
-        return self.session.threshold_for(percent)
+        super().__init__(case, SmtSearchStrategy(case), preflight=preflight)
 
     def analyze(self, query: Optional[ImpactQuery] = None) -> ImpactReport:
-        return self.session.analyze(query or ImpactQuery())
-
-    def solve_at(self, percent=None, **attrs) -> ImpactReport:
-        """Analyze at a new target percentage, reusing warm state."""
-        return self.session.solve_at(percent, **attrs)
-
-    def max_impact(self, tolerance=None, **search_kwargs):
-        """Bisect to the maximum achievable increase I* on this session.
-
-        Convenience wrapper over
-        :class:`repro.search.MaxImpactSearch`; every probe after the
-        first is a warm re-solve of one encoding.
-        """
-        from repro.search import DEFAULT_TOLERANCE, MaxImpactSearch
-        if tolerance is None:
-            tolerance = DEFAULT_TOLERANCE
-        query_attrs = search_kwargs.pop("query_attrs", {})
-        return MaxImpactSearch(self, tolerance=tolerance,
-                               **search_kwargs).run(**query_attrs)
-
-    def _evaluate(self, solution: AttackVectorSolution,
-                  threshold: Fraction,
-                  budget: Optional[SolverBudget] = None
-                  ) -> Tuple[bool, Optional[Fraction]]:
-        return self._strategy._evaluate(solution, threshold, budget)
+        return super().analyze(query or ImpactQuery())

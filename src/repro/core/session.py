@@ -17,12 +17,16 @@ independent of *how* candidates are generated and evaluated:
 * trace emission and every :class:`ImpactReport` shape (success, unsat,
   partial, certificate-error, rejected).
 
-The analyzers are reduced to *search strategies* plugged into a session:
+The analyzers differ only in their *search strategy*:
 :class:`~repro.core.framework.SmtSearchStrategy` runs the full SMT loop,
 :class:`~repro.core.fast.FastSearchStrategy` the single-line LODF/LCDF
 enumeration.  A strategy implements the narrow
 :class:`SearchStrategy` surface and reports its findings as a
 :class:`SearchOutcome`; everything else happens here, exactly once.
+:class:`~repro.core.framework.ImpactAnalyzer` and
+:class:`~repro.core.fast.FastImpactAnalyzer` *are* sessions: each
+subclass only picks its strategy and its default query, and
+strategy-specific state is read from :attr:`AnalysisSession.strategy`.
 
 Incremental scenario reuse: a session keeps its strategy's encoded
 model warm between :meth:`analyze` calls — consecutive
@@ -230,12 +234,14 @@ class AnalysisSession:
         """
         return self._prepare_numeric_warnings > 0
 
+    @property
     def base_cost(self) -> Fraction:
+        """The attack-free optimal cost (may raise :class:`ModelError`)."""
         return self.strategy.base_cost()
 
     def threshold_for(self, percent) -> Fraction:
         """T_OPF = base * (1 + I/100)."""
-        return self.base_cost() * (1 + to_fraction(percent) / 100)
+        return self.base_cost * (1 + to_fraction(percent) / 100)
 
     def note_base_infeasible(self, message: str) -> None:
         """Record the attack-free OPF's infeasibility as a rejection.
@@ -329,6 +335,21 @@ class AnalysisSession:
             percent = self.case.min_increase_percent
         return self.analyze(
             self.strategy.make_query(to_fraction(percent), **attrs))
+
+    def max_impact(self, tolerance=None, **search_kwargs):
+        """Bisect to the maximum achievable increase I* on this session.
+
+        Convenience wrapper over :class:`repro.search.MaxImpactSearch`;
+        every probe goes through :meth:`solve_at`, so on the SMT
+        strategy each probe after the first is a warm re-solve of one
+        encoding.
+        """
+        from repro.search import DEFAULT_TOLERANCE, MaxImpactSearch
+        if tolerance is None:
+            tolerance = DEFAULT_TOLERANCE
+        query_attrs = search_kwargs.pop("query_attrs", {})
+        return MaxImpactSearch(self, tolerance=tolerance,
+                               **search_kwargs).run(**query_attrs)
 
     # ------------------------------------------------------------------
     # Run notes and diagnostics
@@ -537,7 +558,7 @@ class AnalysisSession:
                 and self._best_seen is not None:
             attack, believed = self._best_seen
         return ImpactReport(
-            outcome.satisfiable, self.base_cost(), threshold, percent,
+            outcome.satisfiable, self.base_cost, threshold, percent,
             attack, believed,
             candidates_examined=self.candidates_examined,
             elapsed_seconds=time.perf_counter() - started,
@@ -569,7 +590,7 @@ class AnalysisSession:
         base = Fraction(0)
         if self.grid is not None:
             try:
-                base = self.base_cost()
+                base = self.base_cost
             except (ModelError, NumericalInstability):
                 pass
         return ImpactReport(
@@ -593,7 +614,7 @@ class AnalysisSession:
         """
         self._cert_stats["error"] = message
         return ImpactReport(
-            False, self.base_cost(), threshold, percent,
+            False, self.base_cost, threshold, percent,
             candidates_examined=self.candidates_examined,
             elapsed_seconds=time.perf_counter() - started,
             solver_calls=self.strategy.solver_calls(),

@@ -17,11 +17,11 @@ hand-copied the field list and silently reset a non-default slack bus
 back to bus 1; that bug is why this module exists as the single
 blessed rebuild path.)
 
-Probe economics: :class:`DefensePlanner` keeps one analyzer per
-distinct defended case (keyed by the case's serialized text plus the
-analyzer kind), so re-probing the same variant — the baseline check,
-the full-set check, and every greedy elimination step that lands on an
-already-seen subset — reuses the warm session instead of re-encoding.
+Probe economics: :class:`DefensePlanner` takes its analyzers from a
+:class:`~repro.runner.engine.SessionPool` keyed by the defended case's
+serialized text plus the analyzer kind, so re-probing a variant still
+in the pool reuses the warm session instead of re-encoding.  The pool's
+LRU limit bounds how many analyzers a plan holds at once.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.core.results import ImpactReport
 from repro.exceptions import ModelError
 from repro.grid.caseio import CaseDefinition, write_case
-from repro.runner.engine import build_analyzer
+from repro.runner.engine import SessionPool
 from repro.runner.spec import resolve_analyzer
 from repro.smt.budget import SolverBudget
 from repro.smt.rational import to_fraction
@@ -214,22 +214,10 @@ class DefensePlanner:
         self.budget = budget
         self.self_check = self_check
         self.query_attrs = dict(query_attrs)
-        #: warm analyzers keyed by (case text, analyzer kind).
-        self._pool: Dict[Tuple[str, str], Any] = {}
-        self.sessions_built = 0
-        self.sessions_reused = 0
+        #: warm analyzers keyed by analyzer kind plus case text.
+        self.sessions = SessionPool()
 
     # -- probing -------------------------------------------------------
-
-    def _analyzer_for(self, case: CaseDefinition):
-        key = (write_case(case), self.analyzer)
-        analyzer = self._pool.get(key)
-        if analyzer is None:
-            analyzer = self._pool[key] = build_analyzer(case, self.analyzer)
-            self.sessions_built += 1
-        else:
-            self.sessions_reused += 1
-        return analyzer
 
     def probe(self, case: CaseDefinition) -> ImpactReport:
         """One decision query on a (possibly defended) case variant.
@@ -242,7 +230,9 @@ class DefensePlanner:
             attrs["budget"] = SolverBudget.from_dict(self.budget.to_dict())
         if self.self_check is not None:
             attrs["self_check"] = self.self_check
-        return self._analyzer_for(case).solve_at(self.target, **attrs)
+        analyzer = self.sessions.acquire(
+            f"{self.analyzer}\n{write_case(case)}", case, self.analyzer)
+        return analyzer.solve_at(self.target, **attrs)
 
     def attack_survives(self, case: CaseDefinition) -> Optional[bool]:
         """True/False on a definitive verdict, None when inconclusive."""
@@ -283,8 +273,8 @@ class DefensePlanner:
                 analyzer=self.analyzer,
                 selected=tuple(selected),
                 probes=probes,
-                sessions_built=self.sessions_built,
-                sessions_reused=self.sessions_reused,
+                sessions_built=self.sessions.misses,
+                sessions_reused=self.sessions.hits,
                 elapsed_seconds=time.perf_counter() - started,
                 report=report)
 

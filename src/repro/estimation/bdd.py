@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
-from scipy import stats
 
 from repro.exceptions import ModelError
 from repro.estimation.wls import StateEstimate, WlsEstimator
@@ -48,6 +47,8 @@ class BadDataDetector:
         m = len(estimator.taken)
         n = estimator.grid.num_buses - 1
         self.degrees_of_freedom = max(m - n, 1)
+        # scipy.stats is slow to import and no analysis path needs it.
+        from scipy import stats
         self.threshold = float(stats.chi2.ppf(1 - significance,
                                               self.degrees_of_freedom))
 

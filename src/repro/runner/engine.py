@@ -66,8 +66,8 @@ from typing import Any, Callable, Dict, Iterator, List, Mapping, \
 
 from fractions import Fraction
 
-from repro.core.fast import FastImpactAnalyzer, FastQuery
-from repro.core.framework import ImpactAnalyzer, ImpactQuery
+from repro.core.fast import FastImpactAnalyzer
+from repro.core.framework import ImpactAnalyzer
 from repro.exceptions import BudgetExhausted, CaseFieldError, \
     InputFormatError, NumericalInstability
 from repro.runner.cache import DEFAULT_CACHE_DIR, ResultCache
@@ -237,18 +237,6 @@ def _query_attrs(spec: ScenarioSpec, kind: str,
         attrs["state_samples"] = spec.state_samples
         attrs["seed"] = spec.sample_seed
     return attrs
-
-
-def _analysis_query(spec: ScenarioSpec, kind: str,
-                    budget: Optional[SolverBudget],
-                    self_check: Optional[bool]):
-    """The analyzer query a spec's parameters describe."""
-    attrs = _query_attrs(spec, kind, budget, self_check)
-    if kind == "smt":
-        return ImpactQuery(
-            target_increase_percent=spec.target_fraction(), **attrs)
-    return FastQuery(
-        target_increase_percent=spec.target_fraction(), **attrs)
 
 
 def _run_max_impact(spec: ScenarioSpec, kind: str, analyzer,
@@ -425,8 +413,9 @@ def execute_with_analyzer(spec: ScenarioSpec, fingerprint: str,
             result = _run_max_impact(spec, kind, analyzer, budget,
                                      self_check)
             return _outcome_from_max_result(outcome, result, started)
-        report = analyzer.analyze(
-            _analysis_query(spec, kind, budget, self_check))
+        report = analyzer.solve_at(
+            spec.target_fraction(),
+            **_query_attrs(spec, kind, budget, self_check))
     except Exception as exc:
         return outcome_from_exception(outcome, exc, started)
     return _outcome_from_report(outcome, report, started)

@@ -237,6 +237,13 @@ def deterministic_outcome_view(payload: Dict[str, Any]
     return view
 
 
+def _encodings_built(outcome: ScenarioOutcome) -> int:
+    """Encodings a cell built: a maximize cell's whole search, not
+    only its witness probe."""
+    session = outcome.trace.get("session", {})
+    return session.get("search", session).get("encodings_built", 0)
+
+
 @dataclass
 class SweepTrace:
     """The sweep-level trace: engine metadata plus all outcomes."""
@@ -295,9 +302,8 @@ class SweepTrace:
                                     for o in self.outcomes),
                 "opf_solves": sum(o.trace.get("opf", {}).get("solves", 0)
                                   for o in self.outcomes),
-                "encodings_built": sum(
-                    o.trace.get("session", {}).get("encodings_built", 0)
-                    for o in self.outcomes),
+                "encodings_built": sum(_encodings_built(o)
+                                       for o in self.outcomes),
                 "encode_seconds": sum(
                     o.trace.get("session", {}).get("encode_seconds", 0.0)
                     for o in self.outcomes),

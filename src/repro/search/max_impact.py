@@ -168,13 +168,13 @@ class MaxImpactResult:
 class MaxImpactSearch:
     """Bisection for I* over one analysis session.
 
-    ``analyzer`` is anything with the facade ``solve_at`` surface —
-    :class:`~repro.core.framework.ImpactAnalyzer`,
-    :class:`~repro.core.fast.FastImpactAnalyzer`, or a bare
-    :class:`~repro.core.session.AnalysisSession`.  The search itself is
-    analyzer-agnostic; extra per-query fields (``with_state_infection``,
-    ``state_samples``, ``seed`` ...) pass through
-    :meth:`run`'s keyword arguments.
+    ``analyzer`` is an :class:`~repro.core.session.AnalysisSession` —
+    an :class:`~repro.core.framework.ImpactAnalyzer` or a
+    :class:`~repro.core.fast.FastImpactAnalyzer` — of which only
+    :meth:`~repro.core.session.AnalysisSession.solve_at` is used.  The
+    search itself is analyzer-agnostic; extra per-query fields
+    (``with_state_infection``, ``state_samples``, ``seed`` ...) pass
+    through :meth:`run`'s keyword arguments.
     """
 
     def __init__(self, analyzer, tolerance=DEFAULT_TOLERANCE,

@@ -70,7 +70,7 @@ class TestOneSolvePerFlow:
                                              states):
         analyzer = _analyzer(case, attacker_seed)
         calls = []
-        _spy(analyzer._strategy, "_believed_cost", calls)
+        _spy(analyzer.strategy, "_believed_cost", calls)
         analyzer.analyze(FastQuery(target_increase_percent=Fraction(1, 2),
                                    with_state_infection=states,
                                    state_samples=4))
@@ -83,7 +83,7 @@ class TestOneSolvePerFlow:
         probed flow is still solved exactly once."""
         analyzer = _analyzer("5bus-study1")
         analyzer.analyze(FastQuery())
-        strategy = analyzer._strategy
+        strategy = analyzer.strategy
         calls = []
         _spy(strategy, "_believed_cost", calls)
         before = strategy._sf_opf.solve_calls
@@ -97,7 +97,7 @@ class TestOneSolvePerFlow:
 
     def test_feasible_endpoints_cost_two_solves(self, solve_counter):
         analyzer = _analyzer("ieee30", 2017)
-        strategy = analyzer._strategy
+        strategy = analyzer.strategy
         spans = []
         original = strategy._maximize_over_interval
 
@@ -126,10 +126,10 @@ class TestLoadWindowsFirst:
                                                       attacker_seed):
         analyzer = _analyzer(case, attacker_seed)
         ranged = []
-        _spy(analyzer._strategy, "_reachable_flow_range", ranged)
+        _spy(analyzer.strategy, "_reachable_flow_range", ranged)
         analyzer.analyze(FastQuery(target_increase_percent=Fraction(1)))
         grid = analyzer.grid
-        dropped = [e for e in analyzer.evaluations
+        dropped = [e for e in analyzer.strategy.evaluations
                    if e.reason.endswith("has no load headroom")]
         assert dropped, "no candidate was dropped by a load window"
         assert ranged
@@ -208,7 +208,7 @@ class TestRangeLpsOnlyWhenTheyMatter:
     def test_interval_equals_both_extremes(self, monkeypatch, case,
                                            range_lps, settled_by):
         analyzer = _analyzer(case, 2014)
-        strategy = analyzer._strategy
+        strategy = analyzer.strategy
         lps = []
         counted = fast_module.linprog
 

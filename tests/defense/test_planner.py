@@ -92,7 +92,7 @@ class TestRebuildPreservesEveryField:
         case = _case_with_reference_bus(3)
         base = FastImpactAnalyzer(case)
         defended = FastImpactAnalyzer(with_secured_measurement(case, 7))
-        assert base.session.base_cost() == defended.session.base_cost()
+        assert base.base_cost == defended.base_cost
 
 
 class TestDefaultCandidates:
@@ -152,6 +152,18 @@ class TestPlannerOnCaseStudy:
         assert plan.status == "blocked"
         assert plan.sessions_reused >= 1
         assert plan.sessions_built == 2   # undefended + defended
+
+    def test_pool_bounds_the_analyzers_a_long_plan_holds(self):
+        case = get_case("5bus-study2")
+        candidates = default_candidates(case)
+        assert len(candidates) == 17
+        planner = DefensePlanner(case, target=3)
+        plan = planner.plan(candidates)
+        assert plan.status == "blocked"
+        assert [c.label for c in plan.selected] == ["secure-m18"]
+        # Every probe is a distinct variant; the pool holds at most 8.
+        assert (plan.sessions_built, plan.sessions_reused) == (19, 0)
+        assert planner.sessions.stats()["sessions"] <= 8
 
     def test_budget_exhaustion_is_inconclusive_not_blocked(self):
         planner = DefensePlanner(

@@ -179,7 +179,7 @@ class TestFastWarmMemo:
                 cold = FastImpactAnalyzer(get_case("ieee30"))
                 assert _report_view(warm.analyze(FastQuery(**query))) == \
                     _report_view(cold.analyze(FastQuery(**query)))
-        assert {key[2] for key in warm._strategy._maxima} == {1e-4, 1e-2}
+        assert {key[2] for key in warm.strategy._maxima} == {1e-4, 1e-2}
 
     def test_warned_entry_is_recomputed(self, monkeypatch):
         """A range computed under a numerical warning is not memoised:
@@ -201,7 +201,7 @@ class TestFastWarmMemo:
         query = FastQuery(target_increase_percent=Fraction(2))
         warm = FastImpactAnalyzer(get_case("ieee30"))
         warm.analyze(query)
-        ranges = warm._strategy._ranges
+        ranges = warm.strategy._ranges
         assert warned in computed and warned not in ranges
         assert set(computed) - {warned} <= set(ranges)
 

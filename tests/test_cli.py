@@ -155,3 +155,27 @@ class TestSweep:
         [scenario] = payload["scenarios"]
         assert scenario["status"] == "unknown"
         assert "(0) exhausted" in scenario["error"]
+
+    def test_maximize_totals_count_the_search_encodings(self, tmp_path,
+                                                        capsys):
+        import json
+        code = main(["sweep", "--cases", "5bus-study1",
+                     "--analyzer", "smt", "--workers", "1", "--no-cache",
+                     "--search", "maximize",
+                     "--trace", str(tmp_path / "trace.json")])
+        assert code == 0
+        payload = json.loads((tmp_path / "trace.json").read_text())
+        [scenario] = payload["scenarios"]
+        search = scenario["trace"]["session"]["search"]
+        assert search["encodings_built"] == 1
+        assert payload["totals"]["encodings_built"] == 1
+        assert "encodings      : 1 built" in capsys.readouterr().out
+
+    def test_one_cold_cell_claims_no_reuse(self, tmp_path, capsys):
+        code = main(["sweep", "--cases", "5bus-study1", "--targets", "1",
+                     "--analyzer", "smt", "--workers", "1", "--no-cache",
+                     "--trace", str(tmp_path / "trace.json")])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "encodings      : 1 built" in out
+        assert "reused" not in out
