@@ -15,8 +15,7 @@ from fractions import Fraction
 from typing import Dict, List
 
 from repro.benchlib import combined_spec, randomize_attacker, scenario_seeds
-from repro.core.fast import FastImpactAnalyzer, FastQuery
-from repro.core.framework import ImpactAnalyzer, ImpactQuery
+from repro.core import FastImpactAnalyzer, ImpactAnalyzer, ImpactQuery
 from repro.grid.cases import get_case
 from repro.runner import SweepConfig, SweepEngine, SweepTrace
 
@@ -46,13 +45,9 @@ def combined_analysis(name: str, seed: int, with_state: bool,
                       percent: Fraction):
     """One combined-model run (Fig. 4 workload) at the right fidelity."""
     case = scenario_case(name, seed)
-    if name in SMT_SIZES:
-        analyzer = ImpactAnalyzer(case)
-        return analyzer.analyze(ImpactQuery(
-            target_increase_percent=percent,
-            with_state_infection=with_state))
-    analyzer = FastImpactAnalyzer(case)
-    return analyzer.analyze(FastQuery(
+    analyzer = ImpactAnalyzer(case) if name in SMT_SIZES \
+        else FastImpactAnalyzer(case)
+    return analyzer.analyze(ImpactQuery(
         target_increase_percent=percent,
         with_state_infection=with_state,
         state_samples=8, seed=seed))

@@ -44,8 +44,8 @@ class _FreshPerProbe:
     def __init__(self, case):
         self.case = case
 
-    def solve_at(self, percent, **attrs):
-        return ImpactAnalyzer(self.case).solve_at(percent, **attrs)
+    def solve_at(self, percent, query=None):
+        return ImpactAnalyzer(self.case).solve_at(percent, query)
 
 
 def _linear_sweep(analyzer, step):

@@ -33,12 +33,14 @@ def main() -> None:
     # How far can each attack class push the cost?
     print("\nimpact ceilings I* (bisected to 1/8 percentage point):")
     ceilings = {}
-    for label, attrs in (
-            ("topology attack alone", {"with_state_infection": False}),
-            ("topology + state infection", {"with_state_infection": True}),
-            ("UFDI (state) attack alone", {"with_state_infection": True,
-                                           "allow_topology_attack": False})):
-        result = analyzer.max_impact(query_attrs=attrs)
+    for label, query in (
+            ("topology attack alone", ImpactQuery()),
+            ("topology + state infection",
+             ImpactQuery(with_state_infection=True)),
+            ("UFDI (state) attack alone",
+             ImpactQuery(with_state_infection=True,
+                         allow_topology_attack=False))):
+        result = analyzer.max_impact(query=query)
         ceilings[label] = result
         print(f"  {label:<28} : {float(result.max_increase_percent):.2f}% "
               f"(I* in [{result.lower_bound}, {result.upper_bound}))")

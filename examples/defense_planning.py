@@ -19,6 +19,7 @@ reference bus included — survives the rewrite.
 Run:  python examples/defense_planning.py
 """
 
+from repro.core import ImpactQuery
 from repro.defense import (
     DefensePlanner,
     SecureLineStatus,
@@ -38,7 +39,8 @@ from repro.defense import (          # noqa: F401
 
 def main() -> None:
     base_case = get_case("5bus-study1")
-    planner = DefensePlanner(base_case, target=3)
+    planner = DefensePlanner(base_case,
+                             ImpactQuery(target_increase_percent=3))
 
     survives = planner.attack_survives(base_case)
     print(f"undefended: attack {'succeeds' if survives else 'fails'}")

@@ -12,7 +12,7 @@ Run:  python examples/scalability_sweep.py
 import time
 
 from repro.benchlib import format_series, randomize_attacker
-from repro.core import FastImpactAnalyzer, FastQuery
+from repro.core import FastImpactAnalyzer, ImpactQuery
 from repro.grid.cases import SCALABILITY_SWEEP, get_case
 
 
@@ -22,7 +22,7 @@ def main() -> None:
         case = randomize_attacker(get_case(name), seed=2014)
         started = time.perf_counter()
         analyzer = FastImpactAnalyzer(case)
-        report = analyzer.analyze(FastQuery(target_increase_percent=1))
+        report = analyzer.analyze(ImpactQuery(target_increase_percent=1))
         elapsed = time.perf_counter() - started
         buses = case.num_buses
         timings[buses] = elapsed

@@ -5,7 +5,7 @@ format goes in, the analysis verdict and attack vector come out::
 
     python -m repro analyze --case 5bus-study1
     python -m repro analyze --input my_case.txt --target 5 --with-states
-    python -m repro analyze --case ieee57 --fast
+    python -m repro analyze --case ieee57 --analyzer fast
     python -m repro maximize --case 5bus-study1 --tolerance 1/8
     python -m repro defend --case 5bus-study1 --target 3
     python -m repro opf --case 5bus-study1
@@ -24,12 +24,7 @@ import sys
 from fractions import Fraction
 from typing import List, Optional
 
-from repro.core import (
-    FastImpactAnalyzer,
-    FastQuery,
-    ImpactAnalyzer,
-    ImpactQuery,
-)
+from repro.core import ImpactQuery
 from repro.estimation import MeasurementPlan
 from repro.exceptions import InputFormatError, ModelError
 from repro.grid import parse_case
@@ -100,25 +95,23 @@ def _cmd_analyze(args) -> int:
         case = _load_case(args)
     except InputFormatError as exc:
         return _parse_failure(args, exc)
+    from repro.runner.engine import build_analyzer
+    from repro.runner.spec import resolve_analyzer
     target: Optional[Fraction] = None
     if args.target is not None:
         target = Fraction(args.target).limit_denominator(10000)
 
-    self_check = True if args.self_check else None
-    if args.fast:
-        analyzer = FastImpactAnalyzer(case)
-        report = analyzer.analyze(FastQuery(
-            target_increase_percent=target,
-            with_state_infection=args.with_states,
-            seed=args.seed,
-            self_check=self_check))
-    else:
-        analyzer = ImpactAnalyzer(case)
-        report = analyzer.analyze(ImpactQuery(
-            target_increase_percent=target,
-            with_state_infection=args.with_states,
-            verify_with_smt_opf=args.verify_smt,
-            self_check=self_check))
+    query = ImpactQuery(target_increase_percent=target,
+                        with_state_infection=args.with_states,
+                        verify_with_smt_opf=args.verify_smt,
+                        seed=args.seed,
+                        self_check=True if args.self_check else None)
+    analyzer = build_analyzer(case, resolve_analyzer(args.analyzer, case))
+    try:
+        analyzer.strategy.validate_query(query)
+    except ModelError as exc:
+        raise SystemExit(f"analyze: {exc}")
+    report = analyzer.analyze(query)
 
     plan = None
     if not report.is_rejected:
@@ -185,20 +178,18 @@ def _cmd_maximize(args) -> int:
     from repro.search import MaxImpactSearch
 
     kind = resolve_analyzer(args.analyzer, case)
-    attrs = {"with_state_infection": args.with_states}
-    if kind == "fast":
-        attrs["seed"] = args.seed
+    query = ImpactQuery(with_state_infection=args.with_states,
+                        seed=args.seed, budget=_cli_budget(args),
+                        self_check=True if args.self_check else None)
     try:
         search = MaxImpactSearch(
-            build_analyzer(case, kind),
+            build_analyzer(case, kind), query=query,
             tolerance=_fraction_arg(args.tolerance, "--tolerance"),
             lo=_fraction_arg(args.lo, "--lo"),
-            hi_cap=_fraction_arg(args.hi_cap, "--hi-cap"),
-            budget=_cli_budget(args),
-            self_check=True if args.self_check else None)
+            hi_cap=_fraction_arg(args.hi_cap, "--hi-cap"))
     except ModelError as exc:
         raise SystemExit(str(exc))
-    result = search.run(**attrs)
+    result = search.run()
 
     if args.json:
         import json
@@ -260,15 +251,14 @@ def _cmd_defend(args) -> int:
         TightenBudgets,
         default_candidates,
     )
-    from repro.runner.spec import resolve_analyzer
 
-    kind = resolve_analyzer(args.analyzer, case)
-    attrs = {} if kind == "smt" else {"seed": args.seed}
     target = None if args.target is None \
         else _fraction_arg(args.target, "--target")
     planner = DefensePlanner(
-        case, target=target, analyzer=kind, budget=_cli_budget(args),
-        self_check=True if args.self_check else None, **attrs)
+        case, ImpactQuery(target_increase_percent=target, seed=args.seed,
+                          budget=_cli_budget(args),
+                          self_check=True if args.self_check else None),
+        analyzer=args.analyzer)
 
     candidates = []
     for line in args.secure_line or ():
@@ -713,12 +703,15 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--with-states", action="store_true",
                          help="allow UFDI state infection "
                               "(paper Section III-D)")
-    analyze.add_argument("--fast", action="store_true",
-                         help="use the LODF/LCDF fast analyzer "
-                              "(single-line attacks; 30+ bus systems)")
+    analyze.add_argument("--analyzer", choices=("auto", "smt", "fast"),
+                         default="auto",
+                         help="auto picks SMT up to 14 buses, the "
+                              "LODF/LCDF fast analyzer (single-line "
+                              "attacks) above")
     analyze.add_argument("--verify-smt", action="store_true",
                          help="confirm the verdict with the SMT OPF "
-                              "model (paper Eq. 37/38)")
+                              "model (paper Eq. 37/38; SMT analyzer "
+                              "only)")
     analyze.add_argument("--seed", type=int, default=0,
                          help="seed for the fast analyzer's sampling")
     analyze.add_argument("--output", help="write the report to a file "

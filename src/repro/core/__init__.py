@@ -3,6 +3,8 @@ poisoning attacks on Optimal Power Flow.
 
 * :mod:`repro.core.encoding` — SMT encodings of the attack model
   (paper Eqs. 7-29) and the OPF model (Eqs. 30-36),
+* :mod:`repro.core.session` — :class:`ImpactQuery` (the question both
+  analyzers answer) and the analysis lifecycle they share,
 * :mod:`repro.core.framework` — the Fig.-2 verification loop,
 * :mod:`repro.core.fast` — the LODF/LCDF-based scalable analyzer
   (Section IV-A),
@@ -15,13 +17,14 @@ from repro.core.encoding import (
     AttackVectorSolution,
     OpfModelEncoding,
 )
-from repro.core.fast import FastImpactAnalyzer, FastQuery
-from repro.core.framework import ImpactAnalyzer, ImpactQuery
+from repro.core.fast import FastImpactAnalyzer
+from repro.core.framework import ImpactAnalyzer
 from repro.core.results import (
     AnalysisTrace,
     CandidateEvaluation,
     ImpactReport,
 )
+from repro.core.session import ImpactQuery
 
 __all__ = [
     "AnalysisTrace",
@@ -30,7 +33,6 @@ __all__ = [
     "AttackVectorSolution",
     "CandidateEvaluation",
     "FastImpactAnalyzer",
-    "FastQuery",
     "ImpactAnalyzer",
     "ImpactQuery",
     "ImpactReport",

@@ -71,11 +71,8 @@ class AttackEncodingConfig:
     #: degenerate "exclude a zero-flow line" attacks that need no false
     #: data at all.
     require_measurement_alteration: bool = False
-    #: operating point must respect line capacities (normal operation).
-    enforce_operating_capacities: bool = True
     #: include the believed-system dispatch-feasibility block (Eq. 38).
     require_believed_feasibility: bool = True
-    epsilon: Fraction = EPSILON
 
 
 @dataclass
@@ -147,7 +144,6 @@ class AttackModelEncoding:
                       if bus.index != grid.reference_bus}
 
         add = solver.add
-        eps = cfg.epsilon
 
         # -- operating point: the DC power model (Eqs. 7-9) ------------------
         add(self.theta[grid.reference_bus].eq(0))
@@ -179,11 +175,10 @@ class AttackModelEncoding:
         for bus, gen in grid.generators.items():                  # Eq. 6
             add(self.gen[bus] >= gen.p_min)
             add(self.gen[bus] <= gen.p_max)
-        if cfg.enforce_operating_capacities:                      # Eq. 5
-            for line in grid.lines:
-                if line.in_service:
-                    add(closed_flow(line) <= line.capacity)
-                    add(closed_flow(line) >= -line.capacity)
+        for line in grid.lines:                                   # Eq. 5
+            if line.in_service:
+                add(closed_flow(line) <= line.capacity)
+                add(closed_flow(line) >= -line.capacity)
 
         # -- topology attack (Eqs. 10-12) -------------------------------------
         for spec in case.line_specs:
@@ -230,7 +225,7 @@ class AttackModelEncoding:
                                 self.delta_topo[i])))             # Eq. 25
             for bus, cvar in self.c.items():                      # Eq. 26
                 dth = self.dtheta[bus]
-                add(implies(cvar, Or(dth <= -eps, dth >= eps)))
+                add(implies(cvar, Or(dth <= -EPSILON, dth >= EPSILON)))
                 add(implies(Not(cvar), dth.eq(0)))
         else:
             for line in grid.lines:
@@ -252,7 +247,7 @@ class AttackModelEncoding:
             nz = BoolVar(f"nz_{i}")
             self.nz_line[i] = nz
             delta = self.delta_total[i]
-            add(implies(nz, Or(delta <= -eps, delta >= eps)))
+            add(implies(nz, Or(delta <= -EPSILON, delta >= EPSILON)))
             add(implies(Not(nz), delta.eq(0)))
             forward, backward = i, l + i
             for m in (forward, backward):
@@ -272,7 +267,7 @@ class AttackModelEncoding:
             nz = BoolVar(f"nzB_{j}")
             self.nz_bus[j] = nz
             delta = self.delta_bus[j]
-            add(implies(nz, Or(delta <= -eps, delta >= eps)))
+            add(implies(nz, Or(delta <= -EPSILON, delta >= EPSILON)))
             add(implies(Not(nz), delta.eq(0)))
             m = 2 * l + j
             if self.plan.is_taken(m):

@@ -38,7 +38,14 @@ This module holds the *search strategy*: candidate enumeration and
 evaluation.  Preflight, budgets, certificate bookkeeping, run notes and
 report assembly live once in :class:`repro.core.session.AnalysisSession`,
 of which :class:`FastImpactAnalyzer` is the subclass that plugs this
-strategy in.  The PTDF
+strategy in.  It answers the shared
+:class:`~repro.core.session.ImpactQuery` and refuses, with
+:class:`~repro.exceptions.ModelError`, the two fields it cannot honour:
+``allow_topology_attack=False`` (it enumerates topology attacks only)
+and ``verify_with_smt_opf=True`` (it has no SMT OPF model).  Its one
+independent re-solve (:meth:`FastSearchStrategy._independent_opf`)
+serves both the Eq. 37 boundary escalation and the certified recheck.
+The PTDF
 factorization is inherently per-case, so the fast strategy is "warm"
 from its second query onward — its ``encode_seconds`` is the one-time
 pipeline build.  Reachable ranges and per-candidate maxima do not
@@ -50,7 +57,6 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
@@ -63,14 +69,18 @@ from repro.attacks.topology_poisoning import (
     validate_against_attacker,
 )
 from repro.core.results import CandidateEvaluation, ImpactReport
-from repro.core.session import AnalysisSession, SearchOutcome, SearchStrategy
-from repro.exceptions import CertificateError
+from repro.core.session import (
+    AnalysisSession,
+    ImpactQuery,
+    SearchOutcome,
+    SearchStrategy,
+)
+from repro.exceptions import CertificateError, ModelError
 from repro.grid.caseio import CaseDefinition
 from repro.grid.matrices import state_order
 from repro.numerics import collect_diagnostics
-from repro.opf.dcopf import solve_dc_opf
+from repro.opf.dcopf import DcOpfResult, solve_dc_opf
 from repro.opf.shift_factor import ShiftFactorOpf, TopologyChange
-from repro.smt.budget import SolverBudget
 from repro.smt.rational import to_fraction
 
 #: relative tolerance of the certified-mode cost recheck: the fast
@@ -87,37 +97,9 @@ _CERT_LOAD_TOL = 1e-5
 _RANGE_MARGIN = 1e-6
 #: the usable flow interval of a candidate whose range misses its window.
 _EMPTY_RANGE = (np.inf, -np.inf)
-
-
-@dataclass
-class FastQuery:
-    target_increase_percent: Optional[Fraction] = None
-    with_state_infection: bool = False
-    state_samples: int = 24
-    seed: int = 0
-    bisection_tolerance: float = 1e-4
-    #: optional resource budget; checked between candidates (and between
-    #: state-infection samples), so an exhausted run reports the best
-    #: attack over the candidates already examined with
-    #: ``status="budget_exhausted"``.
-    budget: Optional[SolverBudget] = None
-    #: certified mode: a SAT answer is re-verified by an *independent*
-    #: exact OPF solve (B-theta formulation, not the PTDF pipeline that
-    #: produced it) plus Eq.-36 load-bound and connectivity checks.  None
-    #: defers to ``REPRO_SELF_CHECK``.  The fast analyzer's "unsat" is a
-    #: bounded single-line search, so there is nothing to certify for it
-    #: beyond "no check failed" — see the report's ``certified`` field.
-    self_check: Optional[bool] = None
-    #: Eq. 37 guard band (percentage points): when the best candidate's
-    #: float cost increase lands within this band of the target, the
-    #: verdict is not trusted to floating point — the believed OPF is
-    #: re-solved on the exact rational path and the threshold comparison
-    #: decided in Fractions (boundary escalation, noted on the report).
-    #: The default is wide enough to cover the ``_CERT_REL_TOL`` slack
-    #: region (1e-6 relative on cost is ~1e-4 percentage points), so a
-    #: threshold replayed from an exact believed cost still escalates
-    #: instead of being decided by the last bits of a float compare.
-    escalation_band: float = 5e-4
+#: how closely (in p.u. of flow) bisection locates the boundary of a
+#: candidate's feasible believed-flow interval.
+BISECTION_TOLERANCE = 1e-4
 
 
 def box_balance_extremes(c: np.ndarray, low: np.ndarray, high: np.ndarray,
@@ -167,11 +149,10 @@ class FastSearchStrategy(SearchStrategy):
         # from, solved on first use (kept like the memos below).
         self._operating_point: Dict = {}
         # Target-independent results kept across queries (see _memoised):
-        # reachable flow ranges per (kind, line) and interval maxima per
-        # (kind, line, bisection tolerance).
+        # reachable flow ranges and interval maxima per (kind, line).
         self._ranges: Dict[Tuple[str, int],
                            Optional[Tuple[float, float]]] = {}
-        self._maxima: Dict[Tuple[str, int, float],
+        self._maxima: Dict[Tuple[str, int],
                            Optional[Tuple[float, Fraction, Dict]]] = {}
 
     @property
@@ -211,16 +192,23 @@ class FastSearchStrategy(SearchStrategy):
     def base_cost(self) -> Fraction:
         return self._base_cost
 
-    def make_query(self, percent: Fraction, **attrs) -> FastQuery:
-        return FastQuery(target_increase_percent=percent, **attrs)
+    def validate_query(self, query: ImpactQuery) -> None:
+        if not query.allow_topology_attack:
+            raise ModelError("the fast analyzer searches single-line "
+                             "topology attacks only; "
+                             "allow_topology_attack=False needs the SMT "
+                             "analyzer")
+        if query.verify_with_smt_opf:
+            raise ModelError("the fast analyzer has no SMT OPF model; "
+                             "verify_with_smt_opf needs the SMT analyzer")
 
-    def begin(self, query: FastQuery, threshold: Fraction) -> None:
+    def begin(self, query: ImpactQuery, threshold: Fraction) -> None:
         self.evaluations = []
         self._analyses += 1
         self._opf_calls_before = self._sf_opf.solve_calls
         self._opf_seconds_before = self._sf_opf.solve_seconds
 
-    def search(self, query: FastQuery,
+    def search(self, query: ImpactQuery,
                threshold: Fraction) -> SearchOutcome:
         session = self.session
         budget = query.budget
@@ -324,16 +312,23 @@ class FastSearchStrategy(SearchStrategy):
         """
         loads = {bus: to_fraction(round(value, 6))
                  for bus, value in best.believed_loads.items()}
-        topology = self._believed_topology(best.kind, best.line_index)
-        method = "exact" if self.grid.num_buses <= 30 else "highs"
-        result = solve_dc_opf(self.grid, loads=loads,
-                              line_indices=topology, method=method)
+        _, result = self._independent_opf(
+            loads, self._believed_topology(best.kind, best.line_index))
         if not result.feasible:
             return None
         satisfiable = result.cost >= threshold \
             or float(result.cost) \
             >= float(threshold) * (1 - _CERT_REL_TOL) - 1e-9
         return bool(satisfiable), to_fraction(result.cost)
+
+    def _independent_opf(self, loads: Dict[int, Fraction],
+                         topology: List[int]) -> Tuple[str, DcOpfResult]:
+        """``(method, result)`` of the believed OPF re-solved off the
+        PTDF pipeline: the B-theta formulation, in exact rationals up to
+        30 buses and with HiGHS beyond."""
+        method = "exact" if self.grid.num_buses <= 30 else "highs"
+        return method, solve_dc_opf(self.grid, loads=loads,
+                                    line_indices=topology, method=method)
 
     # ------------------------------------------------------------------
     # Trace hooks
@@ -387,9 +382,8 @@ class FastSearchStrategy(SearchStrategy):
                 raise CertificateError(
                     f"certified recheck: believed load at bus {bus} "
                     f"violates Eq. 36 bounds")
-        method = "exact" if self.grid.num_buses <= 30 else "highs"
-        result = solve_dc_opf(self.grid, loads=solution.believed_loads,
-                              line_indices=topology, method=method)
+        method, result = self._independent_opf(solution.believed_loads,
+                                               topology)
         if not result.feasible:
             raise CertificateError(
                 "certified recheck: believed OPF is infeasible (Eq. 38)")
@@ -424,7 +418,7 @@ class FastSearchStrategy(SearchStrategy):
         self.session.note_islanding(excluded, included)
 
     def _evaluate_candidate(self, kind: str, line_index: int,
-                            query: FastQuery) -> CandidateEvaluation:
+                            query: ImpactQuery) -> CandidateEvaluation:
         # Post-attack revalidation *before* the PTDF/LODF pipeline: a
         # bridge-line exclusion makes the believed susceptance matrix
         # singular, which used to surface as a numpy LinAlgError.  An
@@ -464,11 +458,9 @@ class FastSearchStrategy(SearchStrategy):
             return CandidateEvaluation(kind, line_index, False,
                                        "believability bounds empty")
 
-        tolerance = query.bisection_tolerance
         best = self._memoised(
-            self._maxima, (kind, line_index, tolerance),
-            lambda: self._maximize_over_interval(kind, line_index, lo, hi,
-                                                 tolerance))
+            self._maxima, (kind, line_index),
+            lambda: self._maximize_over_interval(kind, line_index, lo, hi))
         if best is None:
             return CandidateEvaluation(kind, line_index, False,
                                        "believed OPF never converges")
@@ -657,7 +649,7 @@ class FastSearchStrategy(SearchStrategy):
         return result.cost
 
     def _maximize_over_interval(self, kind: str, line_index: int,
-                                lo: float, hi: float, tolerance: float
+                                lo: float, hi: float
                                 ) -> Optional[Tuple[float, Fraction, Dict]]:
         """Max believed cost over the flow interval (convex => boundary).
 
@@ -689,7 +681,7 @@ class FastSearchStrategy(SearchStrategy):
             if cost(toward) is not None:
                 return toward
             good, bad = anchor, toward
-            while abs(bad - good) > tolerance:
+            while abs(bad - good) > BISECTION_TOLERANCE:
                 mid = 0.5 * (good + bad)
                 if cost(mid) is not None:
                     good = mid
@@ -710,7 +702,7 @@ class FastSearchStrategy(SearchStrategy):
     # ------------------------------------------------------------------
 
     def _state_infection_samples(self, kind: str, line_index: int,
-                                 query: FastQuery
+                                 query: ImpactQuery
                                  ) -> Optional[Tuple[float, Dict, List[int]]]:
         """Seeded boundary samples of the believed-load box.
 
@@ -829,5 +821,8 @@ class FastImpactAnalyzer(AnalysisSession):
                  preflight: bool = True) -> None:
         super().__init__(case, FastSearchStrategy(case), preflight=preflight)
 
-    def analyze(self, query: Optional[FastQuery] = None) -> ImpactReport:
-        return super().analyze(query or FastQuery())
+    # Kept in this class's own namespace: profilers patch
+    # ``FastImpactAnalyzer.analyze`` to time the fast path, and
+    # ``solve_at`` reaches it through ``self.analyze``.
+    def analyze(self, query: Optional[ImpactQuery] = None) -> ImpactReport:
+        return super().analyze(query)

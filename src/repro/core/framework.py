@@ -37,6 +37,9 @@ extremization.  Everything cross-cutting — preflight, budgets,
 certification bookkeeping, run notes, report assembly — lives once in
 :class:`repro.core.session.AnalysisSession`, of which
 :class:`ImpactAnalyzer` is the subclass that plugs this strategy in.
+It answers the shared :class:`~repro.core.session.ImpactQuery`; the
+search samples nothing and decides in exact arithmetic, so the query's
+``state_samples``, ``seed`` and ``escalation_band`` do not apply to it.
 
 One encoding lifecycle: the strategy builds the attack encoding once,
 *without* a cost threshold, and asserts each query's threshold (paper
@@ -52,7 +55,6 @@ builds a fresh analyzer.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
@@ -62,40 +64,16 @@ from repro.core.encoding import (
     AttackVectorSolution,
     OpfModelEncoding,
 )
-from repro.core.results import ImpactReport
-from repro.core.session import AnalysisSession, SearchOutcome, SearchStrategy
+from repro.core.session import (
+    AnalysisSession,
+    ImpactQuery,
+    SearchOutcome,
+    SearchStrategy,
+)
 from repro.exceptions import ModelError
 from repro.grid.caseio import CaseDefinition
 from repro.opf.dcopf import DcOpfResult, solve_dc_opf
 from repro.smt import Not, SolverBudget, maximize, minimize
-
-
-@dataclass
-class ImpactQuery:
-    """What to ask the framework.
-
-    ``target_increase_percent`` defaults to the case's value.  With
-    ``with_state_infection`` the attack model includes the UFDI
-    strengthening (paper Section III-D).
-    """
-
-    target_increase_percent: Optional[Fraction] = None
-    with_state_infection: bool = False
-    #: set False for the paper's "UFDI attacks alone" comparison: the
-    #: topology stays faithful and only state infection is allowed.
-    allow_topology_attack: bool = True
-    verify_with_smt_opf: bool = False
-    #: optional resource budget spanning the whole analysis (SMT search,
-    #: optimizer iterations and exact-OPF pivots) and its only bound.  On
-    #: exhaustion ``analyze`` returns a *partial* report with
-    #: ``status="budget_exhausted"`` instead of raising.
-    budget: Optional[SolverBudget] = None
-    #: certified mode: every SAT model and terminal UNSAT is checked by
-    #: :mod:`repro.smt.certificates` before it is reported.  None (the
-    #: default) defers to the ``REPRO_SELF_CHECK`` environment variable;
-    #: a failed check yields ``status="certificate_error"``, never a
-    #: silently wrong verdict.
-    self_check: Optional[bool] = None
 
 
 class SmtSearchStrategy(SearchStrategy):
@@ -140,9 +118,6 @@ class SmtSearchStrategy(SearchStrategy):
                 and not query.with_state_infection:
             raise ModelError("a query must allow topology attacks, state "
                              "infection, or both")
-
-    def make_query(self, percent: Fraction, **attrs) -> ImpactQuery:
-        return ImpactQuery(target_increase_percent=percent, **attrs)
 
     def begin(self, query: ImpactQuery, threshold: Fraction) -> None:
         """Reuse one thresholdless encoding across queries.
@@ -397,6 +372,3 @@ class ImpactAnalyzer(AnalysisSession):
 
     def __init__(self, case: CaseDefinition, preflight: bool = True) -> None:
         super().__init__(case, SmtSearchStrategy(case), preflight=preflight)
-
-    def analyze(self, query: Optional[ImpactQuery] = None) -> ImpactReport:
-        return super().analyze(query or ImpactQuery())

@@ -25,8 +25,16 @@ enumeration.  A strategy implements the narrow
 :class:`SearchOutcome`; everything else happens here, exactly once.
 :class:`~repro.core.framework.ImpactAnalyzer` and
 :class:`~repro.core.fast.FastImpactAnalyzer` *are* sessions: each
-subclass only picks its strategy and its default query, and
-strategy-specific state is read from :attr:`AnalysisSession.strategy`.
+subclass only picks its strategy, and strategy-specific state is read
+from :attr:`AnalysisSession.strategy`.
+
+Both answer one question object, :class:`ImpactQuery`, defined here
+beside the lifecycle that reads it.  A strategy refuses with
+:class:`ModelError` (:meth:`SearchStrategy.validate_query`) what it
+cannot honour and ignores what it has no use for, so a caller — the
+sweep engine, the CLI, :class:`~repro.search.MaxImpactSearch`,
+:class:`~repro.defense.DefensePlanner` — builds the same query
+whichever analyzer it holds.
 
 Incremental scenario reuse: a session keeps its strategy's encoded
 model warm between :meth:`analyze` calls — consecutive
@@ -43,7 +51,7 @@ encoding) vs ``solve_seconds``, plus ``warm`` and ``encodings_built``.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Any, Dict, Optional, Sequence, Tuple
 
@@ -55,6 +63,7 @@ from repro.exceptions import (
     NumericalInstability,
 )
 from repro.numerics import collect_diagnostics
+from repro.smt.budget import SolverBudget
 from repro.smt.certificates import (
     CheckReport,
     self_check_default,
@@ -76,6 +85,55 @@ _MAX_CERT_EVENTS = 200
 _MAX_ISLANDING_NOTES = 3
 #: cap on the per-run numeric warning / escalation notes recorded.
 _MAX_NUMERIC_NOTES = 3
+
+
+@dataclass
+class ImpactQuery:
+    """The one question both strategies answer (paper Eq. 37): is there
+    a stealthy attack raising the believed OPF cost by at least I%?
+
+    ``target_increase_percent`` defaults to the case's value.  A
+    strategy refuses, with :class:`ModelError` from
+    :meth:`SearchStrategy.validate_query`, a field it cannot honour;
+    fields it has no use for are ignored (the SMT search samples
+    nothing, so it ignores ``state_samples`` and ``seed``, and decides
+    in exact arithmetic, so it ignores ``escalation_band``).
+    """
+
+    target_increase_percent: Optional[Fraction] = None
+    #: allow UFDI state infection (paper Section III-D); the fast
+    #: strategy samples ``state_samples`` seeded vertices of the
+    #: believed-load box instead of searching it.
+    with_state_infection: bool = False
+    #: set False for the paper's "UFDI attacks alone" comparison: the
+    #: topology stays faithful and only state infection is allowed.
+    allow_topology_attack: bool = True
+    #: confirm a successful attack with the paper's SMT OPF model
+    #: (Eqs. 37/38).
+    verify_with_smt_opf: bool = False
+    state_samples: int = 24
+    seed: int = 0
+    #: Eq. 37 guard band (percentage points) of the fast strategy: when
+    #: the best candidate's float cost increase lands within this band
+    #: of the target, the verdict is not trusted to floating point — the
+    #: believed OPF is re-solved on the exact rational path and the
+    #: threshold comparison decided in Fractions (boundary escalation,
+    #: noted on the report).  The default covers the certified recheck's
+    #: 1e-6 relative cost slack (~1e-4 percentage points), so a
+    #: threshold replayed from an exact believed cost still escalates.
+    escalation_band: float = 5e-4
+    #: optional resource budget spanning the whole analysis and its only
+    #: bound.  On exhaustion ``analyze`` returns a *partial* report with
+    #: ``status="budget_exhausted"`` (carrying the best attack examined)
+    #: instead of raising.
+    budget: Optional[SolverBudget] = None
+    #: certified mode: every answer is checked by an independent
+    #: certificate before it is reported (:mod:`repro.smt.certificates`
+    #: for SMT models and proofs, an independent B-theta OPF re-solve
+    #: for a fast-path attack).  None (the default) defers to the
+    #: ``REPRO_SELF_CHECK`` environment variable; a failed check yields
+    #: ``status="certificate_error"``, never a silently wrong verdict.
+    self_check: Optional[bool] = None
 
 
 @dataclass
@@ -123,8 +181,9 @@ class SearchStrategy:
         """The attack-free optimal cost (may raise :class:`ModelError`)."""
         raise NotImplementedError
 
-    def validate_query(self, query) -> None:
-        """Raise :class:`ModelError` for contradictory queries."""
+    def validate_query(self, query: ImpactQuery) -> None:
+        """Raise :class:`ModelError` for a query this strategy cannot
+        honour."""
 
     def begin(self, query, threshold: Fraction) -> None:
         """Per-run setup: (re)encode, wire the budget, reset counters."""
@@ -140,10 +199,6 @@ class SearchStrategy:
         """Post-search cross-check of a successful attack (certified
         mode only).  Strategies that certify inline leave this a no-op;
         raise :class:`CertificateError` to reject the answer."""
-
-    def make_query(self, percent: Fraction, **attrs):
-        """A strategy-appropriate query for :meth:`AnalysisSession.solve_at`."""
-        raise NotImplementedError
 
     # -- trace hooks ----------------------------------------------------
 
@@ -260,8 +315,9 @@ class AnalysisSession:
     # The shared analyze() lifecycle
     # ------------------------------------------------------------------
 
-    def analyze(self, query) -> ImpactReport:
+    def analyze(self, query: Optional[ImpactQuery] = None) -> ImpactReport:
         started = time.perf_counter()
+        query = query or ImpactQuery()
         percent = to_fraction(
             query.target_increase_percent
             if query.target_increase_percent is not None
@@ -321,22 +377,27 @@ class AnalysisSession:
         return self._outcome_report(outcome, query, threshold, percent,
                                     started)
 
-    def solve_at(self, percent=None, **attrs) -> ImpactReport:
-        """Analyze at a new threshold, reusing the warm encoding.
+    def solve_at(self, percent=None,
+                 query: Optional[ImpactQuery] = None) -> ImpactReport:
+        """Analyze ``query`` at the target ``percent``, reusing the warm
+        encoding.
 
-        The incremental entry point for threshold sweeps: builds a
-        strategy-appropriate query for ``percent`` (extra query fields
-        via ``attrs``) and runs :meth:`analyze`, which re-solves against
-        the retained clause database instead of re-encoding.  A ``None``
+        The incremental entry point for threshold sweeps: runs
+        :meth:`analyze` on a copy of ``query`` (default
+        :class:`ImpactQuery`) whose target is ``percent``, which
+        re-solves against the retained clause database instead of
+        re-encoding.  The copy shares the query's budget.  A ``None``
         percent falls back to ``case.min_increase_percent``, exactly as
         the one-shot :meth:`analyze` path does — on every strategy.
         """
         if percent is None:
             percent = self.case.min_increase_percent
-        return self.analyze(
-            self.strategy.make_query(to_fraction(percent), **attrs))
+        return self.analyze(replace(query or ImpactQuery(),
+                                    target_increase_percent=to_fraction(
+                                        percent)))
 
-    def max_impact(self, tolerance=None, **search_kwargs):
+    def max_impact(self, tolerance=None, query: Optional[ImpactQuery] = None,
+                   **search_kwargs):
         """Bisect to the maximum achievable increase I* on this session.
 
         Convenience wrapper over :class:`repro.search.MaxImpactSearch`;
@@ -347,9 +408,8 @@ class AnalysisSession:
         from repro.search import DEFAULT_TOLERANCE, MaxImpactSearch
         if tolerance is None:
             tolerance = DEFAULT_TOLERANCE
-        query_attrs = search_kwargs.pop("query_attrs", {})
-        return MaxImpactSearch(self, tolerance=tolerance,
-                               **search_kwargs).run(**query_attrs)
+        return MaxImpactSearch(self, query=query, tolerance=tolerance,
+                               **search_kwargs).run()
 
     # ------------------------------------------------------------------
     # Run notes and diagnostics

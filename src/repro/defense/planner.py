@@ -17,6 +17,10 @@ hand-copied the field list and silently reset a non-default slack bus
 back to bus 1; that bug is why this module exists as the single
 blessed rebuild path.)
 
+Every probe asks the planner's one
+:class:`~repro.core.session.ImpactQuery` at its target, on a fresh copy
+of the query's budget limits.
+
 Probe economics: :class:`DefensePlanner` takes its analyzers from a
 :class:`~repro.runner.engine.SessionPool` keyed by the defended case's
 serialized text plus the analyzer kind, so re-probing a variant still
@@ -32,6 +36,7 @@ from fractions import Fraction
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.results import ImpactReport
+from repro.core.session import ImpactQuery
 from repro.exceptions import ModelError
 from repro.grid.caseio import CaseDefinition, write_case
 from repro.runner.engine import SessionPool
@@ -199,21 +204,21 @@ class DefensePlanner:
     globally minimum — that would need the full power-set search).
     """
 
-    def __init__(self, case: CaseDefinition, target=None,
-                 analyzer: str = "auto",
-                 budget: Optional[SolverBudget] = None,
-                 self_check: Optional[bool] = None,
-                 **query_attrs) -> None:
+    def __init__(self, case: CaseDefinition,
+                 query: Optional[ImpactQuery] = None,
+                 analyzer: str = "auto") -> None:
         self.case = case
+        #: the question every probe asks of a case variant; its target
+        #: defaults to the undefended case's value.
+        self.query = query or ImpactQuery()
         self.target = to_fraction(
-            target if target is not None else case.min_increase_percent)
+            self.query.target_increase_percent
+            if self.query.target_increase_percent is not None
+            else case.min_increase_percent)
         analyzer = resolve_analyzer(analyzer, case)
         if analyzer not in ("smt", "fast"):
             raise ModelError(f"unknown analyzer kind: {analyzer!r}")
         self.analyzer = analyzer
-        self.budget = budget
-        self.self_check = self_check
-        self.query_attrs = dict(query_attrs)
         #: warm analyzers keyed by analyzer kind plus case text.
         self.sessions = SessionPool()
 
@@ -222,17 +227,16 @@ class DefensePlanner:
     def probe(self, case: CaseDefinition) -> ImpactReport:
         """One decision query on a (possibly defended) case variant.
 
-        Each probe gets a *fresh* budget built from the planner's
-        limits, so a long plan never starves its later probes.
+        Each probe gets a *fresh* budget built from the query's limits,
+        so a long plan never starves its later probes.
         """
-        attrs = dict(self.query_attrs)
-        if self.budget is not None:
-            attrs["budget"] = SolverBudget.from_dict(self.budget.to_dict())
-        if self.self_check is not None:
-            attrs["self_check"] = self.self_check
+        query = self.query
+        if query.budget is not None:
+            query = replace(query, budget=SolverBudget.from_dict(
+                query.budget.to_dict()))
         analyzer = self.sessions.acquire(
             f"{self.analyzer}\n{write_case(case)}", case, self.analyzer)
-        return analyzer.solve_at(self.target, **attrs)
+        return analyzer.solve_at(self.target, query)
 
     def attack_survives(self, case: CaseDefinition) -> Optional[bool]:
         """True/False on a definitive verdict, None when inconclusive."""

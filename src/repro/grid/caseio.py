@@ -33,7 +33,7 @@ programmatic case-construction API used by :mod:`repro.grid.cases`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -129,12 +129,6 @@ class CaseDefinition:
 
     def line_spec(self, index: int) -> LineSpec:
         return self.line_specs[index - 1]
-
-    def with_target_increase(self, percent) -> "CaseDefinition":
-        """A copy with a different attack-impact target."""
-        clone = replace(self)
-        clone.min_increase_percent = to_fraction(percent)
-        return clone
 
 
 # ---------------------------------------------------------------------------

@@ -258,13 +258,6 @@ class SensitivityFactors:
         return self.factorization.updated(
             [(-y, a, a)], operation=f"line-{outaged_line} outage update")
 
-    def closure_update(self, new_line: int) -> UpdatedSolver:
-        """A Sherman–Morrison solver for the base matrix plus one line."""
-        y = float(self.grid.line(new_line).admittance)
-        a = self._reduced_incidence(new_line)
-        return self.factorization.updated(
-            [(y, a, a)], operation=f"line-{new_line} closure update")
-
 
 def _check_admittance_spread(grid: Grid, lines: List[int]) -> None:
     """Guard the admittance dynamic range of the PTDF pipeline.

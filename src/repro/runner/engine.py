@@ -68,6 +68,7 @@ from fractions import Fraction
 
 from repro.core.fast import FastImpactAnalyzer
 from repro.core.framework import ImpactAnalyzer
+from repro.core.session import ImpactQuery
 from repro.exceptions import BudgetExhausted, CaseFieldError, \
     InputFormatError, NumericalInstability
 from repro.runner.cache import DEFAULT_CACHE_DIR, ResultCache
@@ -224,30 +225,14 @@ def _outcome_from_report(outcome: ScenarioOutcome, report,
     return outcome
 
 
-def _query_attrs(spec: ScenarioSpec, kind: str,
-                 budget: Optional[SolverBudget],
-                 self_check: Optional[bool]) -> Dict[str, Any]:
-    """A spec's per-query fields, minus the target percentage."""
-    attrs: Dict[str, Any] = {
-        "with_state_infection": spec.with_state_infection,
-        "budget": budget,
-        "self_check": self_check,
-    }
-    if kind == "fast":
-        attrs["state_samples"] = spec.state_samples
-        attrs["seed"] = spec.sample_seed
-    return attrs
-
-
-def _run_max_impact(spec: ScenarioSpec, kind: str, analyzer,
-                    budget: Optional[SolverBudget],
-                    self_check: Optional[bool]) -> MaxImpactResult:
-    """Bisect the spec's case to I* on the given analyzer."""
-    search = MaxImpactSearch(
-        analyzer,
-        tolerance=spec.tolerance_fraction() or DEFAULT_TOLERANCE,
-        lo=spec.target_fraction() or Fraction(0))
-    return search.run(**_query_attrs(spec, kind, budget, self_check))
+def _query(spec: ScenarioSpec, budget: Optional[SolverBudget],
+           self_check: Optional[bool]) -> ImpactQuery:
+    """A spec's question, minus the target percentage (the decision
+    path and the I* search each set their own)."""
+    return ImpactQuery(with_state_infection=spec.with_state_infection,
+                       state_samples=spec.state_samples,
+                       seed=spec.sample_seed, budget=budget,
+                       self_check=self_check)
 
 
 def _outcome_from_max_result(outcome: ScenarioOutcome,
@@ -287,6 +272,7 @@ def _outcome_from_max_result(outcome: ScenarioOutcome,
             "solve_at_calls": result.solve_at_calls,
             "solver_calls": result.solver_calls,
             "encodings_built": result.encodings_built,
+            "encode_seconds": result.encode_seconds,
             "warm_solves": result.warm_solves,
             "lower_bound": None if result.lower_bound is None
             else str(result.lower_bound),
@@ -388,7 +374,7 @@ class SessionPool:
 
 
 def execute_with_analyzer(spec: ScenarioSpec, fingerprint: str,
-                          analyzer, kind: str,
+                          analyzer,
                           budget: Optional[SolverBudget] = None,
                           self_check: Optional[bool] = None,
                           started: Optional[float] = None,
@@ -409,13 +395,14 @@ def execute_with_analyzer(spec: ScenarioSpec, fingerprint: str,
     try:
         if budget is not None:
             budget.start()
+        query = _query(spec, budget, self_check)
         if spec.search == "maximize":
-            result = _run_max_impact(spec, kind, analyzer, budget,
-                                     self_check)
+            result = MaxImpactSearch(
+                analyzer, query=query,
+                tolerance=spec.tolerance_fraction() or DEFAULT_TOLERANCE,
+                lo=spec.target_fraction() or Fraction(0)).run()
             return _outcome_from_max_result(outcome, result, started)
-        report = analyzer.solve_at(
-            spec.target_fraction(),
-            **_query_attrs(spec, kind, budget, self_check))
+        report = analyzer.solve_at(spec.target_fraction(), query)
     except Exception as exc:
         return outcome_from_exception(outcome, exc, started)
     return _outcome_from_report(outcome, report, started)
@@ -493,7 +480,7 @@ def run_unit(specs: Sequence[ScenarioSpec],
             outcome = outcome_from_exception(outcome, exc, started)
         else:
             outcome = execute_with_analyzer(
-                spec, fingerprint, analyzer, kind, budget, self_check,
+                spec, fingerprint, analyzer, budget, self_check,
                 started=started, outcome=outcome)
         if outcome.status == ERROR and group is not None:
             # The warm solver state may be mid-scope after an arbitrary

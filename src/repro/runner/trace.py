@@ -237,11 +237,11 @@ def deterministic_outcome_view(payload: Dict[str, Any]
     return view
 
 
-def _encodings_built(outcome: ScenarioOutcome) -> int:
-    """Encodings a cell built: a maximize cell's whole search, not
-    only its witness probe."""
+def _encoding_total(outcome: ScenarioOutcome, key: str):
+    """A cell's ``encodings_built`` or ``encode_seconds``: for a
+    maximize cell, its whole search's, not only its witness probe's."""
     session = outcome.trace.get("session", {})
-    return session.get("search", session).get("encodings_built", 0)
+    return session.get("search", session).get(key, 0)
 
 
 @dataclass
@@ -302,11 +302,12 @@ class SweepTrace:
                                     for o in self.outcomes),
                 "opf_solves": sum(o.trace.get("opf", {}).get("solves", 0)
                                   for o in self.outcomes),
-                "encodings_built": sum(_encodings_built(o)
-                                       for o in self.outcomes),
-                "encode_seconds": sum(
-                    o.trace.get("session", {}).get("encode_seconds", 0.0)
+                "encodings_built": sum(
+                    _encoding_total(o, "encodings_built")
                     for o in self.outcomes),
+                "encode_seconds": float(sum(
+                    _encoding_total(o, "encode_seconds")
+                    for o in self.outcomes)),
             },
             "scenarios": [outcome.to_dict()
                           for outcome in self.outcomes],

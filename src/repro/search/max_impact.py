@@ -8,8 +8,9 @@ satisfiable region is an interval ``[0, I*]`` and the attacker's real
 question — the maximum achievable impact I* — is answered by bisection.
 
 :class:`MaxImpactSearch` runs that bisection through
-:meth:`~repro.core.session.AnalysisSession.solve_at`, so on one
-session every probe after the first re-solves against the retained clause
+:meth:`~repro.core.session.AnalysisSession.solve_at`, asking its one
+:class:`~repro.core.session.ImpactQuery` at each probe's target, so on
+one session every probe after the first re-solves against the retained clause
 database instead of re-encoding: I* to tolerance epsilon costs
 O(log((hi-lo)/epsilon)) warm re-solves where a linear threshold sweep at
 the same resolution costs (hi-lo)/epsilon.  The mitigation framing is
@@ -27,7 +28,8 @@ is a proof).  The default bounds and tolerance
 are dyadic rationals, so bisection midpoints stay exactly representable
 as floats and the fast analyzer's float target conversion is lossless.
 
-Resource budgets span the whole search: one
+Resource budgets span the whole search: every probe asks the search's
+one :class:`~repro.core.session.ImpactQuery`, so its
 :class:`~repro.smt.budget.SolverBudget` is shared by every probe
 (counters are cumulative, the deadline is armed once), and on
 exhaustion the search stops with the partial bracket proved so far
@@ -44,8 +46,8 @@ from typing import Any, Dict, List, Optional
 
 from repro.core.encoding import AttackVectorSolution
 from repro.core.results import ImpactReport
+from repro.core.session import ImpactQuery
 from repro.exceptions import ModelError
-from repro.smt.budget import SolverBudget
 from repro.smt.rational import to_fraction
 from repro.validation import ValidationReport
 
@@ -99,6 +101,9 @@ class MaxImpactResult:
     solver_calls: int = 0
     candidates_examined: int = 0
     encodings_built: int = 0
+    #: seconds the probes spent building encodings (kept out of
+    #: :meth:`to_dict`: timings are not part of the search's answer).
+    encode_seconds: float = 0.0
     warm_solves: int = 0
     elapsed_seconds: float = 0.0
     budget_reason: Optional[str] = None
@@ -172,43 +177,37 @@ class MaxImpactSearch:
     an :class:`~repro.core.framework.ImpactAnalyzer` or a
     :class:`~repro.core.fast.FastImpactAnalyzer` — of which only
     :meth:`~repro.core.session.AnalysisSession.solve_at` is used.  The
-    search itself is analyzer-agnostic; extra per-query fields
-    (``with_state_infection``, ``state_samples``, ``seed`` ...) pass
-    through :meth:`run`'s keyword arguments.
+    search itself is analyzer-agnostic: every probe asks ``query`` (an
+    :class:`~repro.core.session.ImpactQuery`, default the plain one)
+    at the probe's target, so the probes share the query's budget.
     """
 
-    def __init__(self, analyzer, tolerance=DEFAULT_TOLERANCE,
-                 lo=Fraction(0), hi=None, hi_cap=DEFAULT_HI_CAP,
-                 budget: Optional[SolverBudget] = None,
-                 self_check: Optional[bool] = None) -> None:
+    def __init__(self, analyzer, query: Optional[ImpactQuery] = None,
+                 tolerance=DEFAULT_TOLERANCE, lo=Fraction(0),
+                 hi_cap=DEFAULT_HI_CAP) -> None:
         self.analyzer = analyzer
+        self.query = query or ImpactQuery()
         self.tolerance = to_fraction(tolerance)
         if self.tolerance <= 0:
             raise ModelError("bisection tolerance must be positive")
         self.lo = to_fraction(lo)
         if self.lo < 0:
             raise ModelError("the impact bracket cannot start below 0%")
-        self.hi = None if hi is None else to_fraction(hi)
-        self.hi_cap = to_fraction(hi_cap) if self.hi is None \
-            else to_fraction(hi)
-        if self.hi is not None and self.hi <= self.lo:
-            raise ModelError("the impact bracket's hi must exceed lo")
+        self.hi_cap = to_fraction(hi_cap)
         if self.hi_cap <= self.lo:
             raise ModelError("hi_cap must exceed the bracket's lo")
-        self.budget = budget
-        self.self_check = self_check
 
     # ------------------------------------------------------------------
     # The search
     # ------------------------------------------------------------------
 
-    def run(self, **query_attrs) -> MaxImpactResult:
+    def run(self) -> MaxImpactResult:
         """Bisect to I*; returns the proved bracket and its witness."""
         started = time.perf_counter()
         self._probes: List[Dict[str, Any]] = []
         self._counters = {"solve_at_calls": 0, "solver_calls": 0,
                           "candidates_examined": 0, "encodings_built": 0,
-                          "warm_solves": 0}
+                          "encode_seconds": 0.0, "warm_solves": 0}
         self._lo: Optional[Fraction] = None    # proved satisfiable
         self._hi: Optional[Fraction] = None    # proved unsatisfiable
         self._sat_report: Optional[ImpactReport] = None
@@ -217,48 +216,35 @@ class MaxImpactSearch:
         self._abort: Optional[ImpactReport] = None
         self._certified_all = True
 
-        attrs = dict(query_attrs)
-        if self.budget is not None:
-            attrs["budget"] = self.budget
-        if self.self_check is not None:
-            attrs["self_check"] = self.self_check
-
         # 1. Anchor: the bracket's low end must be achievable at all.
-        verdict = self._probe(self.lo, attrs)
+        verdict = self._probe(self.lo)
         if verdict is None:
             return self._finish(None, started)
         if not verdict:
             return self._finish(COMPLETE, started)
 
         # 2. Gallop to an unsatisfiable upper bound (doubling steps keep
-        #    every probe dyadic when lo and the step are).  An explicit
-        #    hi skips the gallop; staying satisfiable at the cap ends the
-        #    search with the bracket [cap, None).
-        if self.hi is not None:
-            verdict = self._probe(self.hi, attrs)
+        #    every probe dyadic when lo and the step are); staying
+        #    satisfiable at the cap ends the search with the bracket
+        #    [cap, None).
+        step = Fraction(1)
+        while True:
+            percent = self.lo + step
+            if percent >= self.hi_cap:
+                percent = self.hi_cap
+            verdict = self._probe(percent)
             if verdict is None:
                 return self._finish(None, started)
-            if verdict:
+            if not verdict:
+                break
+            if percent == self.hi_cap:
                 return self._finish(CAPPED, started)
-        else:
-            step = Fraction(1)
-            while True:
-                percent = self.lo + step
-                if percent >= self.hi_cap:
-                    percent = self.hi_cap
-                verdict = self._probe(percent, attrs)
-                if verdict is None:
-                    return self._finish(None, started)
-                if not verdict:
-                    break
-                if percent == self.hi_cap:
-                    return self._finish(CAPPED, started)
-                step *= 2
+            step *= 2
 
         # 3. Bisect the bracket down to the tolerance.
         while self._hi - self._lo > self.tolerance:
             mid = (self._lo + self._hi) / 2
-            if self._probe(mid, attrs) is None:
+            if self._probe(mid) is None:
                 return self._finish(None, started)
         return self._finish(COMPLETE, started)
 
@@ -266,8 +252,7 @@ class MaxImpactSearch:
     # Probe bookkeeping
     # ------------------------------------------------------------------
 
-    def _probe(self, percent: Fraction,
-               attrs: Dict[str, Any]) -> Optional[bool]:
+    def _probe(self, percent: Fraction) -> Optional[bool]:
         """One decision query; None means the search must stop.
 
         A budget-exhausted *satisfiable* answer still carries a valid
@@ -275,7 +260,7 @@ class MaxImpactSearch:
         tightens the lower bound before the search stops; an exhausted
         unsatisfiable answer proves nothing and is discarded.
         """
-        report = self.analyzer.solve_at(percent, **attrs)
+        report = self.analyzer.solve_at(percent, self.query)
         self._last_report = report
         counters = self._counters
         counters["solve_at_calls"] += 1
@@ -284,6 +269,8 @@ class MaxImpactSearch:
         session = report.trace.session if report.trace is not None else {}
         counters["encodings_built"] += int(
             session.get("encodings_built", 0))
+        counters["encode_seconds"] += float(
+            session.get("encode_seconds", 0.0))
         counters["warm_solves"] += 1 if session.get("warm") else 0
         if report.certified is not True:
             self._certified_all = False
@@ -328,9 +315,10 @@ class MaxImpactSearch:
         certified: Optional[bool] = None
         if status == CERTIFICATE_ERROR:
             certified = False
-        elif self.self_check or (self._last_report is not None
-                                 and self._last_report.certified
-                                 is not None):
+        elif self._last_report is not None \
+                and self._last_report.certified is not None:
+            # A report without a verdict (a rejection, a numeric
+            # refusal) was never up for certification.
             certified = self._certified_all
         witness = self._sat_report
         return MaxImpactResult(
@@ -351,6 +339,7 @@ class MaxImpactSearch:
             solver_calls=self._counters["solver_calls"],
             candidates_examined=self._counters["candidates_examined"],
             encodings_built=self._counters["encodings_built"],
+            encode_seconds=self._counters["encode_seconds"],
             warm_solves=self._counters["warm_solves"],
             elapsed_seconds=time.perf_counter() - started,
             budget_reason=budget_reason,

@@ -72,12 +72,6 @@ class SolverBudget:
     def started(self) -> bool:
         return self.wall_seconds is None or self._deadline is not None
 
-    def remaining_seconds(self) -> Optional[float]:
-        """Seconds until the deadline (None without a wall budget)."""
-        if self._deadline is None:
-            return None
-        return self._deadline - time.perf_counter()
-
     def clamped(self, wall_seconds: Optional[float]) -> "SolverBudget":
         """A fresh, unstarted budget with the wall limit tightened.
 

@@ -146,10 +146,6 @@ class DeltaRational:
         """Evaluate at a concrete positive rational value of ``delta``."""
         return self.c + self.k * delta
 
-    @property
-    def is_rational(self) -> bool:
-        return self.k == 0
-
     def __float__(self) -> float:
         # delta is infinitesimal; for display purposes it vanishes.
         return float(self.c)

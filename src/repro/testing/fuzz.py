@@ -359,25 +359,21 @@ def analyze_text(text: str, *, analyzer: str = "fast", **query):
     rejection status, or the analyzer's own non-verdict status; report
     is the analyzer's report, or None when the text did not parse (an
     ``invalid_input``, exactly what the CLI reports).  ``query``
-    overrides fields of the analyzer's query; the fast analyzer samples
-    two attacker states, the SMT analyzer runs under
-    :data:`MUTANT_BUDGET`.  Anything raised past
+    overrides fields of the one query both analyzers are asked, which
+    samples two attacker states (the fast analyzer's) under
+    :data:`MUTANT_BUDGET` (the SMT analyzer's).  Anything raised past
     :class:`InputFormatError` propagates to the caller (and is an
     escape for the fuzz driver).
     """
+    from repro.core import ImpactQuery
+    from repro.runner.engine import build_analyzer
+    from repro.smt import SolverBudget
     try:
         case = parse_case(text, name="fuzz")
     except InputFormatError:
         return INVALID_INPUT, None
-    if analyzer == "fast":
-        from repro.core import FastImpactAnalyzer, FastQuery
-        report = FastImpactAnalyzer(case).analyze(
-            FastQuery(state_samples=2, **query))
-    else:
-        from repro.core import ImpactAnalyzer, ImpactQuery
-        from repro.smt import SolverBudget
-        report = ImpactAnalyzer(case).analyze(
-            ImpactQuery(budget=SolverBudget(**MUTANT_BUDGET), **query))
+    report = build_analyzer(case, analyzer).analyze(ImpactQuery(
+        state_samples=2, budget=SolverBudget(**MUTANT_BUDGET), **query))
     if report.status == "complete":
         return ("sat" if report.satisfiable else "unsat"), report
     return report.status, report

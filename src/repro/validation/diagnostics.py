@@ -83,10 +83,6 @@ class Diagnostic:
         object.__setattr__(self, "components",
                            tuple(str(c) for c in self.components))
 
-    @property
-    def is_fatal(self) -> bool:
-        return self.severity == FATAL
-
     def to_dict(self) -> Dict[str, Any]:
         payload: Dict[str, Any] = {
             "code": self.code,

@@ -16,10 +16,10 @@ import pytest
 
 from repro.core import (
     FastImpactAnalyzer,
-    FastQuery,
     ImpactAnalyzer,
     ImpactQuery,
 )
+from repro.exceptions import ModelError
 from repro.grid.caseio import parse_case, write_case
 from repro.grid.cases import get_case
 from repro.smt.budget import SolverBudget
@@ -38,7 +38,7 @@ CASE_LIBRARY = [
 def _run_both(case, target, **common):
     smt = ImpactAnalyzer(case).analyze(ImpactQuery(
         target_increase_percent=target, **common))
-    fast = FastImpactAnalyzer(case).analyze(FastQuery(
+    fast = FastImpactAnalyzer(case).analyze(ImpactQuery(
         target_increase_percent=target, **common))
     return smt, fast
 
@@ -78,6 +78,37 @@ class TestVerdictAgreement:
             fast.threshold * Fraction(999999, 1000000)
 
 
+class TestOneQueryBothAnalyzers:
+    """Both analyzers are asked the *same* query object, its sampling
+    fields set (the SMT search samples nothing and ignores them)."""
+
+    @pytest.mark.parametrize("target", [1, 3])
+    def test_same_verdict_and_exact_base_cost(self, target):
+        case = get_case("5bus-study1")
+        query = ImpactQuery(target_increase_percent=Fraction(target),
+                            state_samples=4, seed=7)
+        smt = ImpactAnalyzer(case).analyze(query)
+        fast = FastImpactAnalyzer(case).analyze(query)
+        assert smt.status == fast.status == "complete"
+        assert smt.satisfiable == fast.satisfiable
+        # The fast pipeline's HiGHS cost is packed to 9 decimals; the
+        # SMT analyzer's exact rational base cost rounds to it.
+        assert isinstance(smt.base_cost, Fraction)
+        assert round(smt.base_cost, 9) == fast.base_cost
+
+    @pytest.mark.parametrize("fields", [
+        {"allow_topology_attack": False, "with_state_infection": True},
+        {"verify_with_smt_opf": True},
+    ])
+    def test_fast_refuses_what_it_cannot_honour(self, fields):
+        query = ImpactQuery(**fields)
+        with pytest.raises(ModelError):
+            FastImpactAnalyzer(get_case("5bus-study1")).analyze(query)
+        # The SMT analyzer answers the same query.
+        assert ImpactAnalyzer(get_case("5bus-study1")).analyze(
+            query).status == "complete"
+
+
 class TestIslandingRunNotes:
     """Satellite: both code paths emit the *same* run-note codes when a
     candidate islands the believed five-bus topology."""
@@ -109,7 +140,7 @@ class TestBudgetExhaustedAgreement:
         smt = ImpactAnalyzer(case).analyze(ImpactQuery(
             target_increase_percent=3,
             budget=SolverBudget(wall_seconds=1e-9)))
-        fast = FastImpactAnalyzer(case).analyze(FastQuery(
+        fast = FastImpactAnalyzer(case).analyze(ImpactQuery(
             target_increase_percent=3,
             budget=SolverBudget(wall_seconds=1e-9)))
         for report in (smt, fast):
@@ -134,7 +165,7 @@ class TestRejectedAgreement:
         case = self._islanded_case()
         smt = ImpactAnalyzer(case).analyze(ImpactQuery(
             target_increase_percent=3))
-        fast = FastImpactAnalyzer(case).analyze(FastQuery(
+        fast = FastImpactAnalyzer(case).analyze(ImpactQuery(
             target_increase_percent=3))
         for report in (smt, fast):
             assert report.status == "degenerate_case"
@@ -204,7 +235,7 @@ class TestSolveAtDefaultTarget:
         expected = Fraction(case.min_increase_percent)
         implicit = FastImpactAnalyzer(case).solve_at()
         explicit = FastImpactAnalyzer(case).solve_at(expected)
-        oneshot = FastImpactAnalyzer(case).analyze(FastQuery())
+        oneshot = FastImpactAnalyzer(case).analyze(ImpactQuery())
         assert implicit.satisfiable == explicit.satisfiable \
             == oneshot.satisfiable
         assert implicit.threshold == explicit.threshold \

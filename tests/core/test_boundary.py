@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from repro.core.fast import FastImpactAnalyzer, FastQuery
+from repro.core.fast import FastImpactAnalyzer
 from repro.core.framework import ImpactAnalyzer, ImpactQuery
 from repro.grid.cases import get_case
 
@@ -61,7 +61,7 @@ class TestSmtBoundary:
 
 
 def _best_percent(fast_analyzer):
-    baseline = fast_analyzer.analyze(FastQuery(state_samples=4))
+    baseline = fast_analyzer.analyze(ImpactQuery(state_samples=4))
     assert baseline.satisfiable
     values = [e.best_increase_percent
               for e in fast_analyzer.strategy.evaluations
@@ -77,14 +77,14 @@ class TestFastBoundary:
         best = self._best_percent(fast_analyzer)
         # Fraction(float) is exact, so the target round-trips to the
         # float the analyzer compares against — a true boundary hit.
-        report = fast_analyzer.analyze(FastQuery(
+        report = fast_analyzer.analyze(ImpactQuery(
             target_increase_percent=Fraction(best), state_samples=4))
         assert report.satisfiable
         assert report.achieved_increase_percent is not None
 
     def test_just_above_boundary_is_unsat(self, fast_analyzer):
         best = self._best_percent(fast_analyzer)
-        report = fast_analyzer.analyze(FastQuery(
+        report = fast_analyzer.analyze(ImpactQuery(
             target_increase_percent=Fraction(best) + Fraction(1, 1000),
             state_samples=4))
         assert not report.satisfiable
@@ -102,7 +102,7 @@ class TestBoundaryEscalationParity:
 
     def test_boundary_hit_is_escalated(self, fast_analyzer):
         best = _best_percent(fast_analyzer)
-        report = fast_analyzer.analyze(FastQuery(
+        report = fast_analyzer.analyze(ImpactQuery(
             target_increase_percent=Fraction(best), state_samples=4))
         assert report.satisfiable
         assert "numeric.boundary_escalated" in self._codes(report)
@@ -111,8 +111,9 @@ class TestBoundaryEscalationParity:
     def test_warm_and_cold_verdicts_agree_at_boundary(self, fast_analyzer):
         best = _best_percent(fast_analyzer)
         for delta in (Fraction(0), Fraction(1, 1000)):
-            query = FastQuery(target_increase_percent=Fraction(best) + delta,
-                              state_samples=4)
+            query = ImpactQuery(
+                target_increase_percent=Fraction(best) + delta,
+                state_samples=4)
             warm = fast_analyzer.analyze(query)  # session reused
             cold = FastImpactAnalyzer(
                 get_case("5bus-study1")).analyze(query)
@@ -125,7 +126,7 @@ class TestBoundaryEscalationParity:
         # be reachable by the exhaustive exact analyzer too: the exact
         # optimum dominates the fast path's best candidate.
         best = _best_percent(fast_analyzer)
-        fast = fast_analyzer.analyze(FastQuery(
+        fast = fast_analyzer.analyze(ImpactQuery(
             target_increase_percent=Fraction(best), state_samples=4))
         smt = smt_analyzer.analyze(
             ImpactQuery(target_increase_percent=Fraction(best)))
@@ -133,7 +134,7 @@ class TestBoundaryEscalationParity:
 
     def test_far_from_boundary_no_escalation(self, fast_analyzer):
         # A comfortable target on a clean grid decides on floats alone.
-        report = fast_analyzer.analyze(FastQuery(
+        report = fast_analyzer.analyze(ImpactQuery(
             target_increase_percent=1, state_samples=4))
         assert report.satisfiable
         assert report.trace.session["boundary_escalations"] == 0

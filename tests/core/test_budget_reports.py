@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from repro.core.fast import FastImpactAnalyzer, FastQuery
+from repro.core.fast import FastImpactAnalyzer
 from repro.core.framework import ImpactAnalyzer, ImpactQuery
 from repro.exceptions import BudgetExhausted
 from repro.grid.cases import get_case
@@ -111,7 +111,7 @@ class TestFastAnalyzerPartialReports:
     def test_instant_exhaustion_yields_partial_report(self):
         analyzer = FastImpactAnalyzer(get_case("ieee14"))
         budget = SolverBudget(wall_seconds=0.0)
-        report = analyzer.analyze(FastQuery(budget=budget))
+        report = analyzer.analyze(ImpactQuery(budget=budget))
         assert report.status == "budget_exhausted"
         assert "wall-clock" in report.budget_reason
         assert report.candidates_examined == 0
@@ -119,7 +119,7 @@ class TestFastAnalyzerPartialReports:
 
     def test_mid_run_exhaustion_keeps_examined_candidates(self):
         analyzer = FastImpactAnalyzer(get_case("ieee14"))
-        query = FastQuery(budget=_ScriptedBudget(allowed_checks=3))
+        query = ImpactQuery(budget=_ScriptedBudget(allowed_checks=3))
         report = analyzer.analyze(query)
         assert report.status == "budget_exhausted"
         assert report.candidates_examined == 3
@@ -127,9 +127,9 @@ class TestFastAnalyzerPartialReports:
 
     def test_generous_budget_complete(self):
         analyzer = FastImpactAnalyzer(get_case("ieee14"))
-        plain = analyzer.analyze(FastQuery())
+        plain = analyzer.analyze(ImpactQuery())
         budgeted = FastImpactAnalyzer(get_case("ieee14")).analyze(
-            FastQuery(budget=SolverBudget(wall_seconds=120.0)))
+            ImpactQuery(budget=SolverBudget(wall_seconds=120.0)))
         assert budgeted.status == "complete"
         assert budgeted.satisfiable == plain.satisfiable
         assert budgeted.candidates_examined == plain.candidates_examined
@@ -191,7 +191,7 @@ class TestNoQuantizedBlocking:
         # 4.38% lies below I* (4.391-4.398%); 2-decimal blocking
         # reported a certified, proved unsat here.
         report = ImpactAnalyzer(get_case("5bus-study1")).solve_at(
-            Fraction("4.38"), self_check=True)
+            Fraction("4.38"), ImpactQuery(self_check=True))
         assert report.status == "complete"
         assert report.satisfiable is True
         assert report.certified is True
@@ -236,16 +236,16 @@ class TestVerdictBasis:
     ])
     def test_fast_unsat_says_what_it_searched(self, with_states, basis):
         report = FastImpactAnalyzer(get_case("5bus-study1")).analyze(
-            FastQuery(target_increase_percent=Fraction(50),
-                      with_state_infection=with_states,
-                      state_samples=4))
+            ImpactQuery(target_increase_percent=Fraction(50),
+                        with_state_infection=with_states,
+                        state_samples=4))
         assert report.status == "complete"
         assert report.satisfiable is False
         assert report.verdict_basis == basis
 
     def test_fast_sat_is_proved(self):
         report = FastImpactAnalyzer(get_case("5bus-study1")).analyze(
-            FastQuery(target_increase_percent=Fraction(1)))
+            ImpactQuery(target_increase_percent=Fraction(1)))
         assert report.satisfiable is True
         assert report.verdict_basis == "proved"
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from repro.core.fast import FastImpactAnalyzer, FastQuery
+from repro.core.fast import FastImpactAnalyzer
 from repro.core.framework import ImpactAnalyzer, ImpactQuery
 from repro.grid.cases import get_case
 
@@ -17,7 +17,7 @@ def fast1():
 
 class TestFiveBusAgreement:
     def test_same_attack_as_smt(self, fast1):
-        report = fast1.analyze(FastQuery())
+        report = fast1.analyze(ImpactQuery())
         assert report.satisfiable
         attack = report.attack
         assert attack.excluded == [6]
@@ -25,7 +25,7 @@ class TestFiveBusAgreement:
         assert attack.compromised_buses == [3, 4]
 
     def test_same_impact_magnitude_as_smt(self, fast1):
-        fast_report = fast1.analyze(FastQuery())
+        fast_report = fast1.analyze(ImpactQuery())
         smt_report = ImpactAnalyzer(get_case("5bus-study1")).analyze(
             ImpactQuery())
         assert float(fast_report.achieved_increase_percent) == \
@@ -34,11 +34,11 @@ class TestFiveBusAgreement:
 
     def test_unsat_above_ceiling(self, fast1):
         report = fast1.analyze(
-            FastQuery(target_increase_percent=Fraction(5)))
+            ImpactQuery(target_increase_percent=Fraction(5)))
         assert not report.satisfiable
 
     def test_candidate_diagnostics(self, fast1):
-        fast1.analyze(FastQuery())
+        fast1.analyze(ImpactQuery())
         by_line = {e.line_index: e for e in fast1.strategy.evaluations}
         # Line 6 is the only feasible candidate in study 1.
         assert by_line[6].feasible
@@ -51,13 +51,13 @@ class TestScalability:
     ])
     def test_runs_on_ieee_systems(self, name, buses):
         analyzer = FastImpactAnalyzer(get_case(name))
-        report = analyzer.analyze(FastQuery(target_increase_percent=1))
+        report = analyzer.analyze(ImpactQuery(target_increase_percent=1))
         assert report.candidates_examined > 0
         assert report.elapsed_seconds < 60
 
     def test_ieee14_finds_attack(self):
         analyzer = FastImpactAnalyzer(get_case("ieee14"))
-        report = analyzer.analyze(FastQuery(target_increase_percent=1))
+        report = analyzer.analyze(ImpactQuery(target_increase_percent=1))
         assert report.satisfiable
         attack = report.attack
         assert len(attack.excluded) + len(attack.included) == 1
@@ -72,10 +72,10 @@ class TestScalability:
     def test_state_infection_never_hurts(self):
         analyzer = FastImpactAnalyzer(get_case("ieee14"))
         pure = analyzer.analyze(
-            FastQuery(target_increase_percent=Fraction(1, 2)))
+            ImpactQuery(target_increase_percent=Fraction(1, 2)))
         with_state = analyzer.analyze(
-            FastQuery(target_increase_percent=Fraction(1, 2),
-                      with_state_infection=True, state_samples=12))
+            ImpactQuery(target_increase_percent=Fraction(1, 2),
+                        with_state_infection=True, state_samples=12))
         if pure.satisfiable:
             assert with_state.satisfiable
             assert float(with_state.achieved_increase_percent) >= \
@@ -83,11 +83,11 @@ class TestScalability:
 
     def test_deterministic_given_seed(self):
         a = FastImpactAnalyzer(get_case("ieee30")).analyze(
-            FastQuery(with_state_infection=True, seed=5,
-                      state_samples=8))
+            ImpactQuery(with_state_infection=True, seed=5,
+                        state_samples=8))
         b = FastImpactAnalyzer(get_case("ieee30")).analyze(
-            FastQuery(with_state_infection=True, seed=5,
-                      state_samples=8))
+            ImpactQuery(with_state_infection=True, seed=5,
+                        state_samples=8))
         assert a.satisfiable == b.satisfiable
         if a.satisfiable:
             assert a.believed_min_cost == b.believed_min_cost

@@ -19,11 +19,8 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 import repro.core.fast as fast_module
-from repro.core.fast import (
-    FastImpactAnalyzer,
-    FastQuery,
-    box_balance_extremes,
-)
+from repro.core import ImpactQuery
+from repro.core.fast import FastImpactAnalyzer, box_balance_extremes
 from repro.grid.cases import get_case
 from repro.opf.shift_factor import ShiftFactorOpf
 from repro.runner import ScenarioSpec
@@ -71,9 +68,9 @@ class TestOneSolvePerFlow:
         analyzer = _analyzer(case, attacker_seed)
         calls = []
         _spy(analyzer.strategy, "_believed_cost", calls)
-        analyzer.analyze(FastQuery(target_increase_percent=Fraction(1, 2),
-                                   with_state_infection=states,
-                                   state_samples=4))
+        analyzer.analyze(ImpactQuery(target_increase_percent=Fraction(1, 2),
+                                     with_state_infection=states,
+                                     state_samples=4))
         assert calls, "no candidate reached the believed OPF"
         repeated = [key for key, n in Counter(calls).items() if n > 1]
         assert repeated == []
@@ -82,13 +79,12 @@ class TestOneSolvePerFlow:
         """An interval with infeasible endpoints is bisected; every
         probed flow is still solved exactly once."""
         analyzer = _analyzer("5bus-study1")
-        analyzer.analyze(FastQuery())
+        analyzer.analyze(ImpactQuery())
         strategy = analyzer.strategy
         calls = []
         _spy(strategy, "_believed_cost", calls)
         before = strategy._sf_opf.solve_calls
-        best = strategy._maximize_over_interval("exclude", 6, -0.5, 0.5,
-                                                1e-4)
+        best = strategy._maximize_over_interval("exclude", 6, -0.5, 0.5)
         assert best is not None
         assert -0.5 < best[0] < 0.5
         assert len(calls) > 3                      # bisection ran
@@ -101,15 +97,15 @@ class TestOneSolvePerFlow:
         spans = []
         original = strategy._maximize_over_interval
 
-        def measured(kind, line_index, lo, hi, tolerance):
+        def measured(kind, line_index, lo, hi):
             start = len(solve_counter)
-            best = original(kind, line_index, lo, hi, tolerance)
+            best = original(kind, line_index, lo, hi)
             spans.append((kind, line_index, lo, hi,
                           len(solve_counter) - start))
             return best
 
         strategy._maximize_over_interval = measured
-        analyzer.analyze(FastQuery(target_increase_percent=Fraction(1)))
+        analyzer.analyze(ImpactQuery(target_increase_percent=Fraction(1)))
         both_feasible = [
             solves for kind, line_index, lo, hi, solves in spans
             if strategy._believed_cost(kind, line_index, lo) is not None
@@ -127,7 +123,7 @@ class TestLoadWindowsFirst:
         analyzer = _analyzer(case, attacker_seed)
         ranged = []
         _spy(analyzer.strategy, "_reachable_flow_range", ranged)
-        analyzer.analyze(FastQuery(target_increase_percent=Fraction(1)))
+        analyzer.analyze(ImpactQuery(target_increase_percent=Fraction(1)))
         grid = analyzer.grid
         dropped = [e for e in analyzer.strategy.evaluations
                    if e.reason.endswith("has no load headroom")]
@@ -149,7 +145,7 @@ class TestPinnedAnswers:
     @pytest.mark.parametrize("target", [1, 4, 8])
     def test_above_the_ceiling(self, target):
         report = FastImpactAnalyzer(get_case("ieee30")).analyze(
-            FastQuery(target_increase_percent=Fraction(target)))
+            ImpactQuery(target_increase_percent=Fraction(target)))
         assert report.status == "complete"
         assert report.base_cost == self.BASE
         assert not report.satisfiable
@@ -159,7 +155,7 @@ class TestPinnedAnswers:
 
     def test_below_the_ceiling(self):
         report = FastImpactAnalyzer(get_case("ieee30")).analyze(
-            FastQuery(target_increase_percent=Fraction(1, 2)))
+            ImpactQuery(target_increase_percent=Fraction(1, 2)))
         assert report.satisfiable
         assert report.achieved_increase_percent == \
             Fraction(76418214844143, 100000000000000)
@@ -227,7 +223,7 @@ class TestRangeLpsOnlyWhenTheyMatter:
             return usable
 
         strategy._reachable_flow_range = spy
-        analyzer.analyze(FastQuery(target_increase_percent=Fraction(1)))
+        analyzer.analyze(ImpactQuery(target_increase_percent=Fraction(1)))
 
         assert len(lps) == range_lps
         assert Counter(n for _, n in ranges.values()) == settled_by

@@ -99,9 +99,9 @@ class TestCaseStudy2:
     def test_state_attack_beats_pure_topology(self, analyzer2):
         """The combined attack reaches strictly higher impact."""
         pure = analyzer2.max_impact(
-            query_attrs={"with_state_infection": False})
+            query=ImpactQuery(with_state_infection=False))
         combined = analyzer2.max_impact(
-            query_attrs={"with_state_infection": True})
+            query=ImpactQuery(with_state_infection=True))
         assert pure.status == combined.status == "complete"
         # Both brackets are proved: I* in [35/8, 9/2) without states,
         # in [83/8, 21/2) with them.

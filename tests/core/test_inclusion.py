@@ -13,7 +13,8 @@ import pytest
 
 from repro.attacks.model import AttackerModel
 from repro.core.encoding import AttackEncodingConfig, AttackModelEncoding
-from repro.core.fast import FastImpactAnalyzer, FastQuery
+from repro.core.fast import FastImpactAnalyzer
+from repro.core.session import ImpactQuery
 from repro.grid.caseio import CaseDefinition
 from repro.grid.cases import get_case
 from repro.opf import solve_dc_opf
@@ -95,14 +96,14 @@ class TestEncodingInclusionPath:
 class TestFastAnalyzerInclusionPath:
     def test_candidate_enumerated(self, open_line_case):
         analyzer = FastImpactAnalyzer(open_line_case)
-        analyzer.analyze(FastQuery(target_increase_percent=Fraction(1)))
+        analyzer.analyze(ImpactQuery(target_increase_percent=Fraction(1)))
         kinds = {(e.kind, e.line_index) for e in analyzer.strategy.evaluations}
         assert ("include", 6) in kinds
 
     def test_believed_costs_evaluated_with_lcdf(self, open_line_case):
         analyzer = FastImpactAnalyzer(open_line_case)
         report = analyzer.analyze(
-            FastQuery(target_increase_percent=Fraction(1, 100)))
+            ImpactQuery(target_increase_percent=Fraction(1, 100)))
         evaluation = analyzer.strategy.evaluations[0]
         # Whether or not an impact was found, the LCDF evaluation must
         # have produced a believed cost (feasible) or a concrete reason.

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+from repro.core import ImpactQuery
 from repro.defense import (
     DefensePlanner,
     SecureLineStatus,
@@ -25,6 +26,11 @@ from repro.defense import (
 from repro.exceptions import ModelError
 from repro.grid.cases import get_case
 from repro.smt.budget import SolverBudget
+
+
+def _at(percent) -> ImpactQuery:
+    """The planner's question at a ``percent`` impact target."""
+    return ImpactQuery(target_increase_percent=percent)
 
 
 def _case_with_reference_bus(bus: int):
@@ -114,7 +120,7 @@ class TestDefaultCandidates:
 
 class TestPlannerOnCaseStudy:
     def test_secured_line_kills_the_case_study_attack(self):
-        planner = DefensePlanner(get_case("5bus-study1"), target=3)
+        planner = DefensePlanner(get_case("5bus-study1"), _at(3))
         plan = planner.plan([SecureLineStatus(6), SecureMeasurement(7)])
         assert plan.status == "blocked"
         assert [c.label for c in plan.selected] == ["secure-line-6"]
@@ -122,7 +128,7 @@ class TestPlannerOnCaseStudy:
 
     def test_selected_set_is_one_minimal(self):
         case = get_case("5bus-study1")
-        planner = DefensePlanner(case, target=3)
+        planner = DefensePlanner(case, _at(3))
         candidates = [SecureLineStatus(6), SecureMeasurement(6),
                       SecureMeasurement(17), SecureMeasurement(7)]
         plan = planner.plan(candidates)
@@ -138,16 +144,16 @@ class TestPlannerOnCaseStudy:
 
     def test_already_secure_and_unblockable(self):
         case = get_case("5bus-study1")
-        secure = DefensePlanner(case, target=50).plan()
+        secure = DefensePlanner(case, _at(50)).plan()
         assert secure.status == "already_secure"
         assert secure.selected == ()
-        hopeless = DefensePlanner(case, target=3).plan([])
+        hopeless = DefensePlanner(case, _at(3)).plan([])
         assert hopeless.status == "unblockable"
 
     def test_warm_sessions_are_reused_across_repeat_probes(self):
         # With a single candidate, the greedy elimination re-probes the
         # undefended case — that must hit the session pool, not rebuild.
-        planner = DefensePlanner(get_case("5bus-study1"), target=3)
+        planner = DefensePlanner(get_case("5bus-study1"), _at(3))
         plan = planner.plan([SecureLineStatus(6)])
         assert plan.status == "blocked"
         assert plan.sessions_reused >= 1
@@ -157,7 +163,7 @@ class TestPlannerOnCaseStudy:
         case = get_case("5bus-study2")
         candidates = default_candidates(case)
         assert len(candidates) == 17
-        planner = DefensePlanner(case, target=3)
+        planner = DefensePlanner(case, _at(3))
         plan = planner.plan(candidates)
         assert plan.status == "blocked"
         assert [c.label for c in plan.selected] == ["secure-m18"]
@@ -167,15 +173,18 @@ class TestPlannerOnCaseStudy:
 
     def test_budget_exhaustion_is_inconclusive_not_blocked(self):
         planner = DefensePlanner(
-            get_case("5bus-study1"), target=3,
-            budget=SolverBudget(wall_seconds=1e-9))
+            get_case("5bus-study1"),
+            ImpactQuery(target_increase_percent=3,
+                        budget=SolverBudget(wall_seconds=1e-9)))
         plan = planner.plan([SecureLineStatus(6)])
         assert plan.status == "inconclusive"
         assert not plan.blocked
         assert plan.probes[0]["status"] == "budget_exhausted"
+        # Each probe ran on a fresh copy of the query's budget limits.
+        assert planner.query.budget.exhausted_reason is None
 
     def test_fast_analyzer_agrees_on_the_blocking_set(self):
-        planner = DefensePlanner(get_case("5bus-study1"), target=3,
+        planner = DefensePlanner(get_case("5bus-study1"), _at(3),
                                  analyzer="fast")
         plan = planner.plan([SecureLineStatus(6), SecureMeasurement(7)])
         assert plan.status == "blocked"
@@ -183,7 +192,7 @@ class TestPlannerOnCaseStudy:
 
     def test_to_dict_is_json_clean(self):
         import json
-        planner = DefensePlanner(get_case("5bus-study1"), target=3,
+        planner = DefensePlanner(get_case("5bus-study1"), _at(3),
                                  analyzer="fast")
         plan = planner.plan([SecureLineStatus(6)])
         payload = json.loads(json.dumps(plan.to_dict()))

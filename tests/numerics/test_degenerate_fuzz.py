@@ -2,7 +2,7 @@
 escalation behaviors the case fuzzer's float/exact oracle rests on (the
 rest of the fuzzer is tested in ``tests/chaos/test_fuzz_invariants.py``)."""
 
-from repro.core import FastImpactAnalyzer, FastQuery
+from repro.core import FastImpactAnalyzer, ImpactQuery
 from repro.grid.caseio import parse_case, write_case
 from repro.grid.cases import get_case
 from repro.testing import CaseFuzzer
@@ -50,7 +50,7 @@ class TestIllConditioningEscalation:
     def test_warn_band_spread_escalates_verdict(self):
         # Spread ~4.7e8: above the 1e8 warn threshold, below fail.
         case = _scaled_case(1e-8)
-        report = FastImpactAnalyzer(case).analyze(FastQuery(
+        report = FastImpactAnalyzer(case).analyze(ImpactQuery(
             target_increase_percent=1, state_samples=2))
         assert report.status == "complete"
         codes = {d.code for d in report.diagnostics.diagnostics}
@@ -61,7 +61,7 @@ class TestIllConditioningEscalation:
     def test_fail_band_spread_degrades_to_numerical_unstable(self):
         # Spread ~4.7e12: past the 1e12 fail threshold.
         case = _scaled_case(1e-12)
-        report = FastImpactAnalyzer(case).analyze(FastQuery(
+        report = FastImpactAnalyzer(case).analyze(ImpactQuery(
             target_increase_percent=1, state_samples=2))
         assert report.status == "numerical_unstable"
         assert not report.satisfiable
@@ -69,7 +69,7 @@ class TestIllConditioningEscalation:
 
     def test_clean_case_does_not_escalate(self):
         report = FastImpactAnalyzer(get_case("5bus-study1")).analyze(
-            FastQuery(target_increase_percent=1, state_samples=2))
+            ImpactQuery(target_increase_percent=1, state_samples=2))
         assert report.status == "complete"
         codes = {d.code for d in (report.diagnostics.diagnostics
                                   if report.diagnostics else [])}

@@ -9,7 +9,8 @@ their own through the same unit runner.
 
 from fractions import Fraction
 
-from repro.core.fast import FastImpactAnalyzer, FastQuery, FastSearchStrategy
+from repro.core import ImpactQuery
+from repro.core.fast import FastImpactAnalyzer, FastSearchStrategy
 from repro.grid.caseio import write_case
 from repro.grid.cases import get_case
 from repro.numerics.diagnostics import WARNING, NumericalDiagnostic, emit
@@ -170,17 +171,6 @@ class TestFastWarmMemo:
         assert [o.trace["opf"]["solves"] for o in warm[1:]] == \
             [0] * (len(specs) - 1)
 
-    def test_bisection_tolerance_keys_the_memo(self):
-        warm = FastImpactAnalyzer(get_case("ieee30"))
-        for tolerance in (1e-4, 1e-2, 1e-4):
-            for target in (Fraction(1, 2), Fraction(2)):
-                query = dict(target_increase_percent=target,
-                             bisection_tolerance=tolerance)
-                cold = FastImpactAnalyzer(get_case("ieee30"))
-                assert _report_view(warm.analyze(FastQuery(**query))) == \
-                    _report_view(cold.analyze(FastQuery(**query)))
-        assert {key[2] for key in warm.strategy._maxima} == {1e-4, 1e-2}
-
     def test_warned_entry_is_recomputed(self, monkeypatch):
         """A range computed under a numerical warning is not memoised:
         the next query recomputes it, warns again and escalates exactly
@@ -198,7 +188,7 @@ class TestFastWarmMemo:
 
         monkeypatch.setattr(FastSearchStrategy, "_reachable_flow_range",
                             warning_range)
-        query = FastQuery(target_increase_percent=Fraction(2))
+        query = ImpactQuery(target_increase_percent=Fraction(2))
         warm = FastImpactAnalyzer(get_case("ieee30"))
         warm.analyze(query)
         ranges = warm.strategy._ranges

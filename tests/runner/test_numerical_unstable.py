@@ -84,11 +84,13 @@ class TestCliExitCode:
     def test_analyze_exits_6_and_reports_reason(self, tmp_path, capsys):
         case_file = tmp_path / "unstable.case"
         case_file.write_text(_unstable_case_text())
-        code = main(["analyze", "--input", str(case_file), "--fast"])
+        code = main(["analyze", "--input", str(case_file),
+                     "--analyzer", "fast"])
         assert code == EXIT_NUMERICAL_UNSTABLE
         out = capsys.readouterr().out
         assert "numerically unstable (verdict withheld)" in out
         assert "admittance spread" in out
 
     def test_healthy_case_unaffected(self, capsys):
-        assert main(["analyze", "--case", "5bus-study1", "--fast"]) == 0
+        assert main(["analyze", "--case", "5bus-study1",
+                     "--analyzer", "fast"]) == 0

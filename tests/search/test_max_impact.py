@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from repro.core import FastImpactAnalyzer, ImpactAnalyzer
+from repro.core import FastImpactAnalyzer, ImpactAnalyzer, ImpactQuery
 from repro.defense import with_budgets
 from repro.exceptions import ModelError
 from repro.grid.cases import get_case
@@ -34,8 +34,8 @@ class _FreshPerProbe:
     def __init__(self, case):
         self.case = case
 
-    def solve_at(self, percent, **attrs):
-        return ImpactAnalyzer(self.case).solve_at(percent, **attrs)
+    def solve_at(self, percent, query=None):
+        return ImpactAnalyzer(self.case).solve_at(percent, query)
 
 
 class TestFiveBusParity:
@@ -157,7 +157,7 @@ class TestBudgetExhaustion:
     def test_exhausted_at_anchor_reports_empty_bracket(self):
         result = MaxImpactSearch(
             FastImpactAnalyzer(get_case("5bus-study1")),
-            budget=SolverBudget(wall_seconds=1e-9)).run()
+            query=ImpactQuery(budget=SolverBudget(wall_seconds=1e-9))).run()
         assert result.status == "budget_exhausted"
         assert not result.satisfiable
         assert result.lower_bound is None
@@ -171,7 +171,7 @@ class TestBudgetExhaustion:
         case = get_case("5bus-study1")
         result = MaxImpactSearch(
             ImpactAnalyzer(case),
-            budget=SolverBudget(wall_seconds=0.5)).run()
+            query=ImpactQuery(budget=SolverBudget(wall_seconds=0.5))).run()
         assert result.status in ("budget_exhausted", "complete")
         if result.lower_bound is not None:
             assert FastImpactAnalyzer(case).solve_at(
@@ -185,15 +185,18 @@ class TestBudgetExhaustion:
 
 
 class TestBracketControls:
-    def test_explicit_hi_skips_gallop(self):
+    def test_hi_cap_cuts_the_gallop(self):
+        # 5bus-study1 admits ~4.4%: the gallop's step past 4 lands on
+        # the cap (6, not 8), which is unsat and closes the bracket.
         result = MaxImpactSearch(
             FastImpactAnalyzer(get_case("5bus-study1")),
-            hi=Fraction(8)).run()
+            hi_cap=Fraction(6)).run()
         assert result.status == "complete"
         assert result.satisfiable
-        # anchor + hi + pure bisection of an 8-wide bracket
-        assert result.solve_at_calls == 2 + math.ceil(
-            math.log2(8 / float(TOL)))
+        assert result.upper_bound <= 6
+        # anchor + gallop (1, 2, 4, cap) + bisection of [4, 6]
+        assert result.solve_at_calls == 5 + math.ceil(
+            math.log2(2 / float(TOL)))
 
     def test_satisfiable_at_cap_reports_capped(self):
         # 5bus-study1 admits ~4.4%: capping the search below that leaves
@@ -226,7 +229,7 @@ class TestBracketControls:
         with pytest.raises(ModelError):
             MaxImpactSearch(analyzer, lo=Fraction(-1))
         with pytest.raises(ModelError):
-            MaxImpactSearch(analyzer, lo=Fraction(5), hi=Fraction(5))
+            MaxImpactSearch(analyzer, lo=Fraction(5), hi_cap=Fraction(5))
         with pytest.raises(ModelError):
             MaxImpactSearch(analyzer, lo=Fraction(70))
 
@@ -235,7 +238,7 @@ class TestCertifiedSearch:
     def test_self_check_certifies_every_probe(self):
         result = MaxImpactSearch(
             ImpactAnalyzer(get_case("5bus-study2")),
-            self_check=True).run()
+            query=ImpactQuery(self_check=True)).run()
         assert result.status == "complete"
         assert result.certified is True
         assert result.witness_report.certified is True

@@ -39,9 +39,16 @@ class TestAnalyze:
         assert "unsat" in capsys.readouterr().out
 
     def test_fast_analyzer(self, capsys):
-        assert main(["analyze", "--case", "5bus-study1", "--fast"]) == 0
+        assert main(["analyze", "--case", "5bus-study1",
+                     "--analyzer", "fast"]) == 0
         out = capsys.readouterr().out
         assert "exclusion attack on line(s) [6]" in out
+
+    def test_query_the_analyzer_cannot_honour_is_a_usage_error(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--case", "5bus-study1", "--analyzer",
+                  "fast", "--verify-smt"])
+        assert "verify_with_smt_opf" in str(exc.value)
 
     def test_input_file_and_output_file(self, tmp_path, capsys):
         case_file = tmp_path / "case.txt"
@@ -170,6 +177,24 @@ class TestSweep:
         assert search["encodings_built"] == 1
         assert payload["totals"]["encodings_built"] == 1
         assert "encodings      : 1 built" in capsys.readouterr().out
+
+    def test_maximize_totals_count_the_search_encode_time(self, tmp_path,
+                                                          capsys):
+        import json
+        code = main(["sweep", "--cases", "5bus-study1",
+                     "--analyzer", "smt", "--workers", "1", "--no-cache",
+                     "--search", "maximize",
+                     "--trace", str(tmp_path / "trace.json")])
+        assert code == 0
+        payload = json.loads((tmp_path / "trace.json").read_text())
+        [scenario] = payload["scenarios"]
+        # The witness probe is a warm re-solve that encodes nothing; the
+        # cell's encode time is its search's.
+        search = scenario["trace"]["session"]["search"]
+        assert search["encode_seconds"] > 0
+        assert payload["totals"]["encode_seconds"] == \
+            search["encode_seconds"]
+        assert "encode_seconds" not in scenario["max_impact"]
 
     def test_one_cold_cell_claims_no_reuse(self, tmp_path, capsys):
         code = main(["sweep", "--cases", "5bus-study1", "--targets", "1",
