@@ -97,7 +97,7 @@ def test_service_soak_survives_injected_kills(tmp_path, monkeypatch):
     config = ServiceConfig(
         workers=2, queue_limit=TOTAL, request_timeout=15.0,
         hang_grace=0.5, retry_limit=1,
-        cache_dir=str(tmp_path / "cache"), use_cache=True)
+        cache_dir=str(tmp_path / "cache"))
     server = ServiceServer(port=0, config=config).start()
     started = time.monotonic()
     try:

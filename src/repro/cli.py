@@ -97,10 +97,8 @@ def _cmd_analyze(args) -> int:
         return _parse_failure(args, exc)
     from repro.runner.engine import build_analyzer
     from repro.runner.spec import resolve_analyzer
-    target: Optional[Fraction] = None
-    if args.target is not None:
-        target = Fraction(args.target).limit_denominator(10000)
-
+    target = None if args.target is None \
+        else _fraction_arg(args.target, "--target")
     query = ImpactQuery(target_increase_percent=target,
                         with_state_infection=args.with_states,
                         verify_with_smt_opf=args.verify_smt,
@@ -487,8 +485,7 @@ def _cmd_sweep(args) -> int:
         removed = ResultCache(cache_dir).clear()
         print(f"cleared {removed} cached result(s) from {cache_dir}")
     engine = SweepEngine(SweepConfig(
-        workers=args.workers, task_timeout=args.timeout,
-        retries=args.retries, cache_dir=cache_dir,
+        workers=args.workers, retries=args.retries, cache_dir=cache_dir,
         use_cache=cache_dir is not None, budget=_cli_budget(args),
         self_check=True if args.self_check else None))
 
@@ -523,7 +520,7 @@ def _cmd_coordinate(args) -> int:
         host=args.host, port=args.port, journal_path=args.journal,
         lease_ttl=args.lease_ttl, steal_after=args.steal_after,
         retry_budget=args.retry_budget, unit_cells=args.unit_cells,
-        cache_dir=cache_dir, use_cache=cache_dir is not None,
+        cache_dir=cache_dir,
         budget_limits=None if budget is None else budget.to_dict(),
         self_check=True if args.self_check else None)
     coordinator = Coordinator(specs, config, verbose=args.verbose)
@@ -594,8 +591,7 @@ def _cmd_worker(args) -> int:
         return 2
     config = WorkerConfig(
         worker_id=args.id or "",
-        cache_dir=None if args.no_cache else args.cache_dir,
-        use_cache=not args.no_cache)
+        cache_dir=None if args.no_cache else args.cache_dir)
     worker = FabricWorker(base_url, config)
     code = worker.run()
     stats = worker.stats()
@@ -632,11 +628,13 @@ def _cmd_serve(args) -> int:
         retry_limit=args.retry_limit,
         session_limit=args.session_limit,
         cache_dir=None if args.no_cache else args.cache_dir,
-        use_cache=not args.no_cache,
         self_check=True if args.self_check else None,
         drain_timeout=args.drain_timeout)
-    server = ServiceServer(host=args.host, port=args.port,
-                           config=config, verbose=args.verbose)
+    try:
+        server = ServiceServer(host=args.host, port=args.port,
+                               config=config, verbose=args.verbose)
+    except ValueError as exc:
+        raise SystemExit(f"serve: {exc}")
     server.supervisor.start()
 
     def _graceful(signum, frame):
@@ -697,9 +695,10 @@ def build_parser() -> argparse.ArgumentParser:
         "analyze", help="search for a stealthy attack with the target "
                         "OPF-cost impact")
     add_case_args(analyze)
-    analyze.add_argument("--target", type=float,
-                         help="minimum cost increase in percent "
-                              "(default: the case's value)")
+    analyze.add_argument("--target",
+                         help="minimum cost increase in percent, as an "
+                              "exact fraction (default: the case's "
+                              "value)")
     analyze.add_argument("--with-states", action="store_true",
                          help="allow UFDI state infection "
                               "(paper Section III-D)")

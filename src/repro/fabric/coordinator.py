@@ -90,12 +90,10 @@ class CoordinatorConfig:
     steal_after: float = 30.0
     #: lease expiries per unit before it is recorded as ``crashed``.
     retry_budget: int = 3
-    backoff_base: float = 0.25
-    backoff_cap: float = 10.0
     #: cap on cells per unit (bounds lease duration); None: group size.
     unit_cells: Optional[int] = 8
+    #: the shared result cache (None: no cache).
     cache_dir: Optional[str] = None
-    use_cache: bool = True
     #: SolverBudget limits shipped to workers per scenario.
     budget_limits: Optional[Dict[str, Any]] = None
     self_check: Optional[bool] = None
@@ -128,7 +126,7 @@ class Coordinator:
         self.config = config or CoordinatorConfig()
         self.verbose = verbose
         self.cache = ResultCache(self.config.cache_dir) \
-            if self.config.use_cache and self.config.cache_dir else None
+            if self.config.cache_dir else None
         self.journal: Optional[Journal] = None
         self.queue: Optional[LeaseQueue] = None
         self.plan: Optional[GridPlan] = None
@@ -165,9 +163,7 @@ class Coordinator:
         self.queue = LeaseQueue(
             plan.units, lease_ttl=config.lease_ttl,
             steal_after=config.steal_after,
-            retry_budget=config.retry_budget,
-            backoff_base=config.backoff_base,
-            backoff_cap=config.backoff_cap, journal=self.journal)
+            retry_budget=config.retry_budget, journal=self.journal)
         return plan
 
     def _recover(self, journal_file: Path) -> Dict[int, ScenarioOutcome]:

@@ -49,6 +49,12 @@ LEASED = "leased"
 COMMITTED = "committed"
 FAILED = "failed"
 
+#: seconds an expired unit waits before it is leasable again; the wait
+#: doubles with each further expiry of the same unit, up to
+#: ``BACKOFF_CAP``.
+BACKOFF_BASE = 0.25
+BACKOFF_CAP = 10.0
+
 
 @dataclass
 class _Lease:
@@ -95,8 +101,8 @@ class LeaseQueue:
                  lease_ttl: float = 15.0,
                  steal_after: float = 30.0,
                  retry_budget: int = 3,
-                 backoff_base: float = 0.25,
-                 backoff_cap: float = 10.0,
+                 backoff_base: float = BACKOFF_BASE,
+                 backoff_cap: float = BACKOFF_CAP,
                  journal: Optional[Journal] = None,
                  clock: Callable[[], float] = time.monotonic) -> None:
         self.units = [WorkUnit(unit_id=i, indices=list(unit))

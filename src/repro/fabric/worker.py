@@ -78,8 +78,8 @@ class WorkerConfig:
     """Worker knobs."""
 
     worker_id: str = ""
+    #: the shared result cache (None: no cache).
     cache_dir: Optional[str] = None
-    use_cache: bool = True
     #: stop after this many leased units (tests; None: run to done).
     max_units: Optional[int] = None
 
@@ -141,7 +141,7 @@ class FabricWorker:
         #: block the unit's computation thread behind long backoffs.
         self.beat_client = ServiceClient(base_url, retries=0)
         self.cache = ResultCache(self.config.cache_dir) \
-            if self.config.use_cache and self.config.cache_dir else None
+            if self.config.cache_dir else None
         self.sessions = SessionPool()
         self.units_done = 0
         self.cells_done = 0

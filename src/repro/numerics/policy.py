@@ -1,4 +1,4 @@
-"""Configurable thresholds for the guarded linear-algebra layer.
+"""Thresholds for the guarded linear-algebra layer.
 
 A :class:`NumericsPolicy` decides when a guarded operation *warns*
 (emit a structured diagnostic, keep the result) and when it *fails*
@@ -9,40 +9,16 @@ significant digits, and a verified relative residual above 1e-6 means
 the solve cannot be trusted near the paper's Eq. 37 boundary
 comparisons.
 
-Every threshold is overridable through the environment
-(``REPRO_NUMERIC_CONDITION_WARN`` etc.), and :meth:`NumericsPolicy.key`
-folds the active thresholds into scenario fingerprints so cached
-verdicts never alias across policies.
+The thresholds are fixed; only :func:`set_policy` (a test seam) swaps
+them in-process, and :meth:`NumericsPolicy.key` folds the active
+thresholds into scenario fingerprints so cached verdicts never alias
+across policies.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Optional
-
-_ENV_PREFIX = "REPRO_NUMERIC_"
-
-
-def _env_float(name: str, default: float) -> float:
-    raw = os.environ.get(_ENV_PREFIX + name)
-    if raw is None:
-        return default
-    try:
-        return float(raw)
-    except ValueError:
-        return default
-
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(_ENV_PREFIX + name)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        return default
-
 
 @dataclass(frozen=True)
 class NumericsPolicy:
@@ -68,17 +44,6 @@ class NumericsPolicy:
     #: iterative-refinement steps attempted per verified solve.
     refine_steps: int = 2
 
-    @classmethod
-    def from_env(cls) -> "NumericsPolicy":
-        return cls(
-            condition_warn=_env_float("CONDITION_WARN", 1e8),
-            condition_fail=_env_float("CONDITION_FAIL", 1e12),
-            residual_warn=_env_float("RESIDUAL_WARN", 1e-8),
-            residual_fail=_env_float("RESIDUAL_FAIL", 1e-6),
-            rank_rtol=_env_float("RANK_RTOL", 1e-8),
-            refine_steps=_env_int("REFINE_STEPS", 2),
-        )
-
     def key(self) -> str:
         """Deterministic identity string for cache fingerprints."""
         return (f"cw={self.condition_warn!r};cf={self.condition_fail!r};"
@@ -90,18 +55,18 @@ _active: Optional[NumericsPolicy] = None
 
 
 def default_policy() -> NumericsPolicy:
-    """The process-wide active policy (environment-derived, cached)."""
+    """The process-wide active policy (the defaults unless a test set
+    another with :func:`set_policy`)."""
     global _active
     if _active is None:
-        _active = NumericsPolicy.from_env()
+        _active = NumericsPolicy()
     return _active
 
 
 def set_policy(policy: Optional[NumericsPolicy]) -> None:
     """Override (or with ``None`` reset) the process-wide policy.
 
-    Test hook: the degeneracy suites tighten/loosen thresholds without
-    round-tripping through the environment.
+    Test hook: the degeneracy suites tighten/loosen thresholds.
     """
     global _active
     _active = policy

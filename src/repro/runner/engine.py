@@ -35,8 +35,8 @@ With ``workers > 1`` and more than one unit, the engine submits each
 unit as one supervisor job, and the supervisor's failure policy is the
 sweep's:
 
-* each task has an optional wall-clock budget (``task_timeout``) that
-  reaches the worker as an in-solver
+* each task has an optional wall-clock limit (the ``wall_seconds`` of
+  the config's budget) that reaches the worker as an in-solver
   :class:`~repro.smt.budget.SolverBudget` deadline: a solver-bound cell
   comes back as ``unknown`` with partial statistics.  A worker stuck
   outside the solvers is hard-killed at the unit's kill horizon;
@@ -126,19 +126,18 @@ class SweepConfig:
     """Engine knobs."""
 
     workers: int = 4
-    #: per-task wall-clock budget in seconds (None: unlimited).  Enforced
-    #: cooperatively inside the solvers in *both* modes (tasks come back
-    #: ``unknown`` with partial statistics); parallel mode additionally
-    #: hard-kills a worker stuck past its unit's kill horizon.
-    task_timeout: Optional[float] = None
     #: how many times a unit is re-dispatched after its worker died or
     #: hung (parallel mode).
     retries: int = 1
     cache_dir: Optional[str] = DEFAULT_CACHE_DIR
     use_cache: bool = True
-    #: extra per-task resource limits (conflicts/decisions/pivots/wall);
-    #: every task gets a *fresh* budget built from these limits, with
-    #: ``task_timeout`` folded in as a wall-clock bound.
+    #: per-task resource limits (conflicts/decisions/pivots/wall);
+    #: every task gets a *fresh* budget built from these limits.  Its
+    #: ``wall_seconds`` is the per-task time limit: enforced
+    #: cooperatively inside the solvers in *both* modes (tasks come back
+    #: ``unknown`` with partial statistics), and parallel mode
+    #: additionally hard-kills a worker stuck past its unit's kill
+    #: horizon.
     budget: Optional[SolverBudget] = None
     #: certified mode for every scenario: each analyzer answer is checked
     #: against an independent certificate before it is reported, and
@@ -817,14 +816,13 @@ class SweepEngine:
 
     def _task_budget(self) -> Optional[Dict[str, Any]]:
         """Per-task budget limits (a fresh budget is built per task)."""
-        config = self.config
-        limits = dict(config.budget.to_dict()) \
-            if config.budget is not None else {}
-        if config.task_timeout is not None:
-            wall = limits.get("wall_seconds")
-            limits["wall_seconds"] = config.task_timeout if wall is None \
-                else min(wall, config.task_timeout)
-        return limits or None
+        budget = self.config.budget
+        return budget.to_dict() if budget is not None else None
+
+    def _task_seconds(self) -> Optional[float]:
+        """The per-task wall-clock limit (None: unlimited)."""
+        budget = self.config.budget
+        return budget.wall_seconds if budget is not None else None
 
     def _unit_payload(self, unit: Sequence[int], specs,
                       fingerprints) -> Dict[str, Any]:
@@ -833,7 +831,7 @@ class SweepEngine:
             "specs": [specs[idx].to_dict() for idx in unit],
             "fingerprints": [fingerprints[idx] for idx in unit]}
         budget = self._task_budget()
-        if budget is not None:
+        if budget:
             payload["budget"] = budget
         if self.config.self_check is not None:
             payload["self_check"] = self.config.self_check
@@ -872,7 +870,7 @@ class SweepEngine:
                 status, error = ERROR, message
             elif job.hung:
                 status, error = TIMEOUT, \
-                    f"exceeded {self.config.task_timeout}s task budget"
+                    f"exceeded {self._task_seconds()}s task budget"
             else:
                 status, error = CRASHED, message
             outcomes = [ScenarioOutcome(
@@ -905,11 +903,11 @@ class SweepEngine:
         number of workers it ran.
 
         Workers checkpoint each cell as it finishes.  A unit whose
-        worker dies or hangs is re-dispatched up to ``retries`` times;
-        with ``task_timeout`` t, a unit of k cells is hard-killed after
-        t × 1.25 × k + 0.25 s (each cell's own in-solver deadline is t,
-        so a solver-bound cell comes back ``unknown`` first), and
-        without one it is never killed.
+        worker dies or hangs is re-dispatched up to ``retries`` times.
+        With a budget wall limit of t seconds, a unit of k cells is
+        hard-killed after t × 1.25 × k + 0.25 s (each cell's own
+        in-solver deadline is t, so a solver-bound cell comes back
+        ``unknown`` first); without one it is never killed.
         """
         from repro.service.supervisor import ServiceConfig, Supervisor
         config = self.config
@@ -919,12 +917,11 @@ class SweepEngine:
             hang_grace=0.25,
             retry_limit=config.retries,
             cache_dir=str(cache.root) if cache is not None else None,
-            use_cache=cache is not None,
             self_check=config.self_check)).start()
         try:
             jobs = [supervisor.submit_unit(
                 self._unit_payload(unit, specs, plan.fingerprints),
-                config.task_timeout) for unit in plan.units]
+                self._task_seconds()) for unit in plan.units]
             for unit, job in zip(plan.units, jobs):
                 supervisor.wait(job)
                 for idx, outcome in zip(unit, self._settle(specs, plan,

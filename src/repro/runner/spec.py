@@ -240,7 +240,7 @@ class ScenarioSpec:
             "tolerance": self.tolerance,
             # The active guardrail thresholds decide when an analysis
             # degrades to ``numerical_unstable``, so a policy change
-            # (e.g. via REPRO_NUMERIC_* overrides) must miss the cache
+            # (a test's ``set_policy``) must miss the cache
             # rather than serve results produced under different guards.
             "numerics": default_policy().key(),
         }

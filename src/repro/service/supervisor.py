@@ -63,8 +63,19 @@ HANG_MULTIPLIER = 1.25
 #: when no reply or submission wakes the loop first.
 POLL_INTERVAL = 0.05
 
+#: a crashed worker's first restart backoff in seconds; it doubles per
+#: consecutive failure up to ``RESTART_BACKOFF_CAP``.
+RESTART_BACKOFF = 0.05
+
 #: ceiling on a crashed worker's exponential restart backoff.
 RESTART_BACKOFF_CAP = 2.0
+
+#: seconds a restarted worker must stay alive before its restart
+#: *backoff* resets to ``RESTART_BACKOFF`` (the lifetime ``restarts``
+#: counter is untouched).  Without this, backoff grows monotonically
+#: over a worker's whole life and a transient crash burst months ago
+#: would permanently slow recovery from the next one.
+HEALTHY_RESET = 30.0
 
 
 class QueueFull(Exception):
@@ -91,22 +102,15 @@ class ServiceConfig:
     hang_grace: float = 1.0
     #: re-dispatches after a worker failure before the job fails.
     retry_limit: int = 1
+    #: the shared result cache (None: no cache).
     cache_dir: Optional[str] = DEFAULT_CACHE_DIR
-    use_cache: bool = True
     session_limit: int = 8
     self_check: Optional[bool] = None
-    restart_backoff: float = 0.05
-    #: seconds a restarted worker must stay alive before its restart
-    #: *backoff* resets to the base value (the lifetime ``restarts``
-    #: counter is untouched).  Without this, backoff grows monotonically
-    #: over a worker's whole life and a transient crash burst months ago
-    #: would permanently slow recovery from the next one.
-    healthy_reset: float = 30.0
     drain_timeout: float = 30.0
 
     def worker_options(self) -> Dict[str, Any]:
         return {"session_limit": self.session_limit,
-                "cache_dir": self.cache_dir if self.use_cache else None,
+                "cache_dir": self.cache_dir,
                 "self_check": self.self_check}
 
 
@@ -162,7 +166,7 @@ class WorkerHandle:
         self.restarts = 0
         #: consecutive-failure level the next restart backoff derives
         #: from; reset to 0 once the worker stays healthy for
-        #: ``ServiceConfig.healthy_reset`` seconds (unlike ``restarts``,
+        #: ``HEALTHY_RESET`` seconds (unlike ``restarts``,
         #: which counts for the worker's whole lifetime).
         self.backoff_level = 0
         self.spawned_at: Optional[float] = None
@@ -279,6 +283,10 @@ class Supervisor:
             raise ValueError("need at least one worker")
         if self.config.queue_limit < 1:
             raise ValueError("queue_limit must be >= 1")
+        if self.config.session_limit < 1:
+            # Checked here, not in the workers, where SessionPool would
+            # refuse it on every spawn and crash-loop the service.
+            raise ValueError("session_limit must be >= 1")
         self._ctx = multiprocessing.get_context()
         self._workers: List[WorkerHandle] = []
         self._pending: "collections.deque[ServiceJob]" = \
@@ -531,7 +539,7 @@ class Supervisor:
     def _reset_recovered_backoff(self) -> None:
         """Forget the failure burst once a worker proves healthy.
 
-        A worker that has stayed alive for ``healthy_reset`` seconds
+        A worker that has stayed alive for ``HEALTHY_RESET`` seconds
         since its last (re)spawn gets its backoff level zeroed — the
         next crash restarts at the base backoff instead of wherever the
         last burst left off.  The lifetime ``restarts`` counter is
@@ -544,7 +552,7 @@ class Supervisor:
                 continue
             if handle.spawned_at is not None and handle.alive() \
                     and now - handle.spawned_at \
-                    >= self.config.healthy_reset:
+                    >= HEALTHY_RESET:
                 handle.backoff_level = 0
 
     def _ping_idle(self) -> None:
@@ -567,8 +575,7 @@ class Supervisor:
         # level resets after a healthy interval, so a worker that
         # crashed repeatedly last week still restarts promptly today.
         backoff = min(RESTART_BACKOFF_CAP,
-                      self.config.restart_backoff
-                      * (2 ** min(handle.backoff_level, 10)))
+                      RESTART_BACKOFF * (2 ** min(handle.backoff_level, 10)))
         handle.backoff_level += 1
         handle.respawn_at = time.monotonic() + backoff
         if job is None or not requeue:

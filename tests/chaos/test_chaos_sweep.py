@@ -128,11 +128,11 @@ class TestBudgetExhaustionOutcomes:
         assert second.outcomes[0].status == UNKNOWN
 
     def test_serial_task_timeout_enforced_in_solver(self, tmp_path):
-        # The old engine could not enforce task_timeout in serial mode;
+        # The old engine could not enforce a task time limit in serial mode;
         # the in-solver deadline makes it work (and yields partial data
         # instead of a blunt kill).
-        config = SweepConfig(workers=1, task_timeout=0.01,
-                             use_cache=False)
+        config = SweepConfig(workers=1, use_cache=False,
+                             budget=SolverBudget(wall_seconds=0.01))
         trace = SweepEngine(config).run([_smt_spec()])
         outcome = trace.outcomes[0]
         assert outcome.status == UNKNOWN
@@ -143,8 +143,8 @@ class TestBudgetExhaustionOutcomes:
         # Solver-bound tasks must come back UNKNOWN (with statistics),
         # not TIMEOUT: the supervisor's kill horizon allows the
         # in-worker deadline grace.
-        config = SweepConfig(workers=2, task_timeout=0.05,
-                             use_cache=False)
+        config = SweepConfig(workers=2, use_cache=False,
+                             budget=SolverBudget(wall_seconds=0.05))
         specs = [_solver_bound_spec("p1"), _solver_bound_spec("p2")]
         trace = SweepEngine(config).run(specs)
         assert len(trace.outcomes) == 2

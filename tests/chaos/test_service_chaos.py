@@ -115,7 +115,7 @@ def test_fifty_request_chaos_load_loses_nothing(tmp_path, monkeypatch):
     config = ServiceConfig(
         workers=2, queue_limit=50, request_timeout=15.0,
         hang_grace=0.5, retry_limit=1,
-        cache_dir=str(tmp_path / "cache"), use_cache=True)
+        cache_dir=str(tmp_path / "cache"))
     server = ServiceServer(port=0, config=config).start()
     try:
         outcomes = {}

@@ -36,14 +36,12 @@ def grid(cases="ieee30", targets="1,2", scenarios=2):
 def config_for(tmp_path, **overrides):
     overrides.setdefault("journal_path", str(tmp_path / "j.jsonl"))
     overrides.setdefault("cache_dir", None)
-    overrides.setdefault("use_cache", False)
     overrides.setdefault("unit_cells", 2)
     overrides.setdefault("lease_ttl", 10.0)
     return CoordinatorConfig(**overrides)
 
 
 def run_workers(coordinator, count=2, **worker_overrides):
-    worker_overrides.setdefault("use_cache", False)
     results = []
 
     def run(i):
@@ -104,7 +102,7 @@ def test_coordinator_kill_and_resume_loses_nothing(tmp_path):
         # coordinator is then abandoned mid-grid (never shut down
         # cleanly — shutdown() closes the journal, a kill would not).
         worker = FabricWorker(first.url, WorkerConfig(
-            worker_id="w0", use_cache=False, max_units=1))
+            worker_id="w0", max_units=1))
         assert worker.run() == EXIT_DONE
         assert worker.units_done == 1
         assert not first.queue.done
@@ -138,7 +136,7 @@ def test_second_resume_only_needs_the_newest_journal(tmp_path):
     for _generation in (0, 1):
         coordinator = Coordinator(specs, config).start()
         worker = FabricWorker(coordinator.url, WorkerConfig(
-            worker_id="w0", use_cache=False, max_units=1))
+            worker_id="w0", max_units=1))
         assert worker.run() == EXIT_DONE
         coordinator.acceptor.shutdown()
 
@@ -173,11 +171,10 @@ def test_resume_refuses_a_different_grid(tmp_path):
 def test_cache_read_through_resolves_at_plan_time(tmp_path):
     specs = grid()
     cache_dir = str(tmp_path / "cache")
-    config = config_for(tmp_path, cache_dir=cache_dir, use_cache=True)
+    config = config_for(tmp_path, cache_dir=cache_dir)
     first = Coordinator(specs, config).start()
     try:
-        run_workers(first, count=2, cache_dir=cache_dir,
-                    use_cache=True)
+        run_workers(first, count=2, cache_dir=cache_dir)
         trace = first.trace(1.0, workers=2)
     finally:
         first.shutdown()
@@ -187,7 +184,7 @@ def test_cache_read_through_resolves_at_plan_time(tmp_path):
     # cell is served from the shared cache at plan time.
     config2 = config_for(tmp_path,
                          journal_path=str(tmp_path / "j2.jsonl"),
-                         cache_dir=cache_dir, use_cache=True)
+                         cache_dir=cache_dir)
     second = Coordinator(specs, config2).start()
     try:
         status = second.status()
@@ -206,8 +203,7 @@ def test_worker_exits_2_when_coordinator_dies(tmp_path):
     coordinator = Coordinator(specs, config_for(tmp_path)).start()
     url = coordinator.url
     coordinator.shutdown()
-    worker = FabricWorker(url, WorkerConfig(worker_id="w0",
-                                            use_cache=False))
+    worker = FabricWorker(url, WorkerConfig(worker_id="w0"))
     worker.client.retries = 1
     worker.client.backoff_seconds = 0.01
     assert worker.run() == EXIT_COORDINATOR_GONE

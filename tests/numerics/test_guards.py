@@ -136,18 +136,6 @@ class TestGuardedRank:
 
 
 class TestPolicy:
-    def test_env_overrides(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NUMERIC_CONDITION_FAIL", "1e6")
-        monkeypatch.setenv("REPRO_NUMERIC_REFINE_STEPS", "5")
-        policy = NumericsPolicy.from_env()
-        assert policy.condition_fail == 1e6
-        assert policy.refine_steps == 5
-        assert policy.condition_warn == 1e8  # untouched default
-
-    def test_bad_env_values_fall_back(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NUMERIC_RESIDUAL_FAIL", "not-a-float")
-        assert NumericsPolicy.from_env().residual_fail == 1e-6
-
     def test_key_distinguishes_policies(self):
         a, b = NumericsPolicy(), NumericsPolicy(condition_fail=1e10)
         assert a.key() != b.key()

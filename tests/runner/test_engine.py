@@ -13,6 +13,7 @@ from repro.runner import (
 )
 from repro.runner.trace import CRASHED, ERROR, OK, TIMEOUT, \
     deterministic_outcome_view
+from repro.smt import SolverBudget
 from repro.testing import CRASH_WORKER, HANG_WORKER, SLOW_RESPONSE, \
     Fault, FaultPlan
 
@@ -193,10 +194,12 @@ class TestParallel:
             spec.label: Fault(HANG_WORKER, times=99, sleep_seconds=2.0)
             for spec in specs})
         engine = SweepEngine(
-            SweepConfig(workers=2, task_timeout=0.2, use_cache=False))
+            SweepConfig(workers=2, use_cache=False,
+                        budget=SolverBudget(wall_seconds=0.2)))
         trace = engine.run(specs)
         assert all(o.status == TIMEOUT for o in trace.outcomes)
-        assert all("task budget" in o.error for o in trace.outcomes)
+        assert all("exceeded 0.2s task budget" in o.error
+                   for o in trace.outcomes)
 
     def test_timeout_does_not_starve_queued_tasks(self, tmp_path,
                                                   monkeypatch):
@@ -210,7 +213,8 @@ class TestParallel:
         _inject(tmp_path, monkeypatch, {
             label: Fault(HANG_WORKER, times=99, sleep_seconds=3.0)
             for label in ("hang-0", "hang-1")})
-        config = SweepConfig(workers=2, task_timeout=0.2, use_cache=False)
+        config = SweepConfig(workers=2, use_cache=False,
+                             budget=SolverBudget(wall_seconds=0.2))
         started = time.perf_counter()
         trace = SweepEngine(config).run(specs)
         wall = time.perf_counter() - started

@@ -15,6 +15,7 @@ from repro.runner.engine import (
 )
 from repro.runner.spec import ScenarioSpec
 from repro.runner.trace import ScenarioOutcome
+from repro.smt import SolverBudget
 
 
 def _maximize_spec(**kwargs):
@@ -143,7 +144,7 @@ class TestEngineCache:
     def test_budget_exhausted_maximize_is_unknown_with_bracket(self):
         spec = _maximize_spec()
         config = SweepConfig(workers=1, use_cache=False,
-                             task_timeout=1e-9)
+                             budget=SolverBudget(wall_seconds=1e-9))
         trace = SweepEngine(config).run([spec])
         outcome = trace.outcomes[0]
         assert outcome.status == "unknown"

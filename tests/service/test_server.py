@@ -34,7 +34,6 @@ def service_factory(tmp_path):
     def build(**overrides):
         overrides.setdefault("workers", 1)
         overrides.setdefault("cache_dir", None)
-        overrides.setdefault("use_cache", False)
         overrides.setdefault("request_timeout", 20.0)
         server = ServiceServer(port=0,
                                config=ServiceConfig(**overrides))
@@ -90,8 +89,7 @@ def front_end(request, tmp_path, service_factory):
         return
     coordinator = Coordinator(
         [ScenarioSpec.build("5bus-study1", analyzer="fast", target=1)],
-        CoordinatorConfig(journal_path=str(tmp_path / "j.jsonl"),
-                          use_cache=False)).start()
+        CoordinatorConfig(journal_path=str(tmp_path / "j.jsonl"))).start()
     try:
         yield (coordinator, "/fabric/v1/lease", {"worker": ""},
                "repro-fabric/1")
@@ -199,7 +197,7 @@ def test_keep_alive_serves_several_requests_per_connection(front_end):
 
 def test_shutdown_without_start_returns():
     server = ServiceServer(port=0, config=ServiceConfig(
-        workers=1, cache_dir=None, use_cache=False))
+        workers=1, cache_dir=None))
     stopper = threading.Thread(target=server.shutdown, daemon=True)
     stopper.start()
     stopper.join(10.0)
@@ -210,7 +208,7 @@ def test_fabric_idle_lease_retry_after_stays_in_the_body(tmp_path):
     coordinator = Coordinator(
         [ScenarioSpec.build("5bus-study1", analyzer="fast", target=1)],
         CoordinatorConfig(journal_path=str(tmp_path / "j.jsonl"),
-                          use_cache=False, unit_cells=1)).start()
+                          unit_cells=1)).start()
     try:
         status, body, _ = raw_request(coordinator, "POST",
                                       "/fabric/v1/lease", {"worker": "a"})

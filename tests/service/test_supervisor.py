@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+import repro.service.supervisor as supervisor_mod
 from repro.service.protocol import parse_request
 from repro.service.supervisor import (
     QueueFull,
@@ -42,7 +43,6 @@ def supervisor_factory(tmp_path):
     def build(**overrides):
         overrides.setdefault("workers", 1)
         overrides.setdefault("cache_dir", None)
-        overrides.setdefault("use_cache", False)
         overrides.setdefault("request_timeout", 20.0)
         supervisor = Supervisor(ServiceConfig(**overrides)).start()
         built.append(supervisor)
@@ -75,7 +75,7 @@ def test_idle_worker_gets_a_submitted_job_at_once(
     # its POLL_INTERVAL (50 ms) tick would hold every job for the tick.
     if mode == "thread":
         request.getfixturevalue("no_worker_processes")
-    supervisor = supervisor_factory(workers=1, use_cache=True,
+    supervisor = supervisor_factory(workers=1,
                                     cache_dir=str(tmp_path / "cache"))
     assert supervisor.healthz()["workers"][0]["mode"] == mode
     warm = supervisor.wait(supervisor.submit(request_for("hit")))
@@ -232,14 +232,15 @@ def test_backoff_resets_after_healthy_interval(tmp_path, monkeypatch,
                                                supervisor_factory):
     use_plan(tmp_path, monkeypatch, {
         "boom": Fault(kind=CRASH_WORKER, times=1)})
-    supervisor = supervisor_factory(workers=1, healthy_reset=0.3)
+    monkeypatch.setattr(supervisor_mod, "HEALTHY_RESET", 0.3)
+    supervisor = supervisor_factory(workers=1)
     job = supervisor.wait(supervisor.submit(request_for("boom")))
     assert job.failure is None
     handle = supervisor._workers[0]
     assert handle.restarts == 1
     assert handle.backoff_level == 1
 
-    # Prove the replacement healthy, then outlive healthy_reset: the
+    # Prove the replacement healthy, then outlive HEALTHY_RESET: the
     # backoff *level* is forgiven while the lifetime restarts counter
     # (an observability total, not a policy input) is untouched.
     steady = supervisor.wait(supervisor.submit(request_for("steady")))
@@ -256,7 +257,8 @@ def test_backoff_level_untouched_before_healthy_interval(
         tmp_path, monkeypatch, supervisor_factory):
     use_plan(tmp_path, monkeypatch, {
         "boom": Fault(kind=CRASH_WORKER, times=1)})
-    supervisor = supervisor_factory(workers=1, healthy_reset=3600.0)
+    monkeypatch.setattr(supervisor_mod, "HEALTHY_RESET", 3600.0)
+    supervisor = supervisor_factory(workers=1)
     job = supervisor.wait(supervisor.submit(request_for("boom")))
     assert job.failure is None
     handle = supervisor._workers[0]
@@ -271,3 +273,5 @@ def test_config_validation():
         Supervisor(ServiceConfig(workers=0))
     with pytest.raises(ValueError):
         Supervisor(ServiceConfig(queue_limit=0))
+    with pytest.raises(ValueError):
+        Supervisor(ServiceConfig(session_limit=0))

@@ -1,7 +1,11 @@
 """Tests for the command-line interface."""
 
+from fractions import Fraction
+
 import pytest
 
+import repro.runner.engine as engine_mod
+import repro.service.server as server_mod
 from repro.cli import main
 from repro.grid import write_case
 from repro.grid.cases import get_case
@@ -49,6 +53,35 @@ class TestAnalyze:
             main(["analyze", "--case", "5bus-study1", "--analyzer",
                   "fast", "--verify-smt"])
         assert "verify_with_smt_opf" in str(exc.value)
+
+    @pytest.mark.parametrize("flag, asked", [
+        ("3.14159", Fraction(314159, 100000)),
+        ("0.33333", Fraction(33333, 100000)),
+        ("9/2", Fraction(9, 2))])
+    def test_target_is_asked_exactly(self, monkeypatch, flag, asked):
+        # --target is parsed as an exact fraction, like sweep --targets
+        # and defend/maximize: no float round-trip, no rounding.
+        queries = []
+        build = engine_mod.build_analyzer
+
+        class Asked(Exception):
+            pass
+
+        def recording_build(case, kind):
+            analyzer = build(case, kind)
+
+            def analyze(query=None):
+                queries.append(query)
+                raise Asked
+
+            analyzer.analyze = analyze
+            return analyzer
+
+        monkeypatch.setattr(engine_mod, "build_analyzer", recording_build)
+        with pytest.raises(Asked):
+            main(["analyze", "--case", "5bus-study1", "--target", flag])
+        [query] = queries
+        assert query.target_increase_percent == asked
 
     def test_input_file_and_output_file(self, tmp_path, capsys):
         case_file = tmp_path / "case.txt"
@@ -204,3 +237,16 @@ class TestSweep:
         out = capsys.readouterr().out
         assert "encodings      : 1 built" in out
         assert "reused" not in out
+
+
+class TestServe:
+    @pytest.mark.parametrize("flag", ["--workers", "--queue-limit",
+                                      "--session-limit"])
+    def test_zero_is_a_usage_error_before_binding(self, monkeypatch, flag):
+        def no_bind(*args, **kwargs):
+            raise AssertionError("serve bound a port")
+
+        monkeypatch.setattr(server_mod, "JsonAcceptor", no_bind)
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--port", "0", flag, "0"])
+        assert "serve:" in str(exc.value)
