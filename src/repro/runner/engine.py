@@ -429,7 +429,9 @@ def run_unit(specs: Sequence[ScenarioSpec],
        trusted.  A verified cache hit (:func:`read_through`) is served;
     3. takes the analyzer of the cell's encoding group from
        ``sessions`` (a :class:`SessionPool`): the caller's, so warmth
-       outlives the call, or else one created for this call;
+       outlives the call, or else one created for this call.  A
+       one-cell unit on a pool of its own never looks a key up twice,
+       so it skips hashing the case for the group;
     4. runs :func:`execute_with_analyzer` and checkpoints the outcome
        the moment it finishes, so an interrupt loses only the cell in
        flight.
@@ -439,6 +441,7 @@ def run_unit(specs: Sequence[ScenarioSpec],
     certified mode re-checks each one independently).
     """
     certify = self_check_default(self_check)
+    grouped = sessions is not None or len(specs) > 1
     if sessions is None:
         sessions = SessionPool()
     for position, spec in enumerate(specs):
@@ -466,7 +469,7 @@ def run_unit(specs: Sequence[ScenarioSpec],
         try:
             case = spec.resolve_case()
             kind = spec.resolved_analyzer(case)
-            group = spec.encoding_group(case)
+            group = spec.encoding_group(case) if grouped else "unit"
             analyzer = sessions.acquire(group, case, kind)
         except InputFormatError as exc:
             # A deterministic verdict about the input, not a runtime

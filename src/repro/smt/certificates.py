@@ -17,6 +17,23 @@ any code with the search loops it checks:
     witness; finally the clause of negated assumption literals (the
     empty clause for plain UNSAT) must itself be RUP.
 
+``verify_unsat``
+    Checks a solver's UNSAT answer with the same step loop, but checks
+    each step of a proof log only once.  A warm solver answers many
+    UNSAT queries over one append-only log, so the checker keeps, per
+    log, the :class:`RupChecker` state of the prefix it has already
+    verified and resumes from there: a certificate over ``num_steps``
+    steps costs only the steps appended since the last check, plus its
+    own final claim.  The state after a prefix depends only on that
+    prefix, so every accept and every reject is the one a full replay
+    would give.  The replay starts again from step 0 when the log's
+    verified prefix is no longer the same steps, when a certificate
+    covers fewer steps than were verified (a truncated proof), or when
+    the atom map differs.  A failing step is never added to the state,
+    so the next check fails on it again.  The state is owned by its
+    log and freed with it.  :class:`CheckReport` counts the steps this
+    call verified, not the certificate's length.
+
 ``check_farkas``
     Verifies a Farkas witness arithmetically: the nonnegative rational
     combination of the conflicting atoms' inequalities must cancel every
@@ -32,13 +49,21 @@ from __future__ import annotations
 
 import os
 import time
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.exceptions import CertificateError
 from repro.smt.evaluator import evaluate
-from repro.smt.proof import INPUT, RUP, THEORY, ProofStep, UnsatCertificate
+from repro.smt.proof import (
+    INPUT,
+    RUP,
+    THEORY,
+    ProofLog,
+    ProofStep,
+    UnsatCertificate,
+)
 from repro.smt.solver import Model, SmtSolver
 from repro.smt.terms import Atom, BoolTerm, RealVar
 
@@ -58,8 +83,8 @@ class CheckReport:
 
     kind: str                 # "model" | "unsat"
     terms_checked: int = 0    # assertions evaluated (model checks)
-    rup_steps: int = 0        # learned clauses verified (unsat checks)
-    theory_lemmas: int = 0    # Farkas witnesses verified (unsat checks)
+    rup_steps: int = 0        # learned clauses verified by this check
+    theory_lemmas: int = 0    # Farkas witnesses verified by this check
     seconds: float = 0.0
 
 
@@ -256,6 +281,57 @@ class RupChecker:
         return False
 
 
+class _Replay:
+    """A :class:`RupChecker` over the verified prefix of one proof log:
+    the steps it accepted, in order, and the atom map it used."""
+
+    def __init__(self, atoms: Mapping[int, Atom]) -> None:
+        self.atoms = atoms
+        self.checker = RupChecker()
+        self.verified: List[ProofStep] = []
+
+    def extend(self, steps: Sequence[ProofStep]) -> Tuple[int, int]:
+        """Verify *steps* in order on top of the prefix, adding each one
+        once it is accepted.  Returns ``(rup_steps, theory_lemmas)``;
+        raises :class:`CertificateError` on the first invalid step."""
+        checker, verified = self.checker, self.verified
+        rup_steps = 0
+        theory_lemmas = 0
+        for step in steps:
+            if step.kind == INPUT:
+                pass
+            elif step.kind == RUP:
+                if not checker.is_rup(step.lits):
+                    raise CertificateError(
+                        f"proof step {len(verified)}: learned clause "
+                        f"{list(step.lits)} is not RUP")
+                rup_steps += 1
+            elif step.kind == THEORY:
+                check_farkas(step.lits, step.witness, self.atoms)
+                theory_lemmas += 1
+            else:
+                raise CertificateError(
+                    f"proof step {len(verified)}: unknown kind "
+                    f"{step.kind!r}")
+            checker.add_clause(step.lits)
+            verified.append(step)
+        return rup_steps, theory_lemmas
+
+    def check_claim(self, assumption_lits: Sequence[int]) -> None:
+        """Require the clause of negated *assumption_lits* (the empty
+        clause when there are none) to be RUP over the prefix."""
+        if not self.checker.is_rup([-lit for lit in assumption_lits]):
+            raise CertificateError(
+                "the proof does not refute the asserted clauses"
+                + (" under the given assumptions" if assumption_lits
+                   else ""))
+
+
+#: proof log -> replay state of its verified prefix (see module docstring).
+_REPLAYS: "weakref.WeakKeyDictionary[ProofLog, _Replay]" = \
+    weakref.WeakKeyDictionary()
+
+
 def check_rup_proof(steps: Sequence[ProofStep],
                     atoms: Mapping[int, Atom],
                     assumption_lits: Sequence[int] = ()) -> Tuple[int, int]:
@@ -266,31 +342,10 @@ def check_rup_proof(steps: Sequence[ProofStep],
     claim — the clause of negated assumption literals, or the empty
     clause when there are none — must be RUP over the full verified log.
     """
-    checker = RupChecker()
-    rup_steps = 0
-    theory_lemmas = 0
-    for position, step in enumerate(steps):
-        if step.kind == INPUT:
-            pass
-        elif step.kind == RUP:
-            if not checker.is_rup(step.lits):
-                raise CertificateError(
-                    f"proof step {position}: learned clause "
-                    f"{list(step.lits)} is not RUP")
-            rup_steps += 1
-        elif step.kind == THEORY:
-            check_farkas(step.lits, step.witness, atoms)
-            theory_lemmas += 1
-        else:
-            raise CertificateError(
-                f"proof step {position}: unknown kind {step.kind!r}")
-        checker.add_clause(step.lits)
-    final = [-lit for lit in assumption_lits]
-    if not checker.is_rup(final):
-        raise CertificateError(
-            "the proof does not refute the asserted clauses"
-            + (" under the given assumptions" if assumption_lits else ""))
-    return rup_steps, theory_lemmas
+    replay = _Replay(atoms)
+    counts = replay.extend(steps)
+    replay.check_claim(assumption_lits)
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +375,8 @@ def verify_sat(solver: SmtSolver, model: Optional[Model] = None,
 def verify_unsat(solver: SmtSolver,
                  certificate: Optional[UnsatCertificate] = None
                  ) -> CheckReport:
-    """Check an UNSAT answer against its recorded proof."""
+    """Check an UNSAT answer against its recorded proof, resuming from
+    the verified prefix of the certificate's log (module docstring)."""
     started = time.perf_counter()
     if not solver.certify:
         raise CertificateError(
@@ -329,8 +385,16 @@ def verify_unsat(solver: SmtSolver,
         certificate = solver.last_certificate
     if certificate is None:
         raise CertificateError("no UNSAT certificate was recorded")
-    rup_steps, theory_lemmas = check_rup_proof(
-        certificate.steps, solver.atom_of_var, certificate.assumption_lits)
+    proof, num_steps = certificate.proof, certificate.num_steps
+    atoms = solver.atom_of_var
+    replay = _REPLAYS.get(proof)
+    if replay is None or replay.atoms is not atoms \
+            or num_steps < len(replay.verified) \
+            or proof.steps[:len(replay.verified)] != replay.verified:
+        replay = _REPLAYS[proof] = _Replay(atoms)
+    rup_steps, theory_lemmas = replay.extend(
+        proof.steps[len(replay.verified):num_steps])
+    replay.check_claim(certificate.assumption_lits)
     return CheckReport("unsat", rup_steps=rup_steps,
                        theory_lemmas=theory_lemmas,
                        seconds=time.perf_counter() - started)

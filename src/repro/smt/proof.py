@@ -30,6 +30,11 @@ themselves verified steps.  :class:`UnsatCertificate` snapshots the log
 length at the moment an UNSAT answer is produced, so clauses asserted
 later (e.g. blocking clauses from an enumerate-and-block loop) cannot
 leak into the check of an earlier answer.
+
+Because the log only grows, the checker verifies each step once: a
+later certificate over the same log resumes from the prefix an earlier
+check accepted.  :class:`ProofLog` therefore compares and hashes by
+identity, so it can key that per-log replay state.
 """
 
 from __future__ import annotations
@@ -56,9 +61,12 @@ class ProofStep:
     witness: Optional[Tuple[Tuple[int, Fraction], ...]] = None
 
 
-@dataclass
+@dataclass(eq=False)
 class ProofLog:
-    """Append-only chronological clause log (see module docstring)."""
+    """Append-only chronological clause log (see module docstring).
+
+    Equality and hashing are by identity: two logs are the same log
+    only if they are the same object."""
 
     steps: List[ProofStep] = field(default_factory=list)
 

@@ -25,6 +25,7 @@ import enum
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.exceptions import BudgetExhausted, SolverError
@@ -132,8 +133,6 @@ class _LraBridge(TheoryListener):
         return idx
 
     def register_atom(self, sat_var: int, atom: Atom) -> None:
-        if sat_var in self.atom_info:
-            return
         coeffs = {self.simplex_var_for_real(v): c
                   for v, c in atom.expr.coeffs.items()}
         if len(coeffs) == 1:
@@ -210,6 +209,7 @@ class SmtSolver:
         self._guards: List[int] = []  # active push/pop guard literals
         self.stats = SmtStatistics()
         self._clause_count = 0
+        self._atoms_registered = 0   # prefix of atom_of_var the theory has
         self._budget: Optional[SolverBudget] = None
         #: why the last ``solve()`` returned ``UNKNOWN`` (None otherwise).
         self.last_budget_reason: Optional[str] = None
@@ -297,8 +297,14 @@ class SmtSolver:
             self._clause_count += 1
 
     def _register_new_atoms(self) -> None:
-        for sat_var, atom in self._cnf.atom_of_var.items():
+        """Hand the theory the atoms converted since the last call, in
+        insertion order (the map only grows, so they are its tail)."""
+        atoms = self._cnf.atom_of_var
+        fresh = len(atoms) - self._atoms_registered
+        tail = list(islice(reversed(atoms.items()), fresh))
+        for sat_var, atom in reversed(tail):
             self._theory.register_atom(sat_var, atom)
+        self._atoms_registered = len(atoms)
 
     def push(self) -> None:
         """Open a retractable assertion scope.

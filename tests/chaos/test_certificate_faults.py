@@ -117,6 +117,30 @@ class TestTruncatedProofs:
             with pytest.raises(CertificateError):
                 verify_unsat(solver, corrupt_proof(certificate))
 
+    def test_step_rewritten_after_verification_is_caught(self):
+        # The checker resumes from the prefix it already verified; a
+        # step swapped in that prefix afterwards must still be seen.
+        solver = SmtSolver(certify=True)
+        ps = [BoolVar(f"v{i}") for i in range(3)]
+        solver.add(Or(ps[0], ps[1]))
+        solver.add(Or(ps[0], Not(ps[1])))
+        solver.add(Or(Not(ps[0]), ps[2]))
+        solver.add(Or(Not(ps[0]), Not(ps[2])))
+        assert solver.solve() is SolveResult.UNSAT
+        certificate = solver.last_certificate
+        verify_unsat(solver, certificate)
+        tampered = corrupt_proof(certificate)
+        index = next(i for i, (a, b) in enumerate(
+            zip(certificate.steps, tampered.steps)) if a != b)
+        original = certificate.proof.steps[index]
+        certificate.proof.steps[index] = tampered.proof.steps[index]
+        with pytest.raises(CertificateError):
+            verify_unsat(solver, certificate)
+        with pytest.raises(CertificateError):
+            verify_unsat(solver, certificate)
+        certificate.proof.steps[index] = original
+        verify_unsat(solver, certificate)
+
 
 class TestAnalyzerSurfacesCertificateErrors:
     """A failing check inside the framework becomes a certificate_error

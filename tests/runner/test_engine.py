@@ -74,6 +74,29 @@ class TestExecuteScenario:
         assert outcome.status == ERROR
         assert "no-such-case" in outcome.error
 
+    def test_encoding_group_only_where_a_pool_can_share(self,
+                                                        monkeypatch):
+        # A one-cell unit on a pool of its own never looks a key up
+        # twice, so it hashes no case text; a caller's pool or a unit
+        # of several cells keys by the group.
+        from repro.runner.engine import SessionPool, run_unit
+        calls = []
+        original = ScenarioSpec.encoding_group
+
+        def counting(spec, case=None):
+            calls.append(spec.label)
+            return original(spec, case)
+
+        monkeypatch.setattr(ScenarioSpec, "encoding_group", counting)
+        spec, other = _fast_specs()
+        assert execute_scenario(spec, "fp").status == OK
+        assert calls == []
+        pool = SessionPool()
+        list(run_unit([spec], ["fp"], sessions=pool))
+        assert len(calls) == 1
+        list(run_unit([spec, other], ["fp", "fp2"]))
+        assert len(calls) == 3
+
 
 # -- engine: serial + cache ---------------------------------------------
 

@@ -33,7 +33,7 @@ from repro.smt.certificates import (
     check_rup_proof,
     self_check_default,
 )
-from repro.smt.proof import INPUT, RUP, ProofStep
+from repro.smt.proof import INPUT, RUP, THEORY, ProofStep, UnsatCertificate
 from repro.testing import corrupt_proof, tamper_model, truncate_proof
 
 
@@ -347,3 +347,102 @@ class TestRandomizedDifferential:
                 unsat += 1
                 verify_unsat(solver)
         assert sat and unsat      # the mix must exercise both paths
+
+
+def _warm_unsat_certificates(seed: int, rounds: int = 40):
+    """A seeded push / assert / solve-under-assumptions / pop run on one
+    certified solver, yielding ``(solver, certificate)`` at every UNSAT
+    answer, before the solver goes on."""
+    rng = random.Random(seed)
+    solver = certified_solver()
+    bools = [BoolVar(f"w{i}") for i in range(5)]
+    reals = [RealVar(f"x{i}") for i in range(3)]
+
+    def term():
+        if rng.random() < 0.5:
+            return Or(*[b if rng.random() < 0.5 else Not(b)
+                        for b in rng.sample(bools, rng.randint(1, 2))])
+        expr = sum((rng.randint(-3, 3) * v for v in reals),
+                   rng.randint(-2, 2) * reals[0])
+        bound = rng.randint(-6, 6)
+        atom = expr <= bound if rng.random() < 0.5 else expr >= bound
+        return Or(atom, rng.choice(bools)) if rng.random() < 0.5 else atom
+
+    solver.add(term())
+    for _ in range(rounds):
+        solver.push()
+        for _ in range(rng.randint(3, 6)):
+            solver.add(term())
+        assumptions = [b if rng.random() < 0.5 else Not(b)
+                       for b in rng.sample(bools, rng.randint(1, 4))]
+        if solver.solve(assumptions) is SolveResult.UNSAT:
+            yield solver, solver.last_certificate
+        solver.pop()
+
+
+def _accepts(check) -> bool:
+    try:
+        check()
+    except CertificateError:
+        return False
+    return True
+
+
+class TestResumedReplay:
+    """``verify_unsat`` resumes from the verified prefix of a warm
+    solver's proof log; it must accept and reject exactly what a full
+    replay from step 0 does, and check each step only once."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_same_verdict_as_a_full_replay(self, seed):
+        rng = random.Random(seed)
+        verdicts = []
+        for solver, certificate in _warm_unsat_certificates(seed):
+            atoms = solver.atom_of_var
+            variants = [
+                # the claim without its assumptions: a resumed prefix
+                # with a final claim that may not hold
+                UnsatCertificate(certificate.proof, certificate.num_steps),
+                # fewer steps than were verified: a restart from step 0
+                truncate_proof(certificate,
+                               rng.randint(1, certificate.num_steps)),
+                certificate,
+            ]
+            for variant in variants:
+                resumed = _accepts(lambda: verify_unsat(solver, variant))
+                full = _accepts(lambda: check_rup_proof(
+                    variant.steps, atoms, variant.assumption_lits))
+                assert resumed == full
+                verdicts.append(resumed)
+            assert verdicts[-1] is True   # the genuine certificate
+        assert len(verdicts) >= 30
+        assert False in verdicts
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_each_step_is_checked_once(self, seed):
+        verified = checks = longest = 0
+        solver = None
+        for solver, certificate in _warm_unsat_certificates(seed):
+            report = verify_unsat(solver, certificate)
+            verified += report.rup_steps + report.theory_lemmas
+            longest = max(longest, certificate.num_steps)
+            checks += 1
+        prefix = solver.proof.steps[:longest]
+        assert checks >= 10
+        assert verified == sum(1 for step in prefix
+                               if step.kind in (RUP, THEORY))
+        assert verified > 0
+
+    def test_another_atom_map_restarts_the_replay(self):
+        solver = certified_solver()
+        x, y = RealVar("x"), RealVar("y")
+        solver.add(x <= y)
+        solver.add(y <= x - 1)
+        assert solver.solve() is SolveResult.UNSAT
+        certificate = solver.last_certificate
+        assert verify_unsat(solver, certificate).theory_lemmas >= 1
+        # A solver that never saw these atoms cannot vouch for the
+        # Farkas witnesses: the prefix verified under the first map
+        # must not be reused.
+        with pytest.raises(CertificateError):
+            verify_unsat(certified_solver(), certificate)
