@@ -23,7 +23,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import build_parser, _grid_specs
+from repro.cli import build_parser, format_table, _grid_specs
 from repro.fabric import read_events
 from repro.runner import SweepConfig, SweepEngine
 from repro.runner.trace import deterministic_outcome_view
@@ -37,8 +37,6 @@ from repro.testing import (
     Fault,
     FaultPlan,
 )
-from repro.benchlib import format_table
-
 REPO_ROOT = Path(__file__).resolve().parent.parent
 ARTIFACT = REPO_ROOT / "BENCH_fabric.json"
 

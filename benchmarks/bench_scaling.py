@@ -86,7 +86,7 @@ def _non_bridge_sample(grid, lines, count, seed):
 
 def run_pipeline(case_name, backend):
     """Run the four-stage pipeline; returns a JSON-ready dict."""
-    from repro.benchlib import profile_resources, measured
+    from benchmarks.paper import measured, profile_memory
     from repro.estimation.measurement import MeasurementPlan
     from repro.estimation.wls import WlsEstimator
     from repro.grid.cases import get_case
@@ -104,7 +104,7 @@ def run_pipeline(case_name, backend):
 
     def record(name, fn):
         result, seconds = measured(fn)        # untraced timing pass
-        _, prof = profile_resources(fn)       # traced memory pass
+        _, prof = profile_memory(fn)          # traced memory pass
         stages[name] = {
             "seconds": round(seconds, 4),
             "peak_alloc_mb": round(prof.peak_alloc_mb, 2),
@@ -278,7 +278,7 @@ def test_scaling_sparse_vs_dense(benchmark):
         assert rank1[case_name]["speedup"] > 1.0, (case_name,
                                                    rank1[case_name])
 
-    from repro.benchlib import format_table
+    from repro.cli import format_table
     print()
     print(format_table(
         f"pipeline scaling, sparse vs dense "

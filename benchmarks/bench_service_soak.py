@@ -33,7 +33,7 @@ from repro.testing import (
     Fault,
     FaultPlan,
 )
-from repro.benchlib import format_table
+from repro.cli import format_table
 
 CASE = "5bus-study1"
 TARGETS = ("1", "2", "3", "4", "5")

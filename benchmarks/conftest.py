@@ -1,22 +1,12 @@
-"""Shared fixtures and helpers for the evaluation benchmarks.
-
-Every benchmark prints the paper-style table or series it regenerates, so
-``pytest benchmarks/ --benchmark-only -s`` reproduces the evaluation
-section's content (shapes, not absolute numbers — see EXPERIMENTS.md).
+"""Pytest configuration for the pytest-benchmark scripts (the fabric and
+service soaks and the scaling curves).  The paper's figures and tables
+are regenerated by ``benchmarks/paper.py``, a plain script.
 """
 
 from __future__ import annotations
-
-import pytest
 
 
 def pytest_configure(config):
     config.addinivalue_line(
         "markers", "paper(ref): the paper table/figure a benchmark "
         "regenerates")
-
-
-@pytest.fixture(scope="session")
-def bench_results():
-    """A session-wide scratchpad benchmarks use to assemble series."""
-    return {}

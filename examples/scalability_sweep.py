@@ -11,9 +11,10 @@ Run:  python examples/scalability_sweep.py
 
 import time
 
-from repro.benchlib import format_series, randomize_attacker
+from repro.cli import format_table
 from repro.core import FastImpactAnalyzer, ImpactQuery
 from repro.grid.cases import SCALABILITY_SWEEP, get_case
+from repro.runner.spec import randomize_attacker
 
 
 def main() -> None:
@@ -44,8 +45,8 @@ def main() -> None:
         print(f"  analysis time       : {elapsed:.2f}s")
         print()
 
-    print(format_series("fast impact analysis time", "buses", "seconds",
-                        timings))
+    print(format_table("fast impact analysis time", ("buses", "seconds"),
+                       [(buses, f"{t:.3f}") for buses, t in timings.items()]))
 
 
 if __name__ == "__main__":

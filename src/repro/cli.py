@@ -22,7 +22,7 @@ import os
 import signal
 import sys
 from fractions import Fraction
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from repro.core import ImpactQuery
 from repro.estimation import MeasurementPlan
@@ -323,8 +323,7 @@ def _grid_specs(args) -> List:
     same command-line arguments (the differential chaos tests depend
     on this).
     """
-    from repro.benchlib.scenarios import scenario_seeds
-    from repro.runner import ScenarioSpec
+    from repro.runner.spec import ScenarioSpec, scenario_seeds
 
     names = [name.strip() for name in args.cases.split(",")
              if name.strip()]
@@ -363,11 +362,33 @@ def _grid_specs(args) -> List:
     return specs
 
 
+def format_table(title: str, headers: Sequence[str],
+                 rows: Sequence[Sequence]) -> str:
+    """A plain ASCII table with a title bar."""
+    columns = len(headers)
+    cells = [[str(h) for h in headers]]
+    for row in rows:
+        cells.append([_fmt(v) for v in row])
+    widths = [max(len(r[c]) for r in cells) for c in range(columns)]
+
+    def line(row):
+        return " | ".join(v.ljust(w) for v, w in zip(row, widths))
+
+    bar = "-+-".join("-" * w for w in widths)
+    out = [f"== {title} ==", line(cells[0]), bar]
+    out.extend(line(r) for r in cells[1:])
+    return "\n".join(out)
+
+
+def _fmt(value) -> str:
+    if isinstance(value, float):
+        return f"{value:.4g}"
+    return str(value)
+
+
 def _print_sweep_results(sweep, cell_count: int,
                          trace_path: Optional[str]) -> None:
     """Render a finished sweep/fabric run (table, totals, failures)."""
-    from repro.benchlib import format_table
-
     rows = []
     for outcome in sweep.outcomes:
         increase = outcome.achieved_increase_percent

@@ -50,8 +50,8 @@ from repro.smt.rational import to_fraction
 #: model, but it does not quantize the attack space the way the paper's
 #: 2-digit vector precision did (EXPERIMENTS deviation 6): every change at
 #: or above it stays reachable.  The search's structure pruning is a
-#: separate step, and an unproved one (``block_structure``, ROADMAP
-#: items 2-3).
+#: separate step, and an unproved one (``block_structure``; ROADMAP,
+#: "Close the structure-pruning hole").
 EPSILON = Fraction(1, 10000)
 
 
@@ -443,8 +443,9 @@ class AttackModelEncoding:
         best case: the believed-optimal cost is convex in the loads, so
         its maximum lies on a vertex of the believed-load polytope, and
         the 2n coordinate optima are only some of the vertices.  The
-        pruning is unproved until ROADMAP item 2 replaces it or item 3's
-        exhaustive oracle checks it.
+        pruning is unproved until ROADMAP's "Remove the ∀: one certified
+        SMT query per question" replaces it or the exhaustive oracle of
+        "Close the structure-pruning hole" checks it.
         """
         literals = []
         chosen_p = set(solution.excluded)

@@ -26,10 +26,11 @@ optimum exactly.  The believed-optimal cost is convex in the loads, so
 over the structure's believed-load polytope its maximum lies on *a
 vertex* — but the 2n coordinate optima are only some of the vertices.
 Pruning the structure after them is therefore a heuristic step, not a
-proved one (ROADMAP item 1 step B): an unsat is exact only if no
-unvisited vertex reaches the threshold.  ROADMAP item 2 (one KKT query
-per question) removes the step; item 3's exhaustive 5-bus oracle tests
-it meanwhile.
+proved one (ROADMAP, "An unsat is `proved` only over the question's own
+clauses"): an unsat is exact only if no unvisited vertex reaches the
+threshold.  ROADMAP's "Remove the ∀: one certified SMT query per
+question" removes the step; the exhaustive 5-bus oracle of "Close the
+structure-pruning hole" tests it meanwhile.
 
 This module holds the *search strategy*: candidate generation (the SMT
 attack model), evaluation (exact believed OPF), blocking and

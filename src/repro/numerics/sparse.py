@@ -1,8 +1,9 @@
 """In-repo sparse linear algebra (stdlib + numpy only — no scipy).
 
-The scaling refactor (ROADMAP item 4) moves the whole analysis stack —
-network matrices, PTDF/LODF sensitivities, WLS estimation and the
-shift-factor OPF — onto factorized sparse solves.  This module provides
+The scaling refactor (ROADMAP, "One numeric core: sparse at every
+size") moves the whole analysis stack — network matrices, PTDF/LODF
+sensitivities, WLS estimation and the shift-factor OPF — onto
+factorized sparse solves.  This module provides
 the primitives:
 
 * :class:`CsrMatrix` — a compressed-sparse-row matrix with the handful

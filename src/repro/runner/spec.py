@@ -17,14 +17,20 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 from dataclasses import asdict, dataclass, field
 from dataclasses import fields as dataclass_fields
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.exceptions import ModelError
-from repro.grid.caseio import CaseDefinition, parse_case, write_case
+from repro.grid.caseio import (
+    CaseDefinition,
+    MeasurementSpec,
+    parse_case,
+    write_case,
+)
 from repro.numerics import default_policy
 from repro.smt.rational import to_fraction
 
@@ -87,6 +93,52 @@ def code_fingerprint() -> str:
             digest.update(path.read_bytes())
         _code_fingerprint = digest.hexdigest()[:16]
     return _code_fingerprint
+
+
+# Paper Section IV-B: "At each problem size, we perform three experiments
+# taking different random scenarios, especially in terms of the
+# attacker's resource limitation."  A spec's ``attacker_seed`` names one
+# such scenario variant, produced deterministically by
+# :func:`randomize_attacker`.
+
+def scenario_seeds(count: int = 3, base: int = 2014) -> List[int]:
+    """The per-size scenario seeds (2014: the paper's year)."""
+    return [base + i for i in range(count)]
+
+
+def randomize_attacker(case: CaseDefinition, seed: int) -> CaseDefinition:
+    """A scenario variant with randomized attacker resources.
+
+    Varies the resource budgets (the paper's emphasis) and sprinkles
+    additional measurement protection, while keeping the grid itself —
+    and therefore the OPF — untouched.
+    """
+    rng = random.Random(seed)
+    total = case.num_potential_measurements
+    buses = case.num_buses
+
+    measurement_budget = max(4, int(total * rng.uniform(0.05, 0.25)))
+    bus_budget = max(2, int(buses * rng.uniform(0.15, 0.45)))
+
+    secured_fraction = rng.uniform(0.0, 0.15)
+    new_specs = []
+    for spec in case.measurement_specs:
+        secured = spec.secured or rng.random() < secured_fraction
+        new_specs.append(MeasurementSpec(spec.index, spec.taken,
+                                         secured, spec.alterable))
+
+    return CaseDefinition(
+        name=f"{case.name}-scenario{seed}",
+        line_specs=list(case.line_specs),
+        measurement_specs=new_specs,
+        bus_types=list(case.bus_types),
+        generators=list(case.generators),
+        loads=list(case.loads),
+        resource_measurements=measurement_budget,
+        resource_buses=bus_budget,
+        base_cost=case.base_cost,
+        min_increase_percent=case.min_increase_percent,
+    )
 
 
 @dataclass(frozen=True)
@@ -161,7 +213,6 @@ class ScenarioSpec:
             from repro.grid.cases import get_case
             case = get_case(self.case)
         if self.attacker_seed is not None:
-            from repro.benchlib.scenarios import randomize_attacker
             case = randomize_attacker(case, self.attacker_seed)
         return case
 

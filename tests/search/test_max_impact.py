@@ -125,7 +125,7 @@ class TestPropertyRandomizedCases:
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_fast_bracket_matches_decisions(self, seed):
-        from repro.benchlib.scenarios import randomize_attacker
+        from repro.runner.spec import randomize_attacker
         case = randomize_attacker(get_case("5bus-study1"), seed)
         case = with_budgets(case, 2 + seed % 4, 1 + seed % 3)
         result = _bisect(FastImpactAnalyzer(case))
@@ -140,7 +140,7 @@ class TestPropertyRandomizedCases:
             assert not fresh.solve_at(0).satisfiable
 
     def test_smt_bracket_matches_decisions_one_seed(self):
-        from repro.benchlib.scenarios import randomize_attacker
+        from repro.runner.spec import randomize_attacker
         case = randomize_attacker(get_case("5bus-study1"), 7)
         result = _bisect(ImpactAnalyzer(case))
         assert result.status == "complete"

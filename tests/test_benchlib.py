@@ -1,18 +1,17 @@
-"""Tests for the benchmark harness support library."""
+"""Tests for the paper harness (``benchmarks/paper.py``): its
+measurement and formatting helpers, one registry entry end to end, and
+the attacker-scenario randomization it shares with the sweep grid."""
 
+import json
 import time
 
 import pytest
 
-from repro.benchlib import (
-    format_series,
-    format_table,
-    measured,
-    profile_memory,
-    randomize_attacker,
-    scenario_seeds,
-)
+from benchmarks import paper
+from benchmarks.paper import format_series, measured, profile_memory
+from repro.cli import format_table
 from repro.grid.cases import get_case
+from repro.runner.spec import randomize_attacker, scenario_seeds
 
 
 class TestScenarios:
@@ -66,7 +65,7 @@ class TestMeasure:
             return [0] * 300000
         result, profile = profile_memory(allocate)
         assert len(result) == 300000
-        assert profile.peak_mb > 1.0
+        assert profile.peak_alloc_mb > 1.0
         assert profile.elapsed_seconds >= 0
 
     def test_profile_memory_stops_tracing_on_error(self):
@@ -84,13 +83,13 @@ class TestMeasure:
         def outer():
             result, profile = profile_memory(lambda: [0] * 200000)
             assert len(result) == 200000
-            assert profile.peak_mb > 0
+            assert profile.peak_alloc_mb > 0
             assert tracemalloc.is_tracing()  # outer session still live
             return result
 
         _, outer_profile = profile_memory(outer)
         assert not tracemalloc.is_tracing()
-        assert outer_profile.peak_mb > 0
+        assert outer_profile.peak_alloc_mb > 0
 
     def test_profile_memory_preserves_external_session(self):
         import tracemalloc
@@ -119,3 +118,38 @@ class TestTables:
 
     def test_format_series_empty_safe(self):
         assert "== S ==" in format_series("S", "x", "y", {})
+
+
+class TestPaperHarness:
+    def test_case1_entry_writes_its_cells_and_keeps_others(
+            self, tmp_path, capsys):
+        artifact = tmp_path / "BENCH_paper.json"
+        kept = {"paper": "Fig. 4(a)", "scale": "default", "checks": {},
+                "cells": {}}
+        artifact.write_text(json.dumps(
+            {"benchmark": "paper", "entries": {"fig4a": kept}}))
+
+        assert paper.main(["case1"], artifact=artifact) == 0
+
+        entries = json.loads(artifact.read_text())["entries"]
+        assert list(entries) == ["fig4a", "case1"]
+        assert entries["fig4a"] == kept
+        case1 = entries["case1"]
+        assert case1["scale"] == "default"
+        assert case1["checks"] and all(case1["checks"].values())
+        cell = case1["cells"]["5bus-study1"]
+        assert cell["verdict"] == "sat"
+        assert cell["excluded"] == [6]
+        assert cell["altered"] == [6, 13, 17, 18]
+        assert cell["seconds"] > 0
+        assert cell["decisions"] > 0 and cell["candidates"] >= 1
+        assert "Case study 1 — paper vs reproduction" in \
+            capsys.readouterr().out
+
+    def test_unknown_entry_is_a_usage_error(self, tmp_path, capsys):
+        artifact = tmp_path / "BENCH_paper.json"
+        with pytest.raises(SystemExit) as exc:
+            paper.main(["case1", "fig9z"], artifact=artifact)
+        assert exc.value.code == 2
+        assert "unknown entry fig9z" in capsys.readouterr().err
+        assert not artifact.exists()
