@@ -15,11 +15,11 @@ exit status is 1 when any shape check fails.
 Every quoted figure is measured serial and uncached: Fig. 4 runs its
 cells through ``SweepEngine(workers=1)`` without a result cache, one
 sweep per problem size, and Fig. 5 and Table IV build the two encodings
-directly.  The full SMT framework analyzes the 5-bus systems and the
-LODF/LCDF fast analyzer the larger ones, the hybrid the paper itself
-adopts (Section IV-A).  ``--paper-scale`` pushes the SMT models further
-up the sweep (slow): ieee14 on the full SMT framework in Fig. 4 and
-ieee57 in Fig. 5(a).
+directly, Table IV each in a fresh process.  The full SMT framework
+analyzes the 5-bus systems and the LODF/LCDF fast analyzer the larger
+ones, the hybrid the paper itself adopts (Section IV-A).
+``--paper-scale`` pushes the SMT models further up the sweep (slow):
+ieee14 on the full SMT framework in Fig. 4 and ieee57 in Fig. 5(a).
 
 Absolute timings are not expected to match the paper (Z3 vs. a
 pure-Python DPLL(T) solver); EXPERIMENTS.md compares the shapes.
@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import multiprocessing
 import resource
 import time
 import tracemalloc
@@ -429,33 +430,44 @@ def _fig5c_tables(cells: Cells, done: Dict[str, Cells]) -> List[str]:
 
 # -- Table IV: memory ------------------------------------------------------
 
-def _table4_cells(paper_scale: bool) -> Cells:
-    """Peak allocation of building each model (and solving it: the
+def _table4_cell(name: str, model: str) -> Dict[str, Any]:
+    """Peak allocation of building one model (and solving it: the
     attack model on the 5-bus system only, where the solver's own
     allocation is measured too; solving the larger ones measures time,
-    not memory).  No encoding outlives its own profile."""
+    not memory)."""
+    case = get_case(name)
+
+    def build_attack():
+        encoding = AttackModelEncoding(case, AttackEncodingConfig(
+            include_state_infection=True,
+            require_believed_feasibility=False))
+        verdict = (_verdict(encoding.solve() is not None)
+                   if case.num_buses <= 5 else None)
+        return verdict, _solver_counters(encoding)
+
+    def build_opf():
+        encoding = OpfModelEncoding(*_opf_inputs(name))
+        return _verdict(encoding.check(None)), _solver_counters(encoding)
+
+    build = build_attack if model == "attack" else build_opf
+    (verdict, counters), prof = profile_memory(build)
+    return _cell(verdict, prof.elapsed_seconds, buses=case.num_buses,
+                 peak_alloc_mb=round(prof.peak_alloc_mb, 2), **counters)
+
+
+def _table4_cells(paper_scale: bool) -> Cells:
+    """Each (case, model) cell of :func:`_table4_cell`, in a fresh
+    spawned process: a model's peak allocation then never depends on
+    what the harness built before it (in one process, caches earlier
+    entries left behind moved the 30-bus OPF model from 0.84 to 1.40
+    MB)."""
+    context = multiprocessing.get_context("spawn")
     cells: Cells = {}
     for name in ("5bus-study2", "ieee14", "ieee30", "ieee57"):
-        case = get_case(name)
-
-        def build_attack():
-            encoding = AttackModelEncoding(case, AttackEncodingConfig(
-                include_state_infection=True,
-                require_believed_feasibility=False))
-            verdict = (_verdict(encoding.solve() is not None)
-                       if case.num_buses <= 5 else None)
-            return verdict, _solver_counters(encoding)
-        grid, topology, loads = _opf_inputs(name)
-
-        def build_opf():
-            encoding = OpfModelEncoding(grid, topology, loads)
-            return (_verdict(encoding.check(None)),
-                    _solver_counters(encoding))
-        for model, build in (("attack", build_attack), ("opf", build_opf)):
-            (verdict, counters), prof = profile_memory(build)
-            cells[f"{name}/{model}"] = _cell(
-                verdict, prof.elapsed_seconds, buses=case.num_buses,
-                peak_alloc_mb=round(prof.peak_alloc_mb, 2), **counters)
+        for model in ("attack", "opf"):
+            with context.Pool(1) as pool:
+                cells[f"{name}/{model}"] = pool.apply(
+                    _table4_cell, (name, model))
     return cells
 
 

@@ -45,12 +45,18 @@ strategy in.  It answers the shared
 and ``verify_with_smt_opf=True`` (it has no SMT OPF model).  Its one
 independent re-solve (:meth:`FastSearchStrategy._independent_opf`)
 serves both the Eq. 37 boundary escalation and the certified recheck.
-The PTDF
-factorization is inherently per-case, so the fast strategy is "warm"
-from its second query onward — its ``encode_seconds`` is the one-time
-pipeline build.  Reachable ranges and per-candidate maxima do not
-depend on the target either, so the strategy keeps them across queries
-(a sweep unit or a warm service session re-solves only what changes).
+Everything that depends on the grid alone lives in a :class:`GridKernel`:
+the PTDF pipeline, the attack-free OPF, the operating polytope and the
+memos of reachable flow ranges, per-candidate maxima and the attack-free
+operating point.  None of it depends on the target or on the attacker,
+so the kernel keeps it across the queries of one analyzer and across the
+analyzers of one grid: a
+:class:`~repro.runner.engine.SessionPool` hands one kernel to every
+fast analyzer whose grid is equal (:meth:`GridKernel.key`), so a sweep
+over attacker scenarios solves each grid's LPs once per worker.  The
+strategy keeps only what depends on the attacker.  Its
+``encode_seconds`` is the kernel build, paid by the analyzer that built
+the kernel, on its first query.
 """
 
 from __future__ import annotations
@@ -78,7 +84,7 @@ from repro.core.session import (
 from repro.exceptions import CertificateError, ModelError
 from repro.grid.caseio import CaseDefinition
 from repro.grid.matrices import state_order
-from repro.numerics import collect_diagnostics
+from repro.numerics import collect_diagnostics, default_policy
 from repro.opf.dcopf import DcOpfResult, solve_dc_opf
 from repro.opf.shift_factor import ShiftFactorOpf, TopologyChange
 from repro.smt.rational import to_fraction
@@ -121,39 +127,107 @@ def box_balance_extremes(c: np.ndarray, low: np.ndarray, high: np.ndarray,
     return -maximum(-c), maximum(c)
 
 
+class GridKernel:
+    """The grid-only half of the fast path, shared by every analyzer of
+    one grid.
+
+    It holds the PTDF pipeline (:class:`ShiftFactorOpf` and its topology
+    caches), the attack-free OPF, the existing loads, the operating
+    polytope with its generator box and total demand, and the memos of
+    reachable flow ranges and interval maxima per ``(kind, line)`` and
+    of the attack-free operating point.  It reads the buses, the lines
+    with their true status, the generators, the loads and the reference
+    bus, and no attacker field, so :meth:`key` is exactly that.
+
+    A kernel whose build emitted numerical warnings is ``warned``: it
+    serves the analyzer that built it and is never shared, so a second
+    analyzer of the grid builds its own and sees the same warnings a
+    fresh one does.  A build that raises leaves no kernel.
+    """
+
+    def __init__(self, grid) -> None:
+        self.grid = grid
+        with collect_diagnostics() as warnings:
+            self.base_topology = [l.index for l in grid.lines
+                                  if l.in_service]
+            self.sf_opf = ShiftFactorOpf(grid, self.base_topology)
+            self.base = self.sf_opf.solve()
+            self.existing_loads: Dict[int, float] = {
+                bus: float(load.existing)
+                for bus, load in grid.loads.items()}
+            self.demand, self.operating_lp = self._operating_polytope()
+            self.gen_low, self.gen_high = \
+                np.array(self.operating_lp["bounds"]).reshape(-1, 2).T
+            self.total_demand = float(self.operating_lp["b_eq"][0])
+        self.warned = bool(warnings)
+        # Target- and attacker-independent results (see
+        # FastSearchStrategy._memoised): reachable flow ranges and
+        # interval maxima per (kind, line), and the attack-free B-theta
+        # operating point state sampling starts from.
+        self.ranges: Dict[Tuple[str, int],
+                          Optional[Tuple[float, float]]] = {}
+        self.maxima: Dict[Tuple[str, int],
+                          Optional[Tuple[float, Fraction, Dict]]] = {}
+        self.operating_point: Dict = {}
+
+    @staticmethod
+    def key(case: CaseDefinition) -> Tuple:
+        """Every case field the kernel reads, and the numerics policy
+        its guarded solves ran under; no attacker field."""
+        lines = tuple((s.index, s.from_bus, s.to_bus, s.admittance,
+                       s.capacity, s.in_true_topology)
+                      for s in case.line_specs)
+        return (tuple(case.bus_types), lines, tuple(case.generators),
+                tuple(case.loads), case.reference_bus,
+                default_policy().key())
+
+    def _operating_polytope(self) -> Tuple[np.ndarray, Dict]:
+        """The existing demand vector and the ``linprog`` constraints of
+        the case's feasible operating points over generator outputs:
+        every base-topology line capacity, power balance and dispatch
+        limits at that demand."""
+        grid = self.grid
+        factors = self.sf_opf.factors
+        demand = np.zeros(grid.num_buses)
+        for load in grid.loads.values():
+            demand[load.bus - 1] = float(load.existing)
+        M = self.sf_opf.gen_flow_matrix()
+        base = factors.flows_for_injections(-demand)
+        capacities = np.array([float(grid.line(i).capacity)
+                               for i in factors.lines])
+        gens = self.sf_opf.gen_buses
+        lp = {"A_ub": np.vstack([M, -M]),
+              "b_ub": np.concatenate([capacities - base, capacities + base]),
+              "A_eq": np.ones((1, len(gens))),
+              "b_eq": np.array([float(demand.sum())]),
+              "bounds": [(float(grid.generators[b].p_min),
+                          float(grid.generators[b].p_max)) for b in gens],
+              "method": "highs"}
+        return demand, lp
+
+
 class FastSearchStrategy(SearchStrategy):
-    """Single-line LODF/LCDF candidate enumeration for a session."""
+    """Single-line LODF/LCDF candidate enumeration for a session.
+
+    The grid-only state lives in :attr:`kernel` (a :class:`GridKernel`,
+    the caller's or else built in :meth:`prepare`); the strategy keeps
+    the attacker and the per-query counters.
+    """
 
     kind = "fast"
 
-    def __init__(self, case: CaseDefinition) -> None:
+    def __init__(self, case: CaseDefinition,
+                 kernel: Optional[GridKernel] = None) -> None:
         self.case = case
-        self._base_cost = Fraction(0)
+        self.kernel = kernel
+        #: the kernel came from a pool: its build was another analyzer's.
+        self._kernel_shared = kernel is not None
+        self._build_seconds = 0.0
         self.evaluations: List[CandidateEvaluation] = []
         self.attacker: Optional[AttackerModel] = None
-        self.base_topology: List[int] = []
-        self._sf_opf: Optional[ShiftFactorOpf] = None
-        self._prepare_seconds = 0.0
         self._analyses = 0
         self._opf_calls_before = 0
         self._opf_seconds_before = 0.0
-        # Case-level inputs of the candidate kernels, built in prepare().
-        self._existing_loads: Dict[int, float] = {}
-        self._demand = np.zeros(0)
-        self._operating_lp: Dict = {}
-        # The generator box and total demand of the operating polytope.
-        self._gen_low = np.zeros(0)
-        self._gen_high = np.zeros(0)
-        self._total_demand = 0.0
-        # The attack-free B-theta operating point state sampling starts
-        # from, solved on first use (kept like the memos below).
-        self._operating_point: Dict = {}
-        # Target-independent results kept across queries (see _memoised):
-        # reachable flow ranges and interval maxima per (kind, line).
-        self._ranges: Dict[Tuple[str, int],
-                           Optional[Tuple[float, float]]] = {}
-        self._maxima: Dict[Tuple[str, int],
-                           Optional[Tuple[float, Fraction, Dict]]] = {}
 
     @property
     def grid(self):
@@ -164,33 +238,27 @@ class FastSearchStrategy(SearchStrategy):
     # ------------------------------------------------------------------
 
     def prepare(self) -> None:
-        """Build the per-case PTDF pipeline and solve the attack-free OPF.
+        """Build the attacker model and, unless a kernel was handed in,
+        the grid kernel (PTDF pipeline and attack-free OPF).
 
         A :class:`~repro.exceptions.ModelError` propagates to the session
         (→ ``case.model_error`` rejection); an infeasible base OPF is
         reported through :meth:`AnalysisSession.note_base_infeasible`.
         """
-        built = time.perf_counter()
         case, grid = self.case, self.session.grid
         self.attacker = AttackerModel.from_case(case, grid)
-        self.base_topology = [l.index for l in grid.lines if l.in_service]
-        self._sf_opf = ShiftFactorOpf(grid, self.base_topology)
-        base = self._sf_opf.solve()
-        self._existing_loads = {bus: float(load.existing)
-                                for bus, load in grid.loads.items()}
-        self._demand, self._operating_lp = self._operating_polytope()
-        self._gen_low, self._gen_high = \
-            np.array(self._operating_lp["bounds"]).reshape(-1, 2).T
-        self._total_demand = float(self._operating_lp["b_eq"][0])
-        self._prepare_seconds = time.perf_counter() - built
-        if not base.feasible:
+        if self.kernel is None:
+            started = time.perf_counter()
+            self.kernel = GridKernel(grid)
+            self._build_seconds = time.perf_counter() - started
+        if not self.kernel.base.feasible:
             self.session.note_base_infeasible(
                 f"case {case.name}: attack-free OPF is infeasible")
-            return
-        self._base_cost = base.cost
 
     def base_cost(self) -> Fraction:
-        return self._base_cost
+        base = self.kernel.base if self.kernel is not None else None
+        return base.cost if base is not None and base.feasible \
+            else Fraction(0)
 
     def validate_query(self, query: ImpactQuery) -> None:
         if not query.allow_topology_attack:
@@ -205,8 +273,8 @@ class FastSearchStrategy(SearchStrategy):
     def begin(self, query: ImpactQuery, threshold: Fraction) -> None:
         self.evaluations = []
         self._analyses += 1
-        self._opf_calls_before = self._sf_opf.solve_calls
-        self._opf_seconds_before = self._sf_opf.solve_seconds
+        self._opf_calls_before = self.kernel.sf_opf.solve_calls
+        self._opf_seconds_before = self.kernel.sf_opf.solve_seconds
 
     def search(self, query: ImpactQuery,
                threshold: Fraction) -> SearchOutcome:
@@ -237,7 +305,7 @@ class FastSearchStrategy(SearchStrategy):
 
         # The threshold encodes the target exactly, so this float equals
         # the query's target percentage bit-for-bit.
-        target = float((threshold / self._base_cost - 1) * 100)
+        target = float((threshold / self.base_cost() - 1) * 100)
         # Eq. 37 boundary semantics: reaching the target exactly counts.
         satisfiable = best is not None \
             and best.best_increase_percent >= target
@@ -266,7 +334,7 @@ class FastSearchStrategy(SearchStrategy):
                 "was computed under ill-conditioning warnings")
         if satisfiable:
             if believed_min is None:
-                believed_min = self._base_cost * to_fraction(
+                believed_min = self.base_cost() * to_fraction(
                     1 + best.best_increase_percent / 100)
             from repro.core.encoding import AttackVectorSolution
             solution = AttackVectorSolution(
@@ -335,20 +403,21 @@ class FastSearchStrategy(SearchStrategy):
     # ------------------------------------------------------------------
 
     def encode_info(self) -> Dict:
-        if self._analyses <= 1:
+        # A pooled kernel was built (and reported) by another analyzer.
+        if self._analyses <= 1 and not self._kernel_shared:
             return {"warm": False, "encodings_built": 1,
-                    "encode_seconds": self._prepare_seconds}
+                    "encode_seconds": self._build_seconds}
         return {"warm": True, "encodings_built": 0,
                 "encode_seconds": 0.0}
 
     def opf_trace(self) -> Dict:
-        if self._sf_opf is None:
+        if self.kernel is None:
             # prepare() degraded before the PTDF pipeline existed (e.g.
             # a numerically unstable susceptance matrix): no solves ran.
             return {"solves": 0, "seconds": 0.0}
-        return {"solves": self._sf_opf.solve_calls - self._opf_calls_before,
-                "seconds": (self._sf_opf.solve_seconds
-                            - self._opf_seconds_before)}
+        sf_opf = self.kernel.sf_opf
+        return {"solves": sf_opf.solve_calls - self._opf_calls_before,
+                "seconds": sf_opf.solve_seconds - self._opf_seconds_before}
 
     # ------------------------------------------------------------------
     # Certified recheck
@@ -409,8 +478,8 @@ class FastSearchStrategy(SearchStrategy):
 
     def _believed_topology(self, kind: str, line_index: int) -> List[int]:
         if kind == "exclude":
-            return [i for i in self.base_topology if i != line_index]
-        return self.base_topology + [line_index]
+            return [i for i in self.kernel.base_topology if i != line_index]
+        return self.kernel.base_topology + [line_index]
 
     def _note_islanding(self, kind: str, line_index: int) -> None:
         excluded = [line_index] if kind == "exclude" else []
@@ -426,7 +495,7 @@ class FastSearchStrategy(SearchStrategy):
         # prepare() already required to be connected (the PTDF build
         # refuses an islanded base), so only exclusions can island:
         # exactly the base topology's bridges.
-        if kind == "exclude" and line_index in self._sf_opf.bridges:
+        if kind == "exclude" and line_index in self.kernel.sf_opf.bridges:
             self._note_islanding(kind, line_index)
             return CandidateEvaluation(
                 kind, line_index, False,
@@ -448,7 +517,7 @@ class FastSearchStrategy(SearchStrategy):
                                        "to-bus has no load headroom")
 
         flow_range = self._memoised(
-            self._ranges, (kind, line_index),
+            self.kernel.ranges, (kind, line_index),
             lambda: self._reachable_flow_range(kind, line_index))
         if flow_range is None:
             return CandidateEvaluation(kind, line_index, False,
@@ -459,14 +528,14 @@ class FastSearchStrategy(SearchStrategy):
                                        "believability bounds empty")
 
         best = self._memoised(
-            self._maxima, (kind, line_index),
+            self.kernel.maxima, (kind, line_index),
             lambda: self._maximize_over_interval(kind, line_index, lo, hi))
         if best is None:
             return CandidateEvaluation(kind, line_index, False,
                                        "believed OPF never converges")
         best_f, best_cost, loads = best
 
-        increase = 100 * (float(best_cost) / float(self._base_cost) - 1)
+        increase = 100 * (float(best_cost) / float(self.base_cost()) - 1)
         evaluation = CandidateEvaluation(
             kind, line_index, True,
             best_increase_percent=increase,
@@ -485,9 +554,10 @@ class FastSearchStrategy(SearchStrategy):
     def _memoised(memo: Dict, key, compute):
         """``memo[key]``, computed on a miss.
 
-        A value computed under numerical warnings is not stored: the next
-        query recomputes it, so it sees (and escalates on) the same
-        warnings a cold query would.
+        The memos are the kernel's, so a value one analyzer stored serves
+        every analyzer of the grid.  A value computed under numerical
+        warnings is not stored: the next query recomputes it, so it sees
+        (and escalates on) the same warnings a cold query would.
         """
         if key in memo:
             return memo[key]
@@ -515,30 +585,6 @@ class FastSearchStrategy(SearchStrategy):
             return "; ".join(problems)
         return needed
 
-    def _operating_polytope(self) -> Tuple[np.ndarray, Dict]:
-        """The existing demand vector and the ``linprog`` constraints of
-        the case's feasible operating points over generator outputs:
-        every base-topology line capacity, power balance and dispatch
-        limits at that demand."""
-        grid = self.grid
-        factors = self._sf_opf.factors
-        demand = np.zeros(grid.num_buses)
-        for load in grid.loads.values():
-            demand[load.bus - 1] = float(load.existing)
-        M = self._sf_opf.gen_flow_matrix()
-        base = factors.flows_for_injections(-demand)
-        capacities = np.array([float(grid.line(i).capacity)
-                               for i in factors.lines])
-        gens = self._sf_opf.gen_buses
-        lp = {"A_ub": np.vstack([M, -M]),
-              "b_ub": np.concatenate([capacities - base, capacities + base]),
-              "A_eq": np.ones((1, len(gens))),
-              "b_eq": np.array([float(demand.sum())]),
-              "bounds": [(float(grid.generators[b].p_min),
-                          float(grid.generators[b].p_max)) for b in gens],
-              "method": "highs"}
-        return demand, lp
-
     def _reachable_flow_range(self, kind: str, line_index: int
                               ) -> Optional[Tuple[float, float]]:
         """The attacked line's usable flow interval: its (would-be) flow
@@ -554,7 +600,7 @@ class FastSearchStrategy(SearchStrategy):
         when it misses W.  Otherwise both LPs run, and the interval is
         the same one the two extremes always gave.
         """
-        factors = self._sf_opf.factors
+        factors = self.kernel.sf_opf.factors
         if kind == "exclude":
             row = factors.row(line_index)
         else:
@@ -562,8 +608,8 @@ class FastSearchStrategy(SearchStrategy):
             # a cached factorized solve on the base susceptance matrix.
             row = factors.open_line_flow_row(line_index)
         flow_gen = np.array([row[bus - 1]
-                             for bus in self._sf_opf.gen_buses])
-        flow_const = -float(row @ self._demand)
+                             for bus in self.kernel.sf_opf.gen_buses])
+        flow_const = -float(row @ self.kernel.demand)
 
         cap = float(self.grid.line(line_index).capacity)
         from_window, to_window = self._endpoint_windows(kind, line_index)
@@ -577,14 +623,14 @@ class FastSearchStrategy(SearchStrategy):
         margin = _RANGE_MARGIN * (1.0 + float(np.abs(flow_gen).sum()))
         outer_lo, outer_hi = (
             value + flow_const for value in box_balance_extremes(
-                flow_gen, self._gen_low, self._gen_high,
-                self._total_demand))
+                flow_gen, self.kernel.gen_low, self.kernel.gen_high,
+                self.kernel.total_demand))
         if outer_hi + margin < w_lo or outer_lo - margin > w_hi:
             return _EMPTY_RANGE
 
         def extreme(upper: bool) -> Optional[float]:
             result = linprog(-flow_gen if upper else flow_gen,
-                             **self._operating_lp)
+                             **self.kernel.operating_lp)
             if not result.success:
                 return None
             return float(flow_gen @ result.x) + flow_const
@@ -633,7 +679,7 @@ class FastSearchStrategy(SearchStrategy):
         """The existing loads with both endpoints shifted by flow ``f``."""
         line = self.grid.line(line_index)
         sign = 1.0 if kind == "exclude" else -1.0
-        loads = dict(self._existing_loads)
+        loads = dict(self.kernel.existing_loads)
         loads[line.from_bus] = loads.get(line.from_bus, 0.0) + sign * f
         loads[line.to_bus] = loads.get(line.to_bus, 0.0) - sign * f
         return loads
@@ -641,7 +687,7 @@ class FastSearchStrategy(SearchStrategy):
     def _believed_cost(self, kind: str, line_index: int,
                        f: float) -> Optional[Fraction]:
         loads = self._believed_loads(kind, line_index, f)
-        result = self._sf_opf.solve(
+        result = self.kernel.sf_opf.solve(
             loads={b: round(v, 9) for b, v in loads.items()},
             change=TopologyChange(kind, line_index))
         if not result.feasible:
@@ -718,7 +764,7 @@ class FastSearchStrategy(SearchStrategy):
             return None
         # The attack-free operating point depends only on the case.
         operating = self._memoised(
-            self._operating_point, "attack-free",
+            self.kernel.operating_point, "attack-free",
             lambda: solve_dc_opf(grid, method="highs"))
         if not operating.feasible:
             return None
@@ -797,13 +843,13 @@ class FastSearchStrategy(SearchStrategy):
 
             loads = {bus: float(load.existing) + delta_b[bus - 1]
                      for bus, load in grid.loads.items()}
-            result = self._sf_opf.solve(
+            result = self.kernel.sf_opf.solve(
                 loads={b: round(v, 9) for b, v in loads.items()},
                 change=TopologyChange(kind, line_index))
             if not result.feasible:
                 continue
             increase = 100 * (float(result.cost)
-                              / float(self._base_cost) - 1)
+                              / float(self.base_cost()) - 1)
             if best is None or increase > best[0]:
                 best = (increase, loads, attack.altered_measurements)
         return best
@@ -812,14 +858,17 @@ class FastSearchStrategy(SearchStrategy):
 class FastImpactAnalyzer(AnalysisSession):
     """Single-line topology-attack impact analysis at IEEE-118 scale.
 
-    An :class:`AnalysisSession` running :class:`FastSearchStrategy`; the
-    PTDF pipeline is built once in the constructor and reused across
-    :meth:`analyze` calls.
+    An :class:`AnalysisSession` running :class:`FastSearchStrategy`.  Its
+    :class:`GridKernel` is *kernel* when given (a
+    :class:`~repro.runner.engine.SessionPool` passes the one of an equal
+    grid), else built in the constructor; either way it is reused
+    across :meth:`analyze` calls.
     """
 
-    def __init__(self, case: CaseDefinition,
-                 preflight: bool = True) -> None:
-        super().__init__(case, FastSearchStrategy(case), preflight=preflight)
+    def __init__(self, case: CaseDefinition, preflight: bool = True,
+                 kernel: Optional[GridKernel] = None) -> None:
+        super().__init__(case, FastSearchStrategy(case, kernel),
+                         preflight=preflight)
 
     # Kept in this class's own namespace: profilers patch
     # ``FastImpactAnalyzer.analyze`` to time the fast path, and

@@ -25,7 +25,10 @@ Probe economics: :class:`DefensePlanner` takes its analyzers from a
 :class:`~repro.runner.engine.SessionPool` keyed by the defended case's
 serialized text plus the analyzer kind, so re-probing a variant still
 in the pool reuses the warm session instead of re-encoding.  The pool's
-LRU limit bounds how many analyzers a plan holds at once.
+LRU limit bounds how many analyzers a plan holds at once.  Every
+countermeasure changes attacker fields only, so on the fast analyzer
+all variants of a plan run on one grid kernel: the grid's LPs are
+solved once per plan, not once per probe.
 """
 
 from __future__ import annotations

@@ -59,6 +59,7 @@ from __future__ import annotations
 import os
 import time
 import traceback
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterator, List, Mapping, \
@@ -66,7 +67,7 @@ from typing import Any, Callable, Dict, Iterator, List, Mapping, \
 
 from fractions import Fraction
 
-from repro.core.fast import FastImpactAnalyzer
+from repro.core.fast import FastImpactAnalyzer, GridKernel
 from repro.core.framework import ImpactAnalyzer
 from repro.core.session import ImpactQuery
 from repro.exceptions import BudgetExhausted, CaseFieldError, \
@@ -322,12 +323,20 @@ def plan_units(specs: Sequence[ScenarioSpec], pending: Sequence[int],
     return units
 
 
-def build_analyzer(case, kind: str):
+def build_analyzer(case, kind: str,
+                   kernel: Optional[GridKernel] = None):
     """A fresh analyzer of *kind* (``"smt"`` or ``"fast"``) for a
-    resolved case."""
+    resolved case; a fast one runs on *kernel* when given."""
     if kind == "smt":
         return ImpactAnalyzer(case)
-    return FastImpactAnalyzer(case)
+    return FastImpactAnalyzer(case, kernel=kernel)
+
+
+def _kernel_of(analyzer) -> Optional[GridKernel]:
+    """The grid kernel a pooled analyzer runs on (None for SMT)."""
+    if isinstance(analyzer, FastImpactAnalyzer):
+        return analyzer.strategy.kernel
+    return None
 
 
 class SessionPool:
@@ -337,6 +346,14 @@ class SessionPool:
     :meth:`~repro.runner.spec.ScenarioSpec.encoding_group`, so every
     cell of one (case, analyzer, state-infection) encoding re-solves on
     the same analyzer, and cells of different groups never share one.
+
+    Fast analyzers of equal grids also share one
+    :class:`~repro.core.fast.GridKernel` (keyed by
+    :meth:`GridKernel.key`, which reads no attacker field), so the
+    attacker scenarios of one grid solve its LPs once.  The pool holds
+    kernels weakly: a kernel goes once no analyzer uses it any more,
+    and kernels do not count against ``limit``.  A kernel built under
+    numerical warnings is never shared.
     """
 
     def __init__(self, limit: int = 8) -> None:
@@ -344,9 +361,13 @@ class SessionPool:
             raise ValueError("session pool limit must be >= 1")
         self.limit = limit
         self._sessions: "OrderedDict[str, Any]" = OrderedDict()
+        self._kernels: "weakref.WeakValueDictionary[Tuple, GridKernel]" = \
+            weakref.WeakValueDictionary()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
+        self.kernel_hits = 0
+        self.kernel_misses = 0
 
     def acquire(self, key: str, case, kind: str):
         """The warm analyzer for *key*, building it on first use."""
@@ -356,20 +377,48 @@ class SessionPool:
             self.hits += 1
             return analyzer
         self.misses += 1
-        analyzer = self._sessions[key] = build_analyzer(case, kind)
+        analyzer = self._sessions[key] = self._build(case, kind)
         while len(self._sessions) > self.limit:
             self._sessions.popitem(last=False)
             self.evictions += 1
         return analyzer
 
+    def _build(self, case, kind: str):
+        """A new analyzer; a fast one on the pooled kernel of its grid."""
+        if kind == "smt":
+            return build_analyzer(case, kind)
+        grid_key = GridKernel.key(case)
+        kernel = self._kernels.get(grid_key)
+        if kernel is None:
+            self.kernel_misses += 1
+        else:
+            self.kernel_hits += 1
+        analyzer = build_analyzer(case, kind, kernel)
+        built = analyzer.strategy.kernel
+        if kernel is None and built is not None and not built.warned:
+            self._kernels[grid_key] = built
+        return analyzer
+
     def invalidate(self, key: str) -> None:
-        """Drop a session whose solver state is no longer trusted."""
-        self._sessions.pop(key, None)
+        """Drop a session whose solver state is no longer trusted, and
+        its grid kernel with every pooled session that shares it."""
+        kernel = _kernel_of(self._sessions.pop(key, None))
+        if kernel is None:
+            return
+        for grid_key, pooled in list(self._kernels.items()):
+            if pooled is kernel:
+                del self._kernels[grid_key]
+        for other, session in list(self._sessions.items()):
+            if _kernel_of(session) is kernel:
+                del self._sessions[other]
 
     def stats(self) -> Dict[str, Any]:
         return {"sessions": len(self._sessions), "session_hits": self.hits,
                 "session_misses": self.misses,
-                "session_evictions": self.evictions}
+                "session_evictions": self.evictions,
+                "kernels": len(self._kernels),
+                "kernel_hits": self.kernel_hits,
+                "kernel_misses": self.kernel_misses}
 
 
 def execute_with_analyzer(spec: ScenarioSpec, fingerprint: str,
@@ -431,7 +480,10 @@ def run_unit(specs: Sequence[ScenarioSpec],
        ``sessions`` (a :class:`SessionPool`): the caller's, so warmth
        outlives the call, or else one created for this call.  A
        one-cell unit on a pool of its own never looks a key up twice,
-       so it skips hashing the case for the group;
+       so it skips hashing the case for the group.  A fast analyzer
+       the pool builds runs on the pool's kernel of its grid, so on a
+       caller's pool the cells of other attackers over the same grid
+       reuse its LP results;
     4. runs :func:`execute_with_analyzer` and checkpoints the outcome
        the moment it finishes, so an interrupt loses only the cell in
        flight.
@@ -890,12 +942,14 @@ class SweepEngine:
         """In-process: each cell is checkpointed the moment it finishes,
         so an interrupt (KeyboardInterrupt deliberately propagates)
         loses only the cell in flight and the sweep resumes from the
-        cache."""
+        cache.  Every unit runs on one :class:`SessionPool`, as on a
+        supervised worker, so the units of one grid share its kernel."""
+        sessions = SessionPool()
         for unit in plan.units:
             outcomes = run_unit([specs[idx] for idx in unit],
                                 [plan.fingerprints[idx] for idx in unit],
                                 cache, self._task_budget(),
-                                self.config.self_check)
+                                self.config.self_check, sessions)
             for idx, outcome in zip(unit, outcomes):
                 plan.outcomes[idx] = outcome
 

@@ -20,10 +20,12 @@ from scipy.optimize import linprog
 
 import repro.core.fast as fast_module
 from repro.core import ImpactQuery
-from repro.core.fast import FastImpactAnalyzer, box_balance_extremes
+from repro.core.fast import FastImpactAnalyzer, GridKernel, \
+    box_balance_extremes
 from repro.grid.cases import get_case
 from repro.opf.shift_factor import ShiftFactorOpf
 from repro.runner import ScenarioSpec
+from repro.runner.spec import randomize_attacker
 
 
 def _analyzer(case="ieee30", attacker_seed=None):
@@ -83,13 +85,13 @@ class TestOneSolvePerFlow:
         strategy = analyzer.strategy
         calls = []
         _spy(strategy, "_believed_cost", calls)
-        before = strategy._sf_opf.solve_calls
+        before = strategy.kernel.sf_opf.solve_calls
         best = strategy._maximize_over_interval("exclude", 6, -0.5, 0.5)
         assert best is not None
         assert -0.5 < best[0] < 0.5
         assert len(calls) > 3                      # bisection ran
         assert len(set(calls)) == len(calls)
-        assert strategy._sf_opf.solve_calls - before == len(calls)
+        assert strategy.kernel.sf_opf.solve_calls - before == len(calls)
 
     def test_feasible_endpoints_cost_two_solves(self, solve_counter):
         analyzer = _analyzer("ieee30", 2017)
@@ -112,6 +114,37 @@ class TestOneSolvePerFlow:
             and strategy._believed_cost(kind, line_index, hi) is not None]
         assert both_feasible, "no candidate with two feasible endpoints"
         assert set(both_feasible) == {2}
+
+
+class TestGridKernel:
+    """The grid-only state is one kernel an analyzer can be handed."""
+
+    def test_attacker_fields_do_not_split_a_grid(self):
+        case = get_case("ieee14")
+        keys = {GridKernel.key(randomize_attacker(case, seed))
+                for seed in range(2014, 2020)}
+        assert keys == {GridKernel.key(case)}
+
+    def test_a_handed_kernel_is_not_rebuilt(self, monkeypatch):
+        case = get_case("ieee30")
+        first = FastImpactAnalyzer(randomize_attacker(case, 2014))
+        built = []
+        monkeypatch.setattr(fast_module, "ShiftFactorOpf",
+                            lambda *args: built.append(args))
+        second = FastImpactAnalyzer(randomize_attacker(case, 2017),
+                                    kernel=first.strategy.kernel)
+        monkeypatch.undo()
+        assert built == []
+        assert second.strategy.kernel is first.strategy.kernel
+        query = ImpactQuery(target_increase_percent=Fraction(1, 2))
+        report = second.analyze(query)
+        fresh = FastImpactAnalyzer(
+            randomize_attacker(case, 2017)).analyze(query)
+        assert (report.satisfiable, report.achieved_increase_percent,
+                report.candidates_examined) == \
+            (fresh.satisfiable, fresh.achieved_increase_percent,
+             fresh.candidates_examined)
+        assert report.trace.session["encodings_built"] == 0
 
 
 class TestLoadWindowsFirst:
@@ -169,14 +202,14 @@ def _usable_interval_from_both_extremes(strategy, kind, line_index):
     max flow over the operating polytope, clipped to the line capacity
     and to both endpoints' Eq.-36 load windows.  None when it is empty."""
     grid = strategy.grid
-    factors = strategy._sf_opf.factors
+    factors = strategy.kernel.sf_opf.factors
     row = factors.row(line_index) if kind == "exclude" \
         else factors.open_line_flow_row(line_index)
-    c = np.array([row[bus - 1] for bus in strategy._sf_opf.gen_buses])
-    const = -float(row @ strategy._demand)
+    c = np.array([row[bus - 1] for bus in strategy.kernel.sf_opf.gen_buses])
+    const = -float(row @ strategy.kernel.demand)
     extremes = []
     for direction in (1.0, -1.0):
-        result = linprog(direction * c, **strategy._operating_lp)
+        result = linprog(direction * c, **strategy.kernel.operating_lp)
         assert result.success
         extremes.append(float(c @ result.x) + const)
     line = grid.line(line_index)

@@ -190,6 +190,21 @@ class TestPlannerOnCaseStudy:
         assert plan.status == "blocked"
         assert [c.label for c in plan.selected] == ["secure-line-6"]
 
+    def test_fast_plan_builds_one_grid_kernel(self):
+        # Countermeasures change attacker fields only, so every variant
+        # a fast plan probes runs on the undefended case's grid kernel.
+        # Status, selection and probe count are the values the planner
+        # gave when each analyzer built its own.
+        case = get_case("ieee14")
+        planner = DefensePlanner(case, _at(1), analyzer="fast")
+        plan = planner.plan(default_candidates(case))
+        assert plan.status == "blocked"
+        assert [c.label for c in plan.selected] == ["secure-m46"]
+        assert len(plan.probes) == 75
+        stats = planner.sessions.stats()
+        assert stats["kernel_misses"] == 1
+        assert stats["kernel_hits"] == plan.sessions_built - 1
+
     def test_to_dict_is_json_clean(self):
         import json
         planner = DefensePlanner(get_case("5bus-study1"), _at(3),

@@ -191,7 +191,7 @@ class TestFastWarmMemo:
         query = ImpactQuery(target_increase_percent=Fraction(2))
         warm = FastImpactAnalyzer(get_case("ieee30"))
         warm.analyze(query)
-        ranges = warm.strategy._ranges
+        ranges = warm.strategy.kernel.ranges
         assert warned in computed and warned not in ranges
         assert set(computed) - {warned} <= set(ranges)
 
