@@ -106,7 +106,7 @@ def _cmd_analyze(args) -> int:
                         self_check=True if args.self_check else None)
     analyzer = build_analyzer(case, resolve_analyzer(args.analyzer, case))
     try:
-        analyzer.strategy.validate_query(query)
+        analyzer.validate_query(query)
     except ModelError as exc:
         raise SystemExit(f"analyze: {exc}")
     report = analyzer.analyze(query)

@@ -34,16 +34,16 @@ LODF/LCDF evaluation — and exploits problem structure:
   each sample against the attacker model by reconstructing the required
   state shift and measurement alterations.
 
-This module holds the *search strategy*: candidate enumeration and
+:class:`FastImpactAnalyzer` holds the search: candidate enumeration and
 evaluation.  Preflight, budgets, certificate bookkeeping, run notes and
-report assembly live once in :class:`repro.core.session.AnalysisSession`,
-of which :class:`FastImpactAnalyzer` is the subclass that plugs this
-strategy in.  It answers the shared
+report assembly live once in its base class
+:class:`repro.core.session.AnalysisSession`, which calls the search
+through its hooks.  It answers the shared
 :class:`~repro.core.session.ImpactQuery` and refuses, with
 :class:`~repro.exceptions.ModelError`, the two fields it cannot honour:
 ``allow_topology_attack=False`` (it enumerates topology attacks only)
 and ``verify_with_smt_opf=True`` (it has no SMT OPF model).  Its one
-independent re-solve (:meth:`FastSearchStrategy._independent_opf`)
+independent re-solve (:meth:`FastImpactAnalyzer._independent_opf`)
 serves both the Eq. 37 boundary escalation and the certified recheck.
 Everything that depends on the grid alone lives in a :class:`GridKernel`:
 the PTDF pipeline, the attack-free OPF, the operating polytope and the
@@ -54,7 +54,7 @@ analyzers of one grid: a
 :class:`~repro.runner.engine.SessionPool` hands one kernel to every
 fast analyzer whose grid is equal (:meth:`GridKernel.key`), so a sweep
 over attacker scenarios solves each grid's LPs once per worker.  The
-strategy keeps only what depends on the attacker.  Its
+analyzer keeps only what depends on the attacker.  Its
 ``encode_seconds`` is the kernel build, paid by the analyzer that built
 the kernel, on its first query.
 """
@@ -75,12 +75,7 @@ from repro.attacks.topology_poisoning import (
     validate_against_attacker,
 )
 from repro.core.results import CandidateEvaluation, ImpactReport
-from repro.core.session import (
-    AnalysisSession,
-    ImpactQuery,
-    SearchOutcome,
-    SearchStrategy,
-)
+from repro.core.session import AnalysisSession, ImpactQuery, SearchOutcome
 from repro.exceptions import CertificateError, ModelError
 from repro.grid.caseio import CaseDefinition
 from repro.grid.matrices import state_order
@@ -161,7 +156,7 @@ class GridKernel:
             self.total_demand = float(self.operating_lp["b_eq"][0])
         self.warned = bool(warnings)
         # Target- and attacker-independent results (see
-        # FastSearchStrategy._memoised): reachable flow ranges and
+        # FastImpactAnalyzer._memoised): reachable flow ranges and
         # interval maxima per (kind, line), and the attack-free B-theta
         # operating point state sampling starts from.
         self.ranges: Dict[Tuple[str, int],
@@ -206,19 +201,21 @@ class GridKernel:
         return demand, lp
 
 
-class FastSearchStrategy(SearchStrategy):
-    """Single-line LODF/LCDF candidate enumeration for a session.
+class FastImpactAnalyzer(AnalysisSession):
+    """Single-line topology-attack impact analysis at IEEE-118 scale.
 
-    The grid-only state lives in :attr:`kernel` (a :class:`GridKernel`,
-    the caller's or else built in :meth:`prepare`); the strategy keeps
-    the attacker and the per-query counters.
+    The LODF/LCDF candidate enumeration on an :class:`AnalysisSession`.
+    The grid-only state lives in :attr:`kernel`, a :class:`GridKernel`:
+    *kernel* when given (a :class:`~repro.runner.engine.SessionPool`
+    passes the one of an equal grid), else built in :meth:`prepare`;
+    either way it is reused across :meth:`analyze` calls.  The analyzer
+    itself keeps the attacker and the per-query counters.
     """
 
     kind = "fast"
 
-    def __init__(self, case: CaseDefinition,
+    def __init__(self, case: CaseDefinition, preflight: bool = True,
                  kernel: Optional[GridKernel] = None) -> None:
-        self.case = case
         self.kernel = kernel
         #: the kernel came from a pool: its build was another analyzer's.
         self._kernel_shared = kernel is not None
@@ -228,13 +225,16 @@ class FastSearchStrategy(SearchStrategy):
         self._analyses = 0
         self._opf_calls_before = 0
         self._opf_seconds_before = 0.0
+        super().__init__(case, preflight=preflight)
 
-    @property
-    def grid(self):
-        return self.session.grid
+    # Kept in this class's own namespace: profilers patch
+    # ``FastImpactAnalyzer.analyze`` to time the fast path, and
+    # ``solve_at`` reaches it through ``self.analyze``.
+    def analyze(self, query: Optional[ImpactQuery] = None) -> ImpactReport:
+        return super().analyze(query)
 
     # ------------------------------------------------------------------
-    # Session surface
+    # Search hooks
     # ------------------------------------------------------------------
 
     def prepare(self) -> None:
@@ -245,16 +245,17 @@ class FastSearchStrategy(SearchStrategy):
         (→ ``case.model_error`` rejection); an infeasible base OPF is
         reported through :meth:`AnalysisSession.note_base_infeasible`.
         """
-        case, grid = self.case, self.session.grid
+        case, grid = self.case, self.grid
         self.attacker = AttackerModel.from_case(case, grid)
         if self.kernel is None:
             started = time.perf_counter()
             self.kernel = GridKernel(grid)
             self._build_seconds = time.perf_counter() - started
         if not self.kernel.base.feasible:
-            self.session.note_base_infeasible(
+            self.note_base_infeasible(
                 f"case {case.name}: attack-free OPF is infeasible")
 
+    @property
     def base_cost(self) -> Fraction:
         base = self.kernel.base if self.kernel is not None else None
         return base.cost if base is not None and base.feasible \
@@ -278,7 +279,6 @@ class FastSearchStrategy(SearchStrategy):
 
     def search(self, query: ImpactQuery,
                threshold: Fraction) -> SearchOutcome:
-        session = self.session
         budget = query.budget
         status = "complete"
         budget_reason: Optional[str] = None
@@ -296,7 +296,7 @@ class FastSearchStrategy(SearchStrategy):
                 evaluation = self._evaluate_candidate(
                     kind, line_index, query)
                 self.evaluations.append(evaluation)
-                session.record_candidate()
+                self.candidates_examined += 1
                 if evaluation.best_increase_percent is None:
                     continue
                 if best is None or (evaluation.best_increase_percent
@@ -305,7 +305,7 @@ class FastSearchStrategy(SearchStrategy):
 
         # The threshold encodes the target exactly, so this float equals
         # the query's target percentage bit-for-bit.
-        target = float((threshold / self.base_cost() - 1) * 100)
+        target = float((threshold / self.base_cost - 1) * 100)
         # Eq. 37 boundary semantics: reaching the target exactly counts.
         satisfiable = best is not None \
             and best.best_increase_percent >= target
@@ -316,7 +316,7 @@ class FastSearchStrategy(SearchStrategy):
         # A verdict computed under ill-conditioning warnings (from the
         # per-case PTDF build or this search's guarded solves) is never
         # trusted either, no matter how far from the boundary it lands.
-        suspect = bool(search_warnings) or session.numerically_suspect
+        suspect = bool(search_warnings) or self.numerically_suspect
         if best is not None and (in_band or suspect):
             # Escalation: the float verdict either sits inside the guard
             # band around the Eq. 37 threshold or was computed on shaky
@@ -327,14 +327,14 @@ class FastSearchStrategy(SearchStrategy):
                 satisfiable = False
             else:
                 satisfiable, believed_min = exact
-            session.note_boundary_escalation(
+            self.note_boundary_escalation(
                 best.kind, best.line_index, best.best_increase_percent,
                 target, satisfiable,
                 trigger=None if in_band else
                 "was computed under ill-conditioning warnings")
         if satisfiable:
             if believed_min is None:
-                believed_min = self.base_cost() * to_fraction(
+                believed_min = self.base_cost * to_fraction(
                     1 + best.best_increase_percent / 100)
             from repro.core.encoding import AttackVectorSolution
             solution = AttackVectorSolution(
@@ -354,12 +354,6 @@ class FastSearchStrategy(SearchStrategy):
                                  budget_reason=budget_reason)
         return SearchOutcome(satisfiable=False, status=status,
                              budget_reason=budget_reason)
-
-    def certify_outcome(self, outcome: SearchOutcome,
-                        threshold: Fraction) -> None:
-        stats = self._certify_solution(outcome.solution,
-                                       outcome.believed_min, threshold)
-        self.session.merge_cert_stats(stats)
 
     def _exact_verdict(self, best: CandidateEvaluation,
                        threshold: Fraction
@@ -423,17 +417,19 @@ class FastSearchStrategy(SearchStrategy):
     # Certified recheck
     # ------------------------------------------------------------------
 
-    def _certify_solution(self, solution, believed_min: Fraction,
-                          threshold: Fraction) -> Dict:
+    def certify_outcome(self, outcome: SearchOutcome,
+                        threshold: Fraction) -> None:
         """Independently re-verify a fast-path SAT answer.
 
         The PTDF/LODF pipeline that found the attack is *not* reused: the
         believed system is re-solved from scratch with the B-theta OPF
         (exact rationals up to 30 buses, HiGHS beyond), and the believed
         topology, Eq.-36 load bounds and threshold claim are re-checked.
-        Raises :class:`CertificateError` on any disagreement.
+        Raises :class:`CertificateError` on any disagreement; counts the
+        recheck in the run's certificate stats otherwise.
         """
         started = time.perf_counter()
+        solution = outcome.solution
         topology = solution.believed_topology(self.grid)
         if not self.grid.is_connected(topology):
             raise CertificateError(
@@ -457,7 +453,7 @@ class FastSearchStrategy(SearchStrategy):
             raise CertificateError(
                 "certified recheck: believed OPF is infeasible (Eq. 38)")
         recomputed = float(result.cost)
-        claimed = float(believed_min)
+        claimed = float(outcome.believed_min)
         if abs(recomputed - claimed) > _CERT_REL_TOL * max(
                 1.0, abs(claimed)) + 1e-4 * abs(claimed):
             raise CertificateError(
@@ -467,10 +463,11 @@ class FastSearchStrategy(SearchStrategy):
             raise CertificateError(
                 f"certified recheck: re-solved cost {recomputed:.6f} is "
                 f"below the threshold {float(threshold):.6f}")
-        return {"enabled": True, "models_checked": 1,
-                "recheck_method": method,
-                "recheck_cost": recomputed,
-                "seconds": time.perf_counter() - started}
+        stats = self._cert_stats
+        stats["models_checked"] += 1
+        stats["recheck_method"] = method
+        stats["recheck_cost"] = recomputed
+        stats["seconds"] += time.perf_counter() - started
 
     # ------------------------------------------------------------------
     # Candidate evaluation
@@ -480,11 +477,6 @@ class FastSearchStrategy(SearchStrategy):
         if kind == "exclude":
             return [i for i in self.kernel.base_topology if i != line_index]
         return self.kernel.base_topology + [line_index]
-
-    def _note_islanding(self, kind: str, line_index: int) -> None:
-        excluded = [line_index] if kind == "exclude" else []
-        included = [line_index] if kind == "include" else []
-        self.session.note_islanding(excluded, included)
 
     def _evaluate_candidate(self, kind: str, line_index: int,
                             query: ImpactQuery) -> CandidateEvaluation:
@@ -496,7 +488,7 @@ class FastSearchStrategy(SearchStrategy):
         # refuses an islanded base), so only exclusions can island:
         # exactly the base topology's bridges.
         if kind == "exclude" and line_index in self.kernel.sf_opf.bridges:
-            self._note_islanding(kind, line_index)
+            self.note_islanding([line_index], [])
             return CandidateEvaluation(
                 kind, line_index, False,
                 "believed topology is disconnected")
@@ -535,7 +527,7 @@ class FastSearchStrategy(SearchStrategy):
                                        "believed OPF never converges")
         best_f, best_cost, loads = best
 
-        increase = 100 * (float(best_cost) / float(self.base_cost()) - 1)
+        increase = 100 * (float(best_cost) / float(self.base_cost) - 1)
         evaluation = CandidateEvaluation(
             kind, line_index, True,
             best_increase_percent=increase,
@@ -849,29 +841,8 @@ class FastSearchStrategy(SearchStrategy):
             if not result.feasible:
                 continue
             increase = 100 * (float(result.cost)
-                              / float(self.base_cost()) - 1)
+                              / float(self.base_cost) - 1)
             if best is None or increase > best[0]:
                 best = (increase, loads, attack.altered_measurements)
         return best
 
-
-class FastImpactAnalyzer(AnalysisSession):
-    """Single-line topology-attack impact analysis at IEEE-118 scale.
-
-    An :class:`AnalysisSession` running :class:`FastSearchStrategy`.  Its
-    :class:`GridKernel` is *kernel* when given (a
-    :class:`~repro.runner.engine.SessionPool` passes the one of an equal
-    grid), else built in the constructor; either way it is reused
-    across :meth:`analyze` calls.
-    """
-
-    def __init__(self, case: CaseDefinition, preflight: bool = True,
-                 kernel: Optional[GridKernel] = None) -> None:
-        super().__init__(case, FastSearchStrategy(case, kernel),
-                         preflight=preflight)
-
-    # Kept in this class's own namespace: profilers patch
-    # ``FastImpactAnalyzer.analyze`` to time the fast path, and
-    # ``solve_at`` reaches it through ``self.analyze``.
-    def analyze(self, query: Optional[ImpactQuery] = None) -> ImpactReport:
-        return super().analyze(query)

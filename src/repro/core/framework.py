@@ -1,4 +1,4 @@
-"""The verification framework of paper Fig. 2 (SMT search strategy).
+"""The verification framework of paper Fig. 2 (the SMT analyzer).
 
 The loop couples the two SMT models:
 
@@ -32,17 +32,17 @@ threshold.  ROADMAP's "Remove the ∀: one certified SMT query per
 question" removes the step; the exhaustive 5-bus oracle of "Close the
 structure-pruning hole" tests it meanwhile.
 
-This module holds the *search strategy*: candidate generation (the SMT
+:class:`ImpactAnalyzer` holds the search: candidate generation (the SMT
 attack model), evaluation (exact believed OPF), blocking and
 extremization.  Everything cross-cutting — preflight, budgets,
 certification bookkeeping, run notes, report assembly — lives once in
-:class:`repro.core.session.AnalysisSession`, of which
-:class:`ImpactAnalyzer` is the subclass that plugs this strategy in.
-It answers the shared :class:`~repro.core.session.ImpactQuery`; the
-search samples nothing and decides in exact arithmetic, so the query's
-``state_samples``, ``seed`` and ``escalation_band`` do not apply to it.
+its base class :class:`repro.core.session.AnalysisSession`, which calls
+the search through its hooks.  It answers the shared
+:class:`~repro.core.session.ImpactQuery`; the search samples nothing
+and decides in exact arithmetic, so the query's ``state_samples``,
+``seed`` and ``escalation_band`` do not apply to it.
 
-One encoding lifecycle: the strategy builds the attack encoding once,
+One encoding lifecycle: the analyzer builds the attack encoding once,
 *without* a cost threshold, and asserts each query's threshold (paper
 Eq. 37's necessary condition on the operating cost) inside a
 guard-literal ``push()``/``pop()`` scope of the same solver, so
@@ -65,25 +65,25 @@ from repro.core.encoding import (
     AttackVectorSolution,
     OpfModelEncoding,
 )
-from repro.core.session import (
-    AnalysisSession,
-    ImpactQuery,
-    SearchOutcome,
-    SearchStrategy,
-)
+from repro.core.session import AnalysisSession, ImpactQuery, SearchOutcome
 from repro.exceptions import ModelError
 from repro.grid.caseio import CaseDefinition
 from repro.opf.dcopf import DcOpfResult, solve_dc_opf
 from repro.smt import Not, SolverBudget, maximize, minimize
 
 
-class SmtSearchStrategy(SearchStrategy):
-    """The full-SMT Fig.-2 candidate search, pluggable into a session."""
+class ImpactAnalyzer(AnalysisSession):
+    """Analyzes one case for stealthy-attack impact on OPF.
+
+    The full-SMT Fig.-2 candidate search on an :class:`AnalysisSession`.
+    Consecutive :meth:`analyze` calls re-solve one encoding (module
+    docstring), so a SAT witness may depend on the queries asked before
+    it; a fresh analyzer gives a fresh encoding.
+    """
 
     kind = "smt"
 
-    def __init__(self, case: CaseDefinition) -> None:
-        self.case = case
+    def __init__(self, case: CaseDefinition, preflight: bool = True) -> None:
         self._base: Optional[DcOpfResult] = None
         self._encoding: Optional[AttackModelEncoding] = None
         #: (with_state_infection, allow_topology_attack, certify) of the
@@ -96,23 +96,21 @@ class SmtSearchStrategy(SearchStrategy):
         self._opf_solves = 0
         self._opf_seconds = 0.0
         self._stats_base: Dict[str, float] = {}
+        super().__init__(case, preflight=preflight)
 
     # ------------------------------------------------------------------
-    # Session surface
+    # Search hooks
     # ------------------------------------------------------------------
 
     @property
-    def base_result(self) -> DcOpfResult:
-        """The attack-free OPF solution (exact)."""
+    def base_cost(self) -> Fraction:
+        """The attack-free OPF's optimal cost (exact)."""
         if self._base is None:
-            self._base = solve_dc_opf(self.session.grid, method="exact")
+            self._base = solve_dc_opf(self.grid, method="exact")
             if not self._base.feasible:
                 raise ModelError(
                     f"case {self.case.name}: attack-free OPF is infeasible")
-        return self._base
-
-    def base_cost(self) -> Fraction:
-        return self.base_result.cost
+        return self._base.cost
 
     def validate_query(self, query: ImpactQuery) -> None:
         if not query.allow_topology_attack \
@@ -131,7 +129,7 @@ class SmtSearchStrategy(SearchStrategy):
         self._opf_solves = 0
         self._opf_seconds = 0.0
         key = (query.with_state_infection, query.allow_topology_attack,
-               self.session.certify_enabled)
+               self._certify)
         if self._encoding_key != key:
             self._build_encoding(query)
             self._encoding_key = key
@@ -173,7 +171,7 @@ class SmtSearchStrategy(SearchStrategy):
         )
         built = time.perf_counter()
         self._encoding = AttackModelEncoding(
-            self.case, config, certify=self.session.certify_enabled)
+            self.case, config, certify=self._certify)
         self._encode_seconds = time.perf_counter() - built
         self._run_encodings = 1
         self._warm = False
@@ -182,15 +180,14 @@ class SmtSearchStrategy(SearchStrategy):
                threshold: Fraction) -> SearchOutcome:
         encoding = self._encoding
         budget = query.budget
-        session = self.session
         while True:
             if budget is not None:
                 budget.check_wall()
             solution = encoding.solve()
             if solution is None:
-                session.certify_unsat(encoding.solver)
+                self.certify_unsat(encoding.solver)
                 return SearchOutcome(satisfiable=False)
-            session.certify_model(encoding.solver)
+            self.certify_model(encoding.solver)
             success, believed_min = self._evaluate(solution, threshold,
                                                    budget)
             if success:
@@ -224,12 +221,11 @@ class SmtSearchStrategy(SearchStrategy):
                   budget: Optional[SolverBudget] = None
                   ) -> Tuple[bool, Optional[Fraction]]:
         """(impact achieved?, believed minimum cost)."""
-        session = self.session
-        session.record_candidate()
-        grid = session.grid
+        self.candidates_examined += 1
+        grid = self.grid
         topology = solution.believed_topology(grid)
         if not grid.is_connected(topology):
-            session.note_islanding(solution.excluded, solution.included)
+            self.note_islanding(solution.excluded, solution.included)
             return False, None
         opf_started = time.perf_counter()
         try:
@@ -242,7 +238,7 @@ class SmtSearchStrategy(SearchStrategy):
         if not result.feasible:
             # Eq. 38 violated: the EMS's OPF would fail to converge.
             return False, None
-        session.record_best(solution, result.cost)
+        self.record_best(solution, result.cost)
         # Eq. 37 asks for an increase of *at least* I%, so a believed
         # optimum exactly on the threshold is a successful attack.
         return result.cost >= threshold, result.cost
@@ -250,24 +246,21 @@ class SmtSearchStrategy(SearchStrategy):
     def confirm_with_smt_opf(self, solution: AttackVectorSolution,
                              threshold: Fraction) -> bool:
         """The paper's original Eq. 37/38 discharge via SMT (un)sat."""
-        session = self.session
-        opf = OpfModelEncoding(session.grid,
-                               solution.believed_topology(session.grid),
+        opf = OpfModelEncoding(self.grid,
+                               solution.believed_topology(self.grid),
                                solution.believed_loads,
-                               certify=session.certify_enabled)
+                               certify=self._certify)
         no_cheap_dispatch = not self._checked_opf(opf, threshold)  # Eq. 37
         converges = self._checked_opf(opf, None)                   # Eq. 38
         return no_cheap_dispatch and converges
 
     def _checked_opf(self, opf: OpfModelEncoding,
                      threshold: Optional[Fraction]) -> bool:
-        session = self.session
         sat = opf.check(threshold)
-        if session.certify_enabled:
-            if sat:
-                session.certify_model(opf.solver)
-            else:
-                session.certify_unsat(opf.solver)
+        if sat:
+            self.certify_model(opf.solver)
+        else:
+            self.certify_unsat(opf.solver)
         return sat
 
     def _extremize_structure(self, encoding: AttackModelEncoding,
@@ -284,7 +277,6 @@ class SmtSearchStrategy(SearchStrategy):
         These are some of the vertices of the structure's believed-load
         polytope, not all of them (module docstring).
         """
-        session = self.session
         assumptions = []
         chosen_p = set(solution.excluded)
         chosen_q = set(solution.included)
@@ -306,10 +298,10 @@ class SmtSearchStrategy(SearchStrategy):
                 # (either "no model at all" or "no model better than the
                 # incumbent"); in certified mode both that proof and the
                 # incumbent model are checked.
-                session.certify_unsat(encoding.solver)
+                self.certify_unsat(encoding.solver)
                 if not result.feasible or result.model is None:
                     continue
-                session.certify_model(encoding.solver, model=result.model,
+                self.certify_model(encoding.solver, model=result.model,
                                       assumptions=assumptions)
                 candidate = encoding.decode(result.model)
                 success, believed_min = self._evaluate(candidate,
@@ -361,15 +353,3 @@ class SmtSearchStrategy(SearchStrategy):
         return (self._encoding.solver.stats.solve_calls
                 - self._stats_base["solve_calls"])
 
-
-class ImpactAnalyzer(AnalysisSession):
-    """Analyzes one case for stealthy-attack impact on OPF.
-
-    An :class:`AnalysisSession` running :class:`SmtSearchStrategy`.
-    Consecutive :meth:`analyze` calls re-solve one encoding (module
-    docstring), so a SAT witness may depend on the queries asked before
-    it; a fresh analyzer gives a fresh encoding.
-    """
-
-    def __init__(self, case: CaseDefinition, preflight: bool = True) -> None:
-        super().__init__(case, SmtSearchStrategy(case), preflight=preflight)

@@ -34,11 +34,11 @@ class AnalysisTrace:
     #: ``rup_steps``, ``theory_lemmas``, ``seconds``) plus an ``events``
     #: list with one entry per verification.  Empty when self-check off.
     certificates: Dict[str, Any] = field(default_factory=dict)
-    #: session-layer bookkeeping: which strategy ran (``strategy``),
-    #: whether the run reused a warm encoding (``warm``), how many
-    #: encodings it built (``encodings_built``), and the
-    #: ``encode_seconds`` (paid once per encoding) vs ``solve_seconds``
-    #: split that incremental sweeps optimize.
+    #: session-layer bookkeeping: which search ran (``strategy``, the
+    #: analyzer's ``kind``), whether the run reused a warm encoding
+    #: (``warm``), how many encodings it built (``encodings_built``),
+    #: and the ``encode_seconds`` (paid once per encoding) vs
+    #: ``solve_seconds`` split that incremental sweeps optimize.
     session: Dict[str, Any] = field(default_factory=dict)
 
     def to_dict(self) -> Dict[str, Any]:

@@ -17,27 +17,25 @@ independent of *how* candidates are generated and evaluated:
 * trace emission and every :class:`ImpactReport` shape (success, unsat,
   partial, certificate-error, rejected).
 
-The analyzers differ only in their *search strategy*:
-:class:`~repro.core.framework.SmtSearchStrategy` runs the full SMT loop,
-:class:`~repro.core.fast.FastSearchStrategy` the single-line LODF/LCDF
-enumeration.  A strategy implements the narrow
-:class:`SearchStrategy` surface and reports its findings as a
-:class:`SearchOutcome`; everything else happens here, exactly once.
-:class:`~repro.core.framework.ImpactAnalyzer` and
-:class:`~repro.core.fast.FastImpactAnalyzer` *are* sessions: each
-subclass only picks its strategy, and strategy-specific state is read
-from :attr:`AnalysisSession.strategy`.
+The analyzers differ only in their candidate search, which each
+subclass supplies as the hooks :meth:`AnalysisSession.analyze` calls on
+itself: :class:`~repro.core.framework.ImpactAnalyzer` runs the full SMT
+loop, :class:`~repro.core.fast.FastImpactAnalyzer` the single-line
+LODF/LCDF enumeration.  A search reports its findings as a
+:class:`SearchOutcome`; everything else happens here, exactly once.  The
+``strategy`` key of ``trace.session`` names the search that ran
+(:attr:`AnalysisSession.kind`).
 
 Both answer one question object, :class:`ImpactQuery`, defined here
-beside the lifecycle that reads it.  A strategy refuses with
-:class:`ModelError` (:meth:`SearchStrategy.validate_query`) what it
+beside the lifecycle that reads it.  An analyzer refuses with
+:class:`ModelError` (:meth:`AnalysisSession.validate_query`) what it
 cannot honour and ignores what it has no use for, so a caller — the
 sweep engine, the CLI, :class:`~repro.search.MaxImpactSearch`,
 :class:`~repro.defense.DefensePlanner` — builds the same query
 whichever analyzer it holds.
 
-Incremental scenario reuse: a session keeps its strategy's encoded
-model warm between :meth:`analyze` calls — consecutive
+Incremental scenario reuse: a session keeps its encoded model warm
+between :meth:`analyze` calls — consecutive
 queries that differ only in the cost threshold (a Fig.-4 style sweep)
 re-solve against the same clause database via the solver's
 guard-literal ``push()``/``pop()`` scopes, retaining learned clauses and
@@ -89,12 +87,12 @@ _MAX_NUMERIC_NOTES = 3
 
 @dataclass
 class ImpactQuery:
-    """The one question both strategies answer (paper Eq. 37): is there
+    """The one question both analyzers answer (paper Eq. 37): is there
     a stealthy attack raising the believed OPF cost by at least I%?
 
-    ``target_increase_percent`` defaults to the case's value.  A
-    strategy refuses, with :class:`ModelError` from
-    :meth:`SearchStrategy.validate_query`, a field it cannot honour;
+    ``target_increase_percent`` defaults to the case's value.  An
+    analyzer refuses, with :class:`ModelError` from
+    :meth:`AnalysisSession.validate_query`, a field it cannot honour;
     fields it has no use for are ignored (the SMT search samples
     nothing, so it ignores ``state_samples`` and ``seed``, and decides
     in exact arithmetic, so it ignores ``escalation_band``).
@@ -102,7 +100,7 @@ class ImpactQuery:
 
     target_increase_percent: Optional[Fraction] = None
     #: allow UFDI state infection (paper Section III-D); the fast
-    #: strategy samples ``state_samples`` seeded vertices of the
+    #: analyzer samples ``state_samples`` seeded vertices of the
     #: believed-load box instead of searching it.
     with_state_infection: bool = False
     #: set False for the paper's "UFDI attacks alone" comparison: the
@@ -113,7 +111,7 @@ class ImpactQuery:
     verify_with_smt_opf: bool = False
     state_samples: int = 24
     seed: int = 0
-    #: Eq. 37 guard band (percentage points) of the fast strategy: when
+    #: Eq. 37 guard band (percentage points) of the fast analyzer: when
     #: the best candidate's float cost increase lands within this band
     #: of the target, the verdict is not trusted to floating point — the
     #: believed OPF is re-solved on the exact rational path and the
@@ -138,11 +136,11 @@ class ImpactQuery:
 
 @dataclass
 class SearchOutcome:
-    """What a strategy's search found (the session builds the report).
+    """What an analyzer's search found (the session builds the report).
 
     ``status`` is ``"complete"`` for a definitive verdict or
-    ``"budget_exhausted"`` when the strategy stopped early at a loop-top
-    budget probe (strategies may alternatively let
+    ``"budget_exhausted"`` when the search stopped early at a loop-top
+    budget probe (a search may alternatively let
     :class:`BudgetExhausted` propagate; the session converts it to the
     same partial report).  ``confirmed`` carries the optional Eq.-37/38
     SMT OPF confirmation of a successful attack.
@@ -156,79 +154,26 @@ class SearchOutcome:
     confirmed: Optional[bool] = None
 
 
-class SearchStrategy:
-    """The surface a candidate-search strategy implements.
+class AnalysisSession:
+    """Owns one case's full analysis lifecycle; a subclass supplies the
+    candidate search as the hooks :meth:`analyze` calls on it.
 
-    Concrete strategies override everything that raises; the defaults
-    cover strategies without an SMT solver (``smt_trace`` zeros mirror
-    what sweep traces expect for non-SMT cells).
+    A subclass overrides every hook that raises; the other defaults
+    cover a search without a per-case build, an inline-certified
+    answer, or an SMT solver (``smt_trace`` zeros mirror what sweep
+    traces expect for non-SMT cells).  A subclass sets the attributes
+    its hooks read *before* calling this constructor, which runs
+    :meth:`prepare`.
     """
 
-    #: "smt" | "fast" — mirrored in traces and the engine's grouping.
+    #: "smt" | "fast" — mirrored in traces (the ``strategy`` key of
+    #: ``trace.session``) and the engine's grouping.
     kind: str = "?"
 
-    def bind(self, session: "AnalysisSession") -> None:
-        self.session = session
-
-    def prepare(self) -> None:
-        """Build per-case machinery (called once, after preflight).
-
-        May raise :class:`ModelError` (→ ``case.model_error`` rejection)
-        or call :meth:`AnalysisSession.note_base_infeasible`.
-        """
-
-    def base_cost(self) -> Fraction:
-        """The attack-free optimal cost (may raise :class:`ModelError`)."""
-        raise NotImplementedError
-
-    def validate_query(self, query: ImpactQuery) -> None:
-        """Raise :class:`ModelError` for a query this strategy cannot
-        honour."""
-
-    def begin(self, query, threshold: Fraction) -> None:
-        """Per-run setup: (re)encode, wire the budget, reset counters."""
-        raise NotImplementedError
-
-    def search(self, query, threshold: Fraction) -> SearchOutcome:
-        """Run the candidate search.  May raise :class:`BudgetExhausted`
-        or :class:`CertificateError`; the session builds the report."""
-        raise NotImplementedError
-
-    def certify_outcome(self, outcome: SearchOutcome,
-                        threshold: Fraction) -> None:
-        """Post-search cross-check of a successful attack (certified
-        mode only).  Strategies that certify inline leave this a no-op;
-        raise :class:`CertificateError` to reject the answer."""
-
-    # -- trace hooks ----------------------------------------------------
-
-    def encode_info(self) -> Dict[str, Any]:
-        """``{"warm", "encodings_built", "encode_seconds"}`` for the run."""
-        return {"warm": False, "encodings_built": 0, "encode_seconds": 0.0}
-
-    def smt_trace(self) -> Dict[str, Any]:
-        # Strategies that never touch the SMT solver report explicit
-        # zeros so sweep traces stay uniform.
-        return {"solve_calls": 0, "decisions": 0, "conflicts": 0,
-                "theory_conflicts": 0, "simplex_pivots": 0,
-                "total_seconds": 0.0}
-
-    def opf_trace(self) -> Dict[str, Any]:
-        return {"solves": 0, "seconds": 0.0}
-
-    def solver_calls(self) -> int:
-        return 0
-
-
-class AnalysisSession:
-    """Owns one case's full analysis lifecycle for a plugged-in strategy."""
-
-    def __init__(self, case, strategy: SearchStrategy,
-                 preflight: bool = True) -> None:
+    def __init__(self, case, preflight: bool = True) -> None:
         self.case = case
-        self.strategy = strategy
         #: preflight findings; fatal ones mean :meth:`analyze` returns a
-        #: rejected report instead of touching the strategy's machinery.
+        #: rejected report instead of touching the search's machinery.
         self.preflight = validate_case(case) if preflight \
             else ValidationReport(subject=case.name)
         self._rejection = self.preflight.fatal_status()
@@ -243,12 +188,11 @@ class AnalysisSession:
         #: :meth:`analyze` call degrades to ``numerical_unstable``.
         self._numeric_failure: Optional[NumericalInstability] = None
         self._prepare_numeric_warnings = 0
-        strategy.bind(self)
         if self._rejection is None:
             try:
                 with collect_diagnostics() as numeric_notes:
                     self.grid = case.build_grid()
-                    strategy.prepare()
+                    self.prepare()
                 self._note_numeric_warnings(numeric_notes,
                                             sink=self.preflight)
                 self._prepare_numeric_warnings = len(numeric_notes)
@@ -266,6 +210,62 @@ class AnalysisSession:
                 self._numeric_failure = exc
 
     # ------------------------------------------------------------------
+    # The search hooks
+    # ------------------------------------------------------------------
+
+    def prepare(self) -> None:
+        """Build per-case machinery (called once, after preflight).
+
+        May raise :class:`ModelError` (→ ``case.model_error`` rejection)
+        or call :meth:`note_base_infeasible`.
+        """
+
+    @property
+    def base_cost(self) -> Fraction:
+        """The attack-free optimal cost (may raise :class:`ModelError`)."""
+        raise NotImplementedError
+
+    def validate_query(self, query: ImpactQuery) -> None:
+        """Raise :class:`ModelError` for a query this analyzer cannot
+        honour."""
+        raise NotImplementedError
+
+    def begin(self, query: ImpactQuery, threshold: Fraction) -> None:
+        """Per-run setup: (re)encode, wire the budget, reset counters."""
+        raise NotImplementedError
+
+    def search(self, query: ImpactQuery,
+               threshold: Fraction) -> SearchOutcome:
+        """Run the candidate search.  May raise :class:`BudgetExhausted`
+        or :class:`CertificateError`; :meth:`analyze` builds the
+        report."""
+        raise NotImplementedError
+
+    def certify_outcome(self, outcome: SearchOutcome,
+                        threshold: Fraction) -> None:
+        """Post-search cross-check of a successful attack (certified
+        mode only).  A search that certifies inline leaves this a
+        no-op; raise :class:`CertificateError` to reject the answer."""
+
+    def encode_info(self) -> Dict[str, Any]:
+        """``{"warm", "encodings_built", "encode_seconds"}`` for the run."""
+        raise NotImplementedError
+
+    def smt_trace(self) -> Dict[str, Any]:
+        # A search that never touches the SMT solver reports explicit
+        # zeros so sweep traces stay uniform.
+        return {"solve_calls": 0, "decisions": 0, "conflicts": 0,
+                "theory_conflicts": 0, "simplex_pivots": 0,
+                "total_seconds": 0.0}
+
+    def opf_trace(self) -> Dict[str, Any]:
+        """``{"solves", "seconds"}`` of the run's believed-OPF solves."""
+        raise NotImplementedError
+
+    def solver_calls(self) -> int:
+        return 0
+
+    # ------------------------------------------------------------------
     # Threshold derivation and rejection
     # ------------------------------------------------------------------
 
@@ -274,25 +274,16 @@ class AnalysisSession:
         return self._rejection is not None
 
     @property
-    def certify_enabled(self) -> bool:
-        return self._certify
-
-    @property
     def numerically_suspect(self) -> bool:
         """Did guarded linear algebra warn while preparing this case?
 
         Warn-band findings (condition/residual past *warn* but under
         *fail*) don't degrade the analysis, but a float verdict built on
-        them should not be trusted unverified — the fast strategy uses
+        them should not be trusted unverified — the fast analyzer uses
         this to escalate its verdict to the exact path even when the
         result lands far from the Eq. 37 boundary.
         """
         return self._prepare_numeric_warnings > 0
-
-    @property
-    def base_cost(self) -> Fraction:
-        """The attack-free optimal cost (may raise :class:`ModelError`)."""
-        return self.strategy.base_cost()
 
     def threshold_for(self, percent) -> Fraction:
         """T_OPF = base * (1 + I/100)."""
@@ -302,7 +293,7 @@ class AnalysisSession:
         """Record the attack-free OPF's infeasibility as a rejection.
 
         Preflight admits the case on aggregate load/capacity, but line
-        limits can still make the base OPF infeasible; both strategies
+        limits can still make the base OPF infeasible; both analyzers
         funnel that discovery here.
         """
         self.preflight.add(
@@ -339,7 +330,7 @@ class AnalysisSession:
                 elapsed_seconds=time.perf_counter() - started)
         except NumericalInstability as exc:
             return self._numeric_report(None, percent, started, exc)
-        self.strategy.validate_query(query)
+        self.validate_query(query)
 
         self._certify = self_check_default(query.self_check)
         self._cert_stats = self._fresh_cert_stats()
@@ -351,11 +342,11 @@ class AnalysisSession:
             budget.start()
 
         with collect_diagnostics() as numeric_notes:
-            self.strategy.begin(query, threshold)
+            self.begin(query, threshold)
             try:
-                outcome = self.strategy.search(query, threshold)
+                outcome = self.search(query, threshold)
                 if outcome.satisfiable and self._certify:
-                    self.strategy.certify_outcome(outcome, threshold)
+                    self.certify_outcome(outcome, threshold)
                 elif self._certify \
                         and self._verdict_basis(outcome, query) == "proved" \
                         and self._cert_stats["unsat_checked"] == 0:
@@ -388,7 +379,7 @@ class AnalysisSession:
         re-solves against the retained clause database instead of
         re-encoding.  The copy shares the query's budget.  A ``None``
         percent falls back to ``case.min_increase_percent``, exactly as
-        the one-shot :meth:`analyze` path does — on every strategy.
+        the one-shot :meth:`analyze` path does — on either analyzer.
         """
         if percent is None:
             percent = self.case.min_increase_percent
@@ -402,7 +393,7 @@ class AnalysisSession:
 
         Convenience wrapper over :class:`repro.search.MaxImpactSearch`;
         every probe goes through :meth:`solve_at`, so on the SMT
-        strategy each probe after the first is a warm re-solve of one
+        analyzer each probe after the first is a warm re-solve of one
         encoding.
         """
         from repro.search import DEFAULT_TOLERANCE, MaxImpactSearch
@@ -490,10 +481,6 @@ class AnalysisSession:
                      "linear-algebra layer; results verified but close "
                      "to the failure thresholds")
 
-    def record_candidate(self) -> None:
-        """Count one evaluated candidate toward ``candidates_examined``."""
-        self.candidates_examined += 1
-
     def record_best(self, solution, believed_cost: Fraction) -> None:
         """Remember the most expensive believed optimum examined so a
         budget-exhausted run can still report its best attack."""
@@ -556,24 +543,12 @@ class AnalysisSession:
             return
         self.record_check(verify_unsat(solver))
 
-    def merge_cert_stats(self, extra: Dict[str, Any]) -> None:
-        """Fold strategy-specific recheck stats into the run's counters
-        (numeric keys accumulate, everything else is recorded as-is)."""
-        for key, value in extra.items():
-            if key == "enabled":
-                continue
-            if isinstance(value, (int, float)) \
-                    and isinstance(self._cert_stats.get(key), (int, float)):
-                self._cert_stats[key] += value
-            else:
-                self._cert_stats[key] = value
-
     # ------------------------------------------------------------------
     # Trace and report assembly
     # ------------------------------------------------------------------
 
     def _trace(self, started: float) -> AnalysisTrace:
-        info = self.strategy.encode_info()
+        info = self.encode_info()
         elapsed = time.perf_counter() - started
         encode_seconds = float(info.get("encode_seconds", 0.0))
         return AnalysisTrace(
@@ -581,11 +556,11 @@ class AnalysisSession:
                 "encode_seconds": encode_seconds,
                 "total_seconds": elapsed,
             },
-            smt=self.strategy.smt_trace(),
-            opf=self.strategy.opf_trace(),
+            smt=self.smt_trace(),
+            opf=self.opf_trace(),
             certificates=dict(self._cert_stats) if self._certify else {},
             session={
-                "strategy": self.strategy.kind,
+                "strategy": self.kind,
                 "warm": bool(info.get("warm", False)),
                 "encodings_built": int(info.get("encodings_built", 0)),
                 "encode_seconds": encode_seconds,
@@ -598,7 +573,7 @@ class AnalysisSession:
         """See :attr:`ImpactReport.verdict_basis`."""
         if outcome.status != "complete":
             return None
-        if outcome.satisfiable or self.strategy.kind == "smt":
+        if outcome.satisfiable or self.kind == "smt":
             return "proved"
         return "sampled" if query.with_state_infection else "restricted"
 
@@ -607,7 +582,7 @@ class AnalysisSession:
                         started: float) -> ImpactReport:
         """Success, definitive unsat, or budget-exhausted partial.
 
-        On exhaustion ``satisfiable`` stays whatever the strategy proved
+        On exhaustion ``satisfiable`` stays whatever the search proved
         (a success returns immediately, so an exhausted SMT search is
         always unsat-so-far), and the best sub-threshold attack examined
         is attached so the caller sees how close the search got.
@@ -623,7 +598,7 @@ class AnalysisSession:
             candidates_examined=self.candidates_examined,
             elapsed_seconds=time.perf_counter() - started,
             smt_opf_unsat_confirmed=outcome.confirmed,
-            solver_calls=self.strategy.solver_calls(),
+            solver_calls=self.solver_calls(),
             trace=self._trace(started),
             status=outcome.status,
             budget_reason=outcome.budget_reason,
@@ -658,7 +633,7 @@ class AnalysisSession:
             percent,
             candidates_examined=self.candidates_examined,
             elapsed_seconds=time.perf_counter() - started,
-            solver_calls=self.strategy.solver_calls(),
+            solver_calls=self.solver_calls(),
             trace=self._trace(started),
             status="numerical_unstable",
             numeric_reason=exc.reason,
@@ -677,7 +652,7 @@ class AnalysisSession:
             False, self.base_cost, threshold, percent,
             candidates_examined=self.candidates_examined,
             elapsed_seconds=time.perf_counter() - started,
-            solver_calls=self.strategy.solver_calls(),
+            solver_calls=self.solver_calls(),
             trace=self._trace(started),
             status="certificate_error", certified=False,
             certificate_error=message,

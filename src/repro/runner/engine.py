@@ -335,7 +335,7 @@ def build_analyzer(case, kind: str,
 def _kernel_of(analyzer) -> Optional[GridKernel]:
     """The grid kernel a pooled analyzer runs on (None for SMT)."""
     if isinstance(analyzer, FastImpactAnalyzer):
-        return analyzer.strategy.kernel
+        return analyzer.kernel
     return None
 
 
@@ -394,7 +394,7 @@ class SessionPool:
         else:
             self.kernel_hits += 1
         analyzer = build_analyzer(case, kind, kernel)
-        built = analyzer.strategy.kernel
+        built = analyzer.kernel
         if kernel is None and built is not None and not built.warned:
             self._kernels[grid_key] = built
         return analyzer
@@ -554,6 +554,30 @@ def execute_scenario(spec: ScenarioSpec, fingerprint: str = "",
                          self_check=self_check))
 
 
+def _verify_cached_sat_cost(outcome: ScenarioOutcome, base: Fraction,
+                            threshold: Fraction) -> None:
+    """A cached sat outcome's believed cost must parse, reach its
+    threshold and agree with its achieved increase.
+
+    The fast analyzer's believed cost travels through floats, so the
+    threshold allows the same relative slack its certification uses.
+    """
+    if outcome.believed_min_cost is None:
+        raise ValueError("cached sat outcome has no believed cost")
+    try:
+        believed = Fraction(outcome.believed_min_cost)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"cached believed cost is unparsable: {exc}")
+    if float(believed) < float(threshold) * (1 - 1e-6) - 1e-9:
+        raise ValueError(
+            "cached sat outcome's believed cost is below its threshold")
+    if outcome.achieved_increase_percent is not None:
+        expected = float((believed / base - 1) * 100)
+        if abs(outcome.achieved_increase_percent - expected) > 1e-6:
+            raise ValueError(
+                "cached achieved-increase disagrees with its costs")
+
+
 def _verify_cached_max_impact(outcome: ScenarioOutcome,
                               spec: ScenarioSpec, base: Fraction,
                               threshold: Fraction) -> None:
@@ -594,22 +618,7 @@ def _verify_cached_max_impact(outcome: ScenarioOutcome,
         if threshold != base * (1 + lower / 100):
             raise ValueError(
                 "cached maximize threshold is inconsistent with I*")
-        if outcome.believed_min_cost is None:
-            raise ValueError("cached sat maximize outcome has no "
-                             "believed cost")
-        try:
-            believed = Fraction(outcome.believed_min_cost)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(
-                f"cached believed cost is unparsable: {exc}")
-        if float(believed) < float(threshold) * (1 - 1e-6) - 1e-9:
-            raise ValueError(
-                "cached maximize witness cost is below its threshold")
-        if outcome.achieved_increase_percent is not None:
-            expected = float((believed / base - 1) * 100)
-            if abs(outcome.achieved_increase_percent - expected) > 1e-6:
-                raise ValueError(
-                    "cached achieved-increase disagrees with its costs")
+        _verify_cached_sat_cost(outcome, base, threshold)
         if status == "complete" and (upper is None
                                      or upper - lower > tolerance):
             raise ValueError(
@@ -686,38 +695,18 @@ def verify_cached_outcome(outcome: ScenarioOutcome, spec: ScenarioSpec,
         raise ValueError(f"cached base cost {base} is not positive")
     if spec.search == "maximize":
         _verify_cached_max_impact(outcome, spec, base, threshold)
-        if require_certified and outcome.certified is not True:
+    else:
+        target = spec.target_fraction()
+        if target is not None and threshold != base * (1 + target / 100):
             raise ValueError(
-                "certified sweep: cached outcome was not produced with "
-                "certificates verified")
-        return
-    target = spec.target_fraction()
-    if target is not None and threshold != base * (1 + target / 100):
-        raise ValueError(
-            "cached threshold is inconsistent with the spec's target")
-    if outcome.satisfiable:
-        if outcome.believed_min_cost is None:
-            raise ValueError("cached sat outcome has no believed cost")
-        try:
-            believed = Fraction(outcome.believed_min_cost)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(
-                f"cached believed cost is unparsable: {exc}")
-        # The fast analyzer's believed cost travels through floats, so
-        # allow the same relative slack its certification uses.
-        if float(believed) < float(threshold) * (1 - 1e-6) - 1e-9:
-            raise ValueError(
-                "cached sat outcome's believed cost is below threshold")
-        if outcome.achieved_increase_percent is not None:
-            expected = float((believed / base - 1) * 100)
-            if abs(outcome.achieved_increase_percent - expected) > 1e-6:
-                raise ValueError(
-                    "cached achieved-increase disagrees with its costs")
-    elif outcome.believed_min_cost is not None:
-        # Definitive unsat outcomes carry no believed cost (partial ones
-        # do, but those are never cached): a leftover cost means the
-        # verdict was rewritten in place.
-        raise ValueError("cached unsat outcome carries a believed cost")
+                "cached threshold is inconsistent with the spec's target")
+        if outcome.satisfiable:
+            _verify_cached_sat_cost(outcome, base, threshold)
+        elif outcome.believed_min_cost is not None:
+            # Definitive unsat outcomes carry no believed cost (partial
+            # ones do, but those are never cached): a leftover cost
+            # means the verdict was rewritten in place.
+            raise ValueError("cached unsat outcome carries a believed cost")
     if require_certified and outcome.certified is not True:
         raise ValueError(
             "certified sweep: cached outcome was not produced with "

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.runner.spec import ScenarioSpec, code_fingerprint
 from repro.validation.diagnostics import ValidationReport
@@ -237,6 +237,21 @@ def deterministic_outcome_view(payload: Dict[str, Any]
     return view
 
 
+#: the per-outcome counters of the sweep trace's ``totals``: each counts
+#: the outcomes its predicate holds for.
+_OUTCOME_COUNTS: Dict[str, Callable[[ScenarioOutcome], bool]] = {
+    "failures": lambda o: o.status != OK,
+    "unknown": lambda o: o.status == UNKNOWN,
+    "certificate_errors": lambda o: o.status == CERTIFICATE_ERROR,
+    "invalid_input": lambda o: o.status == INVALID_INPUT,
+    "degenerate_case": lambda o: o.status == DEGENERATE_CASE,
+    "numerical_unstable": lambda o: o.status == NUMERICAL_UNSTABLE,
+    "certified": lambda o: o.certified is True,
+    "max_impact_cells": lambda o: o.max_impact is not None,
+    "cache_write_errors": lambda o: o.cache_write_error is not None,
+}
+
+
 def _encoding_total(outcome: ScenarioOutcome, key: str):
     """A cell's ``encodings_built`` or ``encode_seconds``: for a
     maximize cell, its whole search's, not only its witness probe's."""
@@ -277,24 +292,8 @@ class SweepTrace:
                 "scenarios": len(self.outcomes),
                 "cache_hits": self.cache_hits,
                 "cache_rejected": self.cache_rejected,
-                "failures": len(self.failures),
-                "unknown": sum(o.status == UNKNOWN
-                               for o in self.outcomes),
-                "certificate_errors": sum(o.status == CERTIFICATE_ERROR
-                                          for o in self.outcomes),
-                "invalid_input": sum(o.status == INVALID_INPUT
-                                     for o in self.outcomes),
-                "degenerate_case": sum(o.status == DEGENERATE_CASE
-                                       for o in self.outcomes),
-                "numerical_unstable": sum(o.status == NUMERICAL_UNSTABLE
-                                          for o in self.outcomes),
-                "certified": sum(o.certified is True
-                                 for o in self.outcomes),
-                "max_impact_cells": sum(o.max_impact is not None
-                                        for o in self.outcomes),
-                "cache_write_errors": sum(
-                    o.cache_write_error is not None
-                    for o in self.outcomes),
+                **{name: sum(map(counts, self.outcomes))
+                   for name, counts in _OUTCOME_COUNTS.items()},
                 "wall_seconds": self.wall_seconds,
                 "analysis_seconds": sum(o.analysis_seconds
                                         for o in self.outcomes),

@@ -225,7 +225,7 @@ class TestSolveAtDefaultTarget:
             assert report.status == "complete"
             assert report.target_increase_percent == expected
             # the fallback threshold is derived from the default, on
-            # each strategy's own exact base cost
+            # each analyzer's own exact base cost
             assert report.threshold == \
                 report.base_cost * (1 + expected / 100)
         assert smt.satisfiable == fast.satisfiable

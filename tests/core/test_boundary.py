@@ -47,7 +47,7 @@ class TestSmtBoundary:
         # believed-optimum cost of a known attack must report success.
         report = smt_analyzer.analyze(ImpactQuery())
         assert report.satisfiable
-        success, cost = smt_analyzer.strategy._evaluate(
+        success, cost = smt_analyzer._evaluate(
             report.attack, report.believed_min_cost)
         assert cost == report.believed_min_cost
         assert success
@@ -64,7 +64,7 @@ def _best_percent(fast_analyzer):
     baseline = fast_analyzer.analyze(ImpactQuery(state_samples=4))
     assert baseline.satisfiable
     values = [e.best_increase_percent
-              for e in fast_analyzer.strategy.evaluations
+              for e in fast_analyzer.evaluations
               if e.best_increase_percent is not None]
     return max(values)
 

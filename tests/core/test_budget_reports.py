@@ -205,11 +205,10 @@ class TestNoQuantizedBlocking:
 
 class TestCertifiedUnsatNeedsCheckedProof:
     def test_unchecked_smt_unsat_is_a_certificate_error(self, monkeypatch):
-        # A strategy that claims a complete unsat without ever checking
+        # A search that claims a complete unsat without ever checking
         # an UNSAT proof must not be reported as a proved verdict.
-        from repro.core.framework import SmtSearchStrategy
         from repro.core.session import SearchOutcome
-        monkeypatch.setattr(SmtSearchStrategy, "search",
+        monkeypatch.setattr(ImpactAnalyzer, "search",
                             lambda self, query, threshold:
                             SearchOutcome(satisfiable=False))
         report = ImpactAnalyzer(get_case("5bus-study1")).analyze(

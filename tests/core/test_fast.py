@@ -39,10 +39,10 @@ class TestFiveBusAgreement:
 
     def test_candidate_diagnostics(self, fast1):
         fast1.analyze(ImpactQuery())
-        by_line = {e.line_index: e for e in fast1.strategy.evaluations}
+        by_line = {e.line_index: e for e in fast1.evaluations}
         # Line 6 is the only feasible candidate in study 1.
         assert by_line[6].feasible
-        assert len(fast1.strategy.evaluations) == 1
+        assert len(fast1.evaluations) == 1
 
 
 class TestScalability:

@@ -34,15 +34,15 @@ def _analyzer(case="ieee30", attacker_seed=None):
     return FastImpactAnalyzer(spec.resolve_case())
 
 
-def _spy(strategy, name, log):
+def _spy(analyzer, name, log):
     """Record the positional arguments of every call to a method."""
-    original = getattr(strategy, name)
+    original = getattr(analyzer, name)
 
     def spy(*args):
         log.append(args)
         return original(*args)
 
-    setattr(strategy, name, spy)
+    setattr(analyzer, name, spy)
 
 
 @pytest.fixture
@@ -69,7 +69,7 @@ class TestOneSolvePerFlow:
                                              states):
         analyzer = _analyzer(case, attacker_seed)
         calls = []
-        _spy(analyzer.strategy, "_believed_cost", calls)
+        _spy(analyzer, "_believed_cost", calls)
         analyzer.analyze(ImpactQuery(target_increase_percent=Fraction(1, 2),
                                      with_state_infection=states,
                                      state_samples=4))
@@ -82,22 +82,20 @@ class TestOneSolvePerFlow:
         probed flow is still solved exactly once."""
         analyzer = _analyzer("5bus-study1")
         analyzer.analyze(ImpactQuery())
-        strategy = analyzer.strategy
         calls = []
-        _spy(strategy, "_believed_cost", calls)
-        before = strategy.kernel.sf_opf.solve_calls
-        best = strategy._maximize_over_interval("exclude", 6, -0.5, 0.5)
+        _spy(analyzer, "_believed_cost", calls)
+        before = analyzer.kernel.sf_opf.solve_calls
+        best = analyzer._maximize_over_interval("exclude", 6, -0.5, 0.5)
         assert best is not None
         assert -0.5 < best[0] < 0.5
         assert len(calls) > 3                      # bisection ran
         assert len(set(calls)) == len(calls)
-        assert strategy.kernel.sf_opf.solve_calls - before == len(calls)
+        assert analyzer.kernel.sf_opf.solve_calls - before == len(calls)
 
     def test_feasible_endpoints_cost_two_solves(self, solve_counter):
         analyzer = _analyzer("ieee30", 2017)
-        strategy = analyzer.strategy
         spans = []
-        original = strategy._maximize_over_interval
+        original = analyzer._maximize_over_interval
 
         def measured(kind, line_index, lo, hi):
             start = len(solve_counter)
@@ -106,12 +104,12 @@ class TestOneSolvePerFlow:
                           len(solve_counter) - start))
             return best
 
-        strategy._maximize_over_interval = measured
+        analyzer._maximize_over_interval = measured
         analyzer.analyze(ImpactQuery(target_increase_percent=Fraction(1)))
         both_feasible = [
             solves for kind, line_index, lo, hi, solves in spans
-            if strategy._believed_cost(kind, line_index, lo) is not None
-            and strategy._believed_cost(kind, line_index, hi) is not None]
+            if analyzer._believed_cost(kind, line_index, lo) is not None
+            and analyzer._believed_cost(kind, line_index, hi) is not None]
         assert both_feasible, "no candidate with two feasible endpoints"
         assert set(both_feasible) == {2}
 
@@ -132,10 +130,10 @@ class TestGridKernel:
         monkeypatch.setattr(fast_module, "ShiftFactorOpf",
                             lambda *args: built.append(args))
         second = FastImpactAnalyzer(randomize_attacker(case, 2017),
-                                    kernel=first.strategy.kernel)
+                                    kernel=first.kernel)
         monkeypatch.undo()
         assert built == []
-        assert second.strategy.kernel is first.strategy.kernel
+        assert second.kernel is first.kernel
         query = ImpactQuery(target_increase_percent=Fraction(1, 2))
         report = second.analyze(query)
         fresh = FastImpactAnalyzer(
@@ -155,10 +153,10 @@ class TestLoadWindowsFirst:
                                                       attacker_seed):
         analyzer = _analyzer(case, attacker_seed)
         ranged = []
-        _spy(analyzer.strategy, "_reachable_flow_range", ranged)
+        _spy(analyzer, "_reachable_flow_range", ranged)
         analyzer.analyze(ImpactQuery(target_increase_percent=Fraction(1)))
         grid = analyzer.grid
-        dropped = [e for e in analyzer.strategy.evaluations
+        dropped = [e for e in analyzer.evaluations
                    if e.reason.endswith("has no load headroom")]
         assert dropped, "no candidate was dropped by a load window"
         assert ranged
@@ -197,19 +195,19 @@ class TestPinnedAnswers:
         assert report.attack.excluded == [11]
 
 
-def _usable_interval_from_both_extremes(strategy, kind, line_index):
+def _usable_interval_from_both_extremes(analyzer, kind, line_index):
     """The usable flow interval as both range LPs give it: the min and
     max flow over the operating polytope, clipped to the line capacity
     and to both endpoints' Eq.-36 load windows.  None when it is empty."""
-    grid = strategy.grid
-    factors = strategy.kernel.sf_opf.factors
+    grid = analyzer.grid
+    factors = analyzer.kernel.sf_opf.factors
     row = factors.row(line_index) if kind == "exclude" \
         else factors.open_line_flow_row(line_index)
-    c = np.array([row[bus - 1] for bus in strategy.kernel.sf_opf.gen_buses])
-    const = -float(row @ strategy.kernel.demand)
+    c = np.array([row[bus - 1] for bus in analyzer.kernel.sf_opf.gen_buses])
+    const = -float(row @ analyzer.kernel.demand)
     extremes = []
     for direction in (1.0, -1.0):
-        result = linprog(direction * c, **strategy.kernel.operating_lp)
+        result = linprog(direction * c, **analyzer.kernel.operating_lp)
         assert result.success
         extremes.append(float(c @ result.x) + const)
     line = grid.line(line_index)
@@ -237,7 +235,6 @@ class TestRangeLpsOnlyWhenTheyMatter:
     def test_interval_equals_both_extremes(self, monkeypatch, case,
                                            range_lps, settled_by):
         analyzer = _analyzer(case, 2014)
-        strategy = analyzer.strategy
         lps = []
         counted = fast_module.linprog
 
@@ -247,7 +244,7 @@ class TestRangeLpsOnlyWhenTheyMatter:
 
         monkeypatch.setattr(fast_module, "linprog", counting)
         ranges = {}
-        original = strategy._reachable_flow_range
+        original = analyzer._reachable_flow_range
 
         def spy(kind, line_index):
             before = len(lps)
@@ -255,14 +252,14 @@ class TestRangeLpsOnlyWhenTheyMatter:
             ranges[kind, line_index] = (usable, len(lps) - before)
             return usable
 
-        strategy._reachable_flow_range = spy
+        analyzer._reachable_flow_range = spy
         analyzer.analyze(ImpactQuery(target_increase_percent=Fraction(1)))
 
         assert len(lps) == range_lps
         assert Counter(n for _, n in ranges.values()) == settled_by
         for (kind, line_index), (usable, _) in ranges.items():
             expected = _usable_interval_from_both_extremes(
-                strategy, kind, line_index)
+                analyzer, kind, line_index)
             if expected is None:
                 assert usable[0] > usable[1], (kind, line_index)
             else:

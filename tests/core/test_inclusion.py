@@ -97,14 +97,14 @@ class TestFastAnalyzerInclusionPath:
     def test_candidate_enumerated(self, open_line_case):
         analyzer = FastImpactAnalyzer(open_line_case)
         analyzer.analyze(ImpactQuery(target_increase_percent=Fraction(1)))
-        kinds = {(e.kind, e.line_index) for e in analyzer.strategy.evaluations}
+        kinds = {(e.kind, e.line_index) for e in analyzer.evaluations}
         assert ("include", 6) in kinds
 
     def test_believed_costs_evaluated_with_lcdf(self, open_line_case):
         analyzer = FastImpactAnalyzer(open_line_case)
         report = analyzer.analyze(
             ImpactQuery(target_increase_percent=Fraction(1, 100)))
-        evaluation = analyzer.strategy.evaluations[0]
+        evaluation = analyzer.evaluations[0]
         # Whether or not an impact was found, the LCDF evaluation must
         # have produced a believed cost (feasible) or a concrete reason.
         assert evaluation.feasible or evaluation.reason

@@ -1,10 +1,10 @@
-"""Both analyzers are an AnalysisSession with a strategy plugged in."""
+"""Both analyzers are an AnalysisSession that is its own search."""
 
 from fractions import Fraction
 
 import pytest
 
-from repro.core import FastImpactAnalyzer, ImpactAnalyzer
+from repro.core import FastImpactAnalyzer, ImpactAnalyzer, session
 from repro.core.session import AnalysisSession
 from repro.grid.cases import get_case
 
@@ -14,7 +14,8 @@ def test_analyzer_is_the_session(cls):
     analyzer = cls(get_case("5bus-study1"))
     assert isinstance(analyzer, AnalysisSession)
     assert not hasattr(analyzer, "session")
-    assert analyzer.strategy.session is analyzer
+    assert not hasattr(analyzer, "strategy")
+    assert not hasattr(session, "SearchStrategy")
     assert analyzer.threshold_for(Fraction(1)) == \
         analyzer.base_cost * Fraction(101, 100)
 

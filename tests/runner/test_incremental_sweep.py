@@ -10,7 +10,7 @@ their own through the same unit runner.
 from fractions import Fraction
 
 from repro.core import ImpactQuery
-from repro.core.fast import FastImpactAnalyzer, FastSearchStrategy
+from repro.core.fast import FastImpactAnalyzer
 from repro.grid.caseio import write_case
 from repro.grid.cases import get_case
 from repro.numerics.diagnostics import WARNING, NumericalDiagnostic, emit
@@ -150,7 +150,7 @@ def _report_view(report):
 
 
 class TestFastWarmMemo:
-    """The fast strategy keeps target-independent kernel results (flow
+    """The fast analyzer keeps target-independent kernel results (flow
     ranges, interval maxima) across the queries of one analyzer; a warm
     query must answer exactly as a cold one."""
 
@@ -177,7 +177,7 @@ class TestFastWarmMemo:
         as a cold query does."""
         warned = ("exclude", 11)
         computed = []
-        original = FastSearchStrategy._reachable_flow_range
+        original = FastImpactAnalyzer._reachable_flow_range
 
         def warning_range(self, kind, line_index):
             computed.append((kind, line_index))
@@ -186,12 +186,12 @@ class TestFastWarmMemo:
                     "solve", "test matrix", WARNING, "injected warning"))
             return original(self, kind, line_index)
 
-        monkeypatch.setattr(FastSearchStrategy, "_reachable_flow_range",
+        monkeypatch.setattr(FastImpactAnalyzer, "_reachable_flow_range",
                             warning_range)
         query = ImpactQuery(target_increase_percent=Fraction(2))
         warm = FastImpactAnalyzer(get_case("ieee30"))
         warm.analyze(query)
-        ranges = warm.strategy.kernel.ranges
+        ranges = warm.kernel.ranges
         assert warned in computed and warned not in ranges
         assert set(computed) - {warned} <= set(ranges)
 

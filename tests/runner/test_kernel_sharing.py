@@ -7,6 +7,8 @@ believed-OPF LPs are solved once per pool, not once per attacker.
 Sharing must not change a single answer, in any order the cells run.
 """
 
+import gc
+import weakref
 from dataclasses import replace
 from fractions import Fraction
 
@@ -122,7 +124,7 @@ class TestKernelKey:
         assert GridKernel.key(widened) != GridKernel.key(case)
         pool = SessionPool()
         one, other = _acquire(pool, case), _acquire(pool, widened)
-        assert one.strategy.kernel is not other.strategy.kernel
+        assert one.kernel is not other.kernel
         assert pool.stats()["kernel_misses"] == 2
         assert pool.stats()["kernels"] == 2
 
@@ -141,7 +143,7 @@ class TestKernelLifetime:
         assert pool.stats()["sessions"] == 0
         rebuilt = _acquire(pool, randomize_attacker(case, 2016))
         assert pool.stats()["kernel_misses"] == 2
-        assert rebuilt.strategy._kernel_shared is False
+        assert rebuilt._kernel_shared is False
 
     def test_a_kernel_built_under_warnings_is_not_shared(self):
         # A condition-number warn threshold of 1 makes every guarded
@@ -158,11 +160,53 @@ class TestKernelLifetime:
                 fresh.analyze(query)
         finally:
             set_policy(None)
-        assert first.strategy.kernel.warned
-        assert second.strategy.kernel is not first.strategy.kernel
+        assert first.kernel.warned
+        assert second.kernel is not first.kernel
         stats = pool.stats()
         assert (stats["kernels"], stats["kernel_misses"]) == (0, 2)
         assert second.numerically_suspect is True
         assert second.numerically_suspect == fresh.numerically_suspect
         assert second_report.satisfiable == fresh_report.satisfiable
         assert second_report.trace.session["encodings_built"] == 1
+
+
+class TestEvictionFreesTheAnalyzer:
+    """An analyzer evicted from a pool goes at once, with the grid
+    kernel or SMT encoding it held: nothing but the pool refers to it,
+    so reference counting frees it without a cycle collection."""
+
+    @pytest.fixture(autouse=True)
+    def no_cycle_collection(self):
+        gc.disable()
+        try:
+            yield
+        finally:
+            gc.enable()
+
+    @staticmethod
+    def _evict(kind, first, second, held):
+        """Use *first*'s analyzer on a one-slot pool, evict it with
+        *second*'s; weak references to the analyzer and to its attribute
+        *held*."""
+        pool = SessionPool(limit=1)
+        analyzer = pool.acquire(first, get_case(first), kind)
+        assert analyzer.solve_at(Fraction(1)).status == "complete"
+        refs = weakref.ref(analyzer), weakref.ref(getattr(analyzer, held))
+        del analyzer
+        assert pool.acquire(second, get_case(second), kind) \
+            .solve_at(Fraction(1)).status == "complete"
+        assert pool.stats()["session_evictions"] == 1
+        return pool, refs
+
+    def test_an_evicted_fast_analyzer_frees_its_kernel(self):
+        pool, (analyzer, kernel) = self._evict("fast", "ieee14", "ieee30",
+                                               "kernel")
+        assert analyzer() is None
+        assert kernel() is None
+        assert pool.stats()["kernels"] == 1
+
+    def test_an_evicted_smt_analyzer_frees_its_encoding(self):
+        _, (analyzer, encoding) = self._evict("smt", "5bus-study1",
+                                              "5bus-study2", "_encoding")
+        assert analyzer() is None
+        assert encoding() is None

@@ -83,13 +83,27 @@ class TestOutcome:
 
     def test_tampered_bracket_is_rejected(self, outcome):
         spec = outcome.spec
-        tampered = json.loads(json.dumps(outcome.to_dict()))
-        tampered["max_impact"]["lower_bound"] = "63"
-        tampered["max_impact"]["upper_bound"] = "505/8"
-        tampered["max_impact"]["max_increase_percent"] = "63"
-        restored = ScenarioOutcome.from_dict(tampered)
-        with pytest.raises(ValueError):
-            verify_cached_outcome(restored, spec)
+        base = Fraction(outcome.base_cost)
+
+        def bracket(payload):
+            payload["max_impact"]["lower_bound"] = "63"
+            payload["max_impact"]["upper_bound"] = "505/8"
+            payload["max_impact"]["max_increase_percent"] = "63"
+
+        def inflated_increase(payload):
+            payload["achieved_increase_percent"] += 1
+
+        def cost_below_threshold(payload):
+            # Consistent with its achieved increase, but short of I*.
+            payload["believed_min_cost"] = str(base)
+            payload["achieved_increase_percent"] = 0.0
+
+        for tamper in (bracket, inflated_increase, cost_below_threshold):
+            tampered = json.loads(json.dumps(outcome.to_dict()))
+            tamper(tampered)
+            restored = ScenarioOutcome.from_dict(tampered)
+            with pytest.raises(ValueError):
+                verify_cached_outcome(restored, spec)
 
     def test_ok_maximize_outcome_requires_payload(self, outcome):
         stripped = json.loads(json.dumps(outcome.to_dict()))
