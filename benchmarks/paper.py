@@ -20,6 +20,9 @@ analyzes the 5-bus systems and the LODF/LCDF fast analyzer the larger
 ones, the hybrid the paper itself adopts (Section IV-A).
 ``--paper-scale`` pushes the SMT models further up the sweep (slow):
 ieee14 on the full SMT framework in Fig. 4 and ieee57 in Fig. 5(a).
+The ``scaling`` entry (about 15 minutes) grows the grid axis to
+synth300–10000, sparse against dense, each pipeline in a fresh process
+under a wall-clock limit.
 
 Absolute timings are not expected to match the paper (Z3 vs. a
 pure-Python DPLL(T) solver); EXPERIMENTS.md compares the shapes.
@@ -30,13 +33,16 @@ from __future__ import annotations
 import argparse
 import json
 import multiprocessing
+import random
 import resource
 import time
 import tracemalloc
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.cli import format_table
 from repro.core import (
@@ -46,8 +52,16 @@ from repro.core import (
     ImpactQuery,
     OpfModelEncoding,
 )
+from repro.estimation.measurement import MeasurementPlan
+from repro.estimation.wls import WlsEstimator
 from repro.grid.caseio import CaseDefinition
 from repro.grid.cases import get_case
+from repro.grid.matrices import (
+    flow_matrix,
+    measurement_matrix,
+    susceptance_matrix,
+)
+from repro.grid.sensitivities import compute_ptdf, lodf_column
 from repro.opf import ShiftFactorOpf, TopologyChange, solve_dc_opf
 from repro.runner import ScenarioSpec, SweepConfig, SweepEngine
 from repro.runner.engine import execute_scenario
@@ -129,6 +143,22 @@ def profile_memory(fn: Callable[[], Any]) -> Tuple[Any, MemoryProfile]:
     # ru_maxrss is in kB on Linux.
     rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
     return result, MemoryProfile(peak, rss, elapsed)
+
+
+def fresh_process(fn: Callable[..., Any], *args,
+                  timeout: Optional[float] = None) -> Any:
+    """``fn(*args)`` in a fresh spawned process, so its allocation and
+    RSS never depend on what the harness ran before it.  A call still
+    running after *timeout* seconds is killed and recorded as a ``dnf``
+    cell instead of its result."""
+    started = time.perf_counter()
+    with multiprocessing.get_context("spawn").Pool(1) as pool:
+        try:
+            return pool.apply_async(fn, args).get(timeout)
+        except multiprocessing.TimeoutError:
+            return {"status": "dnf", "budget_seconds": timeout,
+                    "elapsed_seconds": round(
+                        time.perf_counter() - started, 1)}
 
 
 def format_series(title: str, x_label: str, y_label: str,
@@ -457,18 +487,11 @@ def _table4_cell(name: str, model: str) -> Dict[str, Any]:
 
 def _table4_cells(paper_scale: bool) -> Cells:
     """Each (case, model) cell of :func:`_table4_cell`, in a fresh
-    spawned process: a model's peak allocation then never depends on
-    what the harness built before it (in one process, caches earlier
-    entries left behind moved the 30-bus OPF model from 0.84 to 1.40
-    MB)."""
-    context = multiprocessing.get_context("spawn")
-    cells: Cells = {}
-    for name in ("5bus-study2", "ieee14", "ieee30", "ieee57"):
-        for model in ("attack", "opf"):
-            with context.Pool(1) as pool:
-                cells[f"{name}/{model}"] = pool.apply(
-                    _table4_cell, (name, model))
-    return cells
+    process: in one process, caches earlier entries left behind moved
+    the 30-bus OPF model from 0.84 to 1.40 MB."""
+    return {f"{name}/{model}": fresh_process(_table4_cell, name, model)
+            for name in ("5bus-study2", "ieee14", "ieee30", "ieee57")
+            for model in ("attack", "opf")}
 
 
 def _table4_rows(cells: Cells) -> List[Tuple]:
@@ -832,6 +855,176 @@ def _incremental_checks(cells: Cells) -> Dict[str, bool]:
             and sum(c["encodings_built"] for c in cold) == len(cold)}
 
 
+# -- scaling: the grid axis, sparse vs dense (synth300–10000) ---------------
+
+#: wall-clock budget (s) of one timed dense pipeline: sparse must finish
+#: synth2869 inside it and dense must not.
+DENSE_BUDGET_SECONDS = 60
+#: limit (s) on a dense child.  It runs every stage twice (timed, then
+#: traced), so a merely over-budget dense run still reports its curves
+#: ("over_budget") instead of being killed ("dnf").
+DENSE_TIMEOUT_SECONDS = 7 * DENSE_BUDGET_SECONDS
+#: limit (s) on a sparse child; it should finish far sooner.
+SPARSE_TIMEOUT_SECONDS = 600
+#: case -> whether dense is attempted.  Dense at 10000 buses is not: its
+#: O(b^3) factorizations and O(m^2) explicit weight matrix are beyond
+#: any budget worth burning.
+SCALING = {"synth300": True, "synth1354": True, "synth2869": True,
+           "synth10000": False}
+LODF_SAMPLES = 12
+ROW_SAMPLES = 4
+SWEEP_CHANGES = 6
+RANK1_SAMPLES = 8
+
+
+def _scaling_cell(name: str, backend: str) -> Dict[str, Any]:
+    """The four-stage pipeline (matrix encode, PTDF/LODF, WLS, a warm
+    shift-factor sweep) on one backend, plus, on sparse, rank-1 outage
+    updates against refactorizing.  Each stage runs twice: untraced for
+    its seconds, then under tracemalloc for its peak allocation.
+    Tracing slows the pure-numpy sparse kernels about 10x and dense BLAS
+    hardly at all, so timing under it would invert the comparison."""
+    grid = get_case(name).build_grid()
+    all_lines = [line.index for line in grid.lines]
+    bridges = grid.bridges(all_lines)
+    shuffled = list(all_lines)
+    random.Random(7).shuffle(shuffled)
+    # a deterministic sample of outage-safe (non-bridge) lines
+    outages = [line for line in shuffled
+               if line not in bridges][:LODF_SAMPLES]
+    stages: Dict[str, Dict[str, float]] = {}
+
+    def record(stage, fn):
+        result, seconds = measured(fn)
+        _, prof = profile_memory(fn)
+        stages[stage] = {"seconds": round(seconds, 4),
+                         "peak_alloc_mb": round(prof.peak_alloc_mb, 2),
+                         "peak_rss_mb": round(prof.peak_rss_mb, 2)}
+        return result
+
+    def encode():
+        susceptance_matrix(grid, reduced=True, backend=backend)
+        flow_matrix(grid, backend=backend)
+        measurement_matrix(grid, backend=backend)
+
+    def ptdf_lodf():
+        factors = compute_ptdf(grid, backend=backend)
+        factors.columns(sorted(grid.generators))
+        for line in outages:
+            lodf_column(factors, line)
+        for line in outages[:ROW_SAMPLES]:
+            factors.row(line)
+        return factors
+
+    def wls():
+        plan = MeasurementPlan.full(grid)
+        estimator = WlsEstimator(
+            plan, weights=np.ones(len(plan.taken_indices())),
+            backend=backend)
+        x_true = np.random.default_rng(3).normal(size=grid.num_buses - 1)
+        estimator.estimate(estimator.H.matvec(x_true)
+                           if backend == "sparse"
+                           else estimator.H @ x_true)
+
+    def warm_sweep():
+        opf = ShiftFactorOpf(grid, backend=backend)
+        opf.solve()
+        for line in outages[:SWEEP_CHANGES]:
+            opf.solve(change=TopologyChange("exclude", line))
+
+    record("encode", encode)
+    factors = record("ptdf_lodf", ptdf_lodf)
+    record("wls", wls)
+    record("warm_sweep", warm_sweep)
+    cell = _cell(None, sum(s["seconds"] for s in stages.values()),
+                 status="ok", buses=grid.num_buses,
+                 lines=len(all_lines), stages=stages)
+    if backend == "sparse":
+        rhs = np.random.default_rng(11).normal(size=grid.num_buses - 1)
+        rank1 = outages[:RANK1_SAMPLES]
+        _, update_s = measured(lambda: [
+            factors.outage_update(line).solve(rhs) for line in rank1])
+        _, refactor_s = measured(lambda: [
+            compute_ptdf(grid, [l for l in all_lines if l != line],
+                         backend="sparse").factorization.solve(rhs)
+            for line in rank1])
+        cell["rank1"] = {"outages": len(rank1),
+                         "update_seconds": round(update_s, 4),
+                         "refactorize_seconds": round(refactor_s, 4),
+                         "speedup": round(refactor_s / update_s, 2)}
+    return cell
+
+
+def _scaling_cells(paper_scale: bool) -> Cells:
+    """Each (case, backend) pipeline in a fresh process under its
+    limit; a dense run that finishes over the budget is recorded as
+    ``over_budget``."""
+    cells: Cells = {}
+    for name, dense in SCALING.items():
+        cells[f"{name}/sparse"] = fresh_process(
+            _scaling_cell, name, "sparse", timeout=SPARSE_TIMEOUT_SECONDS)
+        if not dense:
+            cells[f"{name}/dense"] = {"status": "skipped"}
+            continue
+        cell = fresh_process(_scaling_cell, name, "dense",
+                             timeout=DENSE_TIMEOUT_SECONDS)
+        if cell["status"] == "ok" \
+                and cell["seconds"] > DENSE_BUDGET_SECONDS:
+            cell.update(status="over_budget",
+                        budget_seconds=DENSE_BUDGET_SECONDS)
+        cells[f"{name}/dense"] = cell
+    return cells
+
+
+def _scaling_seconds(cell: Dict[str, Any]) -> str:
+    if "seconds" not in cell:
+        return cell["status"]
+    over = " (over budget)" if cell["status"] == "over_budget" else ""
+    return f"{cell['seconds']:.2f}{over}"
+
+
+def _scaling_rss(cell: Dict[str, Any]) -> str:
+    if "stages" not in cell:
+        return "-"
+    return f"{max(s['peak_rss_mb'] for s in cell['stages'].values()):.0f}"
+
+
+def _scaling_tables(cells: Cells, done: Dict[str, Cells]) -> List[str]:
+    rows = []
+    for name in SCALING:
+        sparse, dense = cells[f"{name}/sparse"], cells[f"{name}/dense"]
+        rank1 = sparse.get("rank1")
+        rows.append((name, sparse.get("buses", "-"),
+                     sparse.get("lines", "-"), _scaling_seconds(sparse),
+                     _scaling_seconds(dense),
+                     f"{_scaling_rss(sparse)} / {_scaling_rss(dense)}",
+                     f"{rank1['speedup']:.1f}x" if rank1 else "-"))
+    return [format_table(
+        f"pipeline scaling, sparse vs dense "
+        f"(dense budget {DENSE_BUDGET_SECONDS}s)",
+        ("case", "buses", "lines", "sparse s", "dense s",
+         "peak RSS MB (sparse / dense)", "rank-1 speedup"), rows)]
+
+
+def _scaling_checks(cells: Cells) -> Dict[str, bool]:
+    sparse = {name: cells[f"{name}/sparse"] for name in SCALING}
+    dense = {name: cells[f"{name}/dense"] for name in SCALING}
+    return {
+        "the sparse pipeline completes on every case":
+            all(c["status"] == "ok" for c in sparse.values()),
+        "sparse beats dense wherever dense finishes inside the budget":
+            all(sparse[n].get("seconds", float("inf"))
+                < dense[n]["seconds"]
+                for n in SCALING if dense[n]["status"] == "ok"),
+        "synth2869: sparse inside the budget, dense not":
+            dense["synth2869"]["status"] in ("dnf", "over_budget")
+            and sparse["synth2869"]["status"] == "ok"
+            and sparse["synth2869"]["seconds"] < DENSE_BUDGET_SECONDS,
+        "rank-1 updates beat refactorizing at synth1354 and synth2869":
+            all(sparse[n].get("rank1", {}).get("speedup", 0) > 1
+                for n in ("synth1354", "synth2869"))}
+
+
 # -- the registry and the driver -------------------------------------------
 
 @dataclass(frozen=True)
@@ -890,6 +1083,8 @@ ENTRIES: Dict[str, Entry] = {
     "incremental": Entry("Fig. 4 (threshold sweep, incremental reuse)",
                          _incremental_cells, _incremental_tables,
                          _incremental_checks),
+    "scaling": Entry("Sec. VI scalability (synth300-10000 growth curves)",
+                     _scaling_cells, _scaling_tables, _scaling_checks),
 }
 
 

@@ -101,8 +101,6 @@ class LeaseQueue:
                  lease_ttl: float = 15.0,
                  steal_after: float = 30.0,
                  retry_budget: int = 3,
-                 backoff_base: float = BACKOFF_BASE,
-                 backoff_cap: float = BACKOFF_CAP,
                  journal: Optional[Journal] = None,
                  clock: Callable[[], float] = time.monotonic) -> None:
         self.units = [WorkUnit(unit_id=i, indices=list(unit))
@@ -110,8 +108,6 @@ class LeaseQueue:
         self.lease_ttl = lease_ttl
         self.steal_after = steal_after
         self.retry_budget = retry_budget
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
         self.journal = journal
         self.clock = clock
         self._lock = threading.Lock()
@@ -254,8 +250,7 @@ class LeaseQueue:
             else:
                 unit.state = PENDING
                 unit.backoff_until = now + min(
-                    self.backoff_cap,
-                    self.backoff_base * (2 ** (unit.expiries - 1)))
+                    BACKOFF_CAP, BACKOFF_BASE * (2 ** (unit.expiries - 1)))
         return expired
 
     # -- queries -------------------------------------------------------

@@ -42,14 +42,21 @@ class CnfConverter:
 
     def __init__(self, emit_clause: Callable[[List[int]], None],
                  new_var: Callable[[], int]) -> None:
-        self._emit = emit_clause
+        self._emit_clause = emit_clause
         self._new_var = new_var
+        #: definition clauses emitted so far (root clauses are returned
+        #: by :meth:`assert_term`, not emitted).
+        self.clauses_emitted = 0
         self._bool_vars: Dict[BoolVar, int] = {}
         self._atoms: Dict[Atom, int] = {}
         self._defs: Dict[Tuple, int] = {}
         self.atom_of_var: Dict[int, Atom] = {}
         self.var_of_atom: Dict[Atom, int] = {}
         self._true_lit: int = 0
+
+    def _emit(self, lits: List[int]) -> None:
+        self.clauses_emitted += 1
+        self._emit_clause(lits)
 
     # -- literal allocation ----------------------------------------------
 

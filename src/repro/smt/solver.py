@@ -204,11 +204,14 @@ class SmtSolver:
     def __init__(self, certify: bool = False) -> None:
         self._theory = _LraBridge()
         self._sat = SatSolver(self._theory)
-        self._cnf = CnfConverter(self._emit_clause, self._new_var)
+        # The converter gets the SAT core's methods, not this solver's:
+        # a bound method of ``self`` would make solver and converter a
+        # cycle, and an evicted solver would wait for the cycle collector.
+        self._cnf = CnfConverter(self._sat.add_clause, self._sat.new_var)
         self._model: Optional[Model] = None
         self._guards: List[int] = []  # active push/pop guard literals
         self.stats = SmtStatistics()
-        self._clause_count = 0
+        self._root_clauses = 0
         self._atoms_registered = 0   # prefix of atom_of_var the theory has
         self._budget: Optional[SolverBudget] = None
         #: why the last ``solve()`` returned ``UNKNOWN`` (None otherwise).
@@ -273,14 +276,10 @@ class SmtSolver:
     def budget(self) -> Optional[SolverBudget]:
         return self._budget
 
-    # -- plumbing ------------------------------------------------------------
-
-    def _new_var(self) -> int:
-        return self._sat.new_var()
-
-    def _emit_clause(self, lits: List[int]) -> None:
-        self._clause_count += 1
-        self._sat.add_clause(lits)
+    @property
+    def _clause_count(self) -> int:
+        """Root plus definition clauses asserted so far."""
+        return self._root_clauses + self._cnf.clauses_emitted
 
     # -- assertions ------------------------------------------------------
 
@@ -294,7 +293,7 @@ class SmtSolver:
         guard = [-self._guards[-1]] if self._guards else []
         for clause in root_clauses:
             self._sat.add_clause(guard + clause)
-            self._clause_count += 1
+            self._root_clauses += 1
 
     def _register_new_atoms(self) -> None:
         """Hand the theory the atoms converted since the last call, in

@@ -4,9 +4,9 @@ The contract under test: a fleet of real ``repro worker`` subprocesses
 driving a grid through a coordinator must finish with **zero lost
 cells, zero duplicated cells, and outcomes deterministically identical
 to a single-machine ``repro sweep``** — under injected worker crashes,
-stragglers, network partitions, silent lease abandonment, a SIGKILLed
-worker, and a coordinator killed mid-run and resumed from its journal
-(process-level, exit code 5, like ``sweep``).
+hangs, stragglers, network partitions, silent lease abandonment, a
+SIGKILLed worker, and a coordinator killed mid-run and resumed from its
+journal (process-level, exit code 5, like ``sweep``).
 """
 
 import os
@@ -22,6 +22,7 @@ from repro.runner import SweepConfig, SweepEngine
 from repro.runner.trace import deterministic_outcome_view
 from repro.testing import (
     CRASH_WORKER,
+    HANG_WORKER,
     LEASE_LOSS,
     PARTITION,
     STRAGGLER,
@@ -52,9 +53,10 @@ def grid_specs():
 
 
 def serial_views(specs):
-    serial = SweepEngine(SweepConfig(workers=1, use_cache=False))
+    sweep = SweepEngine(SweepConfig(workers=1, use_cache=False)).run(specs)
+    assert not sweep.failures, sweep.failures
     views = {}
-    for outcome in serial.run(specs).outcomes:
+    for outcome in sweep.outcomes:
         views[outcome.spec.label] = \
             deterministic_outcome_view(outcome.to_dict())
     return views
@@ -99,17 +101,20 @@ def spawn_worker(url, tmp_path, plan_path=None, worker_id=None):
 
 
 def test_fault_storm_fleet_matches_serial(tmp_path):
-    """Crash + straggle + partition + silent abandonment, all at once.
+    """Crash + hang + straggle + partition + silent abandonment, all at
+    once.
 
     Every fault is charged exactly once (shared marker ledger), so each
     disturbed unit's re-dispatch succeeds; the straggler's late commit
-    must come back as a duplicate, not a second result.
+    must come back as a duplicate, not a second result, and the hung
+    worker's lease must lapse before it resumes.
     """
     specs = grid_specs()
     truth = serial_views(specs)
     labels = [spec.label for spec in specs]
     plan = FaultPlan.build(tmp_path / "state", {
         labels[0]: Fault(kind=CRASH_WORKER, times=1),
+        labels[1]: Fault(kind=HANG_WORKER, times=1, sleep_seconds=4.0),
         labels[3]: Fault(kind=STRAGGLER, times=1, sleep_seconds=5.0),
         labels[6]: Fault(kind=PARTITION, times=1),
         labels[9]: Fault(kind=LEASE_LOSS, times=1),
@@ -143,12 +148,16 @@ def test_fault_storm_fleet_matches_serial(tmp_path):
     assert set(views) == set(labels)
     assert_views_equal(views, truth)
 
-    # The faults actually bit: the crashed/abandoned units expired and
-    # were re-dispatched; the straggler's unit was stolen and its late
-    # commit deduplicated.
+    # The faults actually bit: the crashed/hung/abandoned units expired
+    # and were re-dispatched; the straggler's unit was stolen and its
+    # late commit deduplicated.
     events = read_events(tmp_path / "j.jsonl")
     kinds = [e["event"] for e in events]
-    assert kinds.count("expire") >= 2, kinds
+    assert kinds.count("expire") >= 3, kinds
+    units = next(e for e in events if e["event"] == "plan")["units"]
+    hung = next(i for i, unit in enumerate(units) if 1 in unit)
+    assert any(e["event"] == "expire" and e["unit"] == hung
+               for e in events), "the hung worker's lease never lapsed"
     assert "steal" in kinds, kinds
     assert "duplicate" in kinds, kinds
     assert any(e["event"] == "lease" and e["attempt"] >= 2
@@ -258,6 +267,14 @@ def test_coordinator_killed_and_resumed_from_journal(tmp_path):
               if "already resolved" in line][0]
     recovered = int(banner.split("journal)")[0].rsplit(",", 1)[1])
     assert recovered >= 1, banner
+
+    # Each journal generation (the killed run's, rotated aside, and the
+    # resumed run's) commits every unit at most once.
+    for generation in ("j.jsonl.1", "j.jsonl"):
+        commits = [e["unit"] for e in read_events(tmp_path / generation)
+                   if e["event"] == "commit"]
+        assert commits and len(commits) == len(set(commits)), \
+            (generation, commits)
 
     import json
     trace = json.loads((tmp_path / "trace.json").read_text())

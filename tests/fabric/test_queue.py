@@ -10,6 +10,7 @@ from repro.fabric import (
     PENDING,
     read_events,
 )
+from repro.fabric.queue import BACKOFF_BASE, BACKOFF_CAP
 
 
 class Clock:
@@ -28,8 +29,6 @@ def queue_for(units=((0, 1), (2,)), **kwargs):
     kwargs.setdefault("lease_ttl", 10.0)
     kwargs.setdefault("steal_after", 30.0)
     kwargs.setdefault("retry_budget", 2)
-    kwargs.setdefault("backoff_base", 1.0)
-    kwargs.setdefault("backoff_cap", 8.0)
     return LeaseQueue(units, clock=clock, **kwargs), clock
 
 
@@ -71,26 +70,29 @@ def test_expiry_redispatches_with_backoff():
     assert unit.expiries == 1
     # Backoff: the unit is not leasable until base * 2**0 elapses...
     assert queue.lease("w1").unit_id == 1
-    clock.advance(1.01)
+    clock.advance(BACKOFF_BASE + 0.01)
     grant = queue.lease("w1")
     assert grant.unit_id == 0
     assert grant.attempt == 2
 
 
 def test_backoff_grows_exponentially_then_caps():
-    queue, clock = queue_for(units=((0,),), retry_budget=10,
-                             backoff_base=1.0, backoff_cap=4.0)
+    expected = []                        # doubling, until capped twice
+    while expected[-2:] != [BACKOFF_CAP] * 2:
+        expected.append(min(BACKOFF_CAP,
+                            BACKOFF_BASE * 2 ** len(expected)))
+    queue, clock = queue_for(units=((0,),), retry_budget=len(expected))
     waits = []
-    for _ in range(5):
-        clock.advance(10.0)              # past any pending backoff
+    for _ in expected:
+        clock.advance(BACKOFF_CAP)       # past any pending backoff
         assert queue.lease("w1") is not None
         clock.advance(10.01)             # past the lease ttl
         queue.expire_overdue()
         waits.append(queue.units[0].backoff_until - clock.now)
-    assert waits == [1.0, 2.0, 4.0, 4.0, 4.0]
+    assert waits == pytest.approx(expected)
     # honoured: immediately after an expiry the unit is not leasable
     assert queue.lease("w1") is None
-    clock.advance(4.01)
+    clock.advance(BACKOFF_CAP + 0.01)
     assert queue.lease("w1") is not None
 
 
@@ -107,9 +109,9 @@ def test_heartbeat_extends_the_deadline():
 
 
 def test_retry_budget_exhaustion_fails_the_unit():
-    queue, clock = queue_for(units=((0,),), retry_budget=2,
-                             backoff_cap=0.0)
+    queue, clock = queue_for(units=((0,),), retry_budget=2)
     for expiry in range(3):
+        clock.advance(BACKOFF_CAP)       # past any pending backoff
         assert queue.lease("w1") is not None
         clock.advance(10.01)
         queue.expire_overdue()
@@ -124,8 +126,7 @@ def test_retry_budget_exhaustion_fails_the_unit():
 def test_commit_revives_a_failed_unit():
     # Giving up was a scheduling decision; a late deterministic answer
     # is still the answer.
-    queue, clock = queue_for(units=((0,),), retry_budget=0,
-                             backoff_cap=0.0)
+    queue, clock = queue_for(units=((0,),), retry_budget=0)
     queue.lease("w1")
     clock.advance(10.01)
     queue.expire_overdue()
@@ -225,8 +226,7 @@ def test_every_transition_is_journaled_before_ack(tmp_path):
     path = tmp_path / "j.jsonl"
     journal = Journal(path)
     queue, clock = queue_for(units=((0,), (1,)), steal_after=5.0,
-                             retry_budget=0, backoff_cap=0.0,
-                             journal=journal)
+                             retry_budget=0, journal=journal)
     queue.lease("w1")
     queue.lease("w2")
     clock.advance(5.01)

@@ -11,6 +11,7 @@ import gc
 import weakref
 from dataclasses import replace
 from fractions import Fraction
+from operator import attrgetter
 
 import pytest
 
@@ -184,14 +185,15 @@ class TestEvictionFreesTheAnalyzer:
             gc.enable()
 
     @staticmethod
-    def _evict(kind, first, second, held):
+    def _evict(kind, first, second, *held):
         """Use *first*'s analyzer on a one-slot pool, evict it with
-        *second*'s; weak references to the analyzer and to its attribute
-        *held*."""
+        *second*'s; weak references to the analyzer and to each of its
+        (dotted) attributes *held*."""
         pool = SessionPool(limit=1)
         analyzer = pool.acquire(first, get_case(first), kind)
         assert analyzer.solve_at(Fraction(1)).status == "complete"
-        refs = weakref.ref(analyzer), weakref.ref(getattr(analyzer, held))
+        refs = (weakref.ref(analyzer),
+                *(weakref.ref(attrgetter(name)(analyzer)) for name in held))
         del analyzer
         assert pool.acquire(second, get_case(second), kind) \
             .solve_at(Fraction(1)).status == "complete"
@@ -206,7 +208,9 @@ class TestEvictionFreesTheAnalyzer:
         assert pool.stats()["kernels"] == 1
 
     def test_an_evicted_smt_analyzer_frees_its_encoding(self):
-        _, (analyzer, encoding) = self._evict("smt", "5bus-study1",
-                                              "5bus-study2", "_encoding")
+        _, (analyzer, encoding, solver) = self._evict(
+            "smt", "5bus-study1", "5bus-study2", "_encoding",
+            "_encoding.solver")
         assert analyzer() is None
         assert encoding() is None
+        assert solver() is None

@@ -1,6 +1,7 @@
 """Tests for the paper harness (``benchmarks/paper.py``): its
-measurement and formatting helpers, one registry entry end to end, and
-the attacker-scenario randomization it shares with the sweep grid."""
+measurement and formatting helpers, one registry entry end to end, the
+``scaling`` entry's checks and pipeline, and the attacker-scenario
+randomization it shares with the sweep grid."""
 
 import json
 import time
@@ -153,3 +154,76 @@ class TestPaperHarness:
         assert exc.value.code == 2
         assert "unknown entry fig9z" in capsys.readouterr().err
         assert not artifact.exists()
+
+
+def _scaling_cells(**changes):
+    """A passing set of hand-built ``scaling`` cells, with *changes*
+    (label -> fields) applied on top."""
+    cells = {}
+    for name, dense in paper.SCALING.items():
+        cells[f"{name}/sparse"] = {
+            "status": "ok", "seconds": 1.0,
+            "rank1": {"speedup": 5.0}}
+        cells[f"{name}/dense"] = (
+            {"status": "ok", "seconds": 2.0} if dense
+            else {"status": "skipped"})
+    cells["synth2869/dense"] = {"status": "over_budget", "seconds": 80.0}
+    for label, fields in changes.items():
+        cells[label] = {**cells[label], **fields}
+    return cells
+
+
+def _failed(cells):
+    return [check for check, held in paper._scaling_checks(cells).items()
+            if not held]
+
+
+class TestScalingEntry:
+    def test_passing_cells_pass(self):
+        assert _failed(_scaling_cells()) == []
+
+    @pytest.mark.parametrize("status", ["dnf", "over_budget"])
+    def test_an_unfinished_dense_run_counts_as_beaten(self, status):
+        # Sparse slower than the dense seconds on record: still beaten,
+        # since dense did not finish inside the budget.
+        cells = _scaling_cells(**{
+            "synth1354/sparse": {"seconds": 50.0},
+            "synth1354/dense": {"status": status, "seconds": 40.0}})
+        assert _failed(cells) == []
+
+    def test_sparse_slower_than_a_finished_dense_run_fails(self):
+        cells = _scaling_cells(**{"synth300/sparse": {"seconds": 3.0}})
+        assert _failed(cells) == [
+            "sparse beats dense wherever dense finishes inside the budget"]
+
+    def test_synth2869_sparse_over_the_budget_fails(self):
+        cells = _scaling_cells(**{"synth2869/sparse": {
+            "seconds": paper.DENSE_BUDGET_SECONDS + 1.0}})
+        assert _failed(cells) == [
+            "synth2869: sparse inside the budget, dense not"]
+
+    @pytest.mark.parametrize("case", ["synth1354", "synth2869"])
+    @pytest.mark.parametrize("speedup", [1.0, 0.5])
+    def test_a_rank1_update_no_faster_than_refactorizing_fails(
+            self, case, speedup):
+        cells = _scaling_cells(**{f"{case}/sparse": {
+            "rank1": {"speedup": speedup}}})
+        assert _failed(cells) == [
+            "rank-1 updates beat refactorizing at synth1354 and synth2869"]
+
+    def test_fresh_process_records_dnf_past_its_timeout(self):
+        cell = paper.fresh_process(time.sleep, 30, timeout=0.5)
+        assert cell["status"] == "dnf"
+        assert cell["budget_seconds"] == 0.5
+        assert cell["elapsed_seconds"] < 30
+        assert paper.fresh_process(abs, -3, timeout=60) == 3
+
+    @pytest.mark.parametrize("backend", ["sparse", "dense"])
+    def test_the_pipeline_runs_on_the_smallest_case(self, backend):
+        cell = paper._scaling_cell("synth300", backend)
+        assert cell["status"] == "ok"
+        assert list(cell["stages"]) == ["encode", "ptdf_lodf", "wls",
+                                        "warm_sweep"]
+        assert cell["seconds"] == pytest.approx(
+            sum(s["seconds"] for s in cell["stages"].values()), abs=1e-3)
+        assert ("rank1" in cell) == (backend == "sparse")
