@@ -20,7 +20,9 @@ over one kernel defined here:
   Groups are split so batching never drops below ``workers``-way
   parallelism, and verdicts are unchanged (SAT witness *vectors* may
   differ — any model is valid, and certified mode re-checks each
-  independently);
+  independently).  Fingerprint, group and unit read each cell's case
+  from one per-process memo (:meth:`ScenarioSpec.resolve_case`), so a
+  (case, attacker) pair is built and serialised once per process;
 * every unit, a unit of one cell included, runs through
   :func:`run_unit` — in the serial sweep, in every supervised worker and
   in the fabric worker — which takes every analyzer from a
@@ -73,7 +75,7 @@ from repro.core.session import ImpactQuery
 from repro.exceptions import BudgetExhausted, CaseFieldError, \
     InputFormatError, NumericalInstability
 from repro.runner.cache import DEFAULT_CACHE_DIR, ResultCache
-from repro.runner.spec import ScenarioSpec
+from repro.runner.spec import ScenarioSpec, resolution_counts
 from repro.runner.trace import (
     CERTIFICATE_ERROR,
     CRASHED,
@@ -292,7 +294,9 @@ def plan_units(specs: Sequence[ScenarioSpec], pending: Sequence[int],
 
     Scenarios with equal :meth:`ScenarioSpec.encoding_group` keys (same
     resolved case, analyzer kind and state-infection flag) are batched so
-    one warm analyzer serves them all.  Each group is split into at most
+    one warm analyzer serves them all.  The keys hash the case text
+    that :func:`plan_grid`'s fingerprints memoised, so grouping builds
+    and serialises no case again.  Each group is split into at most
     ``chunks`` pieces (the sweep engine passes its worker count so
     grouping never *reduces* parallelism), and ``max_cells`` additionally
     caps the unit size — the distributed fabric uses that to keep lease
@@ -413,12 +417,17 @@ class SessionPool:
                 del self._sessions[other]
 
     def stats(self) -> Dict[str, Any]:
+        """Pool counters, plus the process's case-resolution memo
+        (``case_hits``/``case_misses``, whole-process counts: a forked
+        worker starts from its parent's)."""
+        case_hits, case_misses = resolution_counts()
         return {"sessions": len(self._sessions), "session_hits": self.hits,
                 "session_misses": self.misses,
                 "session_evictions": self.evictions,
                 "kernels": len(self._kernels),
                 "kernel_hits": self.kernel_hits,
-                "kernel_misses": self.kernel_misses}
+                "kernel_misses": self.kernel_misses,
+                "case_hits": case_hits, "case_misses": case_misses}
 
 
 def execute_with_analyzer(spec: ScenarioSpec, fingerprint: str,
@@ -478,9 +487,12 @@ def run_unit(specs: Sequence[ScenarioSpec],
        trusted.  A verified cache hit (:func:`read_through`) is served;
     3. takes the analyzer of the cell's encoding group from
        ``sessions`` (a :class:`SessionPool`): the caller's, so warmth
-       outlives the call, or else one created for this call.  A
-       one-cell unit on a pool of its own never looks a key up twice,
-       so it skips hashing the case for the group.  A fast analyzer
+       outlives the call, or else one created for this call.  The case,
+       its text and so the group come from the process's resolution
+       memo (:meth:`ScenarioSpec.resolve_case`), which planning already
+       filled, so a planned cell builds no case here.  A one-cell unit
+       on a pool of its own never looks a key up twice, so it skips
+       hashing the case for the group.  A fast analyzer
        the pool builds runs on the pool's kernel of its grid, so on a
        caller's pool the cells of other attackers over the same grid
        reuse its LP results;
@@ -521,7 +533,7 @@ def run_unit(specs: Sequence[ScenarioSpec],
         try:
             case = spec.resolve_case()
             kind = spec.resolved_analyzer(case)
-            group = spec.encoding_group(case) if grouped else "unit"
+            group = spec.encoding_group() if grouped else "unit"
             analyzer = sessions.acquire(group, case, kind)
         except InputFormatError as exc:
             # A deterministic verdict about the input, not a runtime

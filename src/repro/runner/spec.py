@@ -11,6 +11,16 @@ The fingerprint covers the *resolved* case (the full serialized case
 text, after attacker randomization), the query parameters and a code
 fingerprint of the ``repro`` package sources: any change to the inputs or
 to the analysis code invalidates cached results.
+
+A process resolves each case once.  :meth:`ScenarioSpec.resolve_case`,
+:meth:`~ScenarioSpec.fingerprint` and :meth:`~ScenarioSpec.encoding_group`
+read one memo keyed by ``(case, case_text, attacker_seed,
+default_policy().key())`` that holds the resolved
+:class:`~repro.grid.caseio.CaseDefinition` and its :func:`write_case`
+text.  The numerics policy is in the key because building a bundled case
+runs guarded linear algebra.  The memoised case is shared by every
+caller in the process and must be treated as read-only; a case text that
+does not parse raises on every call and is never memoised.
 """
 
 from __future__ import annotations
@@ -21,8 +31,9 @@ import random
 from dataclasses import asdict, dataclass, field
 from dataclasses import fields as dataclass_fields
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.exceptions import ModelError
 from repro.grid.caseio import (
@@ -141,6 +152,41 @@ def randomize_attacker(case: CaseDefinition, seed: int) -> CaseDefinition:
     )
 
 
+#: resolved cases one process keeps.  A sweep resolves each of its
+#: (case, attacker seed) pairs in every pass over the grid (fingerprint,
+#: encoding group, unit), with the pairs shuffled between cells, so the
+#: memo holds a whole grid's pairs (``sweep-2w``'s 24); a resolved case
+#: holds about 2 KB per bus.
+_RESOLVED_CASES = 32
+
+
+@lru_cache(maxsize=_RESOLVED_CASES)
+def _resolve(case: str, case_text: Optional[str],
+             attacker_seed: Optional[int], numerics: str
+             ) -> Tuple[CaseDefinition, str]:
+    """The resolved case of a spec and its :func:`write_case` text.
+
+    *numerics* (the active policy's key) is read only by the memo: the
+    bundled builders run guarded linear algebra, so a policy change
+    rebuilds.  An exception (an unparsable text, an unknown name) is
+    not memoised.
+    """
+    if case_text is not None:
+        resolved = parse_case(case_text, name=case)
+    else:
+        from repro.grid.cases import get_case
+        resolved = get_case(case)
+    if attacker_seed is not None:
+        resolved = randomize_attacker(resolved, attacker_seed)
+    return resolved, write_case(resolved)
+
+
+def resolution_counts() -> Tuple[int, int]:
+    """This process's case-resolution memo as ``(hits, misses)``."""
+    info = _resolve.cache_info()
+    return info.hits, info.misses
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
     """One (case × attacker × query) cell of a sweep grid."""
@@ -205,16 +251,18 @@ class ScenarioSpec:
 
     # -- resolution -----------------------------------------------------
 
+    def _resolved(self) -> Tuple[CaseDefinition, str]:
+        return _resolve(self.case, self.case_text, self.attacker_seed,
+                        default_policy().key())
+
     def resolve_case(self) -> CaseDefinition:
-        """The concrete case this scenario analyzes."""
-        if self.case_text is not None:
-            case = parse_case(self.case_text, name=self.case)
-        else:
-            from repro.grid.cases import get_case
-            case = get_case(self.case)
-        if self.attacker_seed is not None:
-            case = randomize_attacker(case, self.attacker_seed)
-        return case
+        """The concrete case this scenario analyzes.
+
+        Memoised per process (see the module docstring): every spec with
+        the same case, case text and attacker seed gets the *same*
+        object under one numerics policy, so callers must not mutate it.
+        """
+        return self._resolved()[0]
 
     def resolved_analyzer(self, case: CaseDefinition) -> str:
         return resolve_analyzer(self.analyzer, case)
@@ -251,8 +299,7 @@ class ScenarioSpec:
         except TypeError as exc:
             raise ValueError(f"malformed scenario spec: {exc}") from exc
 
-    def encoding_group(self, case: Optional[CaseDefinition] = None
-                       ) -> str:
+    def encoding_group(self) -> str:
         """Identity of the *encoding* this scenario solves against.
 
         Narrower than :meth:`fingerprint`: only the resolved case text,
@@ -260,13 +307,11 @@ class ScenarioSpec:
         encoding — the target threshold and sampling seeds are
         per-query.  Scenarios with equal groups can share one
         warm analyzer (the engine re-solves them incrementally inside
-        solver scopes instead of re-encoding per scenario).  *case* is
-        this spec's :meth:`resolve_case`, when the caller already has it.
+        solver scopes instead of re-encoding per scenario).
         """
-        if case is None:
-            case = self.resolve_case()
+        case, text = self._resolved()
         key = {
-            "case_text": write_case(case),
+            "case_text": text,
             "analyzer": self.resolved_analyzer(case),
             "with_state_infection": self.with_state_infection,
         }
@@ -276,12 +321,12 @@ class ScenarioSpec:
     def fingerprint(self) -> str:
         """Deterministic identity of (resolved case, query, code)."""
         import repro
-        case = self.resolve_case()
+        case, text = self._resolved()
         key = {
             "format": CACHE_FORMAT_VERSION,
             "version": repro.__version__,
             "code": code_fingerprint(),
-            "case_text": write_case(case),
+            "case_text": text,
             "analyzer": self.resolved_analyzer(case),
             "target": self.target,
             "with_state_infection": self.with_state_infection,

@@ -111,9 +111,7 @@ class ScenarioOutcome:
         return ValidationReport.from_dict(self.diagnostics)
 
     def to_dict(self) -> Dict[str, Any]:
-        payload = asdict(self)
-        payload["spec"] = self.spec.to_dict()
-        return payload
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "ScenarioOutcome":

@@ -77,18 +77,25 @@ class TestSweepCacheAndStrict:
                                                capsys):
         # the sweep CLI only takes bundled case names; swap the bundled
         # five-bus for its islanded variant (serial mode keeps
-        # everything in-process, so the patch holds).
+        # everything in-process, so the patch holds).  The process
+        # memoises resolved cases, so the memo is emptied before the
+        # patch (an earlier test's 5bus-study1 would hide it) and after
+        # (the islanded case must not outlive the patch).
         islanded = parse_case(islanded_text(), name="5bus-study1")
         import repro.grid.cases as cases_module
+        from repro.runner.spec import _resolve
+        _resolve.cache_clear()
         monkeypatch.setattr(cases_module, "get_case",
                             lambda name: islanded)
-
-        argv = ["sweep", "--cases", "5bus-study1", "--workers", "1",
-                "--no-cache"]
-        assert main(argv) == 1          # a failure, but not gated
-        capsys.readouterr()
-        assert main(argv + ["--strict"]) == 2
-        out = capsys.readouterr().out
-        assert "degenerate_case" in out
-        assert "STRICT" in out
-        assert "preflight" in out
+        try:
+            argv = ["sweep", "--cases", "5bus-study1", "--workers", "1",
+                    "--no-cache"]
+            assert main(argv) == 1          # a failure, but not gated
+            capsys.readouterr()
+            assert main(argv + ["--strict"]) == 2
+            out = capsys.readouterr().out
+            assert "degenerate_case" in out
+            assert "STRICT" in out
+            assert "preflight" in out
+        finally:
+            _resolve.cache_clear()

@@ -1,6 +1,7 @@
 """Tests for the on-disk result cache."""
 
 import json
+from dataclasses import asdict
 
 from repro.runner import ResultCache, ScenarioSpec
 from repro.runner.cache import CACHE_FORMAT_VERSION
@@ -27,6 +28,15 @@ class TestResultCache:
         cache.put(fingerprint, stored.to_dict())
         loaded = ScenarioOutcome.from_dict(cache.get(fingerprint))
         assert loaded == stored
+
+    def test_outcome_payload_carries_the_spec_dict(self):
+        # asdict() already turns the nested spec into its to_dict().
+        outcome = _outcome("ab" * 32)
+        payload = outcome.to_dict()
+        assert payload["spec"] == outcome.spec.to_dict()
+        assert payload == {**asdict(outcome),
+                           "spec": outcome.spec.to_dict()}
+        assert ScenarioOutcome.from_dict(payload) == outcome
 
     def test_sharded_layout(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")

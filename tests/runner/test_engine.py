@@ -83,9 +83,9 @@ class TestExecuteScenario:
         calls = []
         original = ScenarioSpec.encoding_group
 
-        def counting(spec, case=None):
+        def counting(spec):
             calls.append(spec.label)
-            return original(spec, case)
+            return original(spec)
 
         monkeypatch.setattr(ScenarioSpec, "encoding_group", counting)
         spec, other = _fast_specs()
